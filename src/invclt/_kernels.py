@@ -13,9 +13,10 @@ Kernel semantics shared by both backends:
   sorted remaining indices; the smallest is matched to the ``(1+c)``-th
   smallest, where ``c = choices[:, t]`` lies in ``[0, n - 2t - 1)``.
 * ``case_terms(d, images, quads)``: classify each (involution, quadruple)
-  into the ten rewiring cases and return the short cycle sums ``T`` (before)
-  and ``T_dag`` (after), plus ``delta = 2*(d_ik + d_jl - d_ij - d_kl)``,
-  which equals both ``W - W'`` for the swap pair and ``Tdag - Tddag``.
+  into the ten rows of ``case_rows`` and return the short cycle sums ``T``
+  (before) and ``T_dag`` (after), plus
+  ``delta = 2*(d_ik + d_jl - d_ij - d_kl)``, which equals both ``W - W'``
+  for the swap pair and ``Tdag - Tddag``.
 * ``exact_gap(...)``: average of the closed-form segment integral
   ``int_0^1 |a - u*delta| du`` over every involution and every weighted
   quadruple; this is the exact mean coupling gap E|W - W*|.
@@ -125,79 +126,104 @@ def _y_batch_nb(d: np.ndarray, images: np.ndarray) -> np.ndarray:  # pragma: no 
 # ---------------------------------------------------------------------------
 
 
+def r_counts(q, p):
+    """(R1, R2) = (|{pi(I), pi(J)} & {K, L}|, |{pi(I), pi(K)} & {J, L}|).
+
+    ``q = (I, J, K, L)`` and ``p = (pi(I), pi(J), pi(K), pi(L))`` hold ints
+    or equal-length integer arrays.
+    """
+    _, j, k, l = q
+    pi_i, pi_j, pi_k = p[0], p[1], p[2]
+    r1 = (pi_i == k) * 1 + (pi_i == l) + (pi_j == k) + (pi_j == l)
+    r2 = (pi_i == j) * 1 + (pi_i == l) + (pi_k == j) + (pi_k == l)
+    return r1, r2
+
+
+def case_rows(q, p):
+    """The ten rows of the rewiring table as boolean conditions, in order.
+
+    Rows 1-9 say which of the cycles (I,K), (J,L), (I,L), (J,K), (I,J),
+    (K,L) the involution already holds (``x > y`` reads "x and not y").
+    Row 10 is stated on its own as R1 = R2 = 0 rather than as "none of the
+    above", so the rows can be checked for being disjoint and exhaustive.
+    Arguments as in ``r_counts``; plain ints work too.
+    """
+    _, j, k, l = q
+    pi_i, pi_j, pi_k = p[0], p[1], p[2]
+    a1, a2 = pi_i == k, pi_j == l
+    b1, b2 = pi_i == l, pi_j == k
+    c1, c2 = pi_i == j, pi_k == l
+    r1, r2 = r_counts(q, p)
+    return (
+        a1 > a2,
+        a1 < a2,
+        b1 > b2,
+        b1 < b2,
+        c1 > c2,
+        c1 < c2,
+        a1 & a2,
+        c1 & c2,
+        b1 & b2,
+        (r1 == 0) & (r2 == 0),
+    )
+
+
 def case_terms_np(d: np.ndarray, images: np.ndarray, quads: np.ndarray):
     """Vectorized case classification and cycle sums.
 
     Returns (case_id, T, T_dag, delta) arrays, one entry per row of
     ``images``/``quads``.
     """
-    rows = np.arange(images.shape[0])
-    i, j, k, l = quads[:, 0], quads[:, 1], quads[:, 2], quads[:, 3]
-    pi_i = images[rows, i]
-    pi_j = images[rows, j]
-    pi_k = images[rows, k]
-    pi_l = images[rows, l]
+    n = d.shape[1]
+    flat = d.ravel()
+    q = quads.T
+    i, j, k, l = q
+    p = images[np.arange(images.shape[0]), q]
+    pi_i, pi_j, pi_k, pi_l = p
 
-    a1 = pi_i == k
-    a2 = pi_j == l
-    b1 = pi_i == l
-    b2 = pi_j == k
-    c1 = pi_i == j
-    c2 = pi_k == l
+    def at(a, b):
+        return flat[a * n + b]
 
-    d_ik = d[i, k]
-    d_jl = d[j, l]
-    d_ij = d[i, j]
-    d_kl = d[k, l]
+    d_ik, d_jl, d_ij, d_kl = at(i, k), at(j, l), at(i, j), at(k, l)
+    d_il, d_jk = at(i, l), at(j, k)
+    d_ipi, d_jpj, d_kpk, d_lpl = at(i, pi_i), at(j, pi_j), at(k, pi_k), at(l, pi_l)
     base = d_ik + d_jl
     delta = 2.0 * (base - (d_ij + d_kl))
 
-    d_ipi = d[i, pi_i]
-    d_jpj = d[j, pi_j]
-    d_kpk = d[k, pi_k]
-    d_lpl = d[l, pi_l]
-
-    conds = [
-        a1 & ~a2,
-        ~a1 & a2,
-        b1 & ~b2,
-        ~b1 & b2,
-        c1 & ~c2,
-        ~c1 & c2,
-        a1 & a2,
-        c1 & c2,
-        b1 & b2,
-    ]
-    t_vals = [
-        2.0 * (d_ik + d_jpj + d_lpl),
-        2.0 * (d_jl + d_ipi + d_kpk),
-        2.0 * (d[i, l] + d_jpj + d_kpk),
-        2.0 * (d[j, k] + d_ipi + d_lpl),
-        2.0 * (d_ij + d_kpk + d_lpl),
-        2.0 * (d_kl + d_ipi + d_jpj),
-        2.0 * (d_ik + d_jl),
-        2.0 * (d_ij + d_kl),
-        2.0 * (d[i, l] + d[j, k]),
-    ]
-    tdag_vals = [
-        2.0 * (base + d[pi_j, pi_l]),
-        2.0 * (base + d[pi_i, pi_k]),
-        2.0 * (base + d[pi_j, pi_k]),
-        2.0 * (base + d[pi_i, pi_l]),
-        2.0 * (base + d[pi_k, pi_l]),
-        2.0 * (base + d[pi_i, pi_j]),
-        2.0 * base,
-        2.0 * base,
-        2.0 * base,
-    ]
-    # case 10: all eight indices distinct
-    t10 = 2.0 * (d_ipi + d_jpj + d_kpk + d_lpl)
-    tdag10 = 2.0 * (base + d[pi_i, pi_k] + d[pi_j, pi_l])
-
-    case = np.select(conds, np.arange(1, 10), default=10).astype(np.int64)
-    t = np.select(conds, t_vals, default=0.0) + np.where(case == 10, t10, 0.0)
-    tdag = np.select(conds, tdag_vals, default=0.0) + np.where(case == 10, tdag10, 0.0)
-    return case, t, tdag, delta
+    rows = case_rows(q, p)
+    # per row: the short cycles through the quadruple before and after
+    t = np.select(
+        rows,
+        [
+            d_ik + d_jpj + d_lpl,
+            d_jl + d_ipi + d_kpk,
+            d_il + d_jpj + d_kpk,
+            d_jk + d_ipi + d_lpl,
+            d_ij + d_kpk + d_lpl,
+            d_kl + d_ipi + d_jpj,
+            base,
+            d_ij + d_kl,
+            d_il + d_jk,
+            d_ipi + d_jpj + d_kpk + d_lpl,
+        ],
+    )
+    tdag = np.select(
+        rows,
+        [
+            base + at(pi_j, pi_l),
+            base + at(pi_i, pi_k),
+            base + at(pi_j, pi_k),
+            base + at(pi_i, pi_l),
+            base + at(pi_k, pi_l),
+            base + at(pi_i, pi_j),
+            base,
+            base,
+            base,
+            base + at(pi_i, pi_k) + at(pi_j, pi_l),
+        ],
+    )
+    case = np.select(rows, np.arange(1, 11), default=0)
+    return case, 2.0 * t, 2.0 * tdag, delta
 
 
 @njit(cache=True, nogil=True, inline="always")

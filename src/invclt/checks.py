@@ -125,15 +125,9 @@ def check_stein_second_moment(seed: int) -> list[dict]:
     return out
 
 
-_SWEEPS: dict[tuple[int, int], coupling.SweepReport] = {}
-
-
 def _sweep(seed: int, n: int) -> coupling.SweepReport:
-    key = (seed, n)
-    if key not in _SWEEPS:
-        gen = rngmod.derive_stream(seed, rngmod.PURPOSE_CHECKS, 7, n)
-        _SWEEPS[key] = coupling.exhaustive_sweep(random_centered(n, gen))
-    return _SWEEPS[key]
+    gen = rngmod.derive_stream(seed, rngmod.PURPOSE_CHECKS, 7, n)
+    return coupling.exhaustive_sweep(random_centered(n, gen))
 
 
 def check_case_exhaustiveness(seed: int) -> list[dict]:

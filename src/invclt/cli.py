@@ -8,8 +8,10 @@ Subcommands:
 * ``lowerbound`` the lattice-array rate experiment
 
 Exit codes: 0 success, 1 verification failure, 2 input/IO error,
-3 degenerate input.  All randomized output is fully determined by
-(seed, draws, n, flags); thread count never changes results.
+3 degenerate input, 4 internal error (a broken invariant such as a
+rewiring case that matched no table row; a bug, not bad input).  All
+randomized output is fully determined by (seed, draws, n, flags); thread
+count never changes results.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import distances as distmod
 from . import involutions as invmod
 from . import rng as rngmod
 from .arrays import load_matrix, moments, standardize, validate_and_symmetrize
-from .errors import DegenerateArray, InputError, InvcltError
+from .errors import DegenerateArray, InputError, InvcltError, NoCaseMatched
 
 SCHEMA_VERSION = 1
 EXACT_MODE_CAP = 12  # |Pi_12| = 10,395: exact law wherever cheap
@@ -38,6 +40,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_p_list(text: str) -> list[float]:
@@ -83,9 +86,9 @@ def run_analyze(args) -> int:
     summary = moments(E)
     D = standardize(E)  # raises DegenerateArray when sigma^2 = 0
     p_list = _parse_p_list(args.p)
-    exact = E.n <= args.cap
+    exact = E.n <= min(args.cap, invmod.ENUM_CAP)
     if exact:
-        dist = invmod.exact_w_distribution(D, cap=max(args.cap, invmod.ENUM_CAP))
+        dist = invmod.exact_w_distribution(D)
         F = distmod.step_cdf_from_distribution(dist)
         report = distmod.distance_report(F, p_list, exact=True)
     else:
@@ -239,7 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--input", required=True)
     pa.add_argument("--symmetrize", action="store_true")
     pa.add_argument("--p", default="1,2,inf")
-    pa.add_argument("--cap", type=int, default=EXACT_MODE_CAP, help="exact-mode threshold")
+    pa.add_argument(
+        "--cap",
+        type=int,
+        default=EXACT_MODE_CAP,
+        help=f"exact-mode threshold (at most {invmod.ENUM_CAP})",
+    )
     pa.add_argument("--emit-cdf", default=None)
     pa.set_defaults(fn=run_analyze)
 
@@ -276,6 +284,9 @@ def main(argv=None) -> int:
     except DegenerateArray as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except NoCaseMatched as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

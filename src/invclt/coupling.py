@@ -23,6 +23,7 @@ Construction summary (all indices 0-based internally):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -347,68 +348,56 @@ def index_image_law(D: CenteredArray, cap: int = SWEEP_CAP) -> IndexImageLaw:
 def classify(pi: Involution, quad: Iterable[int]) -> tuple[int, int, int]:
     """(R1, R2, case_id) for the rewiring table.
 
-    R1 = |{pi(I), pi(J)} ∩ {K, L}|, R2 = |{pi(I), pi(K)} ∩ {J, L}|; the rows
-    are evaluated in table order with first match winning (they are disjoint,
-    so the order is a safety net only).
+    R1 = |{pi(I), pi(J)} ∩ {K, L}|, R2 = |{pi(I), pi(K)} ∩ {J, L}|; the case
+    is the first row of ``_kernels.case_rows`` that holds (the rows are
+    disjoint, so the order is a safety net only).
     """
-    i, j, k, l = (int(x) for x in quad)
-    if len({i, j, k, l}) != 4:
+    q = tuple(int(x) for x in quad)
+    if len(set(q)) != 4:
         raise InputError("quadruple indices must be distinct")
-    p = pi.images
-    pi_i, pi_j, pi_k = int(p[i]), int(p[j]), int(p[k])
-    r1 = int(pi_i in (k, l)) + int(pi_j in (k, l))
-    r2 = int(pi_i in (j, l)) + int(pi_k in (j, l))
-    a1, a2 = pi_i == k, pi_j == l
-    b1, b2 = pi_i == l, pi_j == k
-    c1, c2 = pi_i == j, pi_k == l
-    if a1 and not a2:
-        case = 1
-    elif (not a1) and a2:
-        case = 2
-    elif b1 and not b2:
-        case = 3
-    elif (not b1) and b2:
-        case = 4
-    elif c1 and not c2:
-        case = 5
-    elif (not c1) and c2:
-        case = 6
-    elif a1 and a2:
-        case = 7
-    elif c1 and c2:
-        case = 8
-    elif b1 and b2:
-        case = 9
-    elif r1 == 0 and r2 == 0:
-        case = 10
-    else:
+    p = tuple(int(pi.images[x]) for x in q)
+    r1, r2 = _kernels.r_counts(q, p)
+    rows = _kernels.case_rows(q, p)
+    if True not in rows:
         raise NoCaseMatched(f"(R1,R2)=({r1},{r2}) matched no rewiring case")
+    case = rows.index(True) + 1
     if (r1, r2) != CASE_R[case]:
         raise NoCaseMatched(f"case {case} saw (R1,R2)=({r1},{r2})")
     return r1, r2, case
 
 
-def _dagger_swaps(p: np.ndarray, case: int, i: int, j: int, k: int, l: int):
-    """Right-composition transpositions realizing each table row."""
-    if case == 1:
-        return ((j, p[l]), (l, p[j]))
-    if case == 2:
-        return ((i, p[k]), (k, p[i]))
-    if case == 3:
-        return ((j, p[k]), (k, p[j]), (i, j), (k, l))
-    if case == 4:
-        return ((i, p[l]), (l, p[i]), (i, j), (k, l))
-    if case == 5:
-        return ((k, p[l]), (l, p[k]), (i, l), (j, k))
-    if case == 6:
-        return ((i, p[j]), (j, p[i]), (i, l), (j, k))
-    if case == 7:
-        return ()
-    if case == 8:
-        return ((i, l), (j, k))
-    if case == 9:
-        return ((i, j), (k, l))
-    return ((i, p[k]), (k, p[i]), (j, p[l]), (l, p[j]))
+def _dagger_swaps(case: int, q, p):
+    """Right-composition transpositions realizing each table row.
+
+    ``q = (I, J, K, L)`` and ``p`` = their images, as in ``_kernels.case_rows``.
+    """
+    i, j, k, l = q
+    pi_i, pi_j, pi_k, pi_l = p
+    return (
+        ((j, pi_l), (l, pi_j)),
+        ((i, pi_k), (k, pi_i)),
+        ((j, pi_k), (k, pi_j), (i, j), (k, l)),
+        ((i, pi_l), (l, pi_i), (i, j), (k, l)),
+        ((k, pi_l), (l, pi_k), (i, l), (j, k)),
+        ((i, pi_j), (j, pi_i), (i, l), (j, k)),
+        (),
+        ((i, l), (j, k)),
+        ((i, j), (k, l)),
+        ((i, pi_k), (k, pi_i), (j, pi_l), (l, pi_j)),
+    )[case - 1]
+
+
+def _rewire(images: np.ndarray, quads: np.ndarray, cases: np.ndarray) -> np.ndarray:
+    """Apply the table row ``cases[r]`` (1..10) to row ``r`` of an (m, n)
+    image matrix."""
+    out = images.copy()
+    for case in np.unique(cases).tolist():
+        sel = np.flatnonzero(cases == case)
+        q = quads[sel].T
+        p = np.take_along_axis(images[sel], quads[sel], axis=1).T
+        for a, b in _dagger_swaps(case, q, p):
+            out[sel, a], out[sel, b] = out[sel, b], out[sel, a]
+    return out
 
 
 def index_set(pi: Involution, quad: Iterable[int]) -> frozenset[int]:
@@ -421,10 +410,10 @@ def index_set(pi: Involution, quad: Iterable[int]) -> frozenset[int]:
 def pi_dagger(pi: Involution, quad: Iterable[int]) -> tuple[Involution, int]:
     """Rewire ``pi`` so the cycles (I,K) and (J,L) appear; all indices
     outside the touched set keep their images."""
-    i, j, k, l = (int(x) for x in quad)
-    _, _, case = classify(pi, quad)
+    i, j, k, l = q = tuple(int(x) for x in quad)
+    _, _, case = classify(pi, q)
     img = pi.images.copy()
-    for a, b in _dagger_swaps(pi.images, case, i, j, k, l):
+    for a, b in _dagger_swaps(case, q, tuple(int(pi.images[x]) for x in q)):
         img[a], img[b] = img[b], img[a]
     out = Involution(n=pi.n, images=img)
     out.validate()
@@ -666,17 +655,49 @@ def exchangeability_counts(D: CenteredArray, cap: int = SWEEP_CAP) -> int:
     return max(abs(c - counts.get((b, a), 0)) for (a, b), c in counts.items())
 
 
-def _distinct_quads(n: int) -> list[tuple[int, int, int, int]]:
-    return [
-        (i, j, k, l)
-        for i in range(n)
-        for j in range(n)
-        if j != i
-        for k in range(n)
-        if k not in (i, j)
-        for l in range(n)
-        if l not in (i, j, k)
-    ]
+def planted_completions(quads: np.ndarray, n: int) -> np.ndarray:
+    """Every involution holding the cycles (I,K) and (J,L), per quadruple.
+
+    Block ``q`` of the (len(quads), (n-5)!!, n) result lists the completions
+    of ``quads[q]``: ``involution_matrix(n - 4)`` mapped through the sorted
+    points outside the quadruple, so each block is in canonical order.
+    """
+    m = quads.shape[0]
+    sub = involution_matrix(n - 4) if n > 4 else np.zeros((1, 0), dtype=np.int64)
+    outside = np.ones((m, n), dtype=bool)
+    outside[np.arange(m)[:, None], quads] = False
+    rest = np.nonzero(outside)[1].reshape(m, n - 4)
+    shape = (m, sub.shape[0], n)
+    pos = np.broadcast_to(np.concatenate((quads, rest), axis=1)[:, None, :], shape)
+    planted = np.broadcast_to(quads[:, None, [2, 3, 0, 1]], shape[:2] + (4,))
+    out = np.empty(shape, dtype=np.int64)
+    np.put_along_axis(out, pos, np.concatenate((planted, rest[:, sub]), axis=2), axis=2)
+    return out
+
+
+def _planted_values(D: CenteredArray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(share, W_dag, W_ddag) over every square-bias quadruple and completion.
+
+    ``share`` is the quadruple's probability split evenly over its uniform
+    completions; W_ddag is W at ``alpha_compose(pi_dag, I, J)``, which trades
+    the cycles (I,K), (J,L) for (I,J), (K,L).
+    """
+    n = D.n
+    quads, probs = square_bias_table(D).support()
+    dag = planted_completions(quads, n)
+    ddag = dag.copy()
+    np.put_along_axis(
+        ddag,
+        np.broadcast_to(quads[:, None, :], dag.shape[:2] + (4,)),
+        np.broadcast_to(quads[:, None, [1, 0, 3, 2]], dag.shape[:2] + (4,)),
+        axis=2,
+    )
+    share = np.repeat(probs / dag.shape[1], dag.shape[1])
+    return (
+        share,
+        _kernels.y_batch(D.entries, dag.reshape(-1, n)),
+        _kernels.y_batch(D.entries, ddag.reshape(-1, n)),
+    )
 
 
 @dataclass
@@ -696,136 +717,105 @@ class SweepReport:
     p3_max_dev: int
 
 
+def _distinct_count(cols: list[np.ndarray]) -> np.ndarray:
+    """Number of distinct values per position across equal-length arrays."""
+    s = np.sort(np.stack(cols), axis=0)
+    return 1 + np.count_nonzero(np.diff(s, axis=0), axis=0)
+
+
 def exhaustive_sweep(D: CenteredArray, cap: int = SWEEP_CAP) -> SweepReport:
     """One pass over every (involution, ordered quadruple) at small n.
 
     Checks row disjointness/exhaustiveness and the impossibility of
     (R1,R2) in {(2,1),(1,2)}, validates every rewired involution, and
     accumulates the integer counts behind the conditional-uniformity law,
-    the (quad, pi(I), pi(J)) law and the three-image law slices.
+    the (quad, pi(I), pi(J)) law and the three-image law slices.  Each
+    involution is processed against all quadruples at once.
     """
     n = D.n
     if n > cap:
         raise CapExceeded(f"n={n} exceeds sweep cap {cap}")
     table = square_bias_table(D)
-    invs = [tuple(inv.images.tolist()) for inv in enumerate_involutions(n)]
-    quads = _distinct_quads(n)
-    n_inv = len(invs)
-
-    case_counts = {c: 0 for c in range(1, 11)}
-    impossible = 0
-    multi_match = 0
-    closure_failures = 0
-    phi_counts: dict[tuple, int] = {}
-    p2_counts: dict[tuple, int] = {}
-    p3_slice_counts: dict[tuple, int] = {}
-    p3_distinct_counts: dict[tuple, int] = {}
+    invs = involution_matrix(n)
+    quads = np.array(list(itertools.permutations(range(n), 4)), dtype=np.int64)
+    n_inv, n_q = invs.shape[0], quads.shape[0]
+    q = quads.T
+    i, j, k, l = q
+    support = table.weights[((i * n + j) * n + k) * n + l] > 0.0
+    sq = quads[support]
+    si, sj, sk, sl = sq.T
+    n_s = sq.shape[0]
+    # rewired involutions are compared through their base-n digit codes
+    code = n ** np.arange(n, dtype=np.int64)
+    completion_codes = planted_completions(sq, n) @ code
 
     idx = np.arange(n)
-    for p in invs:
-        parr = np.asarray(p, dtype=np.int64)
-        for quad in quads:
-            i, j, k, l = quad
-            pi_i, pi_j, pi_k, pi_l = p[i], p[j], p[k], p[l]
-            a1, a2 = pi_i == k, pi_j == l
-            b1, b2 = pi_i == l, pi_j == k
-            c1, c2 = pi_i == j, pi_k == l
-            rows = [
-                a1 and not a2,
-                (not a1) and a2,
-                b1 and not b2,
-                (not b1) and b2,
-                c1 and not c2,
-                (not c1) and c2,
-                a1 and a2,
-                c1 and c2,
-                b1 and b2,
-            ]
-            r1 = int(pi_i in (k, l)) + int(pi_j in (k, l))
-            r2 = int(pi_i in (j, l)) + int(pi_k in (j, l))
-            rows.append(r1 == 0 and r2 == 0)
-            if sum(rows) != 1:
-                multi_match += 1
-            if (r1, r2) in ((2, 1), (1, 2)):
-                impossible += 1
-            case = rows.index(True) + 1
-            case_counts[case] += 1
+    all_q = np.arange(n_q)
+    case_counts = np.zeros(11, dtype=np.int64)
+    impossible = multi_match = closure_failures = 0
+    rewired_codes = np.empty((n_inv, n_s), dtype=np.int64)
+    p2_counts = np.zeros((n_s, n, n), dtype=np.int64)
+    p3_keys = []
+    for r, parr in enumerate(invs):
+        p = parr[q]
+        rows = np.array(_kernels.case_rows(q, p))
+        r1, r2 = _kernels.r_counts(q, p)
+        multi_match += int(np.count_nonzero(rows.sum(axis=0) != 1))
+        bad_r = (r1 == 2) & (r2 == 1) | (r1 == 1) & (r2 == 2)
+        impossible += int(np.count_nonzero(bad_r))
+        case = rows.argmax(axis=0) + 1  # first matching row
+        case_counts += np.bincount(case, minlength=11)
 
-            img = parr.copy()
-            for a, b in _dagger_swaps(parr, case, i, j, k, l):
-                img[a], img[b] = img[b], img[a]
-            ok = (
-                img[i] == k
-                and img[j] == l
-                and not np.any(img == idx)
-                and np.array_equal(img[img], idx)
-            )
-            touched = {i, j, k, l, pi_i, pi_j, pi_k, pi_l}
-            for x in range(n):
-                if x not in touched and img[x] != p[x]:
-                    ok = False
-                    break
-            if not ok:
-                closure_failures += 1
+        img = _rewire(np.broadcast_to(parr, (n_q, n)), quads, case)
+        touched = np.zeros((n_q, n), dtype=bool)
+        touched[all_q[:, None], np.concatenate((quads, p.T), axis=1)] = True
+        ok = (
+            (img[all_q, i] == k)
+            & (img[all_q, j] == l)
+            & np.all(img != idx, axis=1)
+            & np.all(np.take_along_axis(img, img, axis=1) == idx, axis=1)
+            & ~np.any((img != parr) & ~touched, axis=1)
+        )
+        closure_failures += int(np.count_nonzero(~ok))
 
-            if table.weight(i, j, k, l) > 0.0:
-                phi_counts[(quad, tuple(img.tolist()))] = (
-                    phi_counts.get((quad, tuple(img.tolist())), 0) + 1
-                )
-                p2_counts[(quad, pi_i, pi_j)] = p2_counts.get((quad, pi_i, pi_j), 0) + 1
-                key3 = (quad, pi_i, pi_j, pi_l)
-                if pi_i == k and len({i, j, k, l, pi_j, pi_l}) == 6:
-                    p3_slice_counts[key3] = p3_slice_counts.get(key3, 0) + 1
-                if len({i, j, k, l, pi_i, pi_j, pi_l}) == 7:
-                    p3_distinct_counts[key3] = p3_distinct_counts.get(key3, 0) + 1
+        rewired_codes[r] = img[support] @ code
+        pi_i, pi_j, pi_k, pi_l = p[:, support]
+        p2_counts[np.arange(n_s), pi_i, pi_j] += 1
+        in_slice = (pi_i == sk) & (_distinct_count([si, sj, sk, sl, pi_j, pi_l]) == 6)
+        in_distinct = _distinct_count([si, sj, sk, sl, pi_i, pi_j, pi_l]) == 7
+        keep = np.flatnonzero(in_slice | in_distinct)
+        p3_keys.append(((keep * n + pi_i[keep]) * n + pi_j[keep]) * n + pi_l[keep])
 
     # conditional uniformity: every completion of every support quad must be
     # produced by exactly |Pi_n| / |Pi_{n-4}| base involutions
     expected = n_inv // double_factorial(n - 5)
-    uni_dev = 0
-    for quad in quads:
-        if table.weight(*quad) <= 0.0:
-            continue
-        i, j, k, l = quad
-        rest = sorted(set(range(n)) - {i, j, k, l})
-        for phi_rest in _sub_involutions(rest):
-            phi = list(range(n))
-            phi[i], phi[k] = k, i
-            phi[j], phi[l] = l, j
-            for a, b in phi_rest:
-                phi[a], phi[b] = b, a
-            got = phi_counts.get((quad, tuple(phi)), 0)
-            uni_dev = max(uni_dev, abs(got - expected))
+    got = np.count_nonzero(rewired_codes[:, :, None] == completion_codes[None], axis=0)
+    uni_dev = int(np.abs(got - expected).max(initial=0))
 
     # (quad, pi(I), pi(J)) joint law: integer counts against the exact law
-    p2_dev = 0
-    for quad in quads:
-        if table.weight(*quad) <= 0.0:
-            continue
-        i, j = quad[0], quad[1]
-        for s in range(n):
-            for t in range(n):
-                if s == j and t == i:
-                    want = n_inv // (n - 1)
-                elif s in (i, t, j) or t in (j, i):
-                    want = 0
-                else:
-                    want = n_inv // ((n - 1) * (n - 3))
-                if p2_counts.get((quad, s, t), 0) != want:
-                    p2_dev = max(p2_dev, abs(p2_counts.get((quad, s, t), 0) - want))
+    qi, qj = si[:, None, None], sj[:, None, None]
+    s, t = idx[None, :, None], idx[None, None, :]
+    want2 = np.where(
+        (s == qj) & (t == qi),
+        n_inv // (n - 1),
+        np.where(
+            (s == qi) | (s == t) | (s == qj) | (t == qj) | (t == qi),
+            0,
+            n_inv // ((n - 1) * (n - 3)),
+        ),
+    )
+    p2_dev = int(np.abs(p2_counts - want2).max(initial=0))
 
     # three-image slices: both laws put mass 1/((n-1)(n-3)(n-5)) per config
     want3 = n_inv // ((n - 1) * (n - 3) * (n - 5)) if n >= 6 else 0
-    p3_dev = 0
-    for cdict in (p3_slice_counts, p3_distinct_counts):
-        for _, got in cdict.items():
-            p3_dev = max(p3_dev, abs(got - want3))
+    _, got3 = np.unique(np.concatenate(p3_keys), return_counts=True)
+    p3_dev = int(np.abs(got3 - want3).max(initial=0))
 
     return SweepReport(
         n=n,
-        quads=len(quads),
+        quads=n_q,
         involutions=n_inv,
-        case_counts=case_counts,
+        case_counts={c: int(case_counts[c]) for c in range(1, 11)},
         impossible_r=impossible,
         multi_match=multi_match,
         closure_failures=closure_failures,
@@ -834,18 +824,6 @@ def exhaustive_sweep(D: CenteredArray, cap: int = SWEEP_CAP) -> SweepReport:
         p2_max_dev=p2_dev,
         p3_max_dev=p3_dev,
     )
-
-
-def _sub_involutions(points: list[int]):
-    """All perfect matchings of ``points`` as lists of two-cycles."""
-    if not points:
-        yield []
-        return
-    first, rest = points[0], points[1:]
-    for t, partner in enumerate(rest):
-        remaining = rest[:t] + rest[t + 1 :]
-        for tail in _sub_involutions(remaining):
-            yield [(first, partner)] + tail
 
 
 def exact_pi_dagger_marginal(D: CenteredArray, cap: int = SWEEP_CAP) -> dict:
@@ -878,32 +856,13 @@ def exact_wstar_cdf(D: CenteredArray, cap: int = SWEEP_CAP):
     n = D.n
     if n > cap:
         raise CapExceeded(f"n={n} exceeds sweep cap {cap}")
-    d = D.entries
-    rows = np.arange(n)
-
-    segments = []  # (lo, hi, weight)
-    quads, probs = square_bias_table(D).support()
-    base = np.arange(n, dtype=np.int64)
-    for (i, j, k, l), pq in zip(map(tuple, quads.tolist()), probs):
-        rest = sorted(set(range(n)) - {i, j, k, l})
-        completions = list(_sub_involutions(rest))
-        share = pq / len(completions)
-        for phi_rest in completions:
-            phi = base.copy()
-            phi[i], phi[k] = k, i
-            phi[j], phi[l] = l, j
-            for a, b in phi_rest:
-                phi[a], phi[b] = b, a
-            a_val = float(d[rows, phi].sum())
-            b_val = float(d[rows, alpha_compose(Involution(n=n, images=phi), i, j).images].sum())
-            segments.append((min(a_val, b_val), max(a_val, b_val), share))
-    seg_lo = np.array([s[0] for s in segments])
-    seg_hi = np.array([s[1] for s in segments])
-    seg_w = np.array([s[2] for s in segments])
+    share, w_dag, w_ddag = _planted_values(D)
+    seg_lo = np.minimum(w_dag, w_ddag)
+    seg_hi = np.maximum(w_dag, w_ddag)
 
     def construction_cdf(x: np.ndarray) -> np.ndarray:
         frac = (x[:, None] - seg_lo[None, :]) / (seg_hi - seg_lo)[None, :]
-        return np.clip(frac, 0.0, 1.0) @ seg_w
+        return np.clip(frac, 0.0, 1.0) @ share
 
     dist = exact_w_distribution(D)
     vals = dist.values
@@ -938,36 +897,11 @@ def exact_zero_bias_moments(
     n = D.n
     if n > cap:
         raise CapExceeded(f"n={n} exceeds sweep cap {cap}")
-    d = D.entries
-    rows = np.arange(n)
+    ws = _kernels.y_batch(D.entries, involution_matrix(n))
+    lhs = {k: math.fsum(ws ** (k + 1)) / ws.size for k in range(1, k_max + 1)}
 
-    ws = [float(d[rows, inv.images].sum()) for inv in enumerate_involutions(n)]
-    lhs = {
-        k: math.fsum(w ** (k + 1) for w in ws) / len(ws) for k in range(1, k_max + 1)
-    }
-
-    quads, probs = square_bias_table(D).support()
-    star_moment_terms: dict[int, list[float]] = {m: [] for m in range(0, k_max)}
-    for (i, j, k, l), pq in zip(map(tuple, quads.tolist()), probs):
-        rest = sorted(set(range(n)) - {i, j, k, l})
-        completions = list(_sub_involutions(rest))
-        share = pq / len(completions)
-        base = np.arange(n, dtype=np.int64)
-        for phi_rest in completions:
-            phi = base.copy()
-            phi[i], phi[k] = k, i
-            phi[j], phi[l] = l, j
-            for a, b in phi_rest:
-                phi[a], phi[b] = b, a
-            dag = Involution(n=n, images=phi)
-            ddag = alpha_compose(dag, i, j)
-            a_val = float(d[rows, dag.images].sum())
-            b_val = float(d[rows, ddag.images].sum())
-            for m in range(0, k_max):
-                if m == 0:
-                    seg = 1.0
-                else:
-                    seg = (a_val ** (m + 1) - b_val ** (m + 1)) / ((m + 1) * (a_val - b_val))
-                star_moment_terms[m].append(share * seg)
-    star = {m: math.fsum(terms) for m, terms in star_moment_terms.items()}
+    share, a, b = _planted_values(D)
+    star = {0: math.fsum(share)}
+    for m in range(1, k_max):
+        star[m] = math.fsum(share * (a ** (m + 1) - b ** (m + 1)) / ((m + 1) * (a - b)))
     return [(k, lhs[k], k * star[k - 1]) for k in range(1, k_max + 1)]

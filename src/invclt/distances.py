@@ -2,12 +2,13 @@
 
 The Kolmogorov distance is evaluated exactly at the jump points (both
 one-sided gaps).  The L1 distance is integrated piece by piece in closed
-form: on each constant piece the unique crossing of Phi with the level is
-bracketed by bisection, and the antiderivative ``int Phi = t Phi(t) + phi(t)``
-handles every segment including the unbounded tails, so no quadrature or
-truncation enters.  Intermediate L^p values are reported through the
-interpolation bound ``||f||_p^p <= ||f||_inf^{p-1} ||f||_1``; an optional
-Simpson quadrature exists for cross-checking.
+form: on each constant piece the crossing of Phi with the level is
+``ndtri(level)`` clipped into the piece, and the antiderivative
+``int Phi = t Phi(t) + phi(t)`` handles every segment including the
+unbounded tails, so no quadrature, iteration or truncation enters.
+Intermediate L^p values are reported through the interpolation bound
+``||f||_p^p <= ||f||_inf^{p-1} ||f||_1``; an optional Simpson quadrature
+exists for cross-checking.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .errors import EmptySample, InputError, InvalidP
 from .involutions import ExactDistribution
 
-BISECT_TOL = 1e-12
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -79,62 +79,27 @@ def kolmogorov_distance(F: StepCDF) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-def _int_phi(a: float, b: float) -> float:
-    """int_a^b Phi(t) dt via the antiderivative t Phi(t) + phi(t)."""
-
-    def anti(t: float) -> float:
-        return t * float(ndtr(t)) + math.exp(-0.5 * t * t) / _SQRT2PI
-
-    return anti(b) - anti(a)
-
-
-def _crossing(c: float, a: float, b: float) -> float:
-    """Bisect for Phi(t) = c on [a, b]; |Phi(t*) - c| < 1e-12 at return."""
-    lo, hi = a, b
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = float(ndtr(mid))
-        if abs(val - c) < BISECT_TOL:
-            return mid
-        if val < c:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, abs(a), abs(b)):
-            return 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
-
-
-def _piece_abs_integral(c: float, a: float, b: float) -> float:
-    """int_a^b |c - Phi(t)| dt for constant level c; Phi is increasing."""
-    phi_a = float(ndtr(a))
-    phi_b = float(ndtr(b))
-    if phi_b <= c:
-        return c * (b - a) - _int_phi(a, b)
-    if phi_a >= c:
-        return _int_phi(a, b) - c * (b - a)
-    t = _crossing(c, a, b)
-    return (c * (t - a) - _int_phi(a, t)) + (_int_phi(t, b) - c * (b - t))
-
-
-def _upper_tail(a: float) -> float:
-    """int_a^inf (1 - Phi(t)) dt = phi(a) - a (1 - Phi(a))."""
-    return math.exp(-0.5 * a * a) / _SQRT2PI - a * (1.0 - float(ndtr(a)))
+def _int_phi(t):
+    """Antiderivative of Phi vanishing at -inf: t Phi(t) + phi(t)."""
+    return t * ndtr(t) + normal_pdf(t)
 
 
 def l1_distance(F: StepCDF) -> float:
-    """int |F(t) - Phi(t)| dt, exact per piece including both tails."""
+    """int |F(t) - Phi(t)| dt, exact per piece including both tails.
+
+    On a piece [a, b] with level c, Phi crosses c at ndtri(c); clipped into
+    [a, b] that point splits the piece into a part below c and a part above
+    it (either part may be empty), each integrated through ``_int_phi``.
+    """
     xs = F.xs
-    cum = F.cum
-    # below the first jump F = 0; the antiderivative of Phi vanishes at -inf
-    lower_tail = float(xs[0]) * float(ndtr(xs[0])) + math.exp(-0.5 * xs[0] ** 2) / _SQRT2PI
-    pieces = [lower_tail]
-    for idx in range(xs.size - 1):
-        pieces.append(
-            _piece_abs_integral(float(cum[idx]), float(xs[idx]), float(xs[idx + 1]))
-        )
-    pieces.append(_upper_tail(float(xs[-1])))
-    return math.fsum(pieces)
+    a, b, c = xs[:-1], xs[1:], F.cum[:-1]
+    t = np.clip(ndtri(c), a, b)
+    big_a, big_b, big_t = _int_phi(a), _int_phi(b), _int_phi(t)
+    middle = (c * (t - a) - (big_t - big_a)) + ((big_b - big_t) - c * (b - t))
+    # below the first jump F = 0; above the last, int (1 - Phi) = phi - x (1 - Phi)
+    lower_tail = _int_phi(xs[0])
+    upper_tail = normal_pdf(xs[-1]) - xs[-1] * (1.0 - ndtr(xs[-1]))
+    return math.fsum([float(lower_tail), *middle.tolist(), float(upper_tail)])
 
 
 def lp_upper(linf: float, l1: float, p) -> float:

@@ -44,7 +44,7 @@ class EqualIndices(InvcltError):
 
 class NoCaseMatched(InvcltError):
     """No rewiring case matched; the ten cases are exhaustive, so this
-    indicates an implementation bug."""
+    indicates an implementation bug (CLI exit code 4)."""
 
 
 class EmptySample(InputError):

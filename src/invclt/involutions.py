@@ -1,10 +1,11 @@
 """Fixed-point-free involutions: enumeration, uniform sampling, statistics.
 
 A fixed-point-free involution of {0..n-1} (n even) is a perfect matching;
-there are (n-1)!! of them.  The canonical enumeration order pairs the
-smallest unpaired index with each larger unpaired index in increasing order
-and recurses, which is lexicographic in the per-step choice sequence and
-therefore matches the mixed-radix rank used by the uniformity tests.
+there are (n-1)!! of them.  An involution is coded by its per-step choice
+sequence (step t pairs the smallest unpaired index with the (1+c_t)-th
+smallest of the rest), and its canonical rank is that sequence read as a
+mixed-radix number.  Enumeration decodes the ranks 0, 1, 2, ... in order, so
+the canonical order is lexicographic in the choice sequence.
 
 Uniform sampling repeatedly matches the smallest unmatched index to a
 uniform choice among the remaining unmatched indices; uniformity follows
@@ -81,38 +82,34 @@ def _check_even(n: int) -> None:
         raise OddDimension(f"n={n}: involutions without fixed points need even n >= 2")
 
 
-def enumerate_involutions(n: int, cap: int = ENUM_CAP) -> Iterator[Involution]:
-    """Yield all (n-1)!! involutions in canonical order."""
+def _rank_blocks(n: int, cap: int) -> Iterator[np.ndarray]:
+    """Image matrices of consecutive rank ranges, in canonical order.
+
+    Each rank is decoded into its choice digits and paired by
+    ``match_pairs``, 65536 ranks at a time.
+    """
     _check_even(n)
     if n > cap:
         raise CapExceeded(f"n={n} exceeds enumeration cap {cap}")
-    images = np.empty(n, dtype=np.int64)
+    total = double_factorial(n - 1)
+    highs = choice_highs(n)
+    rad = rank_radices(n)
+    block = 65536
+    for start in range(0, total, block):
+        ranks = np.arange(start, min(start + block, total), dtype=np.int64)
+        yield _kernels.match_pairs(ranks[:, None] // rad % highs, n)
 
-    def rec(rem: tuple[int, ...]) -> Iterator[None]:
-        if not rem:
-            yield None
-            return
-        i0 = rem[0]
-        for t in range(1, len(rem)):
-            j = rem[t]
-            images[i0] = j
-            images[j] = i0
-            yield from rec(rem[1:t] + rem[t + 1 :])
 
-    for _ in rec(tuple(range(n))):
-        yield Involution(n=n, images=images.copy())
+def enumerate_involutions(n: int, cap: int = ENUM_CAP) -> Iterator[Involution]:
+    """Yield all (n-1)!! involutions in canonical order."""
+    for block in _rank_blocks(n, cap):
+        for images in block:
+            yield Involution(n=n, images=images)
 
 
 def involution_matrix(n: int, cap: int = 12) -> np.ndarray:
     """All involutions as an ((n-1)!!, n) image matrix, canonical order."""
-    _check_even(n)
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds matrix cap {cap}")
-    count = double_factorial(n - 1)
-    out = np.empty((count, n), dtype=np.int64)
-    for r, inv in enumerate(enumerate_involutions(n, cap=cap)):
-        out[r] = inv.images
-    return out
+    return np.concatenate(list(_rank_blocks(n, cap)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,20 +322,5 @@ def _merge_atoms(values: np.ndarray, tol: float = ATOM_MERGE_TOL) -> ExactDistri
 
 def exact_w_distribution(D: CenteredArray, cap: int = ENUM_CAP) -> ExactDistribution:
     """Exact law of W = Y_D over the uniform involution."""
-    n = D.n
-    _check_even(n)
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds enumeration cap {cap}")
-    batch = 65536
-    values = []
-    buf = np.empty((batch, n), dtype=np.int64)
-    fill = 0
-    for inv in enumerate_involutions(n, cap=cap):
-        buf[fill] = inv.images
-        fill += 1
-        if fill == batch:
-            values.append(_kernels.y_batch(D.entries, buf))
-            fill = 0
-    if fill:
-        values.append(_kernels.y_batch(D.entries, buf[:fill]))
+    values = [_kernels.y_batch(D.entries, block) for block in _rank_blocks(D.n, cap)]
     return _merge_atoms(np.concatenate(values))

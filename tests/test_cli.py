@@ -107,6 +107,21 @@ class TestAnalyze:
         assert obj["mode"] == "mc"
         assert obj["distances"]["m_samples"] == 5000
 
+    def test_raised_cap_keeps_enumeration_guard(self, tmp_path):
+        # n = 18 lies above the enumeration cap whatever --cap says; exact
+        # mode would enumerate 34.5M matchings
+        path = tmp_path / "n18.json"
+        gen = np.random.default_rng(18)
+        save_matrix_json(gen.standard_normal((18, 18)), path)
+        out = run_cli(
+            "analyze", "--input", str(path), "--symmetrize",
+            "--cap", "20", "--draws", "1000",
+        )
+        assert out.returncode == 0
+        obj = json.loads(out.stdout)
+        assert obj["mode"] == "mc"
+        assert obj["distances"]["m_samples"] == 1000
+
 
 class TestVerify:
     def test_only_filter(self):
@@ -139,6 +154,19 @@ class TestVerify:
         assert rc == 1
         obj = json.loads(capsys.readouterr().out)
         assert obj["pass"] is False
+
+    def test_internal_error_exit_4(self, monkeypatch, capsys):
+        from invclt import checks as checksmod
+        from invclt.cli import main
+        from invclt.errors import NoCaseMatched
+
+        def broken(seed):
+            raise NoCaseMatched("(R1,R2)=(0,1) matched no rewiring case")
+
+        monkeypatch.setitem(checksmod.CHECKS, "case_exhaustiveness", broken)
+        rc = main(["verify", "--only", "case_exhaustiveness"])
+        assert rc == 4
+        assert "internal error" in capsys.readouterr().err
 
     def test_bad_draws_exit_2(self):
         out = run_cli("simulate", "--n", "10", "--draws", "0")

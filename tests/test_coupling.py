@@ -21,6 +21,7 @@ from invclt.coupling import (
     index_set,
     pair_statistics,
     pi_dagger,
+    planted_completions,
     sample_quadruple,
     sample_quadruples_rejection,
     square_bias_table,
@@ -29,7 +30,13 @@ from invclt.coupling import (
     zero_bias_gap_samples,
 )
 from invclt.errors import CapExceeded, EqualIndices, InputError
-from invclt.involutions import Involution, enumerate_involutions, y_value
+from invclt.involutions import (
+    Involution,
+    double_factorial,
+    enumerate_involutions,
+    involution_matrix,
+    y_value,
+)
 
 from conftest import assert_involution, rand_centered
 
@@ -252,7 +259,7 @@ class TestClassifyAndDagger:
             quads.append(quad)
         images = np.array(images)
         quads = np.array(quads)
-        case_k, t_k, tdag_k, delta_k = _kernels.case_terms(d, images, quads)
+        case_k, t_k, tdag_k, delta_k = _kernels._case_terms_nb(d, images, quads)
         case_f, t_f, tdag_f, delta_f = _kernels.case_terms_fallback(d, images, quads)
         assert np.array_equal(case_k, case_f)
         np.testing.assert_allclose(t_k, t_f, rtol=1e-14, atol=1e-15)
@@ -411,6 +418,18 @@ class TestExactOracles:
         assert rep["expected_count"] == 35
         assert rep["p2_max_dev"] == 0
 
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_planted_completions_per_support_quadruple(self, n):
+        D = rand_centered(n, seed=44)
+        quads, _ = square_bias_table(D).support()
+        blocks = planted_completions(quads, n)
+        assert blocks.shape == (quads.shape[0], double_factorial(n - 5), n)
+        every = involution_matrix(n)
+        for (i, j, k, l), block in zip(quads.tolist(), blocks):
+            held = every[(every[:, i] == k) & (every[:, j] == l)]
+            assert np.unique(block, axis=0).shape[0] == double_factorial(n - 5)
+            assert np.array_equal(np.unique(block, axis=0), np.unique(held, axis=0))
+
     def test_sweep_caps(self):
         with pytest.raises(CapExceeded):
             exhaustive_sweep(rand_centered(10, seed=39))
@@ -427,10 +446,9 @@ class TestExactOracles:
         D = rand_centered(8, seed=41)
         g = exact_gap(D)
         quads, probs = square_bias_table(D).support()
-        from invclt.involutions import involution_matrix
-
-        g_np = _kernels.exact_gap_fallback(D.entries, involution_matrix(8), quads, probs)
-        assert abs(g - g_np) <= 1e-12
+        # the loop kernel: numba-compiled when present, plain Python otherwise
+        g_loop = _kernels._exact_gap_nb(D.entries, involution_matrix(8), quads, probs)
+        assert abs(g - g_loop) <= 1e-12
 
 
 class TestEstimateGap:

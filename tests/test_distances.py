@@ -3,15 +3,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from invclt import rng as rngmod
 from invclt.coupling import exact_gap
 from invclt.distances import (
     StepCDF,
-    _crossing,
-    _piece_abs_integral,
-    _upper_tail,
     cdf_rows,
     distance_report,
     ecdf,
@@ -125,11 +121,14 @@ class TestL1:
     def test_symmetric_law_is_twice_half_integral(self, appendix4_std):
         F = step_cdf_from_distribution(exact_w_distribution(appendix4_std))
         full = l1_distance(F)
-        # assemble the positive-half integral with the same primitives
-        half = _piece_abs_integral(2.0 / 3.0, 0.0, float(F.xs[2])) + _upper_tail(
-            float(F.xs[2])
-        )
-        assert full == pytest.approx(2.0 * half, abs=1e-9)
+        # the positive half, integrated independently: level 2/3 on [0, x),
+        # level 1 beyond x, with Phi crossing 2/3 inside the first piece
+        x = mpmath.mpf(float(F.xs[2]))
+        cross = mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf(1) / 3)
+        level = mpmath.mpf(2) / 3
+        half = mpmath.quad(lambda t: abs(level - mpmath.ncdf(t)), [0, cross, x])
+        half += mpmath.quad(lambda t: 1 - mpmath.ncdf(t), [x, mpmath.inf])
+        assert full == pytest.approx(2.0 * float(half), abs=1e-12)
 
     def test_quadrature_cross_check_random_law(self):
         F = step_cdf_from_distribution(exact_w_distribution(rand_centered(8, seed=51)))
@@ -143,12 +142,23 @@ class TestL1:
             assert l1_distance(F) <= 2.0 * exact_gap(D) + 1e-12
 
 
-class TestCrossing:
-    def test_bisection_accuracy(self):
-        for c in (0.1, 1.0 / 3.0, 0.5, 0.9, 0.999):
-            t = _crossing(c, -6.0, 6.0)
-            assert abs(float(normal_cdf(t)) - c) < 1e-12
-            assert abs(t - float(ndtri(c))) < 1e-9
+class TestLevelCrossing:
+    @pytest.mark.parametrize("c", [0.1, 1.0 / 3.0, 0.5, 0.9, 0.999])
+    def test_one_crossing_piece_against_mpmath(self, c):
+        # one middle piece [-6, 6] at level c, crossed by Phi at ndtri(c)
+        F = StepCDF(xs=np.array([-6.0, 6.0]), cum=np.array([c, 1.0]))
+        level = mpmath.mpf(c)
+        cross = mpmath.sqrt(2) * mpmath.erfinv(2 * level - 1)
+        ref = mpmath.quad(mpmath.ncdf, [-mpmath.inf, -6])
+        ref += mpmath.quad(lambda t: abs(level - mpmath.ncdf(t)), [-6, cross, 6])
+        ref += mpmath.quad(lambda t: 1 - mpmath.ncdf(t), [6, mpmath.inf])
+        assert l1_distance(F) == pytest.approx(float(ref), abs=1e-12)
+
+    def test_crossing_outside_piece(self):
+        # levels below Phi(a) and above Phi(b): no crossing inside either piece
+        F = StepCDF(xs=np.array([-1.0, 0.0, 1.0]), cum=np.array([0.01, 0.99, 1.0]))
+        quad = lp_norm_quadrature(F, 1.0, 2000)
+        assert l1_distance(F) == pytest.approx(quad, abs=1e-9)
 
 
 class TestLpUpper:

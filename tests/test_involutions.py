@@ -60,6 +60,34 @@ class TestEnumeration:
         for pos, inv in enumerate(enumerate_involutions(6)):
             assert rank_of(inv.images) == pos
 
+    def test_matrix_row_r_has_rank_r(self):
+        mat = involution_matrix(10)
+        assert mat.shape == (945, 10)
+        assert [rank_of(row) for row in mat] == list(range(945))
+
+    def test_n16_is_decoded_in_blocks(self, monkeypatch):
+        from invclt import _kernels
+        from invclt.arrays import standardize
+        from invclt.bounds import lower_bound_array
+
+        decoded = []
+        decode = _kernels.match_pairs
+
+        def recording(choices, n):
+            decoded.append(len(choices))
+            return decode(choices, n)
+
+        monkeypatch.setattr(_kernels, "match_pairs", recording)
+        total = double_factorial(15)
+        # the generator decodes lazily: one block for the first involution
+        next(enumerate_involutions(16))
+        assert 0 < sum(decoded) < total
+        decoded.clear()
+        # the +-1 lattice array has few atoms, so the pass is mostly decoding
+        dist = exact_w_distribution(standardize(lower_bound_array(16)))
+        assert dist.total == sum(decoded) == total
+        assert max(decoded) <= total // 30
+
 
 class TestSampling:
     def test_determinism(self):

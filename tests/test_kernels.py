@@ -26,12 +26,29 @@ def test_env_flag_forces_numpy():
     assert out.stdout.strip() == "numpy"
 
 
+# The backend comparisons below run the loop kernels (``_kernels._*_nb``)
+# against the numpy fallback.  The loop kernels are numba-compiled when numba
+# is present and run as plain Python when it is not; either way they are a
+# second implementation, so no comparison pits a function against itself.
+
+
+@pytest.mark.skipif(
+    _kernels.backend() == "numpy",
+    reason="numba is absent or disabled by INVCLT_NO_NUMBA, so the dispatchers "
+    "are the numpy kernels and there is no compiled kernel to check",
+)
+def test_dispatchers_run_compiled_kernels():
+    for name in ("match_pairs", "y_batch", "case_terms", "exact_gap"):
+        assert getattr(_kernels, name) is not getattr(_kernels, f"{name}_fallback")
+    assert hasattr(_kernels._case_terms_nb, "py_func")
+
+
 class TestMatchPairs:
     @pytest.mark.parametrize("n", [4, 8, 14])
     def test_backends_identical(self, n):
         gen = rngmod.derive_stream(9, n)
         choices = draw_choices(n, 500, gen)
-        a = _kernels.match_pairs(choices, n)
+        a = _kernels._match_pairs_nb(choices, n)
         b = _kernels.match_pairs_fallback(choices, n)
         assert np.array_equal(a, b)
         for row in a[:50]:
@@ -55,7 +72,7 @@ class TestYBatch:
     def test_backends_close(self):
         D = rand_centered(10, seed=70)
         imgs = involution_matrix(10)[:500]
-        a = _kernels.y_batch(D.entries, imgs)
+        a = _kernels._y_batch_nb(D.entries, imgs)
         b = _kernels.y_batch_fallback(D.entries, imgs)
         np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-14)
 
@@ -71,7 +88,7 @@ class TestCaseTerms:
         gen2 = rngmod.derive_stream(10, 2)
         perm = np.array([gen2.permutation(4) for _ in range(400)])
         quads = np.take_along_axis(quads, perm, axis=1)
-        c1, t1, td1, de1 = _kernels.case_terms(D.entries, imgs, quads)
+        c1, t1, td1, de1 = _kernels._case_terms_nb(D.entries, imgs, quads)
         c2, t2, td2, de2 = _kernels.case_terms_fallback(D.entries, imgs, quads)
         assert np.array_equal(c1, c2)
         np.testing.assert_allclose(t1, t2, rtol=1e-14)
@@ -107,7 +124,7 @@ class TestExactGap:
 
         D = rand_centered(8, seed=72)
         quads, probs = square_bias_table(D).support()
-        invs = involution_matrix(8)
-        a = _kernels.exact_gap(D.entries, invs, quads, probs)
+        invs = involution_matrix(8)[::5]  # the loop kernel may run uncompiled
+        a = _kernels._exact_gap_nb(D.entries, invs, quads, probs)
         b = _kernels.exact_gap_fallback(D.entries, invs, quads, probs)
         assert abs(a - b) < 1e-12
