@@ -18,8 +18,16 @@ Kernel semantics shared by both backends:
   ``delta = 2*(d_ik + d_jl - d_ij - d_kl)``, which equals both ``W - W'``
   for the swap pair and ``Tdag - Tddag``.
 * ``exact_gap(...)``: average of the closed-form segment integral
-  ``int_0^1 |a - u*delta| du`` over every involution and every weighted
-  quadruple; this is the exact mean coupling gap E|W - W*|.
+  ``int_0^1 |a - u*delta| du``, with ``a = T - T_dag + delta``, over every
+  involution and every weighted quadruple; this is the exact mean coupling
+  gap E|W - W*|.  The numpy path takes ``a`` from the pairing closed form
+  (``pairing_a``): with ``v_x = d[x, pi(x)]`` and
+  ``M[x, y] = 2*(v_x + v_y - d[pi(x), pi(y)])``, which is ``2*d_xy`` when
+  (x, y) is a cycle of pi,
+  ``a = -2*(d_ij + d_kl) + M[x, y] + M[z, w]`` for the pairing
+  {xy|zw} = {il|jk} if pi holds (I,L) or (J,K) (rows 3, 4, 9),
+  {ij|kl} if it holds (I,J) or (K,L) (rows 5, 6, 8), and {ik|jl} otherwise
+  (rows 1, 2, 7, 10).  The loop kernel keeps the ten-row table.
 """
 
 from __future__ import annotations
@@ -322,15 +330,67 @@ def _seg_abs_integral(a: float, c: float) -> float:  # pragma: no cover
     return (a * a + b * b) / (2.0 * abs(c))
 
 
+# (involution, quadruple) terms per block of exact_gap_np
+_GAP_BLOCK_TERMS = 65536
+
+
+def quad_pairs(d: np.ndarray, quads: np.ndarray):
+    """Quadruple-only pieces of the gap integrand.
+
+    Returns the flat indices of the pairs (ik, jl, ij, kl, il, jk) into
+    ``d.ravel()``, ``delta = 2*(d_ik + d_jl - d_ij - d_kl)`` and
+    ``base = -2*(d_ij + d_kl)``.
+    """
+    n = d.shape[1]
+    flat = d.ravel()
+    i, j, k, l = np.asarray(quads, dtype=np.int64).T
+    pairs = tuple(x * n + y for x, y in ((i, k), (j, l), (i, j), (k, l), (i, l), (j, k)))
+    ik, jl, ij, kl = (flat[f] for f in pairs[:4])
+    return pairs, 2.0 * (ik + jl - (ij + kl)), -2.0 * (ij + kl)
+
+
+def pairing_a(d: np.ndarray, invs: np.ndarray, pairs, base: np.ndarray) -> np.ndarray:
+    """``a = T - T_dag + delta`` for every (involution, quadruple), in closed form.
+
+    ``pairs`` and ``base`` come from ``quad_pairs``; the result has one row
+    per involution.  See the module docstring for the pairing rule.
+    """
+    m, n = invs.shape
+    ik, jl, ij, kl, il, jk = pairs
+    v = d[np.arange(n), invs]
+    M = 2.0 * (v[:, :, None] + v[:, None, :] - d[invs[:, :, None], invs[:, None, :]])
+    M = M.reshape(m, n * n)
+    cyc = (invs[:, :, None] == np.arange(n)).reshape(m, n * n)  # pi(x) == y
+
+    def pair_sum(f, g):  # np.take: a few times faster than M[:, f] here
+        return np.take(M, f, axis=1) + np.take(M, g, axis=1)
+
+    def holds(f, g):
+        return np.take(cyc, f, axis=1) | np.take(cyc, g, axis=1)
+
+    a = np.where(
+        holds(il, jk),
+        pair_sum(il, jk),
+        np.where(holds(ij, kl), pair_sum(ij, kl), pair_sum(ik, jl)),
+    )
+    a += base
+    return a
+
+
 def exact_gap_np(d, invs, quads, probs) -> float:
-    """Mean coupling gap by full enumeration, vectorized over quadruples."""
+    """Mean coupling gap by full enumeration (``d`` symmetric).
+
+    The integrand comes from the pairing closed form (``pairing_a``) over
+    blocks of involutions; a block holds at most ``_GAP_BLOCK_TERMS``
+    (involution, quadruple) terms, or one involution if there are more
+    quadruples than that.
+    """
+    pairs, delta, base = quad_pairs(d, quads)
+    block = max(1, _GAP_BLOCK_TERMS // max(1, len(quads)))
     per_pi = np.empty(invs.shape[0], dtype=np.float64)
-    for r in range(invs.shape[0]):
-        _, t, tdag, delta = case_terms_np(
-            d, np.broadcast_to(invs[r], (quads.shape[0], invs.shape[1])), quads
-        )
-        a = t - tdag + delta
-        per_pi[r] = probs @ seg_abs_integral_np(a, delta)
+    for s in range(0, invs.shape[0], block):
+        a = pairing_a(d, invs[s : s + block], pairs, base)
+        per_pi[s : s + block] = seg_abs_integral_np(a, delta) @ probs
     return float(per_pi.sum() / invs.shape[0])
 
 

@@ -490,8 +490,8 @@ def zero_bias_draw(
     pi = sample_involution(n, gen)
     quad = sample_quadruple(table if table is not None else D, gen)
     i, j, k, l = quad
-    r1, r2, _ = classify(pi, quad)
     dag, case = pi_dagger(pi, quad)
+    r1, r2 = _kernels.r_counts(quad, tuple(int(pi.images[x]) for x in quad))
     ddag = alpha_compose(dag, i, j)
     u = float(gen.random())
 

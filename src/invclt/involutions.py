@@ -296,26 +296,12 @@ def _merge_atoms(values: np.ndarray, tol: float = ATOM_MERGE_TOL) -> ExactDistri
     vals, counts = np.unique(values, return_counts=True)
     if len(vals) == 0:
         raise InputError("empty value list")
-    merged_v: list[float] = []
-    merged_c: list[int] = []
-    acc_v = vals[0] * counts[0]
-    acc_c = int(counts[0])
-    last = vals[0]
-    for v, c in zip(vals[1:], counts[1:]):
-        if v - last <= tol:
-            acc_v += v * c
-            acc_c += int(c)
-        else:
-            merged_v.append(acc_v / acc_c)
-            merged_c.append(acc_c)
-            acc_v = v * c
-            acc_c = int(c)
-        last = v
-    merged_v.append(acc_v / acc_c)
-    merged_c.append(acc_c)
+    # an atom starts wherever the step from the previous distinct value exceeds tol
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(vals) > tol)))
+    merged_c = np.add.reduceat(counts, starts)
     return ExactDistribution(
-        values=np.asarray(merged_v),
-        counts=np.asarray(merged_c, dtype=np.int64),
+        values=np.add.reduceat(vals * counts, starts) / merged_c,
+        counts=merged_c.astype(np.int64),
         total=int(values.shape[0]),
     )
 

@@ -22,8 +22,6 @@ DEFAULT_CHUNK = 8192
 PURPOSE_ARRAY = 1
 PURPOSE_INVOLUTIONS = 2
 PURPOSE_ZERO_BIAS = 3
-PURPOSE_EXPERIMENT = 4
-PURPOSE_PAIRS = 5
 PURPOSE_CHECKS = 6
 PURPOSE_AUDIT = 7
 

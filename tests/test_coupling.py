@@ -304,6 +304,18 @@ class TestZeroBiasDraw:
             assert np.array_equal(zb.pi.images[outside], zb.pi_dagger.images[outside])
             assert np.array_equal(zb.pi.images[outside], zb.pi_ddagger.images[outside])
 
+    def test_one_classification_per_draw(self, gen, monkeypatch):
+        from invclt import coupling
+
+        D = rand_centered(8, seed=37)
+        table = square_bias_table(D)
+        calls = []
+        monkeypatch.setattr(coupling, "classify", lambda *a: calls.append(a) or classify(*a))
+        for _ in range(50):
+            zb = zero_bias_draw(D, gen, table=table)
+            assert (zb.r1, zb.r2, zb.case_id) == classify(zb.pi, zb.quad)
+        assert len(calls) == 50
+
     def test_minimum_dimension(self, gen):
         D = rand_centered(6, seed=35)
         zb = zero_bias_draw(D, gen, table=square_bias_table(D))

@@ -176,11 +176,37 @@ class TestExactDistribution:
 
     def test_atom_merging(self):
         vals = np.array([0.0, 1.0, 1.0 + 5e-13, 2.0])
-        from invclt.involutions import _merge_atoms
+        from invclt.involutions import ATOM_MERGE_TOL, _merge_atoms
 
         dist = _merge_atoms(vals)
         assert len(dist.values) == 3
         assert dist.counts.tolist() == [1, 2, 1]
+
+        def merge_loop(values, tol):
+            # the sequential merge: join each distinct value within tol of the last
+            vals, counts = np.unique(values, return_counts=True)
+            out_v, out_c = [vals[0] * counts[0]], [int(counts[0])]
+            for v, c, last in zip(vals[1:], counts[1:], vals[:-1]):
+                if v - last <= tol:
+                    out_v[-1] += v * c
+                    out_c[-1] += int(c)
+                else:
+                    out_v.append(v * c)
+                    out_c.append(int(c))
+            return np.array(out_v) / out_c, out_c
+
+        tol = ATOM_MERGE_TOL
+        gen = rngmod.derive_stream(15, 1)
+        # chains spaced tol/2 merge into one atom end to end
+        chain = 1.0 + 0.5 * tol * np.arange(6)
+        vals = np.concatenate([chain, chain + 1.0, [3.0, 3.0 + 2 * tol], chain[:3] - 2.0])
+        vals = np.repeat(vals, gen.integers(1, 4, size=vals.size))
+        dist = _merge_atoms(gen.permutation(vals))
+        ref_v, ref_c = merge_loop(vals, tol)
+        assert len(ref_c) == 5
+        assert dist.counts.tolist() == ref_c
+        assert dist.total == vals.size
+        np.testing.assert_allclose(dist.values, ref_v, rtol=1e-15)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):

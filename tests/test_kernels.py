@@ -122,9 +122,41 @@ class TestExactGap:
     def test_backends_agree(self):
         from invclt.coupling import square_bias_table
 
-        D = rand_centered(8, seed=72)
-        quads, probs = square_bias_table(D).support()
-        invs = involution_matrix(8)[::5]  # the loop kernel may run uncompiled
-        a = _kernels._exact_gap_nb(D.entries, invs, quads, probs)
-        b = _kernels.exact_gap_fallback(D.entries, invs, quads, probs)
-        assert abs(a - b) < 1e-12
+        D8, D10 = rand_centered(8, seed=72), rand_centered(10, seed=73)
+        q8, p8 = square_bias_table(D8).support()
+        q10, p10 = square_bias_table(D10).support()
+        inv8, inv10 = involution_matrix(8), involution_matrix(10)
+        # the loop kernel may run uncompiled: cut the n = 10 input down, to
+        # two whole blocks of involutions and a remainder
+        q10, p10 = q10[::3], p10[::3]
+        block = _kernels._GAP_BLOCK_TERMS // len(q10)
+        inv10 = inv10[: 2 * block + 7]
+        assert len(inv10) % block != 0
+        for D, invs, quads, probs in (
+            (D8, inv8[::5], q8, p8),
+            (D10, inv10, q10, p10),
+            (D10, inv10[3:4], q10, p10),
+        ):
+            a = _kernels._exact_gap_nb(D.entries, invs, quads, probs)
+            b = _kernels.exact_gap_fallback(D.entries, invs, quads, probs)
+            assert abs(a - b) < 1e-12
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_pairing_closed_form_matches_table(self, n):
+        from invclt.coupling import square_bias_table
+
+        D = rand_centered(n, seed=74 + n)
+        quads, _ = square_bias_table(D).support()
+        invs = involution_matrix(n)
+        pairs, delta, base = _kernels.quad_pairs(D.entries, quads)
+        a = _kernels.pairing_a(D.entries, invs, pairs, base)
+        images = np.repeat(invs, len(quads), axis=0)
+        _, t, tdag, delta_t = _kernels.case_terms_np(
+            D.entries, images, np.tile(quads, (len(invs), 1))
+        )
+        np.testing.assert_allclose(
+            a.ravel(), t - tdag + delta_t, rtol=0.0, atol=1e-13
+        )
+        np.testing.assert_allclose(
+            np.tile(delta, len(invs)), delta_t, rtol=0.0, atol=1e-13
+        )
