@@ -1,13 +1,12 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, vectorized in numpy.
 
-The backend is chosen once at import time: set ``INVCLT_NO_NUMBA=1`` to force
-the numpy path (the fallback also engages automatically when numba is not
-importable).  Both implementations of every kernel consume identical inputs
-and implement identical index semantics, so draws are reproducible across
-backends; floating-point sums may differ in the last bits because the two
-paths accumulate in different orders.
+The kernels below are the only implementation the package runs.  Three of
+them have a plain-Python loop twin (``_case_terms_loop``,
+``_exact_gap_loop``, ``_seg_abs_integral_loop``) that follows the ten-row
+table term by term; the tests compare the kernels against these loops, and
+nothing else calls them.
 
-Kernel semantics shared by both backends:
+Kernel semantics:
 
 * ``match_pairs(choices, n)``: sequential pairing.  Step ``t`` holds the
   sorted remaining indices; the smallest is matched to the ``(1+c)``-th
@@ -20,43 +19,24 @@ Kernel semantics shared by both backends:
 * ``exact_gap(...)``: average of the closed-form segment integral
   ``int_0^1 |a - u*delta| du``, with ``a = T - T_dag + delta``, over every
   involution and every weighted quadruple; this is the exact mean coupling
-  gap E|W - W*|.  The numpy path takes ``a`` from the pairing closed form
+  gap E|W - W*|.  The kernel takes ``a`` from the pairing closed form
   (``pairing_a``): with ``v_x = d[x, pi(x)]`` and
   ``M[x, y] = 2*(v_x + v_y - d[pi(x), pi(y)])``, which is ``2*d_xy`` when
   (x, y) is a cycle of pi,
   ``a = -2*(d_ij + d_kl) + M[x, y] + M[z, w]`` for the pairing
   {xy|zw} = {il|jk} if pi holds (I,L) or (J,K) (rows 3, 4, 9),
   {ij|kl} if it holds (I,J) or (K,L) (rows 5, 6, 8), and {ik|jl} otherwise
-  (rows 1, 2, 7, 10).  The loop kernel keeps the ten-row table.
+  (rows 1, 2, 7, 10).  ``_exact_gap_loop`` keeps the ten-row table.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:  # pragma: no cover - exercised via backend() in tests
-    if os.environ.get("INVCLT_NO_NUMBA", "").strip() not in ("", "0"):
-        raise ImportError("numba disabled by INVCLT_NO_NUMBA")
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
 
 
 def backend() -> str:
-    """Active kernel backend, ``"numba"`` or ``"numpy"``."""
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """The kernel implementation in use; the kernels are numpy only."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +44,8 @@ def backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def match_pairs_np(choices: np.ndarray, n: int) -> np.ndarray:
-    """Pure-numpy batch pairing; keeps the remaining set sorted per row."""
+def match_pairs(choices: np.ndarray, n: int) -> np.ndarray:
+    """Batch pairing; keeps the remaining set sorted per row."""
     choices = np.asarray(choices, dtype=np.int64)
     m = choices.shape[0]
     images = np.empty((m, n), dtype=np.int64)
@@ -87,46 +67,10 @@ def match_pairs_np(choices: np.ndarray, n: int) -> np.ndarray:
     return images
 
 
-@njit(cache=True, nogil=True)
-def _match_pairs_nb(choices: np.ndarray, n: int) -> np.ndarray:  # pragma: no cover
-    m = choices.shape[0]
-    images = np.empty((m, n), dtype=np.int64)
-    rem = np.empty(n, dtype=np.int64)
-    for r in range(m):
-        for v in range(n):
-            rem[v] = v
-        length = n
-        for t in range(n // 2):
-            c = choices[r, t]
-            i0 = rem[0]
-            j = rem[1 + c]
-            images[r, i0] = j
-            images[r, j] = i0
-            # drop positions 0 and 1+c, preserving sorted order
-            w = 0
-            for s in range(1, length):
-                if s != 1 + c:
-                    rem[w] = rem[s]
-                    w += 1
-            length -= 2
-    return images
-
-
-def _y_batch_np(d: np.ndarray, images: np.ndarray) -> np.ndarray:
+def y_batch(d: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Y = sum_i d[i, pi(i)] for every row of an image matrix."""
     n = images.shape[1]
     return d[np.arange(n)[None, :], images].sum(axis=1)
-
-
-@njit(cache=True, nogil=True)
-def _y_batch_nb(d: np.ndarray, images: np.ndarray) -> np.ndarray:  # pragma: no cover
-    m, n = images.shape
-    out = np.empty(m, dtype=np.float64)
-    for r in range(m):
-        acc = 0.0
-        for i in range(n):
-            acc += d[i, images[r, i]]
-        out[r] = acc
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +120,7 @@ def case_rows(q, p):
     )
 
 
-def case_terms_np(d: np.ndarray, images: np.ndarray, quads: np.ndarray):
+def case_terms(d: np.ndarray, images: np.ndarray, quads: np.ndarray):
     """Vectorized case classification and cycle sums.
 
     Returns (case_id, T, T_dag, delta) arrays, one entry per row of
@@ -234,8 +178,8 @@ def case_terms_np(d: np.ndarray, images: np.ndarray, quads: np.ndarray):
     return case, 2.0 * t, 2.0 * tdag, delta
 
 
-@njit(cache=True, nogil=True, inline="always")
-def _case_terms_scalar(d, i, j, k, l, pi_i, pi_j, pi_k, pi_l):  # pragma: no cover
+def _case_term_loop(d, i, j, k, l, pi_i, pi_j, pi_k, pi_l):
+    """One (involution, quadruple) term of ``case_terms``, row by row of the table."""
     d_ik = d[i, k]
     d_jl = d[j, l]
     d_ij = d[i, j]
@@ -291,8 +235,8 @@ def _case_terms_scalar(d, i, j, k, l, pi_i, pi_j, pi_k, pi_l):  # pragma: no cov
     return case, t, tdag, delta
 
 
-@njit(cache=True, nogil=True)
-def _case_terms_nb(d, images, quads):  # pragma: no cover
+def _case_terms_loop(d, images, quads):
+    """Loop reference for ``case_terms``."""
     m = images.shape[0]
     case = np.empty(m, dtype=np.int64)
     t = np.empty(m, dtype=np.float64)
@@ -300,7 +244,7 @@ def _case_terms_nb(d, images, quads):  # pragma: no cover
     delta = np.empty(m, dtype=np.float64)
     for r in range(m):
         i, j, k, l = quads[r, 0], quads[r, 1], quads[r, 2], quads[r, 3]
-        c, tv, tdv, dv = _case_terms_scalar(
+        c, tv, tdv, dv = _case_term_loop(
             d, i, j, k, l, images[r, i], images[r, j], images[r, k], images[r, l]
         )
         case[r] = c
@@ -315,22 +259,21 @@ def _case_terms_nb(d, images, quads):  # pragma: no cover
 # ---------------------------------------------------------------------------
 
 
-def seg_abs_integral_np(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+def seg_abs_integral(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Vectorized ``int_0^1 |a - u*c| du`` (c must be nonzero)."""
     b = a - c
     same = a * b >= 0.0
     return np.where(same, np.abs(a + b) / 2.0, (a * a + b * b) / (2.0 * np.abs(c)))
 
 
-@njit(cache=True, nogil=True, inline="always")
-def _seg_abs_integral(a: float, c: float) -> float:  # pragma: no cover
+def _seg_abs_integral_loop(a: float, c: float) -> float:
     b = a - c
     if a * b >= 0.0:
         return abs(a + b) / 2.0
     return (a * a + b * b) / (2.0 * abs(c))
 
 
-# (involution, quadruple) terms per block of exact_gap_np
+# (involution, quadruple) terms per block of exact_gap
 _GAP_BLOCK_TERMS = 65536
 
 
@@ -377,7 +320,7 @@ def pairing_a(d: np.ndarray, invs: np.ndarray, pairs, base: np.ndarray) -> np.nd
     return a
 
 
-def exact_gap_np(d, invs, quads, probs) -> float:
+def exact_gap(d, invs, quads, probs) -> float:
     """Mean coupling gap by full enumeration (``d`` symmetric).
 
     The integrand comes from the pairing closed form (``pairing_a``) over
@@ -390,14 +333,14 @@ def exact_gap_np(d, invs, quads, probs) -> float:
     per_pi = np.empty(invs.shape[0], dtype=np.float64)
     for s in range(0, invs.shape[0], block):
         a = pairing_a(d, invs[s : s + block], pairs, base)
-        per_pi[s : s + block] = seg_abs_integral_np(a, delta) @ probs
+        per_pi[s : s + block] = seg_abs_integral(a, delta) @ probs
     return float(per_pi.sum() / invs.shape[0])
 
 
-@njit(cache=True, nogil=True)
-def _exact_gap_nb(d, invs, quads, probs) -> float:  # pragma: no cover
+def _exact_gap_loop(d, invs, quads, probs) -> float:
+    """Loop reference for ``exact_gap``, through the ten-row table."""
     total = 0.0
-    comp = 0.0  # Kahan compensation: 1.2e8 summands feed tolerance checks
+    comp = 0.0  # Kahan compensation: the tests compare the sum to 1e-12
     n_inv = invs.shape[0]
     n_q = quads.shape[0]
     for r in range(n_inv):
@@ -405,10 +348,10 @@ def _exact_gap_nb(d, invs, quads, probs) -> float:  # pragma: no cover
         acc_c = 0.0
         for q in range(n_q):
             i, j, k, l = quads[q, 0], quads[q, 1], quads[q, 2], quads[q, 3]
-            _, t, tdag, delta = _case_terms_scalar(
+            _, t, tdag, delta = _case_term_loop(
                 d, i, j, k, l, invs[r, i], invs[r, j], invs[r, k], invs[r, l]
             )
-            val = probs[q] * _seg_abs_integral(t - tdag + delta, delta)
+            val = probs[q] * _seg_abs_integral_loop(t - tdag + delta, delta)
             y = val - acc_c
             s = acc + y
             acc_c = (s - acc) - y
@@ -420,46 +363,5 @@ def _exact_gap_nb(d, invs, quads, probs) -> float:  # pragma: no cover
     return total / n_inv
 
 
-# ---------------------------------------------------------------------------
-# dispatchers
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    def match_pairs(choices: np.ndarray, n: int) -> np.ndarray:
-        return _match_pairs_nb(np.ascontiguousarray(choices, dtype=np.int64), n)
-
-    def y_batch(d: np.ndarray, images: np.ndarray) -> np.ndarray:
-        return _y_batch_nb(
-            np.ascontiguousarray(d, dtype=np.float64),
-            np.ascontiguousarray(images, dtype=np.int64),
-        )
-
-    def case_terms(d, images, quads):
-        return _case_terms_nb(
-            np.ascontiguousarray(d, dtype=np.float64),
-            np.ascontiguousarray(images, dtype=np.int64),
-            np.ascontiguousarray(quads, dtype=np.int64),
-        )
-
-    def exact_gap(d, invs, quads, probs) -> float:
-        return float(
-            _exact_gap_nb(
-                np.ascontiguousarray(d, dtype=np.float64),
-                np.ascontiguousarray(invs, dtype=np.int64),
-                np.ascontiguousarray(quads, dtype=np.int64),
-                np.ascontiguousarray(probs, dtype=np.float64),
-            )
-        )
-
-else:
-    match_pairs = match_pairs_np
-    y_batch = _y_batch_np
-    case_terms = case_terms_np
-    exact_gap = exact_gap_np
-
-# expose the numpy implementations under stable names for cross-checks
-match_pairs_fallback = match_pairs_np
-y_batch_fallback = _y_batch_np
-case_terms_fallback = case_terms_np
-exact_gap_fallback = exact_gap_np
+# the perfbench binding test reads this second name of the kernel
+case_terms_np = case_terms

@@ -196,7 +196,7 @@ def beta_value(D: CenteredArray) -> float:
     return float((np.abs(D.entries) ** 3).sum())
 
 
-def check_centered(D: CenteredArray, var_tol: float = VARIANCE_TOL) -> dict:
+def check_centered(D: CenteredArray) -> dict:
     """Verify the standardized-array contract; raises on violation.
 
     Checks exact symmetry and zero diagonal, row sums below
@@ -216,7 +216,7 @@ def check_centered(D: CenteredArray, var_tol: float = VARIANCE_TOL) -> dict:
     if row_err > ROW_SUM_TOL * n * max(scale, 1e-300):
         raise InputError(f"row sums fail to vanish: {row_err:.3e}")
     sigma2 = 2.0 * (n - 2) / ((n - 1) * (n - 3)) * float((d * d).sum())
-    if abs(sigma2 - 1.0) > var_tol:
+    if abs(sigma2 - 1.0) > VARIANCE_TOL:
         raise InputError(f"variance of standardized array is {sigma2!r}, not 1")
     return {"row_err": row_err, "sigma2": sigma2}
 

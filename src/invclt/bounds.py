@@ -22,13 +22,15 @@ import numpy as np
 from . import involutions as invmod
 from .arrays import CenteredArray, SymmetricArray, moments
 from .distances import ecdf, kolmogorov_distance, normal_pdf
-from .errors import CapExceeded, InvalidP, OddDimension
+from .errors import InvalidP, OddDimension
 
 K_L1 = 379.0
 K_LINF = 61_702_446.0
 EPSILON_0 = 1.0 / 90.0  # beta/n threshold for the conditional truncation claims
 N_0 = 1000  # matching dimension threshold
 MIN_VALID_N = 9
+DKW_DELTA = 0.001  # a correct lower-bound run fails with at most this probability
+FLOOR_EPSILON = 0.1  # the rate floor is (1 - eps)/2 * phi(1/sigma) / sigma
 
 
 def kp(p) -> float:
@@ -175,15 +177,11 @@ def truncate(D: CenteredArray) -> TruncationResult:
     )
 
 
-def exact_collision_probability(D: CenteredArray, cap: int = 12) -> float:
+def exact_collision_probability(D: CenteredArray) -> float:
     """Exact P(Y_{D'} != Y_D) = P(pi hits Gamma) over the uniform involution."""
-    n = D.n
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds enumeration cap {cap}")
+    invs = invmod.involution_matrix(D.n)
     hit = np.abs(D.entries) > 0.5
-    invs = invmod.involution_matrix(n, cap=cap)
-    rows = np.arange(n)
-    hits = hit[rows, invs].any(axis=1)
+    hits = hit[np.arange(D.n), invs].any(axis=1)
     return float(hits.mean())
 
 
@@ -238,9 +236,10 @@ class LowerBoundReport:
         return (self.n, self.sigma, self.ks, self.floor, self.beta_over_n)
 
 
-def dkw_slack(m: int, delta: float = 0.001) -> float:
-    """sup_t |F_m - F| <= sqrt(ln(2/delta) / (2m)) with probability 1-delta."""
-    return math.sqrt(math.log(2.0 / delta) / (2.0 * m))
+def dkw_slack(m: int) -> float:
+    """sup_t |F_m - F| <= sqrt(ln(2/delta) / (2m)) with probability 1-delta,
+    at delta = DKW_DELTA."""
+    return math.sqrt(math.log(2.0 / DKW_DELTA) / (2.0 * m))
 
 
 def lower_bound_experiment(
@@ -248,14 +247,14 @@ def lower_bound_experiment(
     m: int,
     *,
     master_seed: int,
-    epsilon: float = 0.1,
     threads: int = 1,
 ) -> tuple[LowerBoundReport, np.ndarray]:
     """Monte Carlo check that the n^{-1/2} rate floor is attained.
 
     Returns the report and the sampled W values (for --emit-cdf).  The pass
     criterion is ``ks >= floor - dkw_slack`` with the slack at confidence
-    0.999; the floor is ``(1-eps)/2 * phi(1/sigma) / sigma`` at eps = 0.1.
+    ``1 - DKW_DELTA``; the floor is ``(1-eps)/2 * phi(1/sigma) / sigma`` at
+    eps = ``FLOOR_EPSILON``.
     """
     E = lower_bound_array(n)
     summary = moments(E)
@@ -269,7 +268,7 @@ def lower_bound_experiment(
     )
     w = (ys - summary.mu) / sigma
     ks = kolmogorov_distance(ecdf(w))
-    floor = 0.5 * (1.0 - epsilon) * float(normal_pdf(1.0 / sigma)) / sigma
+    floor = 0.5 * (1.0 - FLOOR_EPSILON) * float(normal_pdf(1.0 / sigma)) / sigma
     slack = dkw_slack(m)
     report = LowerBoundReport(
         n=n,

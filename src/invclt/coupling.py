@@ -31,7 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels, rng as rngmod
-from .arrays import CenteredArray
+from .arrays import CenteredArray, check_centered
 from .errors import CapExceeded, EqualIndices, InputError, NoCaseMatched
 from .involutions import (
     Involution,
@@ -45,7 +45,6 @@ from .involutions import (
 
 TABLE_CAP = 48  # materialized O(n^4) table above this uses rejection sampling
 SWEEP_CAP = 8  # exhaustive (pi x quadruple) sweeps
-EXACT_CAP = 12  # full-enumeration oracles
 
 # expected (R1, R2) per rewiring case; (2,1) and (1,2) cannot occur
 CASE_R = {
@@ -60,6 +59,11 @@ CASE_R = {
     9: (2, 2),
     10: (0, 0),
 }
+
+
+def _check_sweep(n: int) -> None:
+    if n > SWEEP_CAP:
+        raise CapExceeded(f"n={n} exceeds sweep cap {SWEEP_CAP}")
 
 
 def cn(n: int) -> float:
@@ -182,11 +186,16 @@ class QuadrupleTable:
         return quads
 
 
-def square_bias_table(D: CenteredArray, cap: int = TABLE_CAP) -> QuadrupleTable:
-    """Materialize p(i,j,k,l) = c_n [d_ik + d_jl - (d_ij + d_kl)]^2."""
+def square_bias_table(D: CenteredArray) -> QuadrupleTable:
+    """Materialize p(i,j,k,l) = c_n [d_ik + d_jl - (d_ij + d_kl)]^2.
+
+    ``D`` must be standardized (``check_centered``): the law is only
+    normalized, and supported off repeated indices, for unit variance.
+    """
     n = D.n
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds quadruple table cap {cap}")
+    if n > TABLE_CAP:
+        raise CapExceeded(f"n={n} exceeds quadruple table cap {TABLE_CAP}")
+    check_centered(D)
     d = D.entries
     # grouped so the (i,j,k,l) -> (i,k,j,l) swap negates the bracket exactly
     bracket = (d[:, None, :, None] + d[None, :, None, :]) - (
@@ -228,8 +237,13 @@ def sample_quadruples_rejection(
     """Exact square-bias sampling without the O(n^4) table.
 
     Proposes uniform ordered distinct quadruples and accepts with ratio
-    ``[..]^2 / (4 max|d|)^2``, valid since ``[..]^2 <= 16 max|d|^2``.
+    ``[..]^2 / (4 max|d|)^2``, valid since ``[..]^2 <= 16 max|d|^2``.  For a
+    standardized ``D`` (checked first) the mean bracket squared is
+    ``2(n-1)/(n(n-2))`` by Lemma 3.3 and ``max|d|^2 <= (n-1)(n-3)/(4(n-2))``,
+    so each proposal is accepted with probability at least
+    ``1/(2n(n-3))`` and the expected work is bounded.
     """
+    check_centered(D)
     d = D.entries
     n = D.n
     env = (4.0 * float(np.abs(d).max())) ** 2
@@ -288,11 +302,10 @@ class IndexImageLaw:
                 raise InputError(f"{name} sums to {total!r}, not 1")
 
 
-def index_image_law(D: CenteredArray, cap: int = SWEEP_CAP) -> IndexImageLaw:
+def index_image_law(D: CenteredArray) -> IndexImageLaw:
     """Materialize the (quadruple, image) laws for exact verification."""
     n = D.n
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds sweep cap {cap}")
+    _check_sweep(n)
     table = square_bias_table(D)
     _, probs_flat = table.support()
     pq = np.zeros(n**4)
@@ -540,9 +553,7 @@ def zero_bias_gap_samples(
     *,
     master_seed: int = rngmod.DEFAULT_SEED,
     stream: int = 0,
-    chunk: int = rngmod.DEFAULT_CHUNK,
     threads: int = 1,
-    table: QuadrupleTable | None = None,
 ) -> np.ndarray:
     """|W - W*| for m coupled draws, batched through the case-term kernels.
 
@@ -552,8 +563,7 @@ def zero_bias_gap_samples(
     n = D.n
     if n < 6:
         raise InputError("zero-bias construction needs n >= 6")
-    if table is None and n <= TABLE_CAP:
-        table = square_bias_table(D)
+    table = square_bias_table(D) if n <= TABLE_CAP else None
     d = D.entries
 
     def worker(idx: int, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -572,7 +582,6 @@ def zero_bias_gap_samples(
         master_seed=master_seed,
         purpose=rngmod.PURPOSE_ZERO_BIAS,
         extra_id=stream,
-        chunk=chunk,
         threads=threads,
     )
     return rngmod.concat_chunks(parts)
@@ -584,13 +593,10 @@ def estimate_gap(
     *,
     master_seed: int = rngmod.DEFAULT_SEED,
     stream: int = 0,
-    chunk: int = rngmod.DEFAULT_CHUNK,
     threads: int = 1,
 ) -> tuple[float, float]:
     """(mean, standard error) of |W - W*| over m coupled draws."""
-    gaps = zero_bias_gap_samples(
-        D, m, master_seed=master_seed, stream=stream, chunk=chunk, threads=threads
-    )
+    gaps = zero_bias_gap_samples(D, m, master_seed=master_seed, stream=stream, threads=threads)
     return float(gaps.mean()), float(gaps.std(ddof=1) / math.sqrt(m))
 
 
@@ -599,17 +605,14 @@ def estimate_gap(
 # ---------------------------------------------------------------------------
 
 
-def exact_gap(D: CenteredArray, cap: int = EXACT_CAP) -> float:
+def exact_gap(D: CenteredArray) -> float:
     """Exact E|W - W*| over every involution and weighted quadruple."""
-    n = D.n
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds exact enumeration cap {cap}")
+    invs = involution_matrix(D.n)  # its cap fires before the O(n^4) table
     quads, probs = square_bias_table(D).support()
-    invs = involution_matrix(n, cap=cap)
     return _kernels.exact_gap(D.entries, invs, quads, probs)
 
 
-def pair_statistics(D: CenteredArray, cap: int = EXACT_CAP) -> tuple[float, float]:
+def pair_statistics(D: CenteredArray) -> tuple[float, float]:
     """(max per-involution linearity error, exact E(W - W')^2).
 
     The first entry is max over involutions of |avg over ordered pairs of
@@ -618,7 +621,7 @@ def pair_statistics(D: CenteredArray, cap: int = EXACT_CAP) -> tuple[float, floa
     """
     n = D.n
     d = D.entries
-    invs = involution_matrix(n, cap=cap)
+    invs = involution_matrix(n)
     ii, jj = np.nonzero(~np.eye(n, dtype=bool))
     lin_err = 0.0
     sq_terms = []
@@ -631,15 +634,14 @@ def pair_statistics(D: CenteredArray, cap: int = EXACT_CAP) -> tuple[float, floa
     return lin_err, m2
 
 
-def exchangeability_counts(D: CenteredArray, cap: int = SWEEP_CAP) -> int:
+def exchangeability_counts(D: CenteredArray) -> int:
     """Max |count(a,b) - count(b,a)| over the exact joint law of (W, W').
 
     Values are keyed by the exact floats produced by one summation routine,
     so equal laws give exactly equal keys.
     """
     n = D.n
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds sweep cap {cap}")
+    _check_sweep(n)
     d = D.entries
     invs = list(enumerate_involutions(n))
     w_of = {tuple(inv.images.tolist()): float(d[np.arange(n), inv.images].sum()) for inv in invs}
@@ -723,7 +725,7 @@ def _distinct_count(cols: list[np.ndarray]) -> np.ndarray:
     return 1 + np.count_nonzero(np.diff(s, axis=0), axis=0)
 
 
-def exhaustive_sweep(D: CenteredArray, cap: int = SWEEP_CAP) -> SweepReport:
+def exhaustive_sweep(D: CenteredArray) -> SweepReport:
     """One pass over every (involution, ordered quadruple) at small n.
 
     Checks row disjointness/exhaustiveness and the impossibility of
@@ -733,8 +735,7 @@ def exhaustive_sweep(D: CenteredArray, cap: int = SWEEP_CAP) -> SweepReport:
     involution is processed against all quadruples at once.
     """
     n = D.n
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds sweep cap {cap}")
+    _check_sweep(n)
     table = square_bias_table(D)
     invs = involution_matrix(n)
     quads = np.array(list(itertools.permutations(range(n), 4)), dtype=np.int64)
@@ -826,9 +827,9 @@ def exhaustive_sweep(D: CenteredArray, cap: int = SWEEP_CAP) -> SweepReport:
     )
 
 
-def exact_pi_dagger_marginal(D: CenteredArray, cap: int = SWEEP_CAP) -> dict:
+def exact_pi_dagger_marginal(D: CenteredArray) -> dict:
     """Exact conditional-uniformity report for the rewired involution."""
-    rep = exhaustive_sweep(D, cap=cap)
+    rep = exhaustive_sweep(D)
     return {
         "check": "pi_dagger_uniformity",
         "n": rep.n,
@@ -840,7 +841,7 @@ def exact_pi_dagger_marginal(D: CenteredArray, cap: int = SWEEP_CAP) -> dict:
     }
 
 
-def exact_wstar_cdf(D: CenteredArray, cap: int = SWEEP_CAP):
+def exact_wstar_cdf(D: CenteredArray):
     """Two independent exact routes to the CDF of W*.
 
     Route one follows the construction: over every square-bias quadruple and
@@ -854,8 +855,7 @@ def exact_wstar_cdf(D: CenteredArray, cap: int = SWEEP_CAP):
     all atoms and segment endpoints plus midpoints.
     """
     n = D.n
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds sweep cap {cap}")
+    _check_sweep(n)
     share, w_dag, w_ddag = _planted_values(D)
     seg_lo = np.minimum(w_dag, w_ddag)
     seg_hi = np.maximum(w_dag, w_ddag)
@@ -884,9 +884,7 @@ def exact_wstar_cdf(D: CenteredArray, cap: int = SWEEP_CAP):
     return grid, construction_cdf(grid), definition_cdf(grid)
 
 
-def exact_zero_bias_moments(
-    D: CenteredArray, k_max: int, cap: int = SWEEP_CAP
-) -> list[tuple[int, float, float]]:
+def exact_zero_bias_moments(D: CenteredArray, k_max: int) -> list[tuple[int, float, float]]:
     """(k, E[W^{k+1}], k E[(W*)^{k-1}]) for k = 1..k_max, both sides exact.
 
     The left side enumerates the involutions.  The right side enumerates the
@@ -895,8 +893,7 @@ def exact_zero_bias_moments(
     ``int_0^1 (u a + (1-u) b)^m du = (a^{m+1} - b^{m+1}) / ((m+1)(a - b))``.
     """
     n = D.n
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds sweep cap {cap}")
+    _check_sweep(n)
     ws = _kernels.y_batch(D.entries, involution_matrix(n))
     lhs = {k: math.fsum(ws ** (k + 1)) / ws.size for k in range(1, k_max + 1)}
 

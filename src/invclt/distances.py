@@ -23,6 +23,7 @@ from .errors import EmptySample, InputError, InvalidP
 from .involutions import ExactDistribution
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+QUADRATURE_POINTS = 2000  # Simpson intervals (even) per piece in lp_norm_quadrature
 
 
 def normal_cdf(x):
@@ -143,7 +144,7 @@ def distance_report(
     return DistanceReport(linf=linf, l1=l1, lp=lp, exact=exact, m_samples=m_samples)
 
 
-def lp_norm_quadrature(F: StepCDF, p: float, points_per_piece: int = 200) -> float:
+def lp_norm_quadrature(F: StepCDF, p: float) -> float:
     """Direct composite-Simpson evaluation of ||F - Phi||_p for cross-checks.
 
     F is constant on each open piece, so the integrand on a piece is
@@ -160,10 +161,9 @@ def lp_norm_quadrature(F: StepCDF, p: float, points_per_piece: int = 200) -> flo
     for a, b, c in zip(knots[:-1], knots[1:], levels):
         if b <= a:
             continue
-        m = points_per_piece + (points_per_piece % 2)  # Simpson needs even
-        t = np.linspace(a, b, m + 1)
+        t = np.linspace(a, b, QUADRATURE_POINTS + 1)
         g = np.abs(c - ndtr(t)) ** p
-        h = (b - a) / m
+        h = (b - a) / QUADRATURE_POINTS
         total += h / 3.0 * float(g[0] + g[-1] + 4.0 * g[1:-1:2].sum() + 2.0 * g[2:-2:2].sum())
     return total ** (1.0 / p)
 

@@ -24,6 +24,7 @@ from .arrays import CenteredArray, SymmetricArray
 from .errors import CapExceeded, DimensionMismatch, InputError, OddDimension
 
 ENUM_CAP = 16  # |Pi_16| ~ 2.03M keeps exact sweeps desk-scale
+MATRIX_CAP = 12  # |Pi_12| = 10,395 rows: every materialized involution matrix
 ATOM_MERGE_TOL = 1e-12
 
 
@@ -100,16 +101,20 @@ def _rank_blocks(n: int, cap: int) -> Iterator[np.ndarray]:
         yield _kernels.match_pairs(ranks[:, None] // rad % highs, n)
 
 
-def enumerate_involutions(n: int, cap: int = ENUM_CAP) -> Iterator[Involution]:
-    """Yield all (n-1)!! involutions in canonical order."""
-    for block in _rank_blocks(n, cap):
+def enumerate_involutions(n: int) -> Iterator[Involution]:
+    """Yield all (n-1)!! involutions in canonical order, for n <= ENUM_CAP."""
+    for block in _rank_blocks(n, ENUM_CAP):
         for images in block:
             yield Involution(n=n, images=images)
 
 
-def involution_matrix(n: int, cap: int = 12) -> np.ndarray:
-    """All involutions as an ((n-1)!!, n) image matrix, canonical order."""
-    return np.concatenate(list(_rank_blocks(n, cap)))
+def involution_matrix(n: int) -> np.ndarray:
+    """All involutions as an ((n-1)!!, n) image matrix, canonical order.
+
+    Every oracle that holds all involutions at once goes through here, so
+    ``MATRIX_CAP`` is their one limit.
+    """
+    return np.concatenate(list(_rank_blocks(n, MATRIX_CAP)))
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +155,12 @@ def sample_involutions(
     *,
     master_seed: int = rngmod.DEFAULT_SEED,
     stream: int = 0,
-    chunk: int = rngmod.DEFAULT_CHUNK,
     threads: int = 1,
 ) -> np.ndarray:
     """``m`` uniform draws as an (m, n) image matrix.
 
-    The result is a pure function of (master_seed, stream, m, chunk); thread
-    count only schedules the chunks.
+    The result is a pure function of (master_seed, stream, m); thread count
+    only schedules the chunks.
     """
     _check_even(n)
 
@@ -169,7 +173,6 @@ def sample_involutions(
         master_seed=master_seed,
         purpose=rngmod.PURPOSE_INVOLUTIONS,
         extra_id=stream,
-        chunk=chunk,
         threads=threads,
     )
     return rngmod.concat_chunks(parts)
@@ -181,7 +184,6 @@ def sample_y_values(
     *,
     master_seed: int = rngmod.DEFAULT_SEED,
     stream: int = 0,
-    chunk: int = rngmod.DEFAULT_CHUNK,
     threads: int = 1,
 ) -> np.ndarray:
     """``m`` Monte Carlo values of Y = sum_i e_{i,pi(i)} without retaining pi."""
@@ -198,7 +200,6 @@ def sample_y_values(
         master_seed=master_seed,
         purpose=rngmod.PURPOSE_INVOLUTIONS,
         extra_id=stream,
-        chunk=chunk,
         threads=threads,
     )
     return rngmod.concat_chunks(parts)
@@ -210,7 +211,6 @@ def sample_ranks(
     *,
     master_seed: int = rngmod.DEFAULT_SEED,
     stream: int = 0,
-    chunk: int = rngmod.DEFAULT_CHUNK,
     threads: int = 1,
 ) -> np.ndarray:
     """Canonical ranks of ``m`` draws (same draws as sample_involutions)."""
@@ -226,7 +226,6 @@ def sample_ranks(
         master_seed=master_seed,
         purpose=rngmod.PURPOSE_INVOLUTIONS,
         extra_id=stream,
-        chunk=chunk,
         threads=threads,
     )
     return rngmod.concat_chunks(parts)
@@ -306,7 +305,7 @@ def _merge_atoms(values: np.ndarray, tol: float = ATOM_MERGE_TOL) -> ExactDistri
     )
 
 
-def exact_w_distribution(D: CenteredArray, cap: int = ENUM_CAP) -> ExactDistribution:
-    """Exact law of W = Y_D over the uniform involution."""
-    values = [_kernels.y_batch(D.entries, block) for block in _rank_blocks(D.n, cap)]
+def exact_w_distribution(D: CenteredArray) -> ExactDistribution:
+    """Exact law of W = Y_D over the uniform involution, for n <= ENUM_CAP."""
+    values = [_kernels.y_batch(D.entries, block) for block in _rank_blocks(D.n, ENUM_CAP)]
     return _merge_atoms(np.concatenate(values))

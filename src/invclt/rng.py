@@ -10,6 +10,7 @@ chunks.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
@@ -44,19 +45,12 @@ def derive_stream(master_seed: int, *ids: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def chunk_plan(m: int, chunk: int = DEFAULT_CHUNK) -> list[tuple[int, int]]:
-    """Split ``m`` draws into (chunk_index, count) pieces of fixed size."""
+def chunk_plan(m: int) -> list[tuple[int, int]]:
+    """Split ``m`` draws into (chunk_index, count) pieces of ``DEFAULT_CHUNK``."""
     if m < 1:
         raise ValueError("draw count must be >= 1")
-    plan = []
-    done = 0
-    idx = 0
-    while done < m:
-        c = min(chunk, m - done)
-        plan.append((idx, c))
-        done += c
-        idx += 1
-    return plan
+    starts = range(0, m, DEFAULT_CHUNK)
+    return [(idx, min(DEFAULT_CHUNK, m - s)) for idx, s in enumerate(starts)]
 
 
 def run_chunked(
@@ -66,15 +60,16 @@ def run_chunked(
     master_seed: int,
     purpose: int,
     extra_id: int = 0,
-    chunk: int = DEFAULT_CHUNK,
     threads: int = 1,
 ) -> list[np.ndarray]:
     """Run ``worker(chunk_index, count, gen)`` over every chunk.
 
     Results come back ordered by chunk index, so the concatenation is
-    identical for any ``threads`` value.
+    identical for any ``threads`` value.  The pool holds at most one thread
+    per chunk and per CPU, whatever ``threads`` asks for.
     """
-    plan = chunk_plan(m, chunk)
+    plan = chunk_plan(m)
+    threads = min(threads, len(plan), os.cpu_count() or 1)
 
     def job(item: tuple[int, int]) -> np.ndarray:
         idx, count = item

@@ -5,6 +5,7 @@ import pytest
 import scipy.stats as st
 
 from invclt import _kernels, rng as rngmod
+from invclt.arrays import centered_from_entries
 from invclt.bounds import gap_bound
 from invclt.coupling import (
     alpha_compose,
@@ -184,6 +185,17 @@ class TestQuadrupleSampling:
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < st.chi2.ppf(0.999, bins - 1)
 
+    def test_unstandardized_array_rejected(self):
+        # all zero: the rejection loop would propose forever; scaled by 2: the
+        # square-bias weights no longer form a normalized law
+        gen = rngmod.derive_stream(7, 7)
+        for d in (np.zeros((8, 8)), 2.0 * rand_centered(8, seed=33).entries):
+            D = centered_from_entries(d, validate=False)
+            with pytest.raises(InputError):
+                sample_quadruples_rejection(D, 10, gen)
+            with pytest.raises(InputError):
+                square_bias_table(D)
+
     def test_rejection_only_support(self):
         D = rand_centered(10, seed=32)
         gen = rngmod.derive_stream(6, 6)
@@ -259,8 +271,8 @@ class TestClassifyAndDagger:
             quads.append(quad)
         images = np.array(images)
         quads = np.array(quads)
-        case_k, t_k, tdag_k, delta_k = _kernels._case_terms_nb(d, images, quads)
-        case_f, t_f, tdag_f, delta_f = _kernels.case_terms_fallback(d, images, quads)
+        case_k, t_k, tdag_k, delta_k = _kernels._case_terms_loop(d, images, quads)
+        case_f, t_f, tdag_f, delta_f = _kernels.case_terms(d, images, quads)
         assert np.array_equal(case_k, case_f)
         np.testing.assert_allclose(t_k, t_f, rtol=1e-14, atol=1e-15)
         for r in range(images.shape[0]):
@@ -458,8 +470,7 @@ class TestExactOracles:
         D = rand_centered(8, seed=41)
         g = exact_gap(D)
         quads, probs = square_bias_table(D).support()
-        # the loop kernel: numba-compiled when present, plain Python otherwise
-        g_loop = _kernels._exact_gap_nb(D.entries, involution_matrix(8), quads, probs)
+        g_loop = _kernels._exact_gap_loop(D.entries, involution_matrix(8), quads, probs)
         assert abs(g - g_loop) <= 1e-12
 
 

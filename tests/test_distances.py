@@ -116,7 +116,7 @@ class TestL1:
         expected = 4.0 * float(normal_cdf(1.0)) + 4.0 * phi(1.0) - 2.0 * phi(0.0) - 3.0
         got = l1_distance(F)
         assert got == pytest.approx(expected, abs=1e-12)
-        assert got == pytest.approx(lp_norm_quadrature(F, 1.0, 800), abs=1e-9)
+        assert got == pytest.approx(lp_norm_quadrature(F, 1.0), abs=1e-9)
 
     def test_symmetric_law_is_twice_half_integral(self, appendix4_std):
         F = step_cdf_from_distribution(exact_w_distribution(appendix4_std))
@@ -132,7 +132,7 @@ class TestL1:
 
     def test_quadrature_cross_check_random_law(self):
         F = step_cdf_from_distribution(exact_w_distribution(rand_centered(8, seed=51)))
-        assert l1_distance(F) == pytest.approx(lp_norm_quadrature(F, 1.0, 400), abs=1e-6)
+        assert l1_distance(F) == pytest.approx(lp_norm_quadrature(F, 1.0), abs=1e-6)
 
     def test_l1_bounded_by_twice_exact_gap(self):
         # zero-bias contract: ||F_W - Phi||_1 <= 2 E|W - W*|
@@ -157,7 +157,7 @@ class TestLevelCrossing:
     def test_crossing_outside_piece(self):
         # levels below Phi(a) and above Phi(b): no crossing inside either piece
         F = StepCDF(xs=np.array([-1.0, 0.0, 1.0]), cum=np.array([0.01, 0.99, 1.0]))
-        quad = lp_norm_quadrature(F, 1.0, 2000)
+        quad = lp_norm_quadrature(F, 1.0)
         assert l1_distance(F) == pytest.approx(quad, abs=1e-9)
 
 

@@ -210,7 +210,7 @@ class TestExactDistribution:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            exact_w_distribution(rand_centered(8, seed=1), cap=6)
+            exact_w_distribution(rand_centered(18, seed=1))
 
     def test_csv_rows(self, appendix4_std):
         rows = exact_w_distribution(appendix4_std).to_csv_rows()

@@ -1,57 +1,40 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from invclt import _kernels, rng as rngmod
-from invclt.involutions import choice_highs, draw_choices, involution_matrix
+from invclt.involutions import (
+    Involution,
+    choice_highs,
+    draw_choices,
+    involution_matrix,
+    rank_of,
+    rank_radices,
+    y_value,
+)
 
 from conftest import assert_involution, rand_centered
 
 
 def test_backend_reported():
-    assert _kernels.backend() in ("numba", "numpy")
+    assert _kernels.backend() == "numpy"
 
 
-def test_env_flag_forces_numpy():
-    env = dict(os.environ, INVCLT_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import invclt; print(invclt.backend())"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-# The backend comparisons below run the loop kernels (``_kernels._*_nb``)
-# against the numpy fallback.  The loop kernels are numba-compiled when numba
-# is present and run as plain Python when it is not; either way they are a
-# second implementation, so no comparison pits a function against itself.
-
-
-@pytest.mark.skipif(
-    _kernels.backend() == "numpy",
-    reason="numba is absent or disabled by INVCLT_NO_NUMBA, so the dispatchers "
-    "are the numpy kernels and there is no compiled kernel to check",
-)
-def test_dispatchers_run_compiled_kernels():
-    for name in ("match_pairs", "y_batch", "case_terms", "exact_gap"):
-        assert getattr(_kernels, name) is not getattr(_kernels, f"{name}_fallback")
-    assert hasattr(_kernels._case_terms_nb, "py_func")
+# Each kernel is checked against a second, independent implementation:
+# match_pairs against the canonical rank of its rows (``rank_of``), y_batch
+# against ``y_value``, and case_terms and exact_gap against their plain-Python
+# loop references (``_kernels._*_loop``).
 
 
 class TestMatchPairs:
     @pytest.mark.parametrize("n", [4, 8, 14])
-    def test_backends_identical(self, n):
+    def test_rows_decode_to_their_ranks(self, n):
+        # rank_of walks each row with a Python list; the choices' mixed-radix
+        # value is the rank the pairing must reproduce
         gen = rngmod.derive_stream(9, n)
         choices = draw_choices(n, 500, gen)
-        a = _kernels._match_pairs_nb(choices, n)
-        b = _kernels.match_pairs_fallback(choices, n)
-        assert np.array_equal(a, b)
-        for row in a[:50]:
+        images = _kernels.match_pairs(choices, n)
+        assert [rank_of(row) for row in images] == (choices @ rank_radices(n)).tolist()
+        for row in images[:50]:
             assert_involution(row)
 
     def test_choice_ranges(self):
@@ -69,12 +52,12 @@ class TestMatchPairs:
 
 
 class TestYBatch:
-    def test_backends_close(self):
+    def test_rows_match_y_value(self):
         D = rand_centered(10, seed=70)
         imgs = involution_matrix(10)[:500]
-        a = _kernels._y_batch_nb(D.entries, imgs)
-        b = _kernels.y_batch_fallback(D.entries, imgs)
-        np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-14)
+        got = _kernels.y_batch(D.entries, imgs)
+        want = [y_value(D, Involution(n=10, images=row)) for row in imgs]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
 
 
 class TestCaseTerms:
@@ -88,8 +71,8 @@ class TestCaseTerms:
         gen2 = rngmod.derive_stream(10, 2)
         perm = np.array([gen2.permutation(4) for _ in range(400)])
         quads = np.take_along_axis(quads, perm, axis=1)
-        c1, t1, td1, de1 = _kernels._case_terms_nb(D.entries, imgs, quads)
-        c2, t2, td2, de2 = _kernels.case_terms_fallback(D.entries, imgs, quads)
+        c1, t1, td1, de1 = _kernels._case_terms_loop(D.entries, imgs, quads)
+        c2, t2, td2, de2 = _kernels.case_terms(D.entries, imgs, quads)
         assert np.array_equal(c1, c2)
         np.testing.assert_allclose(t1, t2, rtol=1e-14)
         np.testing.assert_allclose(td1, td2, rtol=1e-14)
@@ -107,14 +90,14 @@ class TestSegIntegral:
             c = float(gen.normal())
             if c == 0.0:
                 continue
-            exact = float(_kernels.seg_abs_integral_np(np.array([a]), np.array([c]))[0])
+            exact = float(_kernels.seg_abs_integral(np.array([a]), np.array([c]))[0])
             g = np.abs(a - u * c)
             grid = du * (0.5 * (g[0] + g[-1]) + g[1:-1].sum())
             assert abs(exact - grid) < 1e-8
 
     def test_same_sign_closed_form(self):
         # endpoints with one sign: the integral is |a - c/2|
-        val = float(_kernels.seg_abs_integral_np(np.array([3.0]), np.array([1.0]))[0])
+        val = float(_kernels.seg_abs_integral(np.array([3.0]), np.array([1.0]))[0])
         assert val == pytest.approx(2.5, rel=1e-15)
 
 
@@ -126,7 +109,7 @@ class TestExactGap:
         q8, p8 = square_bias_table(D8).support()
         q10, p10 = square_bias_table(D10).support()
         inv8, inv10 = involution_matrix(8), involution_matrix(10)
-        # the loop kernel may run uncompiled: cut the n = 10 input down, to
+        # the loop reference is plain Python: cut the n = 10 input down, to
         # two whole blocks of involutions and a remainder
         q10, p10 = q10[::3], p10[::3]
         block = _kernels._GAP_BLOCK_TERMS // len(q10)
@@ -137,8 +120,8 @@ class TestExactGap:
             (D10, inv10, q10, p10),
             (D10, inv10[3:4], q10, p10),
         ):
-            a = _kernels._exact_gap_nb(D.entries, invs, quads, probs)
-            b = _kernels.exact_gap_fallback(D.entries, invs, quads, probs)
+            a = _kernels._exact_gap_loop(D.entries, invs, quads, probs)
+            b = _kernels.exact_gap(D.entries, invs, quads, probs)
             assert abs(a - b) < 1e-12
 
     @pytest.mark.parametrize("n", [6, 8])
@@ -151,7 +134,7 @@ class TestExactGap:
         pairs, delta, base = _kernels.quad_pairs(D.entries, quads)
         a = _kernels.pairing_a(D.entries, invs, pairs, base)
         images = np.repeat(invs, len(quads), axis=0)
-        _, t, tdag, delta_t = _kernels.case_terms_np(
+        _, t, tdag, delta_t = _kernels.case_terms(
             D.entries, images, np.tile(quads, (len(invs), 1))
         )
         np.testing.assert_allclose(
