@@ -28,22 +28,17 @@ from .bounds import (
     truncate,
 )
 from .coupling import (
-    IndexImageLaw,
     QuadrupleTable,
-    SteinPairDraw,
     ZeroBiasDraw,
     alpha_compose,
     classify,
     estimate_gap,
     exact_gap,
-    exact_pi_dagger_marginal,
     exact_wstar_cdf,
     exact_zero_bias_moments,
-    index_image_law,
     pi_dagger,
     sample_quadruple,
     square_bias_table,
-    stein_pair_draw,
     zero_bias_draw,
 )
 from .distances import (
@@ -88,22 +83,17 @@ __all__ = [
     "lower_bound_experiment",
     "theorem_bounds",
     "truncate",
-    "IndexImageLaw",
     "QuadrupleTable",
-    "SteinPairDraw",
     "ZeroBiasDraw",
     "alpha_compose",
     "classify",
     "estimate_gap",
     "exact_gap",
-    "exact_pi_dagger_marginal",
     "exact_wstar_cdf",
     "exact_zero_bias_moments",
-    "index_image_law",
     "pi_dagger",
     "sample_quadruple",
     "square_bias_table",
-    "stein_pair_draw",
     "zero_bias_draw",
     "DistanceReport",
     "StepCDF",

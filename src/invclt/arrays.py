@@ -53,12 +53,6 @@ class SymmetricArray:
     n: int
     entries: np.ndarray
 
-    def row_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
-
-    def total(self) -> float:
-        return float(self.entries.sum())
-
 
 @dataclass(eq=False)
 class HatArray:

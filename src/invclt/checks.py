@@ -109,8 +109,9 @@ def check_stein_linearity(seed: int) -> list[dict]:
     for n in (6, 8, 10):
         gen = rngmod.derive_stream(seed, rngmod.PURPOSE_CHECKS, 5, n)
         D = random_centered(n, gen)
-        lin_err, _ = coupling.pair_statistics(D)
-        out.append(_record("stein_linearity", n, lin_err, lin_err <= 1e-12))
+        lin_err, _, _, formula_err = coupling.stein_sweep(D)
+        ok = lin_err <= 1e-12 and formula_err <= 1e-12
+        out.append(_record("stein_linearity", n, lin_err, ok, formula_error=formula_err))
     return out
 
 
@@ -119,7 +120,7 @@ def check_stein_second_moment(seed: int) -> list[dict]:
     for n in (6, 8, 10):
         gen = rngmod.derive_stream(seed, rngmod.PURPOSE_CHECKS, 6, n)
         D = random_centered(n, gen)
-        _, m2 = coupling.pair_statistics(D)
+        _, m2, _, _ = coupling.stein_sweep(D)
         err = abs(m2 - 8.0 / n)
         out.append(_record("stein_second_moment", n, err, err <= 1e-12))
     return out
@@ -208,7 +209,7 @@ def check_exchangeability(seed: int) -> list[dict]:
     for n in (6, 8):
         gen = rngmod.derive_stream(seed, rngmod.PURPOSE_CHECKS, 9, n)
         D = random_centered(n, gen)
-        dev = coupling.exchangeability_counts(D)
+        _, _, dev, _ = coupling.stein_sweep(D)
         out.append(_record("exchangeability", n, dev, dev == 0))
     return out
 

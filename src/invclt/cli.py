@@ -22,8 +22,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bounds as boundsmod
 from . import checks as checksmod
 from . import coupling

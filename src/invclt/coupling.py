@@ -36,7 +36,6 @@ from .errors import CapExceeded, EqualIndices, InputError, NoCaseMatched
 from .involutions import (
     Involution,
     double_factorial,
-    enumerate_involutions,
     exact_w_distribution,
     involution_matrix,
     draw_choices,
@@ -97,46 +96,6 @@ def alpha_compose(pi: Involution, i: int, j: int) -> Involution:
     out = Involution(n=pi.n, images=img)
     out.validate()
     return out
-
-
-# ---------------------------------------------------------------------------
-# Stein pair
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SteinPairDraw:
-    pi: Involution
-    pi_prime: Involution
-    i: int
-    j: int
-    w: float
-    diff: float  # W - W', stored as the exact four-term formula value
-
-    @property
-    def w_prime(self) -> float:
-        return self.w - self.diff
-
-
-def pair_difference(d: np.ndarray, images: np.ndarray, i: int, j: int) -> float:
-    """W - W' for the swap at (i, j): 2(d_{i pi(i)} + d_{j pi(j)} - d_{ij} - d_{pi(i) pi(j)})."""
-    pi_i, pi_j = images[i], images[j]
-    return 2.0 * (d[i, pi_i] + d[j, pi_j] - (d[i, j] + d[pi_i, pi_j]))
-
-
-def stein_pair_draw(D: CenteredArray, gen: np.random.Generator) -> SteinPairDraw:
-    """One draw of the exchangeable pair; W' is defined through the exact
-    difference formula so the pair identity holds bit-for-bit."""
-    n = D.n
-    pi = sample_involution(n, gen)
-    r = gen.integers(0, np.array([n, n - 1], dtype=np.int64), size=(1, 2))[0]
-    i = int(r[0])
-    j = int(r[1]) + (1 if r[1] >= i else 0)
-    w = float(D.entries[np.arange(n), pi.images].sum())
-    delta = pair_difference(D.entries, pi.images, i, j)
-    return SteinPairDraw(
-        pi=pi, pi_prime=alpha_compose(pi, i, j), i=i, j=j, w=w, diff=delta
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,84 +232,6 @@ def sample_quadruple(
     else:
         q = sample_quadruples_rejection(source, 1, gen)[0]
     return int(q[0]), int(q[1]), int(q[2]), int(q[3])
-
-
-# ---------------------------------------------------------------------------
-# joint index-image laws
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class IndexImageLaw:
-    """Dense joint laws of the quadruple and the base involution's images.
-
-    ``p2[i,j,k,l,s,t]`` is the probability of quadruple (i,j,k,l) together
-    with images s = pi(i), t = pi(j); ``p3[i,j,k,l,s,t,r]`` adds r = pi(l).
-    Both factor as (quadruple weight) x (image law), since the quadruple is
-    drawn independently of pi.  Each table sums to 1; configurations that
-    contradict an involution without fixed points carry exactly zero.
-    """
-
-    n: int
-    p2: np.ndarray
-    p3: np.ndarray
-
-    def validate(self) -> None:
-        for name, table in (("p2", self.p2), ("p3", self.p3)):
-            total = float(table.sum())
-            if abs(total - 1.0) > 1e-10:
-                raise InputError(f"{name} sums to {total!r}, not 1")
-
-
-def index_image_law(D: CenteredArray) -> IndexImageLaw:
-    """Materialize the (quadruple, image) laws for exact verification."""
-    n = D.n
-    _check_sweep(n)
-    table = square_bias_table(D)
-    _, probs_flat = table.support()
-    pq = np.zeros(n**4)
-    pq[np.nonzero(table.weights)[0]] = probs_flat
-    pq = pq.reshape((n, n, n, n))
-
-    ii = np.arange(n)
-    i_ = ii.reshape(n, 1, 1, 1)
-    j_ = ii.reshape(1, n, 1, 1)
-    s_ = ii.reshape(1, 1, n, 1)
-    t_ = ii.reshape(1, 1, 1, n)
-    # image pair (s, t) of (i, j): either the cycle (i, j) itself, which
-    # forces (s, t) = (j, i), or two images off {i, j}
-    q2 = np.zeros((n, n, n, n))
-    q2 += ((s_ == j_) & (t_ == i_)) / (n - 1.0)
-    off = (s_ != i_) & (s_ != j_) & (t_ != i_) & (t_ != j_) & (s_ != t_)
-    q2 += off / ((n - 1.0) * (n - 3.0))
-
-    # image triple (s, t, r) of (i, j, l): one of the pairings (i,j), (i,l),
-    # (j,l) inside the triple, or all three images outside it
-    i3 = ii.reshape(n, 1, 1, 1, 1, 1)
-    j3 = ii.reshape(1, n, 1, 1, 1, 1)
-    l3 = ii.reshape(1, 1, n, 1, 1, 1)
-    s3 = ii.reshape(1, 1, 1, n, 1, 1)
-    t3 = ii.reshape(1, 1, 1, 1, n, 1)
-    r3 = ii.reshape(1, 1, 1, 1, 1, n)
-    out_s = (s3 != i3) & (s3 != j3) & (s3 != l3)
-    out_t = (t3 != i3) & (t3 != j3) & (t3 != l3)
-    out_r = (r3 != i3) & (r3 != j3) & (r3 != l3)
-    pair2 = 1.0 / ((n - 1.0) * (n - 3.0))
-    q3 = np.zeros((n, n, n, n, n, n))
-    q3 += ((s3 == j3) & (t3 == i3) & out_r) * pair2
-    q3 += ((s3 == l3) & (r3 == i3) & out_t) * pair2
-    q3 += ((t3 == l3) & (r3 == j3) & out_s) * pair2
-    q3 += (
-        out_s & out_t & out_r & (s3 != t3) & (s3 != r3) & (t3 != r3)
-    ) / ((n - 1.0) * (n - 3.0) * (n - 5.0))
-
-    law = IndexImageLaw(
-        n=n,
-        p2=pq[:, :, :, :, None, None] * q2[:, :, None, None, :, :],
-        p3=pq[:, :, :, :, None, None, None] * q3[:, :, None, :, :, :, :],
-    )
-    law.validate()
-    return law
 
 
 # ---------------------------------------------------------------------------
@@ -612,49 +493,60 @@ def exact_gap(D: CenteredArray) -> float:
     return _kernels.exact_gap(D.entries, invs, quads, probs)
 
 
-def pair_statistics(D: CenteredArray) -> tuple[float, float]:
-    """(max per-involution linearity error, exact E(W - W')^2).
+def stein_sweep(D: CenteredArray) -> tuple[float, float, int, float]:
+    """The Stein-pair identities, exact over every (pi, i, j) with i != j.
 
-    The first entry is max over involutions of |avg over ordered pairs of
-    (W - W') - (4/n) W|; the second is the exact second moment of the pair
-    difference, which must equal 2 * (4/n) * Var(W) = 8/n.
+    Returns ``(linearity error, E(W - W')^2, exchangeability deviation,
+    formula error)``:
+
+    * max over involutions of |avg over ordered pairs of (W - W') - (4/n) W|;
+    * the exact second moment of the pair difference, which must equal
+      2 * (4/n) * Var(W) = 8/n;
+    * max |count(a, b) - count(b, a)| over the exact joint law of (W, W'),
+      keyed by the atoms of W, so equal laws give exactly equal counts;
+    * max |W - W(alpha_compose(pi, i, j)) - 2(d_{i pi(i)} + d_{j pi(j)} -
+      d_{ij} - d_{pi(i) pi(j)})|, infinite if a composed code is no
+      involution.
+
+    W - W' is the four-term formula value in the first two.  W' is read off
+    the composed involution's base-n digit code, which differs from pi's at
+    the positions i, j, pi(i) and pi(j), so every array is (n-1)!! x n(n-1).
     """
     n = D.n
     d = D.entries
     invs = involution_matrix(n)
+    w = _kernels.y_batch(d, invs)
     ii, jj = np.nonzero(~np.eye(n, dtype=bool))
-    lin_err = 0.0
-    sq_terms = []
-    for row in invs:
-        delta = 2.0 * (d[ii, row[ii]] + d[jj, row[jj]] - (d[ii, jj] + d[row[ii], row[jj]]))
-        w = float(d[np.arange(n), row].sum())
-        lin_err = max(lin_err, abs(float(delta.mean()) - lambda_n(n) * w))
-        sq_terms.append(float((delta * delta).sum()))
-    m2 = math.fsum(sq_terms) / (invs.shape[0] * n * (n - 1))
-    return lin_err, m2
+    pi_i, pi_j = invs[:, ii], invs[:, jj]
+    delta = 2.0 * (d[ii, pi_i] + d[jj, pi_j] - (d[ii, jj] + d[pi_i, pi_j]))
+    lin_err = float(np.abs(delta.mean(axis=1) - lambda_n(n) * w).max())
+    m2 = math.fsum((delta * delta).ravel()) / delta.size
 
+    # alpha_compose writes j, i, pi(j), pi(i) at i, j, pi(i), pi(j)
+    place = n ** np.arange(n, dtype=np.int64)
+    code = invs @ place
+    order = np.argsort(code)
+    composed = (
+        code[:, None]
+        + (jj - pi_i) * (place[ii] - place[pi_j])
+        + (ii - pi_j) * (place[jj] - place[pi_i])
+    )
+    pos = np.searchsorted(code, composed, sorter=order)
+    target = order[np.minimum(pos, code.size - 1)]  # row of alpha_compose(pi, i, j)
+    if np.array_equal(code[target], composed):
+        formula_err = float(np.abs(w[:, None] - w[target] - delta).max())
+    else:
+        formula_err = math.inf
 
-def exchangeability_counts(D: CenteredArray) -> int:
-    """Max |count(a,b) - count(b,a)| over the exact joint law of (W, W').
-
-    Values are keyed by the exact floats produced by one summation routine,
-    so equal laws give exactly equal keys.
-    """
-    n = D.n
-    _check_sweep(n)
-    d = D.entries
-    invs = list(enumerate_involutions(n))
-    w_of = {tuple(inv.images.tolist()): float(d[np.arange(n), inv.images].sum()) for inv in invs}
-    counts: dict[tuple[float, float], int] = {}
-    for inv in invs:
-        w = w_of[tuple(inv.images.tolist())]
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                wp = w_of[tuple(alpha_compose(inv, i, j).images.tolist())]
-                counts[(w, wp)] = counts.get((w, wp), 0) + 1
-    return max(abs(c - counts.get((b, a), 0)) for (a, b), c in counts.items())
+    # exchangeability: the (W, W') law keyed by atom indices a * m + b
+    atoms, a = np.unique(w, return_inverse=True)
+    m = atoms.size
+    keys, counts = np.unique(a[:, None] * m + a[target], return_counts=True)
+    mirror = keys % m * m + keys // m
+    at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+    mirror_counts = np.where(keys[at] == mirror, counts[at], 0)
+    exch_dev = int(np.abs(counts - mirror_counts).max())
+    return lin_err, m2, exch_dev, formula_err
 
 
 def planted_completions(quads: np.ndarray, n: int) -> np.ndarray:
@@ -716,13 +608,7 @@ class SweepReport:
     uniformity_max_dev: int  # vs the exact per-completion count
     expected_completion_count: int
     p2_max_dev: int
-    p3_max_dev: int
-
-
-def _distinct_count(cols: list[np.ndarray]) -> np.ndarray:
-    """Number of distinct values per position across equal-length arrays."""
-    s = np.sort(np.stack(cols), axis=0)
-    return 1 + np.count_nonzero(np.diff(s, axis=0), axis=0)
+    p3_max_dev: int  # worst count deviation, or the number of missing keys
 
 
 def exhaustive_sweep(D: CenteredArray) -> SweepReport:
@@ -731,8 +617,8 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
     Checks row disjointness/exhaustiveness and the impossibility of
     (R1,R2) in {(2,1),(1,2)}, validates every rewired involution, and
     accumulates the integer counts behind the conditional-uniformity law,
-    the (quad, pi(I), pi(J)) law and the three-image law slices.  Each
-    involution is processed against all quadruples at once.
+    the (quad, pi(I), pi(J)) law and the (quad, pi(I), pi(J), pi(L)) law.
+    Each involution is processed against all quadruples at once.
     """
     n = D.n
     _check_sweep(n)
@@ -744,7 +630,7 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
     i, j, k, l = q
     support = table.weights[((i * n + j) * n + k) * n + l] > 0.0
     sq = quads[support]
-    si, sj, sk, sl = sq.T
+    si, sj, _, sl = sq.T
     n_s = sq.shape[0]
     # rewired involutions are compared through their base-n digit codes
     code = n ** np.arange(n, dtype=np.int64)
@@ -782,10 +668,7 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
         rewired_codes[r] = img[support] @ code
         pi_i, pi_j, pi_k, pi_l = p[:, support]
         p2_counts[np.arange(n_s), pi_i, pi_j] += 1
-        in_slice = (pi_i == sk) & (_distinct_count([si, sj, sk, sl, pi_j, pi_l]) == 6)
-        in_distinct = _distinct_count([si, sj, sk, sl, pi_i, pi_j, pi_l]) == 7
-        keep = np.flatnonzero(in_slice | in_distinct)
-        p3_keys.append(((keep * n + pi_i[keep]) * n + pi_j[keep]) * n + pi_l[keep])
+        p3_keys.append(((np.arange(n_s) * n + pi_i) * n + pi_j) * n + pi_l)
 
     # conditional uniformity: every completion of every support quad must be
     # produced by exactly |Pi_n| / |Pi_{n-4}| base involutions
@@ -807,10 +690,18 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
     )
     p2_dev = int(np.abs(p2_counts - want2).max(initial=0))
 
-    # three-image slices: both laws put mass 1/((n-1)(n-3)(n-5)) per config
-    want3 = n_inv // ((n - 1) * (n - 3) * (n - 5)) if n >= 6 else 0
-    _, got3 = np.unique(np.concatenate(p3_keys), return_counts=True)
-    p3_dev = int(np.abs(got3 - want3).max(initial=0))
+    # (quad, pi(I), pi(J), pi(L)) joint law: one of the cycles (I,J), (I,L),
+    # (J,L) with the third image off {I, J, L}, or three distinct images off
+    # it.  Every key must carry its exact count, and none may be missing.
+    keys, got3 = np.unique(np.concatenate(p3_keys), return_counts=True)
+    rest, img_j = np.divmod(keys // n, n)
+    key_q, img_i = np.divmod(rest, n)
+    paired = (img_i == sj[key_q]) | (img_i == sl[key_q]) | (img_j == sl[key_q])
+    want3 = np.where(
+        paired, n_inv // ((n - 1) * (n - 3)), n_inv // ((n - 1) * (n - 3) * (n - 5))
+    )
+    missing = n_s * (3 * (n - 3) + (n - 3) * (n - 4) * (n - 5)) - keys.size
+    p3_dev = max(int(np.abs(got3 - want3).max(initial=0)), abs(missing))
 
     return SweepReport(
         n=n,
@@ -825,20 +716,6 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
         p2_max_dev=p2_dev,
         p3_max_dev=p3_dev,
     )
-
-
-def exact_pi_dagger_marginal(D: CenteredArray) -> dict:
-    """Exact conditional-uniformity report for the rewired involution."""
-    rep = exhaustive_sweep(D)
-    return {
-        "check": "pi_dagger_uniformity",
-        "n": rep.n,
-        "max_abs_error": float(rep.uniformity_max_dev),
-        "pass": rep.uniformity_max_dev == 0 and rep.closure_failures == 0,
-        "expected_count": rep.expected_completion_count,
-        "p2_max_dev": rep.p2_max_dev,
-        "case_counts": rep.case_counts,
-    }
 
 
 def exact_wstar_cdf(D: CenteredArray):

@@ -87,7 +87,8 @@ def _rank_blocks(n: int, cap: int) -> Iterator[np.ndarray]:
     """Image matrices of consecutive rank ranges, in canonical order.
 
     Each rank is decoded into its choice digits and paired by
-    ``match_pairs``, 65536 ranks at a time.
+    ``match_pairs``, 65536 ranks at a time.  ``n`` is checked at the call,
+    before the first block is decoded.
     """
     _check_even(n)
     if n > cap:
@@ -96,16 +97,23 @@ def _rank_blocks(n: int, cap: int) -> Iterator[np.ndarray]:
     highs = choice_highs(n)
     rad = rank_radices(n)
     block = 65536
-    for start in range(0, total, block):
-        ranks = np.arange(start, min(start + block, total), dtype=np.int64)
-        yield _kernels.match_pairs(ranks[:, None] // rad % highs, n)
+
+    def blocks() -> Iterator[np.ndarray]:
+        for start in range(0, total, block):
+            ranks = np.arange(start, min(start + block, total), dtype=np.int64)
+            yield _kernels.match_pairs(ranks[:, None] // rad % highs, n)
+
+    return blocks()
 
 
 def enumerate_involutions(n: int) -> Iterator[Involution]:
-    """Yield all (n-1)!! involutions in canonical order, for n <= ENUM_CAP."""
-    for block in _rank_blocks(n, ENUM_CAP):
-        for images in block:
-            yield Involution(n=n, images=images)
+    """All (n-1)!! involutions in canonical order, for n <= ENUM_CAP.
+
+    The cap and parity are checked at the call; the involutions are decoded
+    lazily, block by block.
+    """
+    blocks = _rank_blocks(n, ENUM_CAP)
+    return (Involution(n=n, images=images) for block in blocks for images in block)
 
 
 def involution_matrix(n: int) -> np.ndarray:

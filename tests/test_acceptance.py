@@ -9,7 +9,6 @@ import scipy.stats as st
 
 from invclt.arrays import moments
 from invclt.bounds import (
-    dkw_slack,
     exact_collision_probability,
     gap_bound,
     kp,
@@ -21,8 +20,8 @@ from invclt.coupling import (
     exact_gap,
     exact_zero_bias_moments,
     exhaustive_sweep,
-    pair_statistics,
     square_bias_table,
+    stein_sweep,
 )
 from invclt.distances import (
     kolmogorov_distance,
@@ -61,19 +60,22 @@ def test_criterion_1_zero_bias_identity():
 
 
 def test_criterion_2_stein_pair_laws():
-    worst_lin = 0.0
-    worst_m2 = 0.0
+    worst_lin = worst_m2 = worst_formula = 0.0
+    worst_exch = 0
     for n in (6, 8, 10):
         D = rand_centered(n, seed=9200 + n)
-        lin_err, m2 = pair_statistics(D)
+        lin_err, m2, exch_dev, formula_err = stein_sweep(D)
         worst_lin = max(worst_lin, lin_err)
         worst_m2 = max(worst_m2, abs(m2 - 8.0 / n))
-    ok = worst_lin <= 1e-12 and worst_m2 <= 1e-12
+        worst_exch = max(worst_exch, exch_dev)
+        worst_formula = max(worst_formula, formula_err)
+    ok = worst_lin <= 1e-12 and worst_m2 <= 1e-12 and worst_exch == 0 and worst_formula <= 1e-12
     report(
         2,
-        "Stein-pair laws (per-pi linearity, second moment)",
+        "Stein-pair laws (per-pi linearity, second moment, exchangeability, W - W' formula)",
         ok,
-        f"max linearity err = {worst_lin:.3e}, max |E(W-W')^2 - 8/n| = {worst_m2:.3e}",
+        f"max linearity err = {worst_lin:.3e}, max |E(W-W')^2 - 8/n| = {worst_m2:.3e}, "
+        f"exchangeability dev = {worst_exch}, formula err = {worst_formula:.3e}",
     )
 
 

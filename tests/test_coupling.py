@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from invclt import _kernels, rng as rngmod
+from invclt import _kernels, coupling, rng as rngmod
 from invclt.arrays import centered_from_entries
 from invclt.bounds import gap_bound
 from invclt.coupling import (
@@ -13,20 +13,16 @@ from invclt.coupling import (
     cn,
     estimate_gap,
     exact_gap,
-    exact_pi_dagger_marginal,
     exact_wstar_cdf,
     exact_zero_bias_moments,
-    exchangeability_counts,
     exhaustive_sweep,
-    index_image_law,
     index_set,
-    pair_statistics,
     pi_dagger,
     planted_completions,
     sample_quadruple,
     sample_quadruples_rejection,
     square_bias_table,
-    stein_pair_draw,
+    stein_sweep,
     zero_bias_draw,
     zero_bias_gap_samples,
 )
@@ -78,37 +74,33 @@ class TestAlphaCompose:
 
 
 class TestSteinPair:
-    def test_difference_formula_definitional(self, gen):
-        D = rand_centered(8, seed=21)
+    def test_difference_formula_definitional(self):
+        # the sweep reads W' off the composed code; the object route rebuilds
+        # every composed involution and sums it directly
+        D = rand_centered(6, seed=21)
         d = D.entries
-        for _ in range(100):
-            s = stein_pair_draw(D, gen)
-            pi_i, pi_j = s.pi.images[s.i], s.pi.images[s.j]
-            formula = 2.0 * (d[s.i, pi_i] + d[s.j, pi_j] - (d[s.i, s.j] + d[pi_i, pi_j]))
-            assert s.diff == formula  # exact by construction
-            # and consistent with the direct sum over the rewired involution
-            assert abs(s.w_prime - y_value(D, s.pi_prime)) <= 1e-12
-            assert s.i != s.j
-            assert_involution(s.pi_prime.images)
-
-    def test_pair_indices_cover_all_ordered_pairs(self, gen):
-        D = rand_centered(6, seed=22)
-        seen = set()
-        for _ in range(2000):
-            s = stein_pair_draw(D, gen)
-            seen.add((s.i, s.j))
-        assert len(seen) == 30
+        for pi in enumerate_involutions(6):
+            for i in range(6):
+                for j in range(6):
+                    if i == j:
+                        continue
+                    pi_i, pi_j = pi.images[i], pi.images[j]
+                    formula = 2.0 * (d[i, pi_i] + d[j, pi_j] - (d[i, j] + d[pi_i, pi_j]))
+                    prime = alpha_compose(pi, i, j)
+                    assert abs(y_value(D, pi) - y_value(D, prime) - formula) <= 1e-12
+        for n, seed in ((6, 21), (8, 22)):
+            assert stein_sweep(rand_centered(n, seed=seed))[3] <= 1e-12
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_linearity_and_second_moment(self, n):
         D = rand_centered(n, seed=23 + n)
-        lin_err, m2 = pair_statistics(D)
+        lin_err, m2, _, _ = stein_sweep(D)
         assert lin_err <= 1e-12
         assert abs(m2 - 8.0 / n) <= 1e-12
 
     def test_exchangeability_exact_counts(self):
         D = rand_centered(6, seed=25)
-        assert exchangeability_counts(D) == 0
+        assert stein_sweep(D)[2] == 0
 
 
 class TestSquareBiasTable:
@@ -353,53 +345,6 @@ class TestZeroBiasDraw:
         assert sorted(obj["pi"]) == list(range(1, 9))
 
 
-class TestIndexImageLaw:
-    def test_tables_sum_to_one(self):
-        law = index_image_law(rand_centered(6, seed=47))
-        assert abs(law.p2.sum() - 1.0) <= 1e-10
-        assert abs(law.p3.sum() - 1.0) <= 1e-10
-
-    def test_structural_zeros(self):
-        law = index_image_law(rand_centered(8, seed=48))
-        # s = i (a fixed point), t = j, s = t, and s = j without t = i are
-        # impossible for an involution image pair
-        assert np.all(law.p2[0, :, :, :, 0, :] == 0.0)  # s == i == 0
-        assert np.all(law.p2[:, 1, :, :, :, 1] == 0.0)  # t == j == 1
-        assert np.all(np.diagonal(law.p2, axis1=4, axis2=5) == 0.0)  # s == t
-        assert np.all(law.p2[0, 1, 2, 3, 1, 2:] == 0.0)  # s == j, t != i
-        # triple law: fixed points and broken pairings carry zero (r = i and
-        # r = j are legal only through the cycles (i,l) and (j,l))
-        assert np.all(law.p3[0, 1, 2, 3, :, :, 3] == 0.0)  # r == l
-        assert np.all(law.p3[0, 1, 2, 3, 0, :, :] == 0.0)  # s == i
-        assert np.all(law.p3[0, 1, 2, 3, :, 1, :] == 0.0)  # t == j
-        s_not_l = [s for s in range(8) if s != 3]
-        assert np.all(law.p3[0, 1, 2, 3, s_not_l, :, 0] == 0.0)  # r == i needs s == l
-        t_not_l = [t for t in range(8) if t != 3]
-        assert np.all(law.p3[0, 1, 2, 3, :, t_not_l, 1] == 0.0)  # r == j needs t == l
-        assert law.p3[0, 1, 2, 3, 3, 4, 0].item() > 0.0  # cycle (i, l): s=l, r=i
-
-    def test_matches_enumeration_counts_n6(self):
-        # the dense tables must reproduce the exact enumeration frequencies
-        D = rand_centered(6, seed=49)
-        law = index_image_law(D)
-        quads, probs = square_bias_table(D).support()
-        n_inv = 15
-        emp2 = np.zeros_like(law.p2)
-        emp3 = np.zeros_like(law.p3)
-        invs = list(enumerate_involutions(6))
-        for (i, j, k, l), pq in zip(map(tuple, quads.tolist()), probs):
-            for inv in invs:
-                s, t, r = inv.images[i], inv.images[j], inv.images[l]
-                emp2[i, j, k, l, s, t] += pq / n_inv
-                emp3[i, j, k, l, s, t, r] += pq / n_inv
-        np.testing.assert_allclose(emp2, law.p2, atol=1e-14)
-        np.testing.assert_allclose(emp3, law.p3, atol=1e-14)
-
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            index_image_law(rand_centered(10, seed=50))
-
-
 class TestZeroBiasLaw:
     def test_construction_cdf_matches_definition(self):
         # the mixture-of-segments law produced by the construction must agree
@@ -432,15 +377,35 @@ class TestZeroBiasLaw:
 
 class TestExactOracles:
     def test_marginal_uniformity_n6(self):
-        rep = exact_pi_dagger_marginal(rand_centered(6, seed=37))
-        assert rep["pass"] and rep["max_abs_error"] == 0.0
-        assert rep["expected_count"] == 15
+        rep = exhaustive_sweep(rand_centered(6, seed=37))
+        assert rep.uniformity_max_dev == 0 and rep.closure_failures == 0
+        assert rep.expected_completion_count == 15
 
     def test_marginal_uniformity_n8(self):
-        rep = exact_pi_dagger_marginal(rand_centered(8, seed=38))
-        assert rep["pass"] and rep["max_abs_error"] == 0.0
-        assert rep["expected_count"] == 35
-        assert rep["p2_max_dev"] == 0
+        rep = exhaustive_sweep(rand_centered(8, seed=38))
+        assert rep.uniformity_max_dev == 0 and rep.closure_failures == 0
+        assert rep.expected_completion_count == 35
+        assert rep.p2_max_dev == 0
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_image_laws_exact(self, n):
+        # every (quad, pi(I), pi(J)) and (quad, pi(I), pi(J), pi(L)) count
+        # matches its exact law, and no key of the three-image law is missing
+        rep = exhaustive_sweep(rand_centered(n, seed=48 + n))
+        assert rep.p2_max_dev == 0 and rep.p3_max_dev == 0
+
+    def test_sweep_detects_a_biased_base_law(self, monkeypatch):
+        # one matching counted twice, another never: each image law and the
+        # completion counts must move off their exact values
+        every = involution_matrix(8)
+        biased = every.copy()
+        biased[1] = every[0]
+        monkeypatch.setattr(
+            coupling, "involution_matrix", lambda n: biased if n == 8 else involution_matrix(n)
+        )
+        rep = exhaustive_sweep(rand_centered(8, seed=51))
+        assert rep.uniformity_max_dev > 0
+        assert rep.p2_max_dev > 0 and rep.p3_max_dev > 0
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_planted_completions_per_support_quadruple(self, n):

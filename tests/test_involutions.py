@@ -5,7 +5,6 @@ import scipy.stats as st
 from invclt import rng as rngmod
 from invclt.errors import CapExceeded, DimensionMismatch, InputError, OddDimension
 from invclt.involutions import (
-    ExactDistribution,
     Involution,
     double_factorial,
     enumerate_involutions,
