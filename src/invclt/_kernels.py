@@ -2,31 +2,34 @@
 
 The kernels below are the only implementation the package runs.  Three of
 them have a plain-Python loop twin (``_case_terms_loop``,
-``_exact_gap_loop``, ``_seg_abs_integral_loop``) that follows the ten-row
-table term by term; the tests compare the kernels against these loops, and
-nothing else calls them.
+``_exact_gap_loop``, ``_seg_abs_integral_loop``); the tests compare the
+kernels against these loops, and nothing else calls them.  The loop twins
+are the only copy of the ten-row table of short cycle sums ``T`` (before)
+and ``T_dag`` (after the rewiring); the rows themselves, as conditions, are
+``case_rows``.
 
 Kernel semantics:
 
 * ``match_pairs(choices, n)``: sequential pairing.  Step ``t`` holds the
   sorted remaining indices; the smallest is matched to the ``(1+c)``-th
   smallest, where ``c = choices[:, t]`` lies in ``[0, n - 2t - 1)``.
-* ``case_terms(d, images, quads)``: classify each (involution, quadruple)
-  into the ten rows of ``case_rows`` and return the short cycle sums ``T``
-  (before) and ``T_dag`` (after), plus
-  ``delta = 2*(d_ik + d_jl - d_ij - d_kl)``, which equals both ``W - W'``
-  for the swap pair and ``Tdag - Tddag``.
+* ``case_terms(d, images, quads)``: the coupling integrand of each
+  (involution, quadruple) row, as ``(a, delta)`` with
+  ``a = T - T_dag + delta`` and ``delta = 2*(d_ik + d_jl - d_ij - d_kl)``,
+  which equals both ``W - W'`` for the swap pair and ``Tdag - Tddag``;
+  a draw's gap is ``|W - W*| = |a - u*delta|``.
 * ``exact_gap(...)``: average of the closed-form segment integral
-  ``int_0^1 |a - u*delta| du``, with ``a = T - T_dag + delta``, over every
-  involution and every weighted quadruple; this is the exact mean coupling
-  gap E|W - W*|.  The kernel takes ``a`` from the pairing closed form
-  (``pairing_a``): with ``v_x = d[x, pi(x)]`` and
-  ``M[x, y] = 2*(v_x + v_y - d[pi(x), pi(y)])``, which is ``2*d_xy`` when
-  (x, y) is a cycle of pi,
-  ``a = -2*(d_ij + d_kl) + M[x, y] + M[z, w]`` for the pairing
-  {xy|zw} = {il|jk} if pi holds (I,L) or (J,K) (rows 3, 4, 9),
-  {ij|kl} if it holds (I,J) or (K,L) (rows 5, 6, 8), and {ik|jl} otherwise
-  (rows 1, 2, 7, 10).  ``_exact_gap_loop`` keeps the ten-row table.
+  ``int_0^1 |a - u*delta| du`` over every involution and every weighted
+  quadruple; this is the exact mean coupling gap E|W - W*|.
+
+Both integrand kernels take ``a`` from one pairing rule (``_pairing_sum``).
+With ``v_x = d[x, pi(x)]`` and ``M(x, y) = 2*(v_x + v_y - d[pi(x), pi(y)])``,
+which is ``2*d_xy`` when (x, y) is a cycle of pi,
+``a = -2*(d_ij + d_kl) + M(x, y) + M(z, w)`` for the pairing
+{xy|zw} = {il|jk} if pi holds (I,L) or (J,K) (rows 3, 4, 9),
+{ij|kl} if it holds (I,J) or (K,L) (rows 5, 6, 8), and {ik|jl} otherwise
+(rows 1, 2, 7, 10).  ``case_terms`` evaluates M per row; ``exact_gap``
+tables it per involution (``pairing_a``).
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def y_batch(d: np.ndarray, images: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# ten-case rewiring terms
+# ten-row rewiring table
 # ---------------------------------------------------------------------------
 
 
@@ -120,66 +123,8 @@ def case_rows(q, p):
     )
 
 
-def case_terms(d: np.ndarray, images: np.ndarray, quads: np.ndarray):
-    """Vectorized case classification and cycle sums.
-
-    Returns (case_id, T, T_dag, delta) arrays, one entry per row of
-    ``images``/``quads``.
-    """
-    n = d.shape[1]
-    flat = d.ravel()
-    q = quads.T
-    i, j, k, l = q
-    p = images[np.arange(images.shape[0]), q]
-    pi_i, pi_j, pi_k, pi_l = p
-
-    def at(a, b):
-        return flat[a * n + b]
-
-    d_ik, d_jl, d_ij, d_kl = at(i, k), at(j, l), at(i, j), at(k, l)
-    d_il, d_jk = at(i, l), at(j, k)
-    d_ipi, d_jpj, d_kpk, d_lpl = at(i, pi_i), at(j, pi_j), at(k, pi_k), at(l, pi_l)
-    base = d_ik + d_jl
-    delta = 2.0 * (base - (d_ij + d_kl))
-
-    rows = case_rows(q, p)
-    # per row: the short cycles through the quadruple before and after
-    t = np.select(
-        rows,
-        [
-            d_ik + d_jpj + d_lpl,
-            d_jl + d_ipi + d_kpk,
-            d_il + d_jpj + d_kpk,
-            d_jk + d_ipi + d_lpl,
-            d_ij + d_kpk + d_lpl,
-            d_kl + d_ipi + d_jpj,
-            base,
-            d_ij + d_kl,
-            d_il + d_jk,
-            d_ipi + d_jpj + d_kpk + d_lpl,
-        ],
-    )
-    tdag = np.select(
-        rows,
-        [
-            base + at(pi_j, pi_l),
-            base + at(pi_i, pi_k),
-            base + at(pi_j, pi_k),
-            base + at(pi_i, pi_l),
-            base + at(pi_k, pi_l),
-            base + at(pi_i, pi_j),
-            base,
-            base,
-            base,
-            base + at(pi_i, pi_k) + at(pi_j, pi_l),
-        ],
-    )
-    case = np.select(rows, np.arange(1, 11), default=0)
-    return case, 2.0 * t, 2.0 * tdag, delta
-
-
 def _case_term_loop(d, i, j, k, l, pi_i, pi_j, pi_k, pi_l):
-    """One (involution, quadruple) term of ``case_terms``, row by row of the table."""
+    """``(case, T, T_dag, delta)`` of one (involution, quadruple), row by row of the table."""
     d_ik = d[i, k]
     d_jl = d[j, l]
     d_ij = d[i, j]
@@ -236,22 +181,86 @@ def _case_term_loop(d, i, j, k, l, pi_i, pi_j, pi_k, pi_l):
 
 
 def _case_terms_loop(d, images, quads):
-    """Loop reference for ``case_terms``."""
-    m = images.shape[0]
-    case = np.empty(m, dtype=np.int64)
-    t = np.empty(m, dtype=np.float64)
-    tdag = np.empty(m, dtype=np.float64)
-    delta = np.empty(m, dtype=np.float64)
-    for r in range(m):
-        i, j, k, l = quads[r, 0], quads[r, 1], quads[r, 2], quads[r, 3]
-        c, tv, tdv, dv = _case_term_loop(
-            d, i, j, k, l, images[r, i], images[r, j], images[r, k], images[r, l]
-        )
-        case[r] = c
-        t[r] = tv
-        tdag[r] = tdv
-        delta[r] = dv
-    return case, t, tdag, delta
+    """Loop reference for ``case_terms``: ``(case, T, T_dag, delta)`` per row."""
+    terms = [_case_term_loop(d, *q, *images[r, q]) for r, q in enumerate(quads)]
+    return tuple(np.array(col) for col in zip(*terms))
+
+
+# ---------------------------------------------------------------------------
+# pairing rule: a = T - T_dag + delta
+# ---------------------------------------------------------------------------
+
+# the six pairs ik, jl, ij, kl, il, jk of a quadruple, as positions in (I, J, K, L)
+_PAIRS = ((0, 2), (1, 3), (0, 1), (2, 3), (0, 3), (1, 2))
+
+
+def quad_pairs(d: np.ndarray, quads: np.ndarray):
+    """Quadruple-only pieces of the gap integrand.
+
+    Returns the flat indices into ``d.ravel()`` of the six pairs, keyed by
+    their positions as in ``_PAIRS``, ``delta = 2*(d_ik + d_jl - d_ij - d_kl)``
+    and ``base = -2*(d_ij + d_kl)``.
+    """
+    n = d.shape[1]
+    flat = d.ravel()
+    q = np.asarray(quads, dtype=np.int64).T
+    pairs = {(x, y): q[x] * n + q[y] for x, y in _PAIRS}
+    ik, jl, ij, kl = (flat[pairs[xy]] for xy in _PAIRS[:4])
+    return pairs, 2.0 * (ik + jl - (ij + kl)), -2.0 * (ij + kl)
+
+
+def _pairing_sum(holds, m):
+    """``M(x, y) + M(z, w)`` over the pairing {xy|zw} that pi picks.
+
+    ``holds(xy)`` is true where the pair ``xy`` (positions, as in ``_PAIRS``)
+    is a cycle of pi, and ``m(xy)`` is M on it; the rule is in the module
+    docstring.
+    """
+    ik, jl, ij, kl, il, jk = _PAIRS
+    return np.where(
+        holds(il) | holds(jk),
+        m(il) + m(jk),
+        np.where(holds(ij) | holds(kl), m(ij) + m(kl), m(ik) + m(jl)),
+    )
+
+
+def case_terms(d: np.ndarray, images: np.ndarray, quads: np.ndarray):
+    """``(a, delta)`` by the pairing rule, one entry per row of ``images``/``quads``."""
+    n = d.shape[1]
+    flat = d.ravel()
+    pairs, delta, base = quad_pairs(d, quads)
+    q = quads.T
+    p = images[np.arange(images.shape[0]), q]  # pi(I), pi(J), pi(K), pi(L)
+    own = q * n + p  # flat index of each point's cycle (x, pi(x))
+    v = flat[own]
+
+    def m(xy):
+        x, y = xy
+        return 2.0 * (v[x] + v[y] - flat[p[x] * n + p[y]])
+
+    a = _pairing_sum(lambda xy: pairs[xy] == own[xy[0]], m)
+    a += base
+    return a, delta
+
+
+def pairing_a(d: np.ndarray, invs: np.ndarray, pairs, base: np.ndarray) -> np.ndarray:
+    """``a`` for every (involution, quadruple), one row per involution.
+
+    ``pairs`` and ``base`` come from ``quad_pairs``.  M and the cycle mask
+    are tabled once per involution and gathered per quadruple.
+    """
+    m, n = invs.shape
+    v = d[np.arange(n), invs]
+    M = 2.0 * (v[:, :, None] + v[:, None, :] - d[invs[:, :, None], invs[:, None, :]])
+    M = M.reshape(m, n * n)
+    cyc = (invs[:, :, None] == np.arange(n)).reshape(m, n * n)  # pi(x) == y
+    # np.take: a few times faster than M[:, f] here
+    a = _pairing_sum(
+        lambda xy: np.take(cyc, pairs[xy], axis=1),
+        lambda xy: np.take(M, pairs[xy], axis=1),
+    )
+    a += base
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -275,49 +284,6 @@ def _seg_abs_integral_loop(a: float, c: float) -> float:
 
 # (involution, quadruple) terms per block of exact_gap
 _GAP_BLOCK_TERMS = 65536
-
-
-def quad_pairs(d: np.ndarray, quads: np.ndarray):
-    """Quadruple-only pieces of the gap integrand.
-
-    Returns the flat indices of the pairs (ik, jl, ij, kl, il, jk) into
-    ``d.ravel()``, ``delta = 2*(d_ik + d_jl - d_ij - d_kl)`` and
-    ``base = -2*(d_ij + d_kl)``.
-    """
-    n = d.shape[1]
-    flat = d.ravel()
-    i, j, k, l = np.asarray(quads, dtype=np.int64).T
-    pairs = tuple(x * n + y for x, y in ((i, k), (j, l), (i, j), (k, l), (i, l), (j, k)))
-    ik, jl, ij, kl = (flat[f] for f in pairs[:4])
-    return pairs, 2.0 * (ik + jl - (ij + kl)), -2.0 * (ij + kl)
-
-
-def pairing_a(d: np.ndarray, invs: np.ndarray, pairs, base: np.ndarray) -> np.ndarray:
-    """``a = T - T_dag + delta`` for every (involution, quadruple), in closed form.
-
-    ``pairs`` and ``base`` come from ``quad_pairs``; the result has one row
-    per involution.  See the module docstring for the pairing rule.
-    """
-    m, n = invs.shape
-    ik, jl, ij, kl, il, jk = pairs
-    v = d[np.arange(n), invs]
-    M = 2.0 * (v[:, :, None] + v[:, None, :] - d[invs[:, :, None], invs[:, None, :]])
-    M = M.reshape(m, n * n)
-    cyc = (invs[:, :, None] == np.arange(n)).reshape(m, n * n)  # pi(x) == y
-
-    def pair_sum(f, g):  # np.take: a few times faster than M[:, f] here
-        return np.take(M, f, axis=1) + np.take(M, g, axis=1)
-
-    def holds(f, g):
-        return np.take(cyc, f, axis=1) | np.take(cyc, g, axis=1)
-
-    a = np.where(
-        holds(il, jk),
-        pair_sum(il, jk),
-        np.where(holds(ij, kl), pair_sum(ij, kl), pair_sum(ik, jl)),
-    )
-    a += base
-    return a
 
 
 def exact_gap(d, invs, quads, probs) -> float:

@@ -126,9 +126,18 @@ def check_stein_second_moment(seed: int) -> list[dict]:
     return out
 
 
+# The exhaustive sweeps of one run_checks call, keyed by (seed, n): five
+# families read the same n = 6 and n = 8 sweeps.  None outside run_checks,
+# so a family called on its own computes its sweeps.
+_shared_sweeps: dict[tuple[int, int], coupling.SweepReport] | None = None
+
+
 def _sweep(seed: int, n: int) -> coupling.SweepReport:
-    gen = rngmod.derive_stream(seed, rngmod.PURPOSE_CHECKS, 7, n)
-    return coupling.exhaustive_sweep(random_centered(n, gen))
+    cache = {} if _shared_sweeps is None else _shared_sweeps
+    if (seed, n) not in cache:
+        gen = rngmod.derive_stream(seed, rngmod.PURPOSE_CHECKS, 7, n)
+        cache[seed, n] = coupling.exhaustive_sweep(random_centered(n, gen))
+    return cache[seed, n]
 
 
 def check_case_exhaustiveness(seed: int) -> list[dict]:
@@ -326,10 +335,15 @@ CHECKS: dict[str, Callable[[int], list[dict]]] = {
 
 
 def run_checks(seed: int, only: str | None = None) -> list[dict]:
+    global _shared_sweeps
     names = [only] if only else list(CHECKS)
     if only and only not in CHECKS:
         raise KeyError(f"unknown check {only!r}; known: {', '.join(CHECKS)}")
     records: list[dict] = []
-    for name in names:
-        records.extend(CHECKS[name](seed))
+    _shared_sweeps = {}
+    try:
+        for name in names:
+            records.extend(CHECKS[name](seed))
+    finally:
+        _shared_sweeps = None
     return records

@@ -61,9 +61,15 @@ def _parse_p_list(text: str) -> list[float]:
 
 def _parse_n_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        out = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise InputError(f"bad n list {text!r}") from exc
+    if not out:
+        raise InputError("empty --n list")
+    for n in out:
+        if n < 4:
+            raise InputError(f"n={n} < 4")
+    return out
 
 
 def _emit(obj: dict, stream=None) -> None:

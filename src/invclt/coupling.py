@@ -436,10 +436,12 @@ def zero_bias_gap_samples(
     stream: int = 0,
     threads: int = 1,
 ) -> np.ndarray:
-    """|W - W*| for m coupled draws, batched through the case-term kernels.
+    """|W - W*| for m coupled draws, batched through ``_kernels.case_terms``.
 
-    Per chunk the stream is consumed as: pairing choices, quadruple uniforms
-    (or rejection proposals), then the interpolation uniforms U.
+    A draw's gap is ``|a - U*delta|``, with ``a = T - T_dag + delta`` from
+    the pairing rule of ``_kernels`` and ``delta = W_dag - W_ddag``.  Per
+    chunk the stream is consumed as: pairing choices, quadruple uniforms (or
+    rejection proposals), then the interpolation uniforms U.
     """
     n = D.n
     if n < 6:
@@ -454,8 +456,8 @@ def zero_bias_gap_samples(
         else:
             quads = sample_quadruples_rejection(D, count, gen)
         u = gen.random(count)
-        _, t, tdag, delta = _kernels.case_terms(d, images, quads)
-        return np.abs(t - tdag + (1.0 - u) * delta)
+        a, delta = _kernels.case_terms(d, images, quads)
+        return np.abs(a - u * delta)
 
     parts = rngmod.run_chunked(
         m,
@@ -476,7 +478,9 @@ def estimate_gap(
     stream: int = 0,
     threads: int = 1,
 ) -> tuple[float, float]:
-    """(mean, standard error) of |W - W*| over m coupled draws."""
+    """(mean, standard error) of |W - W*| over m >= 2 coupled draws."""
+    if m < 2:
+        raise InputError("a standard error needs at least 2 draws")
     gaps = zero_bias_gap_samples(D, m, master_seed=master_seed, stream=stream, threads=threads)
     return float(gaps.mean()), float(gaps.std(ddof=1) / math.sqrt(m))
 

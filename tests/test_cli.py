@@ -142,6 +142,32 @@ class TestVerify:
         out = run_cli("verify", "--only", "bogus_check")
         assert out.returncode == 2
 
+    def test_sweeps_shared_within_one_run(self, monkeypatch):
+        # the five sweep families share one n = 6 and one n = 8 sweep per
+        # run_checks call, and a second call computes them again
+        from invclt import checks as checksmod, coupling
+
+        calls = []
+        sweep = coupling.exhaustive_sweep
+
+        def counted(D):
+            calls.append(D.n)
+            return sweep(D)
+
+        monkeypatch.setattr(coupling, "exhaustive_sweep", counted)
+        families = (
+            "case_exhaustiveness",
+            "impossible_cases_21_12",
+            "completion_uniformity",
+            "p2_joint_law",
+            "p3_structural_zeros",
+        )
+        monkeypatch.setattr(checksmod, "CHECKS", {k: checksmod.CHECKS[k] for k in families})
+        first = checksmod.run_checks(5)
+        assert sorted(calls) == [6, 8]
+        assert checksmod.run_checks(5) == first
+        assert sorted(calls) == [6, 6, 8, 8]
+
     def test_failed_check_exit_1(self, monkeypatch, capsys):
         from invclt import checks as checksmod
         from invclt.cli import main
@@ -171,6 +197,26 @@ class TestVerify:
     def test_bad_draws_exit_2(self):
         out = run_cli("simulate", "--n", "10", "--draws", "0")
         assert out.returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("simulate", "--n", "-4"), ("simulate", "--n", ","), ("lowerbound", "--n", ",")],
+    )
+    def test_bad_n_list_exit_2(self, argv, capsys):
+        from invclt.cli import main
+
+        assert main([*argv, "--draws", "100"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:")
+
+    def test_single_draw_simulate_exit_2(self, tmp_path, capsys):
+        # a standard error needs two draws; one draw used to write NaN
+        from invclt.cli import main
+
+        path = tmp_path / "r.json"
+        assert main(["simulate", "--n", "10", "--draws", "1", "--json", str(path)]) == 2
+        assert not path.exists()
+        assert capsys.readouterr().out == ""
 
     def test_bad_p_value_exit_2(self, appendix_file):
         out = run_cli("analyze", "--input", appendix_file, "--p", "1,x")

@@ -264,9 +264,9 @@ class TestClassifyAndDagger:
         images = np.array(images)
         quads = np.array(quads)
         case_k, t_k, tdag_k, delta_k = _kernels._case_terms_loop(d, images, quads)
-        case_f, t_f, tdag_f, delta_f = _kernels.case_terms(d, images, quads)
-        assert np.array_equal(case_k, case_f)
-        np.testing.assert_allclose(t_k, t_f, rtol=1e-14, atol=1e-15)
+        a_f, delta_f = _kernels.case_terms(d, images, quads)
+        np.testing.assert_allclose(a_f, t_k - tdag_k + delta_k, rtol=0.0, atol=1e-13)
+        assert np.array_equal(delta_f, delta_k)
         for r in range(images.shape[0]):
             pi = Involution(n=n, images=images[r])
             quad = tuple(quads[r].tolist())
@@ -452,6 +452,11 @@ class TestEstimateGap:
         b = estimate_gap(D, 20_000, master_seed=77)
         assert a == b
 
+    def test_single_draw_rejected(self):
+        D = rand_centered(10, seed=43)
+        with pytest.raises(InputError):
+            estimate_gap(D, 1)
+
     def test_thread_invariance(self):
         D = rand_centered(10, seed=44)
         a = zero_bias_gap_samples(D, 30_000, master_seed=88, threads=1)
@@ -464,6 +469,21 @@ class TestEstimateGap:
         D = rand_centered(n, seed=45 + n)
         mean, se = estimate_gap(D, 30_000, master_seed=99 + n)
         assert mean - 4.0 * se <= gap_bound(n, D.beta)
+
+    @pytest.mark.parametrize("n", [10, 50])  # table path, rejection path
+    def test_samples_match_loop_replay(self, n, monkeypatch):
+        # the same stream, with the integrand from the ten-row loop
+        D = rand_centered(n, seed=48)
+        fast = zero_bias_gap_samples(D, 3_000, master_seed=112)
+
+        def loop_terms(d, images, quads):
+            _, t, tdag, delta = _kernels._case_terms_loop(d, images, quads)
+            return t - tdag + delta, delta
+
+        monkeypatch.setattr(_kernels, "case_terms", loop_terms)
+        slow = zero_bias_gap_samples(D, 3_000, master_seed=112)
+        # rounding scales with the terms, not with a gap near 0
+        assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
 
     def test_rejection_path_used_above_cap(self):
         D = rand_centered(50, seed=46)
