@@ -177,6 +177,10 @@ _SIM_COLS = (
 
 
 def run_simulate(args) -> int:
+    if args.dump_draws < 0:
+        raise InputError("--dump-draws must be >= 0")
+    if args.dump_draws and not args.json:
+        raise InputError("--dump-draws needs --json: the draws go into the JSON report")
     ns = _parse_n_list(args.n)
     rows = []
     draws: dict[int, list] = {}

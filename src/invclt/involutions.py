@@ -240,16 +240,18 @@ def sample_ranks(
 
 
 def rank_of(images: np.ndarray) -> int:
-    """Canonical rank of one involution (inverse of the choice decoding)."""
+    """Canonical rank of one involution (inverse of the choice decoding).
+
+    The mixed-radix value is built in Python ints, so it is exact at every
+    ``n``, also where ``(n-1)!!`` overflows int64.
+    """
     n = images.shape[0]
-    rad = rank_radices(n)
     rem = list(range(n))
     rank = 0
-    for t in range(n // 2):
+    for high in choice_highs(n).tolist():
         i0 = rem.pop(0)
         j = int(images[i0])
-        c = rem.index(j)
-        rank += c * int(rad[t])
+        rank = rank * high + rem.index(j)
         rem.remove(j)
     return rank
 

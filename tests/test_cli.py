@@ -218,6 +218,24 @@ class TestVerify:
         assert not path.exists()
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "extra", [("--dump-draws", "-1"), ("--dump-draws", "3")], ids=["negative", "no-json"]
+    )
+    def test_dump_draws_misuse_exit_2(self, extra, capsys):
+        # rejected before any row is simulated: no CSV reaches stdout
+        from invclt.cli import main
+
+        assert main(["simulate", "--n", "10", "--draws", "100", *extra]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--dump-draws" in out.err
+
+    def test_negative_dump_draws_with_json_exit_2(self, tmp_path):
+        path = tmp_path / "r.json"
+        out = run_cli("simulate", "--n", "10", "--draws", "100", "--json", str(path),
+                      "--dump-draws", "-1")
+        assert out.returncode == 2
+        assert not path.exists()
+
     def test_bad_p_value_exit_2(self, appendix_file):
         out = run_cli("analyze", "--input", appendix_file, "--p", "1,x")
         assert out.returncode == 2

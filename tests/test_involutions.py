@@ -14,6 +14,7 @@ from invclt.involutions import (
     sample_involution,
     sample_involutions,
     sample_ranks,
+    sample_y_values,
     y_value,
 )
 
@@ -116,6 +117,15 @@ class TestSampling:
         a = sample_involutions(10, 30_000, master_seed=7, threads=1)
         b = sample_involutions(10, 30_000, master_seed=7, threads=3)
         assert np.array_equal(a, b)
+
+    # the lattice path of `lowerbound`: one index dtype each side of n = 256
+    @pytest.mark.parametrize("n", [196, 258])
+    def test_y_values_thread_invariance(self, n):
+        entries = rand_symmetric(n, seed=n).entries
+        m = 2 * rngmod.DEFAULT_CHUNK + 3_616  # three chunks
+        a = sample_y_values(entries, m, master_seed=3, threads=1)
+        b = sample_y_values(entries, m, master_seed=3, threads=2)
+        assert a.shape == (m,) and np.array_equal(a, b)
 
     def test_ranks_match_images(self):
         imgs = sample_involutions(8, 2_000, master_seed=99)

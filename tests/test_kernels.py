@@ -8,7 +8,6 @@ from invclt.involutions import (
     draw_choices,
     involution_matrix,
     rank_of,
-    rank_radices,
     y_value,
 )
 
@@ -26,16 +25,31 @@ def test_backend_reported():
 
 
 class TestMatchPairs:
-    @pytest.mark.parametrize("n", [4, 8, 14])
+    # 256 is the largest n whose indices fit in uint8, 258 the smallest past it
+    @pytest.mark.parametrize("n", [4, 8, 14, 196, 256, 258])
     def test_rows_decode_to_their_ranks(self, n):
         # rank_of walks each row with a Python list; the choices' mixed-radix
-        # value is the rank the pairing must reproduce
+        # value is the rank the pairing must reproduce.  From n = 36 on the rank
+        # overflows int64, so it is built in Python ints here too.
         gen = rngmod.derive_stream(9, n)
-        choices = draw_choices(n, 500, gen)
+        choices = draw_choices(n, 500 if n <= 14 else 50, gen)
         images = _kernels.match_pairs(choices, n)
-        assert [rank_of(row) for row in images] == (choices @ rank_radices(n)).tolist()
+        highs = choice_highs(n).tolist()
+        want = []
+        for digits in choices.tolist():
+            rank = 0
+            for high, c in zip(highs, digits):
+                rank = rank * high + c
+            want.append(rank)
+        assert [rank_of(row) for row in images] == want
         for row in images[:50]:
             assert_involution(row)
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_output_shape_and_dtype(self, m):
+        choices = np.zeros((m, 5), dtype=np.int64)
+        images = _kernels.match_pairs(choices, 10)
+        assert images.dtype == np.int64 and images.shape == (m, 10)
 
     def test_choice_ranges(self):
         assert choice_highs(8).tolist() == [7, 5, 3, 1]
