@@ -23,7 +23,12 @@ Kernel semantics:
   a draw's gap is ``|W - W*| = |a - u*delta|``.
 * ``exact_gap(...)``: average of the closed-form segment integral
   ``int_0^1 |a - u*delta| du`` over every involution and every weighted
-  quadruple; this is the exact mean coupling gap E|W - W*|.
+  quadruple; this is the exact mean coupling gap E|W - W*|.  It folds the
+  quadruples first (``fold_orders``): for symmetric ``d`` the orders
+  (i,j,k,l), (j,i,l,k), (k,l,i,j) and (l,k,j,i) name the same three
+  candidate pairings {il|jk}, {ij|kl}, {ik|jl}, so they give bit-identical
+  ``delta``, ``base`` and ``a`` under every involution, and one row with
+  the summed weight stands for all four.
 
 Both integrand kernels take ``a`` from one pairing rule (``_pairing_sum``).
 With ``v_x = d[x, pi(x)]`` and ``M(x, y) = 2*(v_x + v_y - d[pi(x), pi(y)])``,
@@ -308,6 +313,28 @@ def _seg_abs_integral_loop(a: float, c: float) -> float:
     return (a * a + b * b) / (2.0 * abs(c))
 
 
+# The four orders of a quadruple that share delta, base and the pairing
+# rule's a; row p is the one that leads with position p.
+_ORDERS = np.array([(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)])
+
+
+def fold_orders(quads: np.ndarray, probs: np.ndarray, n: int):
+    """Distinct quadruples up to the four orders, with summed probabilities.
+
+    Each row is replaced by the order of its orbit (``_ORDERS``) that leads
+    with its smallest point, then equal rows are merged; the rows come out
+    in lexicographic order.  Any list of rows of points in ``[0, n)`` works,
+    also one that is not closed under the four orders.
+    """
+    quads = np.asarray(quads, dtype=np.int64)
+    lead = np.argmin(quads, axis=1)
+    folded = np.take_along_axis(quads, _ORDERS[lead], axis=1)
+    # one base-n key per row: a 1-D unique is an order faster than axis=0
+    key = np.ravel_multi_index(folded.T, (n,) * 4)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return folded[first], np.bincount(inverse, weights=probs, minlength=len(first))
+
+
 # (involution, quadruple) terms per block of exact_gap
 _GAP_BLOCK_TERMS = 65536
 
@@ -315,11 +342,17 @@ _GAP_BLOCK_TERMS = 65536
 def exact_gap(d, invs, quads, probs) -> float:
     """Mean coupling gap by full enumeration (``d`` symmetric).
 
-    The integrand comes from the pairing closed form (``pairing_a``) over
-    blocks of involutions; a block holds at most ``_GAP_BLOCK_TERMS``
-    (involution, quadruple) terms, or one involution if there are more
-    quadruples than that.
+    The quadruples are folded first (``fold_orders``): for symmetric ``d``
+    the orders (i,j,k,l), (j,i,l,k), (k,l,i,j) and (l,k,j,i) name the same
+    three candidate pairings, so they give bit-identical ``delta``, ``base``
+    and ``a`` under every involution, and one row per orbit carries the
+    summed weight, a quarter of the columns on a full support.  The
+    integrand comes from the pairing closed form (``pairing_a``) over blocks
+    of involutions; a block holds at most ``_GAP_BLOCK_TERMS`` (involution,
+    quadruple) terms, or one involution if there are more quadruples than
+    that.
     """
+    quads, probs = fold_orders(quads, probs, d.shape[0])
     pairs, delta, base = quad_pairs(d, quads)
     block = max(1, _GAP_BLOCK_TERMS // max(1, len(quads)))
     per_pi = np.empty(invs.shape[0], dtype=np.float64)

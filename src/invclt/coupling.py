@@ -491,7 +491,13 @@ def estimate_gap(
 
 
 def exact_gap(D: CenteredArray) -> float:
-    """Exact E|W - W*| over every involution and weighted quadruple."""
+    """Exact E|W - W*| over every involution and weighted quadruple.
+
+    The kernel sums the weights of the four orders (i,j,k,l), (j,i,l,k),
+    (k,l,i,j), (l,k,j,i) of each quadruple first and evaluates one of them:
+    the array is symmetric, so all four give the same integrand bit for
+    bit, and the sweep runs over a quarter of the support.
+    """
     invs = involution_matrix(D.n)  # its cap fires before the O(n^4) table
     quads, probs = square_bias_table(D).support()
     return _kernels.exact_gap(D.entries, invs, quads, probs)

@@ -136,7 +136,13 @@ def choice_highs(n: int) -> np.ndarray:
 
 
 def rank_radices(n: int) -> np.ndarray:
-    """Place values turning a choice sequence into a canonical rank."""
+    """Place values turning a choice sequence into a canonical rank.
+
+    Ranks are int64, so ``n`` must keep the largest, ``(n-1)!! - 1``, within
+    ``np.iinfo(np.int64).max``: n <= 34.
+    """
+    if double_factorial(n - 1) - 1 > np.iinfo(np.int64).max:
+        raise CapExceeded(f"n={n}: canonical ranks overflow int64")
     highs = choice_highs(n)
     rad = np.ones(n // 2, dtype=np.int64)
     for t in range(n // 2 - 2, -1, -1):

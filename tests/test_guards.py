@@ -4,6 +4,7 @@ once tuned the limits, chunking and tolerances are gone."""
 import functools
 import importlib
 import inspect
+import math
 import pkgutil
 
 import pytest
@@ -46,6 +47,23 @@ def test_oracle_cap_fires_just_above_its_constant(monkeypatch, name):
     with pytest.raises(CapExceeded):
         fn(arg)
     assert tables == []
+
+
+def test_ranks_stop_where_int64_ends():
+    # the largest rank is (n-1)!! - 1: 33!! - 1 ~ 6.3e18 fits int64, 35!! - 1 does not
+    rad = involutions.rank_radices(34)
+    highs = involutions.choice_highs(34).tolist()
+    assert rad.tolist() == [math.prod(highs[t + 1 :]) for t in range(17)]
+    ranks = involutions.sample_ranks(34, 8, master_seed=1)
+    images = involutions.sample_involutions(34, 8, master_seed=1)
+    assert ranks.tolist() == [involutions.rank_of(row) for row in images]
+    for call in (
+        lambda: involutions.rank_radices(36),
+        lambda: involutions.sample_ranks(36, 4, master_seed=1),
+        lambda: involutions.sample_ranks(40, 4, master_seed=1),
+    ):
+        with pytest.raises(CapExceeded):
+            call()
 
 
 REMOVED = {

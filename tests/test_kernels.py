@@ -122,9 +122,10 @@ class TestExactGap:
         q10, p10 = square_bias_table(D10).support()
         inv8, inv10 = involution_matrix(8), involution_matrix(10)
         # the loop reference is plain Python: cut the n = 10 input down, to
-        # two whole blocks of involutions and a remainder
+        # two whole blocks of involutions and a remainder (blocks are sized
+        # on the folded quadruples)
         q10, p10 = q10[::3], p10[::3]
-        block = _kernels._GAP_BLOCK_TERMS // len(q10)
+        block = _kernels._GAP_BLOCK_TERMS // len(_kernels.fold_orders(q10, p10, 10)[0])
         inv10 = inv10[: 2 * block + 7]
         assert len(inv10) % block != 0
         for D, invs, quads, probs in (
@@ -156,3 +157,87 @@ class TestExactGap:
         a_pi = _kernels.pairing_a(D.entries, invs, pairs, base)
         np.testing.assert_allclose(a_pi.ravel(), want, rtol=0.0, atol=1e-13)
         assert np.array_equal(np.tile(delta_q, len(invs)), delta_t)
+
+
+class TestFoldOrders:
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_orders_share_the_integrand(self, n):
+        # the premise of the fold: each order it merges gives the same delta,
+        # base and a, bit for bit, on every (involution, support quadruple)
+        from invclt.coupling import square_bias_table
+
+        D = rand_centered(n, seed=80 + n)
+        quads, _ = square_bias_table(D).support()
+        invs = involution_matrix(n)
+        pairs, delta, base = _kernels.quad_pairs(D.entries, quads)
+        a = _kernels.pairing_a(D.entries, invs, pairs, base)
+        assert len(_kernels._ORDERS) == 4
+        for order in _kernels._ORDERS[1:]:
+            pairs_o, delta_o, base_o = _kernels.quad_pairs(D.entries, quads[:, order])
+            assert np.array_equal(delta_o, delta)
+            assert np.array_equal(base_o, base)
+            assert np.array_equal(_kernels.pairing_a(D.entries, invs, pairs_o, base_o), a)
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_full_support_folds_to_a_quarter(self, n):
+        from invclt.coupling import square_bias_table
+
+        quads, probs = square_bias_table(rand_centered(n, seed=90 + n)).support()
+        rows, weights = _kernels.fold_orders(quads, probs, n)
+        assert 4 * len(rows) == len(quads)
+        assert np.array_equal(rows[:, 0], rows.min(axis=1))
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        assert abs(weights.sum() - probs.sum()) < 1e-15
+
+    def test_open_subset_with_repeats_matches_loop(self):
+        # a shuffled subset that is not closed under the four orders, plus
+        # one row repeated as is and one in another order of its orbit
+        from invclt.coupling import square_bias_table
+
+        D = rand_centered(8, seed=96)
+        quads, probs = square_bias_table(D).support()
+        gen = rngmod.derive_stream(12, 1)
+        keep = gen.permutation(len(quads))[:300]
+        quads, probs = quads[keep], probs[keep]
+        quads = np.concatenate([quads, quads[[0]], quads[[1]][:, [2, 3, 0, 1]]])
+        probs = np.concatenate([probs, probs[[0, 1]]])
+        rows, _ = _kernels.fold_orders(quads, probs, 8)
+        assert len(rows) < len(quads) and 4 * len(rows) != len(quads)
+        invs = involution_matrix(8)
+        a = _kernels._exact_gap_loop(D.entries, invs, quads, probs)
+        b = _kernels.exact_gap(D.entries, invs, quads, probs)
+        assert abs(a - b) < 1e-12
+
+    def test_matches_unfolded_sum_at_n10(self):
+        from invclt.coupling import square_bias_table
+
+        D = rand_centered(10, seed=97)
+        quads, probs = square_bias_table(D).support()
+        invs = involution_matrix(10)
+        pairs, delta, base = _kernels.quad_pairs(D.entries, quads)
+        per_pi = [
+            _kernels.seg_abs_integral(
+                _kernels.pairing_a(D.entries, invs[s : s + 105], pairs, base), delta
+            )
+            @ probs
+            for s in range(0, len(invs), 105)
+        ]
+        want = float(np.concatenate(per_pi).sum() / len(invs))
+        got = _kernels.exact_gap(D.entries, invs, quads, probs)
+        assert abs(got - want) <= 1e-13 * want
+
+    def test_full_support_evaluates_a_quarter_of_the_columns(self, monkeypatch):
+        # dropping the fold would quadruple the work without changing the value
+        from invclt.coupling import exact_gap, square_bias_table
+
+        D = rand_centered(8, seed=98)
+        columns = []
+        pairing_a = _kernels.pairing_a
+
+        def counted(d, invs, pairs, base):
+            columns.append(len(base))
+            return pairing_a(d, invs, pairs, base)
+
+        monkeypatch.setattr(_kernels, "pairing_a", counted)
+        exact_gap(D)
+        assert columns and set(columns) == {len(square_bias_table(D).support()[0]) // 4}
