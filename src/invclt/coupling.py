@@ -156,20 +156,21 @@ def square_bias_table(D: CenteredArray) -> QuadrupleTable:
         raise CapExceeded(f"n={n} exceeds quadruple table cap {TABLE_CAP}")
     check_centered(D)
     d = D.entries
-    # grouped so the (i,j,k,l) -> (i,k,j,l) swap negates the bracket exactly
-    bracket = (d[:, None, :, None] + d[None, :, None, :]) - (
-        d[:, :, None, None] + d[None, None, :, :]
-    )
+    # grouped so the (i,j,k,l) -> (i,k,j,l) swap negates the bracket exactly;
+    # two n^4 buffers, the bracket in the first and the weights in the second
+    bracket = d[:, None, :, None] + d[None, :, None, :]
+    w = d[:, :, None, None] + d[None, None, :, :]
+    np.subtract(bracket, w, out=bracket)
+    np.multiply(cn(n), bracket, out=w)
+    w *= bracket
+    del bracket
     ii = np.arange(n)
-    a, b, c, e = (
-        ii[:, None, None, None],
-        ii[None, :, None, None],
-        ii[None, None, :, None],
-        ii[None, None, None, :],
-    )
-    distinct = (a != b) & (a != c) & (a != e) & (b != c) & (b != e) & (c != e)
-    w = cn(n) * bracket * bracket
-    w[~distinct] = 0.0
+    w[ii, ii] = 0.0
+    w[ii, :, ii] = 0.0
+    w[ii, :, :, ii] = 0.0
+    w[:, ii, ii] = 0.0
+    w[:, ii, :, ii] = 0.0
+    w[:, :, ii, ii] = 0.0
     flat = w.ravel()
     return QuadrupleTable(n=n, c_n=cn(n), weights=flat, raw_total=float(flat.sum()))
 
@@ -190,34 +191,64 @@ def _decode_distinct(r1, r2, r3, r4, n):
     return np.stack([i, j, k, l], axis=1)
 
 
+def _square_bias_proposals(
+    d: np.ndarray, batch: int, gen: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``batch`` proposals with law proportional to ``S``, and their accept flags.
+
+    ``S = d_ik^2 + d_jl^2 + d_ij^2 + d_kl^2``.  A proposal picks one of the
+    bracket terms ``ik, jl, ij, kl`` uniformly, draws that term's ordered pair
+    ``(a, b)`` with probability ``d_ab^2 / sum(d^2)`` and fills the other two
+    positions with uniform distinct points from the remaining ``n - 2``; it
+    is accepted with probability ``[..]^2 / (4 S)``.  ``d`` must have a zero
+    diagonal.  Stream use: term, pair uniform, two point integers, accept
+    uniform.
+    """
+    n = d.shape[0]
+    cum = np.cumsum(d * d)
+    last = np.flatnonzero(d.ravel())[-1]  # the last pair of positive weight
+    term = gen.integers(0, 4, size=batch)
+    ab = np.searchsorted(cum, gen.random(batch) * cum[-1], side="right")
+    a, b = np.divmod(np.minimum(ab, last), n)
+    r = gen.integers(0, [n - 2, n - 3], size=(batch, 2))
+    drawn = _decode_distinct(a, b - (b > a), r[:, 0], r[:, 1], n)
+    # the columns of ``drawn`` (a, b, c, e) placed at the positions of each
+    # term: ik -> (a, c, b, e), jl -> (c, a, e, b), ij -> (a, b, c, e),
+    # kl -> (c, e, a, b)
+    layout = np.array([[0, 2, 1, 3], [2, 0, 3, 1], [0, 1, 2, 3], [2, 3, 0, 1]])
+    quads = np.take_along_axis(drawn, layout[term], axis=1)
+    i, j, k, l = quads.T
+    ik, jl, ij, kl = d[i, k], d[j, l], d[i, j], d[k, l]
+    bracket = ik + jl - (ij + kl)
+    s = ik * ik + jl * jl + ij * ij + kl * kl
+    return quads, gen.random(batch) * (4.0 * s) < bracket * bracket
+
+
 def sample_quadruples_rejection(
     D: CenteredArray, count: int, gen: np.random.Generator
 ) -> np.ndarray:
     """Exact square-bias sampling without the O(n^4) table.
 
-    Proposes uniform ordered distinct quadruples and accepts with ratio
-    ``[..]^2 / (4 max|d|)^2``, valid since ``[..]^2 <= 16 max|d|^2``.  For a
-    standardized ``D`` (checked first) the mean bracket squared is
-    ``2(n-1)/(n(n-2))`` by Lemma 3.3 and ``max|d|^2 <= (n-1)(n-3)/(4(n-2))``,
-    so each proposal is accepted with probability at least
-    ``1/(2n(n-3))`` and the expected work is bounded.
+    The proposal (``_square_bias_proposals``) has law ``S / (4 (n-2)(n-3)
+    sum(d^2))``: each of the four terms carries the same total mass
+    ``(n-2)(n-3) sum(d^2)`` over ordered distinct quadruples.  The envelope
+    is ``[..]^2 <= 4 S`` (Cauchy-Schwarz), so accepting with probability
+    ``[..]^2 / (4 S)`` leaves the law proportional to ``[..]^2``.  For a
+    standardized ``D`` (checked first) Lemma 3.3 gives
+    ``sum [..]^2 = 2 (n-1)^2 (n-3)`` and ``sum(d^2) = (n-1)(n-3) / (2(n-2))``,
+    so every proposal is accepted with probability exactly
+    ``(n-1) / (4(n-3))`` and a draw takes ``4(n-3)/(n-1) < 4`` proposals on
+    average.  Each batch is sized from that rate.
     """
     check_centered(D)
     d = D.entries
     n = D.n
-    env = (4.0 * float(np.abs(d).max())) ** 2
     out = np.empty((count, 4), dtype=np.int64)
     have = 0
-    highs = np.array([n, n - 1, n - 2, n - 3], dtype=np.int64)
     while have < count:
-        batch = max(1024, 4 * (count - have))
-        r = gen.integers(0, highs, size=(batch, 4))
-        quads = _decode_distinct(r[:, 0], r[:, 1], r[:, 2], r[:, 3], n)
-        u = gen.random(batch)
-        i, j, k, l = quads[:, 0], quads[:, 1], quads[:, 2], quads[:, 3]
-        bracket = d[i, k] + d[j, l] - (d[i, j] + d[k, l])
-        acc = np.nonzero(u * env < bracket * bracket)[0]
-        take = acc[: count - have]
+        batch = math.ceil((count - have) * 4 * (n - 3) / (n - 1))
+        quads, accepted = _square_bias_proposals(d, batch, gen)
+        take = np.flatnonzero(accepted)[: count - have]
         out[have : have + take.size] = quads[take]
         have += take.size
     return out
@@ -440,8 +471,11 @@ def zero_bias_gap_samples(
 
     A draw's gap is ``|a - U*delta|``, with ``a = T - T_dag + delta`` from
     the pairing rule of ``_kernels`` and ``delta = W_dag - W_ddag``.  Per
-    chunk the stream is consumed as: pairing choices, quadruple uniforms (or
-    rejection proposals), then the interpolation uniforms U.
+    chunk the stream is consumed as: pairing choices, the quadruples, then
+    the interpolation uniforms U.  Up to ``TABLE_CAP`` the quadruples take one
+    table uniform each.  Above it ``sample_quadruples_rejection`` takes, per
+    proposal batch: the terms, the pair uniforms, the two point integers,
+    then the accept uniforms.
     """
     n = D.n
     if n < 6:

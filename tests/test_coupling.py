@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -36,6 +37,10 @@ from invclt.involutions import (
 )
 
 from conftest import assert_involution, rand_centered
+
+
+def _no_table(D):
+    raise AssertionError(f"an n^4 table was built at n={D.n}")
 
 
 class TestAlphaCompose:
@@ -128,6 +133,19 @@ class TestSquareBiasTable:
             assert table.weight(i, k, j, l) == w
             assert table.weight(j, i, l, k) == w
 
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_weights_match_loop_build(self, n):
+        # same grouping as the table: (d_ik + d_jl) - (d_ij + d_kl), then
+        # (c_n * B) * B, so the in-place build must agree bit for bit
+        for heavy in (False, True):
+            D = rand_centered(n, seed=1100 + n, heavy=heavy)
+            d = D.entries
+            want = np.zeros(n**4)
+            for i, j, k, l in itertools.permutations(range(n), 4):
+                b = (d[i, k] + d[j, l]) - (d[i, j] + d[k, l])
+                want[((i * n + j) * n + k) * n + l] = cn(n) * b * b
+            assert np.array_equal(square_bias_table(D).weights, want)
+
     def test_support_probs_sum_to_one(self):
         D = rand_centered(8, seed=28)
         _, probs = square_bias_table(D).support()
@@ -177,8 +195,44 @@ class TestQuadrupleSampling:
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < st.chi2.ppf(0.999, bins - 1)
 
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_rejection_matches_table_exact_bins(self, n):
+        # one bin per support quadruple, those expected below 5 pooled into
+        # one; a one-sample chi-square at the 0.999 quantile fails a correct
+        # sampler with probability 1e-3
+        D = rand_centered(n, seed=1200 + n)
+        quads, probs = square_bias_table(D).support()
+        m = 300_000
+        draws = sample_quadruples_rejection(D, m, rngmod.derive_stream(12, n))
+        codes = ((draws[:, 0] * n + draws[:, 1]) * n + draws[:, 2]) * n + draws[:, 3]
+        ref = ((quads[:, 0] * n + quads[:, 1]) * n + quads[:, 2]) * n + quads[:, 3]
+        pos = np.minimum(np.searchsorted(ref, codes), ref.size - 1)
+        assert np.array_equal(ref[pos], codes)  # every draw is in the support
+        counts = np.bincount(pos, minlength=ref.size)
+        expected = m * probs
+        small = expected < 5.0
+        counts = np.append(counts[~small], counts[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < st.chi2.ppf(0.999, counts.size - 1)
+
+    @pytest.mark.parametrize("n", [10, 64])
+    @pytest.mark.parametrize("heavy", [False, True])
+    def test_acceptance_rate_is_closed_form(self, n, heavy):
+        # Lemma 3.3: every proposal is accepted with probability exactly
+        # (n-1)/(4(n-3)); the accepted count lies outside the central 0.999
+        # binomial interval with probability at most 1e-3
+        D = rand_centered(n, seed=1300 + n, heavy=heavy)
+        m = 200_000
+        _, accepted = coupling._square_bias_proposals(
+            D.entries, m, rngmod.derive_stream(13, n, heavy)
+        )
+        rate = (n - 1) / (4 * (n - 3))
+        lo, hi = st.binom.ppf(5e-4, m, rate), st.binom.isf(5e-4, m, rate)
+        assert lo <= np.count_nonzero(accepted) <= hi
+
     def test_unstandardized_array_rejected(self):
-        # all zero: the rejection loop would propose forever; scaled by 2: the
+        # all zero: no pair carries proposal weight; scaled by 2: the
         # square-bias weights no longer form a normalized law
         gen = rngmod.derive_stream(7, 7)
         for d in (np.zeros((8, 8)), 2.0 * rand_centered(8, seed=33).entries):
@@ -485,13 +539,23 @@ class TestEstimateGap:
         # rounding scales with the terms, not with a gap near 0
         assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
 
-    def test_rejection_path_used_above_cap(self):
+    def test_thread_invariance_above_cap(self):
+        # rejection path, three chunks of rngmod.DEFAULT_CHUNK
+        D = rand_centered(50, seed=49)
+        m = 2 * rngmod.DEFAULT_CHUNK + 100
+        a = zero_bias_gap_samples(D, m, master_seed=89, threads=1)
+        b = zero_bias_gap_samples(D, m, master_seed=89, threads=2)
+        assert np.array_equal(a, b)
+
+    def test_rejection_path_used_above_cap(self, monkeypatch):
+        monkeypatch.setattr(coupling, "square_bias_table", _no_table)
         D = rand_centered(50, seed=46)
         gaps = zero_bias_gap_samples(D, 2_000, master_seed=111)
         assert gaps.shape == (2_000,)
         assert np.all(gaps >= 0.0)
 
-    def test_single_draw_rejection_and_full_object_above_cap(self, gen):
+    def test_single_draw_rejection_and_full_object_above_cap(self, gen, monkeypatch):
+        monkeypatch.setattr(coupling, "square_bias_table", _no_table)
         D = rand_centered(50, seed=47)
         quad = sample_quadruple(D, gen)  # rejection path, no table
         assert len(set(quad)) == 4
