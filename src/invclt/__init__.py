@@ -37,9 +37,8 @@ from .coupling import (
     exact_wstar_cdf,
     exact_zero_bias_moments,
     pi_dagger,
-    sample_quadruple,
     square_bias_table,
-    zero_bias_draw,
+    zero_bias_draws,
 )
 from .distances import (
     DistanceReport,
@@ -92,9 +91,8 @@ __all__ = [
     "exact_wstar_cdf",
     "exact_zero_bias_moments",
     "pi_dagger",
-    "sample_quadruple",
     "square_bias_table",
-    "zero_bias_draw",
+    "zero_bias_draws",
     "DistanceReport",
     "StepCDF",
     "ecdf",

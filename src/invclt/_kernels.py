@@ -30,14 +30,16 @@ Kernel semantics:
   ``delta``, ``base`` and ``a`` under every involution, and one row with
   the summed weight stands for all four.
 
-Both integrand kernels take ``a`` from one pairing rule (``_pairing_sum``).
-With ``v_x = d[x, pi(x)]`` and ``M(x, y) = 2*(v_x + v_y - d[pi(x), pi(y)])``,
-which is ``2*d_xy`` when (x, y) is a cycle of pi,
-``a = -2*(d_ij + d_kl) + M(x, y) + M(z, w)`` for the pairing
-{xy|zw} = {il|jk} if pi holds (I,L) or (J,K) (rows 3, 4, 9),
+One pairing rule (``pairing_rule``) picks, per (involution, quadruple), the
+pairing {xy|zw} = {il|jk} if pi holds (I,L) or (J,K) (rows 3, 4, 9),
 {ij|kl} if it holds (I,J) or (K,L) (rows 5, 6, 8), and {ik|jl} otherwise
-(rows 1, 2, 7, 10).  ``case_terms`` evaluates M per row; ``exact_gap``
-tables it per involution (``pairing_a``).
+(rows 1, 2, 7, 10).  Both integrand kernels read ``a`` off it: with
+``v_x = d[x, pi(x)]`` and ``M(x, y) = 2*(v_x + v_y - d[pi(x), pi(y)])``,
+which is ``2*d_xy`` when (x, y) is a cycle of pi,
+``a = -2*(d_ij + d_kl) + M(x, y) + M(z, w)``.  ``case_terms`` evaluates M
+per row; ``exact_gap`` tables it per involution (``pairing_a``).  The same
+rule builds the rewired involution itself (``coupling.rewire``): pi_dag
+pairs pi(x) with pi(y) and pi(z) with pi(w), then plants (I,K) and (J,L).
 """
 
 from __future__ import annotations
@@ -226,19 +228,25 @@ def quad_pairs(d: np.ndarray, quads: np.ndarray):
     return pairs, 2.0 * (ik + jl - (ij + kl)), -2.0 * (ij + kl)
 
 
-def _pairing_sum(holds, m):
-    """``M(x, y) + M(z, w)`` over the pairing {xy|zw} that pi picks.
+def pairing_rule(holds, options):
+    """Per row, the entry of ``options`` for the pairing {xy|zw} that pi picks.
 
-    ``holds(xy)`` is true where the pair ``xy`` (positions, as in ``_PAIRS``)
-    is a cycle of pi, and ``m(xy)`` is M on it; the rule is in the module
-    docstring.
+    ``options`` holds one value for each of {il|jk}, {ij|kl} and {ik|jl}, in
+    that order, and ``holds(xy)`` is true where the pair ``xy`` (positions,
+    as in ``_PAIRS``) is a cycle of pi; the rule is in the module docstring.
     """
-    ik, jl, ij, kl, il, jk = _PAIRS
+    _, _, ij, kl, il, jk = _PAIRS
     return np.where(
         holds(il) | holds(jk),
-        m(il) + m(jk),
-        np.where(holds(ij) | holds(kl), m(ij) + m(kl), m(ik) + m(jl)),
+        options[0],
+        np.where(holds(ij) | holds(kl), options[1], options[2]),
     )
+
+
+def _pairing_sum(holds, m):
+    """``M(x, y) + M(z, w)`` over the pairing {xy|zw} that pi picks; ``m(xy)`` is M on a pair."""
+    ik, jl, ij, kl, il, jk = _PAIRS
+    return pairing_rule(holds, [m(il) + m(jk), m(ij) + m(kl), m(ik) + m(jl)])
 
 
 def case_terms(d: np.ndarray, images: np.ndarray, quads: np.ndarray):

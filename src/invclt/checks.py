@@ -228,12 +228,10 @@ def check_zero_bias_draw_invariants(seed: int) -> list[dict]:
     for n in (8, 10):
         gen = rngmod.derive_stream(seed, rngmod.PURPOSE_CHECKS, 10, n)
         D = random_centered(n, gen)
-        table = coupling.square_bias_table(D)
         d = D.entries
         worst = 0.0
         cases = {c: 0 for c in range(1, 11)}
-        for _ in range(400):
-            zb = coupling.zero_bias_draw(D, gen, table=table)
+        for zb in coupling.zero_bias_draws(D, 400, gen):
             cases[zb.case_id] += 1
             i, j, k, l = zb.quad
             delta = 2.0 * (d[i, k] + d[j, l] - (d[i, j] + d[k, l]))

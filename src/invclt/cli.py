@@ -156,11 +156,7 @@ def _simulate_row(n: int, args) -> tuple[dict, list]:
     draws = []
     if args.dump_draws:
         agen = rngmod.derive_stream(args.seed, rngmod.PURPOSE_AUDIT, n)
-        table = coupling.square_bias_table(D) if n <= coupling.TABLE_CAP else None
-        draws = [
-            coupling.zero_bias_draw(D, agen, table=table).to_json()
-            for _ in range(args.dump_draws)
-        ]
+        draws = [zb.to_json() for zb in coupling.zero_bias_draws(D, args.dump_draws, agen)]
     return row, draws
 
 

@@ -4,19 +4,21 @@ Construction summary (all indices 0-based internally):
 
 * Swap map: for distinct ``a, b``, ``swap(pi, a, b)`` returns the involution
   with the cycles ``(a, b)`` and ``(pi(a), pi(b))`` planted and every other
-  cycle untouched.  Composing ``pi`` on the right with a transposition
-  ``tau_{x,y}`` swaps positions ``x`` and ``y`` of the image array, so each
-  rewiring case below is a short list of position swaps.
+  cycle untouched.
 * Stein pair: ``pi' = swap(pi, I, J)`` for a uniform ordered pair ``(I, J)``,
   giving ``W - W' = 2(d_{I pi(I)} + d_{J pi(J)} - d_{IJ} - d_{pi(I) pi(J)})``
   and ``E(W - W' | pi) = (4/n) W``.
 * Square-bias law on ordered distinct quadruples:
   ``p(i,j,k,l) = c_n [d_ik + d_jl - (d_ij + d_kl)]^2`` with
   ``c_n = 1 / (2 (n-1)^2 (n-3))``.
-* Ten-case rewiring: given ``(I,J,K,L)`` from ``p`` and an independent
-  uniform ``pi``, the table below plants the cycles ``(I,K)`` and ``(J,L)``
-  while keeping the remainder uniform; ``pi_ddag = swap(pi_dag, I, J)``
-  then carries the cycles ``(I,J)`` and ``(K,L)``.
+* Rewiring: given ``(I,J,K,L)`` from ``p`` and an independent uniform
+  ``pi``, ``pi_dag`` holds the cycles ``(I,K)`` and ``(J,L)`` while the
+  remainder stays uniform.  The paper splits this into ten cases
+  (``_kernels.case_rows``); one rule covers them all: take the pairing
+  ``{xy|zw}`` of the quadruple that ``pi`` already holds (the pairing rule
+  of ``_kernels``), pair ``pi(x)`` with ``pi(y)`` and ``pi(z)`` with
+  ``pi(w)``, then plant ``(I,K)`` and ``(J,L)``.  ``pi_ddag = swap(pi_dag,
+  I, J)`` then carries the cycles ``(I,J)`` and ``(K,L)``.
 * With ``U`` uniform on [0,1), ``W* = U W_dag + (1-U) W_ddag`` has the
   zero-bias law of ``W``: ``E[W f(W)] = Var(W) E[f'(W*)]``.
 """
@@ -39,7 +41,6 @@ from .involutions import (
     exact_w_distribution,
     involution_matrix,
     draw_choices,
-    sample_involution,
 )
 
 TABLE_CAP = 48  # materialized O(n^4) table above this uses rejection sampling
@@ -254,20 +255,32 @@ def sample_quadruples_rejection(
     return out
 
 
-def sample_quadruple(
-    source: QuadrupleTable | CenteredArray, gen: np.random.Generator
-) -> tuple[int, int, int, int]:
-    """One quadruple with the square-bias law from a table or via rejection."""
-    if isinstance(source, QuadrupleTable):
-        q = source.sample(gen.random(1))[0]
-    else:
-        q = sample_quadruples_rejection(source, 1, gen)[0]
-    return int(q[0]), int(q[1]), int(q[2]), int(q[3])
+# ---------------------------------------------------------------------------
+# rewiring: pi_dag from the pairing rule
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# ten-case rewiring
-# ---------------------------------------------------------------------------
+def _cases(q, p):
+    """(R1, R2, case) arrays for quadruple columns ``q`` and their images ``p``.
+
+    ``q`` and ``p`` are (4, m) arrays, as in ``_kernels.case_rows``.  The
+    case is the first row of the table that holds; a row that matches no
+    case, or whose (R1, R2) is not the one its case expects, raises
+    ``NoCaseMatched``.
+    """
+    r1, r2 = _kernels.r_counts(q, p)
+    rows = np.array(_kernels.case_rows(q, p))
+    matched = rows.any(axis=0)
+    if not matched.all():
+        bad = np.flatnonzero(~matched)[0]
+        raise NoCaseMatched(f"(R1,R2)=({r1[bad]},{r2[bad]}) matched no rewiring case")
+    case = rows.argmax(axis=0) + 1
+    want = np.array([CASE_R[c] for c in range(1, 11)])[case - 1]
+    wrong = np.flatnonzero((want != np.stack((r1, r2), axis=1)).any(axis=1))
+    if wrong.size:
+        bad = wrong[0]
+        raise NoCaseMatched(f"case {case[bad]} saw (R1,R2)=({r1[bad]},{r2[bad]})")
+    return r1, r2, case
 
 
 def classify(pi: Involution, quad: Iterable[int]) -> tuple[int, int, int]:
@@ -277,82 +290,65 @@ def classify(pi: Involution, quad: Iterable[int]) -> tuple[int, int, int]:
     is the first row of ``_kernels.case_rows`` that holds (the rows are
     disjoint, so the order is a safety net only).
     """
-    q = tuple(int(x) for x in quad)
-    if len(set(q)) != 4:
+    q = np.array([int(x) for x in quad], dtype=np.int64)
+    if len(set(q.tolist())) != 4:
         raise InputError("quadruple indices must be distinct")
-    p = tuple(int(pi.images[x]) for x in q)
-    r1, r2 = _kernels.r_counts(q, p)
-    rows = _kernels.case_rows(q, p)
-    if True not in rows:
-        raise NoCaseMatched(f"(R1,R2)=({r1},{r2}) matched no rewiring case")
-    case = rows.index(True) + 1
-    if (r1, r2) != CASE_R[case]:
-        raise NoCaseMatched(f"case {case} saw (R1,R2)=({r1},{r2})")
-    return r1, r2, case
+    r1, r2, case = _cases(q[:, None], pi.images[q][:, None])
+    return int(r1[0]), int(r2[0]), int(case[0])
 
 
-def _dagger_swaps(case: int, q, p):
-    """Right-composition transpositions realizing each table row.
+def rewire(images: np.ndarray, quads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """pi_dag for every row of an (m, n) image matrix and its (m, 4) quadruples.
 
-    ``q = (I, J, K, L)`` and ``p`` = their images, as in ``_kernels.case_rows``.
+    The pairing rule of ``_kernels`` picks the pairing {xy|zw} of the
+    quadruple that pi already holds; pi_dag pairs pi(x) with pi(y) and pi(z)
+    with pi(w), then plants the cycles (I,K) and (J,L).  This realizes every
+    row of the ten-case table.  Returns ``(dagger, touched, ok)``:
+    ``touched`` marks the quadruple and its images, and ``ok`` is true
+    where pi_dag holds (I,K) and (J,L), is a fixed-point-free involution and
+    agrees with pi off the touched set.
     """
-    i, j, k, l = q
-    pi_i, pi_j, pi_k, pi_l = p
-    return (
-        ((j, pi_l), (l, pi_j)),
-        ((i, pi_k), (k, pi_i)),
-        ((j, pi_k), (k, pi_j), (i, j), (k, l)),
-        ((i, pi_l), (l, pi_i), (i, j), (k, l)),
-        ((k, pi_l), (l, pi_k), (i, l), (j, k)),
-        ((i, pi_j), (j, pi_i), (i, l), (j, k)),
-        (),
-        ((i, l), (j, k)),
-        ((i, j), (k, l)),
-        ((i, pi_k), (k, pi_i), (j, pi_l), (l, pi_j)),
-    )[case - 1]
-
-
-def _rewire(images: np.ndarray, quads: np.ndarray, cases: np.ndarray) -> np.ndarray:
-    """Apply the table row ``cases[r]`` (1..10) to row ``r`` of an (m, n)
-    image matrix."""
+    m, n = images.shape
+    rows = np.arange(m)[:, None]
+    p = images[rows, quads]  # pi(I), pi(J), pi(K), pi(L)
+    # positions (x, y, z, w) of the pairings {il|jk}, {ij|kl} and {ik|jl}
+    pairing = _kernels.pairing_rule(
+        lambda xy: (p[:, xy[0]] == quads[:, xy[1]])[:, None],
+        np.array([(0, 3, 1, 2), (0, 1, 2, 3), (0, 2, 1, 3)]),
+    )
+    x, y, z, w = np.take_along_axis(p, pairing, axis=1).T
     out = images.copy()
-    for case in np.unique(cases).tolist():
-        sel = np.flatnonzero(cases == case)
-        q = quads[sel].T
-        p = np.take_along_axis(images[sel], quads[sel], axis=1).T
-        for a, b in _dagger_swaps(case, q, p):
-            out[sel, a], out[sel, b] = out[sel, b], out[sel, a]
-    return out
-
-
-def index_set(pi: Involution, quad: Iterable[int]) -> frozenset[int]:
-    """The touched indices: the quadruple and its images under pi."""
-    i, j, k, l = (int(x) for x in quad)
-    p = pi.images
-    return frozenset((i, j, k, l, int(p[i]), int(p[j]), int(p[k]), int(p[l])))
+    r = rows[:, 0]
+    out[r, x], out[r, y] = y, x
+    out[r, z], out[r, w] = w, z
+    out[rows, quads] = quads[:, [2, 3, 0, 1]]
+    touched = np.zeros((m, n), dtype=bool)
+    touched[rows, quads] = True
+    touched[rows, p] = True
+    idx = np.arange(n)
+    ok = (
+        (out[r, quads[:, 0]] == quads[:, 2])
+        & (out[r, quads[:, 1]] == quads[:, 3])
+        & np.all(out != idx, axis=1)
+        & np.all(np.take_along_axis(out, out, axis=1) == idx, axis=1)
+        & ~np.any((out != images) & ~touched, axis=1)
+    )
+    return out, touched, ok
 
 
 def pi_dagger(pi: Involution, quad: Iterable[int]) -> tuple[Involution, int]:
     """Rewire ``pi`` so the cycles (I,K) and (J,L) appear; all indices
-    outside the touched set keep their images."""
-    i, j, k, l = q = tuple(int(x) for x in quad)
+    outside the touched set keep their images.  Returns pi_dag and the case."""
+    q = tuple(int(x) for x in quad)
     _, _, case = classify(pi, q)
-    img = pi.images.copy()
-    for a, b in _dagger_swaps(case, q, tuple(int(pi.images[x]) for x in q)):
-        img[a], img[b] = img[b], img[a]
-    out = Involution(n=pi.n, images=img)
-    out.validate()
-    if img[i] != k or img[j] != l:
-        raise NoCaseMatched(f"case {case} failed to plant required cycles")
-    touched = index_set(pi, quad)
-    outside = np.setdiff1d(np.arange(pi.n), np.fromiter(touched, dtype=np.int64))
-    if not np.array_equal(img[outside], pi.images[outside]):
-        raise NoCaseMatched(f"case {case} modified indices outside the touched set")
-    return out, case
+    dag, _, ok = rewire(pi.images[None, :], np.array([q]))
+    if not ok[0]:
+        raise NoCaseMatched(f"case {case}: the rewired involution failed its closure check")
+    return Involution(n=pi.n, images=dag[0]), case
 
 
 # ---------------------------------------------------------------------------
-# zero-bias draw
+# zero-bias draws
 # ---------------------------------------------------------------------------
 
 
@@ -398,60 +394,65 @@ class ZeroBiasDraw:
         }
 
 
-def zero_bias_draw(
-    D: CenteredArray,
-    gen: np.random.Generator,
-    table: QuadrupleTable | None = None,
-) -> ZeroBiasDraw:
-    """One coupled realization of (W, W*).
+def zero_bias_draws(D: CenteredArray, m: int, gen: np.random.Generator) -> list[ZeroBiasDraw]:
+    """``m`` coupled realizations of (W, W*), drawn as one batch.
 
-    Draw order: involution choices, quadruple, U.  A missing table triggers
-    rejection sampling for the quadruple (used above the table cap).
+    Stream use: the pairing choices of the ``m`` involutions, the ``m``
+    quadruples (``sample_quadruples_rejection``, exact at every ``n``), then
+    the ``m`` uniforms U.  pi_ddag is pi_dag with the cycles (I,J) and (K,L)
+    planted in place of (I,K) and (J,L).  T, T_dag and T_ddag sum
+    ``d[x, pi(x)]`` over the touched set, and S over the rest.
     """
     n = D.n
     if n < 6:
         raise InputError("zero-bias construction needs n >= 6")
+    if m < 1:
+        raise InputError("zero-bias draws need m >= 1")
     d = D.entries
-    pi = sample_involution(n, gen)
-    quad = sample_quadruple(table if table is not None else D, gen)
-    i, j, k, l = quad
-    dag, case = pi_dagger(pi, quad)
-    r1, r2 = _kernels.r_counts(quad, tuple(int(pi.images[x]) for x in quad))
-    ddag = alpha_compose(dag, i, j)
-    u = float(gen.random())
-
-    touched = index_set(pi, quad)
-    inside = np.fromiter(sorted(touched), dtype=np.int64)
-    outside = np.setdiff1d(np.arange(n), inside)
-    s = float(d[outside, pi.images[outside]].sum())
-    t = float(d[inside, pi.images[inside]].sum())
-    t_dag = float(d[inside, dag.images[inside]].sum())
-    t_ddag = float(d[inside, ddag.images[inside]].sum())
-    w = s + t
-    w_dag = s + t_dag
-    w_ddag = s + t_ddag
-    bracket = d[i, k] + d[j, l] - (d[i, j] + d[k, l])
-    if bracket == 0.0:
+    images = _kernels.match_pairs(draw_choices(n, m, gen), n)
+    quads = sample_quadruples_rejection(D, m, gen)
+    u = gen.random(m)
+    rows = np.arange(m)[:, None]
+    r1, r2, case = _cases(quads.T, images[rows, quads].T)
+    dag, touched, ok = rewire(images, quads)
+    if not ok.all():
+        bad = np.flatnonzero(~ok)[0]
+        raise NoCaseMatched(f"case {case[bad]}: the rewired involution failed its closure check")
+    ddag = dag.copy()
+    ddag[rows, quads] = quads[:, [1, 0, 3, 2]]
+    i, j, k, l = quads.T
+    if np.any(d[i, k] + d[j, l] - (d[i, j] + d[k, l]) == 0.0):
         raise NoCaseMatched("square-bias support produced a zero difference")
-    return ZeroBiasDraw(
-        pi=pi,
-        quad=quad,
-        case_id=case,
-        r1=r1,
-        r2=r2,
-        pi_dagger=dag,
-        pi_ddagger=ddag,
-        u=u,
-        w=w,
-        w_dagger=w_dag,
-        w_ddagger=w_ddag,
-        w_star=u * w_dag + (1.0 - u) * w_ddag,
-        s=s,
-        t=t,
-        t_dagger=t_dag,
-        t_ddagger=t_ddag,
-        index_set=touched,
+
+    idx = np.arange(n)
+    s = np.where(touched, 0.0, d[idx, images]).sum(axis=1)
+    t, t_dag, t_ddag = (
+        np.where(touched, d[idx, img], 0.0).sum(axis=1) for img in (images, dag, ddag)
     )
+    w, w_dag, w_ddag = s + t, s + t_dag, s + t_ddag
+    w_star = u * w_dag + (1.0 - u) * w_ddag
+    return [
+        ZeroBiasDraw(
+            pi=Involution(n=n, images=images[r]),
+            quad=tuple(quads[r].tolist()),
+            case_id=int(case[r]),
+            r1=int(r1[r]),
+            r2=int(r2[r]),
+            pi_dagger=Involution(n=n, images=dag[r]),
+            pi_ddagger=Involution(n=n, images=ddag[r]),
+            u=float(u[r]),
+            w=float(w[r]),
+            w_dagger=float(w_dag[r]),
+            w_ddagger=float(w_ddag[r]),
+            w_star=float(w_star[r]),
+            s=float(s[r]),
+            t=float(t[r]),
+            t_dagger=float(t_dag[r]),
+            t_ddagger=float(t_ddag[r]),
+            index_set=frozenset(np.flatnonzero(touched[r]).tolist()),
+        )
+        for r in range(m)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +682,6 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
     completion_codes = planted_completions(sq, n) @ code
 
     idx = np.arange(n)
-    all_q = np.arange(n_q)
     case_counts = np.zeros(11, dtype=np.int64)
     impossible = multi_match = closure_failures = 0
     rewired_codes = np.empty((n_inv, n_s), dtype=np.int64)
@@ -697,16 +697,7 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
         case = rows.argmax(axis=0) + 1  # first matching row
         case_counts += np.bincount(case, minlength=11)
 
-        img = _rewire(np.broadcast_to(parr, (n_q, n)), quads, case)
-        touched = np.zeros((n_q, n), dtype=bool)
-        touched[all_q[:, None], np.concatenate((quads, p.T), axis=1)] = True
-        ok = (
-            (img[all_q, i] == k)
-            & (img[all_q, j] == l)
-            & np.all(img != idx, axis=1)
-            & np.all(np.take_along_axis(img, img, axis=1) == idx, axis=1)
-            & ~np.any((img != parr) & ~touched, axis=1)
-        )
+        img, _, ok = rewire(np.broadcast_to(parr, (n_q, n)), quads)
         closure_failures += int(np.count_nonzero(~ok))
 
         rewired_codes[r] = img[support] @ code

@@ -219,32 +219,6 @@ def sample_y_values(
     return rngmod.concat_chunks(parts)
 
 
-def sample_ranks(
-    n: int,
-    m: int,
-    *,
-    master_seed: int = rngmod.DEFAULT_SEED,
-    stream: int = 0,
-    threads: int = 1,
-) -> np.ndarray:
-    """Canonical ranks of ``m`` draws (same draws as sample_involutions)."""
-    _check_even(n)
-    rad = rank_radices(n)
-
-    def worker(idx: int, count: int, gen: np.random.Generator) -> np.ndarray:
-        return draw_choices(n, count, gen) @ rad
-
-    parts = rngmod.run_chunked(
-        m,
-        worker,
-        master_seed=master_seed,
-        purpose=rngmod.PURPOSE_INVOLUTIONS,
-        extra_id=stream,
-        threads=threads,
-    )
-    return rngmod.concat_chunks(parts)
-
-
 def rank_of(images: np.ndarray) -> int:
     """Canonical rank of one involution (inverse of the choice decoding).
 

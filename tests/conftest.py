@@ -4,6 +4,7 @@ import pytest
 from invclt import rng as rngmod
 from invclt.arrays import standardize, validate_and_symmetrize
 from invclt.bounds import lower_bound_array
+from invclt.involutions import involution_matrix
 
 
 def rand_symmetric(n: int, seed: int, heavy: bool = False):
@@ -38,3 +39,15 @@ def assert_involution(images: np.ndarray) -> None:
     idx = np.arange(n)
     assert np.all(images != idx)
     assert np.array_equal(images[images], idx)
+
+
+def canonical_positions(images: np.ndarray) -> np.ndarray:
+    """Row index in ``involution_matrix(n)`` of each row of an image matrix.
+
+    Rows are compared through their base-n digit codes.
+    """
+    n = images.shape[1]
+    place = n ** np.arange(n, dtype=np.int64)
+    codes = involution_matrix(n) @ place
+    order = np.argsort(codes)
+    return order[np.searchsorted(codes, images @ place, sorter=order)]

@@ -29,9 +29,9 @@ from invclt.distances import (
     lp_upper,
     step_cdf_from_distribution,
 )
-from invclt.involutions import exact_w_distribution, sample_involutions, sample_ranks
+from invclt.involutions import exact_w_distribution, sample_involutions
 
-from conftest import rand_centered
+from conftest import canonical_positions, rand_centered
 
 SEED = 0xC0FFEE
 
@@ -195,7 +195,7 @@ def test_criterion_8_lattice_rate_experiment():
 
 def test_criterion_9_sampler_uniformity():
     m = 1_000_000
-    ranks = sample_ranks(8, m, master_seed=SEED, threads=2)
+    ranks = canonical_positions(sample_involutions(8, m, master_seed=SEED, threads=2))
     counts = np.bincount(ranks, minlength=105)
     expected = m / 105.0
     chi2 = float(((counts - expected) ** 2 / expected).sum())

@@ -312,6 +312,26 @@ class TestSimulate:
         assert len(first["quad"]) == 4 and 1 <= first["case_id"] <= 10
         assert (tmp_path / "rows.csv").exists()
 
+    def test_draw_dump_builds_one_table(self, tmp_path, monkeypatch, capsys):
+        # the audit draws take their quadruples from the rejection sampler,
+        # so the MC gap's table is the only n^4 build of the row
+        from invclt import coupling
+        from invclt.cli import main
+
+        built = []
+        build = coupling.square_bias_table
+
+        def counted(D):
+            built.append(D.n)
+            return build(D)
+
+        monkeypatch.setattr(coupling, "square_bias_table", counted)
+        js = tmp_path / "report.json"
+        argv = ["simulate", "--n", "48", "--draws", "1000", "--json", str(js), "--dump-draws", "2"]
+        assert main(argv) == 0
+        assert built == [48]
+        assert len(json.loads(js.read_text())["draws"]["48"]) == 2
+
 
 class TestLowerbound:
     def test_small_run(self, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -17,17 +18,16 @@ from invclt.coupling import (
     exact_wstar_cdf,
     exact_zero_bias_moments,
     exhaustive_sweep,
-    index_set,
     pi_dagger,
     planted_completions,
-    sample_quadruple,
+    rewire,
     sample_quadruples_rejection,
     square_bias_table,
     stein_sweep,
-    zero_bias_draw,
+    zero_bias_draws,
     zero_bias_gap_samples,
 )
-from invclt.errors import CapExceeded, EqualIndices, InputError
+from invclt.errors import CapExceeded, EqualIndices, InputError, NoCaseMatched
 from invclt.involutions import (
     Involution,
     double_factorial,
@@ -158,7 +158,10 @@ class TestQuadrupleSampling:
         table = square_bias_table(D)
         g1 = rngmod.derive_stream(3, 3)
         g2 = rngmod.derive_stream(3, 3)
-        assert sample_quadruple(table, g1) == sample_quadruple(table, g2)
+        assert np.array_equal(table.sample(g1.random(50)), table.sample(g2.random(50)))
+        assert np.array_equal(
+            sample_quadruples_rejection(D, 50, g1), sample_quadruples_rejection(D, 50, g2)
+        )
 
     def test_table_frequencies_n6(self):
         D = rand_centered(6, seed=30)
@@ -299,104 +302,109 @@ class TestClassifyAndDagger:
             assert 1 <= case <= 10
 
     def test_case_terms_kernel_agrees_with_object_route(self, gen):
-        from invclt.involutions import sample_involution
-
+        # T and T_dag summed over the touched set of the rewired rows against
+        # the ten-row loop reference, and the pairing-rule integrand with it
         n = 10
         D = rand_centered(n, seed=33)
         d = D.entries
-        images = []
-        quads = []
-        for _ in range(300):
-            pi = sample_involution(n, gen)
-            quad = []
-            while len(quad) < 4:
-                c = int(gen.integers(0, n))
-                if c not in quad:
-                    quad.append(c)
-            images.append(pi.images)
-            quads.append(quad)
-        images = np.array(images)
-        quads = np.array(quads)
+        zbs = zero_bias_draws(D, 300, gen)
+        images = np.array([zb.pi.images for zb in zbs])
+        quads = np.array([zb.quad for zb in zbs])
         case_k, t_k, tdag_k, delta_k = _kernels._case_terms_loop(d, images, quads)
         a_f, delta_f = _kernels.case_terms(d, images, quads)
         np.testing.assert_allclose(a_f, t_k - tdag_k + delta_k, rtol=0.0, atol=1e-13)
         assert np.array_equal(delta_f, delta_k)
-        for r in range(images.shape[0]):
-            pi = Involution(n=n, images=images[r])
-            quad = tuple(quads[r].tolist())
-            _, _, case = classify(pi, quad)
-            assert case == case_k[r]
-            dag, _ = pi_dagger(pi, quad)
-            inside = np.fromiter(sorted(index_set(pi, quad)), dtype=np.int64)
-            t_obj = float(d[inside, pi.images[inside]].sum())
-            tdag_obj = float(d[inside, dag.images[inside]].sum())
-            assert abs(t_obj - t_k[r]) <= 1e-12
-            assert abs(tdag_obj - tdag_k[r]) <= 1e-12
-            i, j, k, l = quad
-            delta = 2.0 * (d[i, k] + d[j, l] - (d[i, j] + d[k, l]))
-            assert abs(delta - delta_k[r]) <= 1e-15
+        dag, touched, ok = rewire(images, quads)
+        assert ok.all()
+        idx = np.arange(n)
+        t = np.where(touched, d[idx, images], 0.0).sum(axis=1)
+        tdag = np.where(touched, d[idx, dag], 0.0).sum(axis=1)
+        np.testing.assert_allclose(t, t_k, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(tdag, tdag_k, rtol=0.0, atol=1e-12)
+        assert np.array_equal([zb.case_id for zb in zbs], case_k)
+        assert np.array_equal([zb.t_dagger for zb in zbs], tdag)
+
+    def test_closure_mask_catches_a_wrong_pairing(self, monkeypatch):
+        # always pairing {ik|jl} breaks the rows where pi holds (I,L) or
+        # (J,K): the mask must flag them in the sweep and in pi_dagger
+        monkeypatch.setattr(
+            _kernels, "pairing_rule", lambda holds, opts: np.where(holds((0, 2)), opts[2], opts[2])
+        )
+        assert exhaustive_sweep(rand_centered(6, seed=37)).closure_failures > 0
+        pi = Involution.from_cycles(6, [(1, 4), (2, 5), (3, 6)])
+        quad = (0, 1, 2, 3)  # pi holds (I, L): case 3
+        assert classify(pi, quad)[2] == 3
+        with pytest.raises(NoCaseMatched):
+            pi_dagger(pi, quad)
 
 
 class TestZeroBiasDraw:
     def test_draw_invariants(self, gen):
         D = rand_centered(10, seed=34)
-        table = square_bias_table(D)
         d = D.entries
-        for _ in range(300):
-            zb = zero_bias_draw(D, gen, table=table)
+        for zb in zero_bias_draws(D, 300, gen):
             assert zb.w_star == zb.u * zb.w_dagger + (1.0 - zb.u) * zb.w_ddagger
             assert zb.w == zb.s + zb.t
             assert zb.w_dagger == zb.s + zb.t_dagger
             assert zb.w_ddagger == zb.s + zb.t_ddagger
+            assert abs(zb.w - y_value(D, zb.pi)) <= 1e-12
+            assert abs(zb.w_dagger - y_value(D, zb.pi_dagger)) <= 1e-12
+            assert abs(zb.w_ddagger - y_value(D, zb.pi_ddagger)) <= 1e-12
             i, j, k, l = zb.quad
             delta = 2.0 * (d[i, k] + d[j, l] - (d[i, j] + d[k, l]))
             assert delta != 0.0
             assert abs((zb.w_dagger - zb.w_ddagger) - delta) <= 1e-12
             gap = zb.t - (zb.u * zb.t_dagger + (1.0 - zb.u) * zb.t_ddagger)
             assert abs((zb.w - zb.w_star) - gap) <= 1e-12
+            assert (zb.r1, zb.r2, zb.case_id) == classify(zb.pi, zb.quad)
             assert (zb.r1, zb.r2) not in ((2, 1), (1, 2))
+            dag, case = pi_dagger(zb.pi, zb.quad)
+            assert case == zb.case_id and np.array_equal(dag.images, zb.pi_dagger.images)
+            assert np.array_equal(
+                zb.pi_ddagger.images, alpha_compose(zb.pi_dagger, i, j).images
+            )
             assert zb.pi_dagger.images[i] == k and zb.pi_dagger.images[j] == l
             assert zb.pi_ddagger.images[i] == j and zb.pi_ddagger.images[k] == l
+            p = zb.pi.images
+            assert zb.index_set == {i, j, k, l, *p[[i, j, k, l]].tolist()}
             # pi, dagger and ddagger agree off the touched set
             outside = np.setdiff1d(np.arange(10), np.fromiter(zb.index_set, dtype=np.int64))
             assert np.array_equal(zb.pi.images[outside], zb.pi_dagger.images[outside])
             assert np.array_equal(zb.pi.images[outside], zb.pi_ddagger.images[outside])
 
-    def test_one_classification_per_draw(self, gen, monkeypatch):
-        from invclt import coupling
-
-        D = rand_centered(8, seed=37)
-        table = square_bias_table(D)
-        calls = []
-        monkeypatch.setattr(coupling, "classify", lambda *a: calls.append(a) or classify(*a))
-        for _ in range(50):
-            zb = zero_bias_draw(D, gen, table=table)
-            assert (zb.r1, zb.r2, zb.case_id) == classify(zb.pi, zb.quad)
-        assert len(calls) == 50
-
     def test_minimum_dimension(self, gen):
         D = rand_centered(6, seed=35)
-        zb = zero_bias_draw(D, gen, table=square_bias_table(D))
+        (zb,) = zero_bias_draws(D, 1, gen)
         assert zb.case_id in range(1, 11)
         with pytest.raises(InputError):
-            zero_bias_draw(rand_centered(4, seed=35), gen)
+            zero_bias_draws(rand_centered(4, seed=35), 1, gen)
+        with pytest.raises(InputError):
+            zero_bias_draws(D, 0, gen)
 
     def test_json_dump(self, gen):
         D = rand_centered(8, seed=36)
-        zb = zero_bias_draw(D, gen, table=square_bias_table(D))
-        obj = zb.to_json()
-        assert set(obj) >= {
+        obj = zero_bias_draws(D, 1, gen)[0].to_json()
+        assert set(obj) == {
             "pi",
             "quad",
             "case_id",
+            "r1",
+            "r2",
+            "pi_dagger",
+            "pi_ddagger",
             "u",
             "w",
+            "w_dagger",
+            "w_ddagger",
             "w_star",
             "s",
             "t",
+            "t_dagger",
+            "t_ddagger",
             "index_set",
         }
         assert sorted(obj["pi"]) == list(range(1, 9))
+        json.dumps(obj)  # plain Python numbers only
 
 
 class TestZeroBiasLaw:
@@ -410,17 +418,16 @@ class TestZeroBiasLaw:
             assert f_con[0] == 0.0 and abs(f_con[-1] - 1.0) < 1e-12
 
     def test_sampled_wstar_matches_exact_law(self, gen):
+        # False-failure probability at most 1e-3 + 3 (34/35)^20000 < 1.01e-3:
+        # the DKW bound at confidence 0.999 for the KS step, and a union bound
+        # over the cases for the second, whose exact probabilities at n = 8
+        # are 4/35 (cases 1-6), 1/35 (7-9) and 8/35 (10).
         D = rand_centered(8, seed=56)
         grid, _, f_def = exact_wstar_cdf(D)
-        table = square_bias_table(D)
         m = 20_000
-        samples = np.empty(m)
-        cases = np.zeros(11, dtype=np.int64)
-        for idx in range(m):
-            zb = zero_bias_draw(D, gen, table=table)
-            samples[idx] = zb.w_star
-            cases[zb.case_id] += 1
-        # KS against the exact zero-bias CDF, DKW slack at confidence 0.999
+        draws = zero_bias_draws(D, m, gen)
+        samples = np.array([zb.w_star for zb in draws])
+        cases = np.bincount([zb.case_id for zb in draws], minlength=11)
         ecdf_vals = np.searchsorted(np.sort(samples), grid, side="right") / m
         ks = np.abs(ecdf_vals - f_def).max()
         slack = math.sqrt(math.log(2.0 / 0.001) / (2.0 * m))
@@ -557,8 +564,7 @@ class TestEstimateGap:
     def test_single_draw_rejection_and_full_object_above_cap(self, gen, monkeypatch):
         monkeypatch.setattr(coupling, "square_bias_table", _no_table)
         D = rand_centered(50, seed=47)
-        quad = sample_quadruple(D, gen)  # rejection path, no table
-        assert len(set(quad)) == 4
-        zb = zero_bias_draw(D, gen)  # table=None -> rejection
+        (zb,) = zero_bias_draws(D, 1, gen)
+        assert len(set(zb.quad)) == 4
         assert zb.case_id in range(1, 11)
         assert zb.pi_dagger.images[zb.quad[0]] == zb.quad[2]
