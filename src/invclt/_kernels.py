@@ -14,8 +14,11 @@ Kernel semantics:
   smallest remaining index to the ``(1+c)``-th smallest, where
   ``c = choices[:, t]`` lies in ``[0, n - 2t - 1)``.  So the pairing order
   ``(i_0, j_0, i_1, j_1, ...)`` is the permutation with Lehmer code
-  ``(0, c_0, 0, c_1, ...)``, and the kernel decodes that code: O(n^2) byte
-  adds per row on one ``(n, m)`` array, with no allocation per step.
+  ``(0, c_0, 0, c_1, ...)``, and the kernel decodes that code on one
+  ``(n, m)`` array, with no allocation per step.  Each entry starts with the
+  shifts of the digits 0 at positions 2, 4, ... already added, so a step is
+  one comparison and one add over the tail, and the shift of position 0 is
+  one add at the end: O(n^2) byte operations per row.
 * ``case_terms(d, images, quads)``: the coupling integrand of each
   (involution, quadruple) row, as ``(a, delta)`` with
   ``a = T - T_dag + delta`` and ``delta = 2*(d_ik + d_jl - d_ij - d_kl)``,
@@ -63,19 +66,26 @@ def match_pairs(choices: np.ndarray, n: int) -> np.ndarray:
     ``seq`` holds one row per position of the pairing order, one column per
     draw, in the smallest unsigned type that holds ``n - 1``.  Decoding
     right to left, every later entry at or above the current digit moves
-    up by one; a digit 0 moves every later entry up.
+    up by one, and a digit 0 moves every later entry up.  Row ``p >= 1``
+    starts with its ``(p - 1) // 2`` shifts from the digits 0 at positions
+    2, 4, ... already added: ``c_t + t`` at ``2t + 1`` and ``t - 1`` at
+    ``2t``.  At step ``t`` the rows still compared are all ``t`` shifts ahead
+    of the plain decode, so no comparison changes, and the shift of
+    position 0 is one add at the end.
     """
     choices = np.asarray(choices)
     m = choices.shape[0]
+    h = n // 2
     seq = np.zeros((n, m), dtype=np.min_scalar_type(n - 1))
-    seq[1::2] = choices.T
+    np.add(choices.T, np.arange(h, dtype=seq.dtype)[:, None], out=seq[1::2], casting="unsafe")
+    seq[2::2] = np.arange(h - 1, dtype=seq.dtype)[:, None]
     ge = np.empty((n, m), dtype=bool)
-    for t in range(n // 2 - 1, -1, -1):
+    ge_int = ge.view(np.uint8)
+    for t in range(h - 2, -1, -1):
         tail = seq[2 * t + 2 :]
-        mask = ge[: len(tail)]
-        np.greater_equal(tail, seq[2 * t + 1], out=mask)
-        tail += mask
-        seq[2 * t + 1 :] += 1
+        np.greater_equal(tail, seq[2 * t + 1], out=ge[: len(tail)])
+        tail += ge_int[: len(tail)]
+    seq[1:] += 1
     # seq[2t], seq[2t+1] is pair t; scatter both ways, row by row
     images = np.empty((m, n), dtype=np.int64)
     flat = images.reshape(-1)

@@ -9,7 +9,10 @@ the canonical order is lexicographic in the choice sequence.
 
 Uniform sampling repeatedly matches the smallest unmatched index to a
 uniform choice among the remaining unmatched indices; uniformity follows
-from |Pi_n| = (n-1) |Pi_{n-2}|.
+from |Pi_n| = (n-1) |Pi_{n-2}|.  The choices of consecutive steps are drawn
+together (``draw_choices``): one uniform 32-bit integer below the product of
+their choice counts, split into its mixed-radix digits, gives them
+independent and exactly uniform.
 """
 
 from __future__ import annotations
@@ -151,7 +154,31 @@ def rank_radices(n: int) -> np.ndarray:
 
 
 def draw_choices(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
-    return gen.integers(0, choice_highs(n), size=(count, n // 2))
+    """``count`` uniform choice sequences as a ``(count, n/2)`` array.
+
+    The digits are drawn in groups: each group is the longest run of
+    consecutive highs whose product stays below 2**32 (the highs are odd,
+    so it never equals it), and one uniform uint32 below that product is
+    split into the group's digits, least significant first.  A uniform
+    integer below ``prod(h)`` has independent uniform mixed-radix digits,
+    so the law is exact.  For n <= 20 the group is the whole sequence and
+    its draw is the canonical rank.  The result is the transposed view of
+    an ``(n/2, count)`` array of the smallest unsigned type holding n - 1.
+    """
+    highs = choice_highs(n).tolist()
+    out = np.empty((n // 2, count), dtype=np.min_scalar_type(n - 1))
+    start = 0
+    while start < len(highs):
+        stop, prod = start + 1, highs[start]
+        while stop < len(highs) and prod * highs[stop] < 2**32:
+            prod *= highs[stop]
+            stop += 1
+        rest = gen.integers(0, prod, size=count, dtype=np.uint32)
+        for t in range(stop - 1, start, -1):
+            np.divmod(rest, highs[t], out=(rest, out[t]))
+        out[start] = rest
+        start = stop
+    return out.T
 
 
 def sample_involution(n: int, gen: np.random.Generator) -> Involution:

@@ -194,6 +194,8 @@ def test_criterion_8_lattice_rate_experiment():
 
 
 def test_criterion_9_sampler_uniformity():
+    # false-failure probability 1e-3 (the 0.999 chi-square quantile); the
+    # thread comparison is deterministic
     m = 1_000_000
     ranks = canonical_positions(sample_involutions(8, m, master_seed=SEED, threads=2))
     counts = np.bincount(ranks, minlength=105)

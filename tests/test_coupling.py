@@ -502,6 +502,7 @@ class TestExactOracles:
 
 class TestEstimateGap:
     def test_matches_exact_within_4_stderr(self):
+        # false-failure probability 6.3e-5 (two-sided normal tail beyond 4)
         D = rand_centered(8, seed=42)
         exact = exact_gap(D)
         mean, se = estimate_gap(D, 100_000, master_seed=4242)
@@ -526,7 +527,9 @@ class TestEstimateGap:
 
     @pytest.mark.parametrize("n", [10, 20, 50])
     def test_below_gap_bound(self, n):
-        # the mean coupling gap honors the explicit rate bound
+        # the mean coupling gap honors the explicit rate bound; the true mean
+        # lies below it, so the false-failure probability is at most 3.2e-5 per
+        # n (one-sided normal tail beyond 4)
         D = rand_centered(n, seed=45 + n)
         mean, se = estimate_gap(D, 30_000, master_seed=99 + n)
         assert mean - 4.0 * se <= gap_bound(n, D.beta)

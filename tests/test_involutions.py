@@ -6,11 +6,14 @@ from invclt import rng as rngmod
 from invclt.errors import CapExceeded, DimensionMismatch, InputError, OddDimension
 from invclt.involutions import (
     Involution,
+    choice_highs,
     double_factorial,
+    draw_choices,
     enumerate_involutions,
     exact_w_distribution,
     involution_matrix,
     rank_of,
+    rank_radices,
     sample_involution,
     sample_involutions,
     sample_y_values,
@@ -88,6 +91,35 @@ class TestEnumeration:
         assert max(decoded) <= total // 30
 
 
+class TestDrawChoices:
+    @pytest.mark.parametrize("n", [4, 24, 196, 258, 1000])
+    def test_digits_in_range(self, n):
+        choices = draw_choices(n, 2_000, rngmod.derive_stream(16, n))
+        assert choices.shape == (2_000, n // 2)
+        assert choices.dtype == np.min_scalar_type(n - 1)
+        assert np.all(choices < choice_highs(n))
+
+    def test_one_draw_is_the_rank_up_to_n20(self):
+        # 19!! < 2**32, so the whole sequence is one group and its draw the rank
+        choices = draw_choices(20, 500, rngmod.derive_stream(17, 1))
+        ranks = rngmod.derive_stream(17, 1).integers(0, double_factorial(19), 500, dtype=np.uint32)
+        assert np.array_equal(choices.astype(np.int64) @ rank_radices(20), ranks)
+
+    # At n = 24 digits 0-7 share one draw (23*21*...*9 < 2**32) and 8-11 another.
+    # Each test fails with probability 1e-4 on a correct sampler.
+    @pytest.mark.parametrize("pair", [(6, 7), (7, 8)], ids=["in_group", "across_groups"])
+    def test_n24_joint_chi_square(self, pair):
+        m = 200_000
+        s, t = pair
+        highs = choice_highs(24)
+        choices = draw_choices(24, m, rngmod.derive_stream(18, s)).astype(np.int64)
+        cells = int(highs[s] * highs[t])
+        counts = np.bincount(choices[:, s] * highs[t] + choices[:, t], minlength=cells)
+        expected = m / cells
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < st.chi2.ppf(1.0 - 1e-4, cells - 1)
+
+
 class TestSampling:
     def test_determinism(self):
         g1 = rngmod.derive_stream(42, 1)
@@ -98,6 +130,8 @@ class TestSampling:
         assert_involution(a.images)
 
     def test_n4_frequencies(self):
+        # 0.005 is 5.8 standard deviations of each frequency: the binomial tails
+        # give a false-failure probability of 6.3e-9 per cell, 1.9e-8 over three
         m = 300_000
         ranks = canonical_positions(sample_involutions(4, m, master_seed=123))
         counts = np.bincount(ranks, minlength=3)
@@ -105,6 +139,7 @@ class TestSampling:
         assert np.all(np.abs(freqs - 1.0 / 3.0) < 0.005)
 
     def test_n6_chi_square(self):
+        # false-failure probability 1e-3 (the 0.999 chi-square quantile)
         m = 1_000_000
         ranks = canonical_positions(sample_involutions(6, m, master_seed=321))
         counts = np.bincount(ranks, minlength=15)

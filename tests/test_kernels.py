@@ -45,6 +45,18 @@ class TestMatchPairs:
         for row in images[:50]:
             assert_involution(row)
 
+    @pytest.mark.parametrize("n", [2, 8, 196, 258])
+    def test_both_caller_layouts_agree(self, n):
+        # draw_choices hands over the transposed view of narrow unsigned digits,
+        # the enumeration (_rank_blocks) C-ordered int64 digits; n = 2 has no tail
+        narrow = draw_choices(n, 300, rngmod.derive_stream(12, n))
+        assert narrow.dtype == np.min_scalar_type(n - 1) and narrow.T.flags.c_contiguous
+        wide = np.ascontiguousarray(narrow, dtype=np.int64)
+        images = _kernels.match_pairs(narrow, n)
+        assert np.array_equal(images, _kernels.match_pairs(wide, n))
+        if n == 2:
+            assert (images == [1, 0]).all()
+
     @pytest.mark.parametrize("m", [0, 3])
     def test_output_shape_and_dtype(self, m):
         choices = np.zeros((m, 5), dtype=np.int64)
