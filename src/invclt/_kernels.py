@@ -18,7 +18,20 @@ Kernel semantics:
   ``(n, m)`` array, with no allocation per step.  Each entry starts with the
   shifts of the digits 0 at positions 2, 4, ... already added, so a step is
   one comparison and one add over the tail, and the shift of position 0 is
-  one add at the end: O(n^2) byte operations per row.
+  one add at the end: O(n^2) byte operations per row.  The result is that
+  pairing order itself, one ``(m, n)`` row per draw in the smallest unsigned
+  dtype, pair ``t`` at entries ``2t, 2t+1``; no image matrix is built.
+* ``images_of(order)`` scatters pairing orders into the ``(m, n)`` int64
+  image matrix (``pi(x)`` at column ``x``), for the callers that look up
+  partners: enumeration (``involution_matrix``, ``enumerate_involutions``),
+  ``sample_involution(s)`` and the coupling draws (``zero_bias_draws``,
+  ``zero_bias_gap_samples``).  ``pairing_order(images)`` is its inverse:
+  per row, each ``i < pi(i)`` in ascending order, followed by ``pi(i)``.
+* ``y_batch(d, order)``: Y = sum_i d[i, pi(i)], which for symmetric ``d``
+  is twice the sum of ``d`` over the ``n/2`` pairs, gathered by one flat
+  ``np.take``.  The Monte Carlo values (``sample_y_values``) and the exact
+  law (``exact_w_distribution``) pass it ``match_pairs`` output directly;
+  the exact sweeps that hold image matrices convert with ``pairing_order``.
 * ``case_terms(d, images, quads)``: the coupling integrand of each
   (involution, quadruple) row, as ``(a, delta)`` with
   ``a = T - T_dag + delta`` and ``delta = 2*(d_ik + d_jl - d_ij - d_kl)``,
@@ -61,17 +74,19 @@ def backend() -> str:
 
 
 def match_pairs(choices: np.ndarray, n: int) -> np.ndarray:
-    """Batch pairing, by decoding the Lehmer code ``(0, c_0, 0, c_1, ...)``.
+    """Batch pairing order, by decoding the Lehmer code ``(0, c_0, 0, c_1, ...)``.
 
-    ``seq`` holds one row per position of the pairing order, one column per
-    draw, in the smallest unsigned type that holds ``n - 1``.  Decoding
-    right to left, every later entry at or above the current digit moves
-    up by one, and a digit 0 moves every later entry up.  Row ``p >= 1``
-    starts with its ``(p - 1) // 2`` shifts from the digits 0 at positions
-    2, 4, ... already added: ``c_t + t`` at ``2t + 1`` and ``t - 1`` at
-    ``2t``.  At step ``t`` the rows still compared are all ``t`` shifts ahead
-    of the plain decode, so no comparison changes, and the shift of
-    position 0 is one add at the end.
+    Returns an ``(m, n)`` array, one row per draw, in the smallest unsigned
+    type that holds ``n - 1``: entries ``2t`` and ``2t + 1`` of a row are
+    pair ``t``, the smaller point first.  It is the transposed view of
+    ``seq``, which holds one row per position of the pairing order.
+    Decoding right to left, every later entry at or above the current digit
+    moves up by one, and a digit 0 moves every later entry up.  Row
+    ``p >= 1`` of ``seq`` starts with its ``(p - 1) // 2`` shifts from the
+    digits 0 at positions 2, 4, ... already added: ``c_t + t`` at ``2t + 1``
+    and ``t - 1`` at ``2t``.  At step ``t`` the rows still compared are all
+    ``t`` shifts ahead of the plain decode, so no comparison changes, and
+    the shift of position 0 is one add at the end.
     """
     choices = np.asarray(choices)
     m = choices.shape[0]
@@ -86,12 +101,21 @@ def match_pairs(choices: np.ndarray, n: int) -> np.ndarray:
         np.greater_equal(tail, seq[2 * t + 1], out=ge[: len(tail)])
         tail += ge_int[: len(tail)]
     seq[1:] += 1
-    # seq[2t], seq[2t+1] is pair t; scatter both ways, row by row
+    return seq.T
+
+
+def images_of(order: np.ndarray) -> np.ndarray:
+    """The ``(m, n)`` int64 image matrix of a batch of pairing orders.
+
+    Row ``r`` maps each point ``x`` to its partner ``pi(x)``; the pairs are
+    scattered both ways, row by row.
+    """
+    m, n = order.shape
     images = np.empty((m, n), dtype=np.int64)
     flat = images.reshape(-1)
     rows = np.arange(m, dtype=np.int64)[:, None] * n
     idx = np.empty((m, n // 2), dtype=np.int64)
-    first, second = seq[0::2].T, seq[1::2].T
+    first, second = order[:, 0::2], order[:, 1::2]
     np.add(first, rows, out=idx)
     flat[idx] = second
     np.add(second, rows, out=idx)
@@ -99,10 +123,36 @@ def match_pairs(choices: np.ndarray, n: int) -> np.ndarray:
     return images
 
 
-def y_batch(d: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """Y = sum_i d[i, pi(i)] for every row of an image matrix."""
-    n = images.shape[1]
-    return d[np.arange(n)[None, :], images].sum(axis=1)
+def pairing_order(images: np.ndarray) -> np.ndarray:
+    """Inverse of ``images_of``: per row, each ``i < pi(i)`` in ascending order, then ``pi(i)``.
+
+    This is the order ``match_pairs`` decodes, in the same dtype.
+    """
+    m, n = images.shape
+    lead = np.flatnonzero(images > np.arange(n))  # flat positions of each i < pi(i)
+    order = np.empty((m, n), dtype=np.min_scalar_type(n - 1))
+    order[:, 0::2] = (lead % n).reshape(m, n // 2)
+    order[:, 1::2] = images.reshape(-1)[lead].reshape(m, n // 2)
+    return order
+
+
+def y_batch(d: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Y = sum_i d[i, pi(i)] = 2 * sum_t d[a_t, b_t] over the pairs of each pairing order.
+
+    ``d`` is symmetric and float64.  One flat ``np.take`` gathers the
+    ``n/2`` pair entries of every draw, laid out pair by pair across draws,
+    and writes each value over its own flat index: ``take`` reads an index
+    before it writes that slot, and ``mode="clip"`` (the indices are in
+    range) keeps it from buffering the output, so no second ``(n/2, m)``
+    buffer is built.
+    """
+    n = d.shape[0]
+    cols = order.T
+    idx = np.multiply(cols[0::2], n, dtype=np.int64)
+    idx += cols[1::2]
+    vals = idx.view(np.float64)
+    np.take(d.ravel(), idx, out=vals, mode="clip")
+    return 2.0 * vals.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -409,7 +409,7 @@ def zero_bias_draws(D: CenteredArray, m: int, gen: np.random.Generator) -> list[
     if m < 1:
         raise InputError("zero-bias draws need m >= 1")
     d = D.entries
-    images = _kernels.match_pairs(draw_choices(n, m, gen), n)
+    images = _kernels.images_of(_kernels.match_pairs(draw_choices(n, m, gen), n))
     quads = sample_quadruples_rejection(D, m, gen)
     u = gen.random(m)
     rows = np.arange(m)[:, None]
@@ -485,7 +485,7 @@ def zero_bias_gap_samples(
     d = D.entries
 
     def worker(idx: int, count: int, gen: np.random.Generator) -> np.ndarray:
-        images = _kernels.match_pairs(draw_choices(n, count, gen), n)
+        images = _kernels.images_of(_kernels.match_pairs(draw_choices(n, count, gen), n))
         if table is not None:
             quads = table.sample(gen.random(count))
         else:
@@ -560,7 +560,7 @@ def stein_sweep(D: CenteredArray) -> tuple[float, float, int, float]:
     n = D.n
     d = D.entries
     invs = involution_matrix(n)
-    w = _kernels.y_batch(d, invs)
+    w = _kernels.y_batch(d, _kernels.pairing_order(invs))
     ii, jj = np.nonzero(~np.eye(n, dtype=bool))
     pi_i, pi_j = invs[:, ii], invs[:, jj]
     delta = 2.0 * (d[ii, pi_i] + d[jj, pi_j] - (d[ii, jj] + d[pi_i, pi_j]))
@@ -634,8 +634,8 @@ def _planted_values(D: CenteredArray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     share = np.repeat(probs / dag.shape[1], dag.shape[1])
     return (
         share,
-        _kernels.y_batch(D.entries, dag.reshape(-1, n)),
-        _kernels.y_batch(D.entries, ddag.reshape(-1, n)),
+        _kernels.y_batch(D.entries, _kernels.pairing_order(dag.reshape(-1, n))),
+        _kernels.y_batch(D.entries, _kernels.pairing_order(ddag.reshape(-1, n))),
     )
 
 
@@ -806,7 +806,7 @@ def exact_zero_bias_moments(D: CenteredArray, k_max: int) -> list[tuple[int, flo
     """
     n = D.n
     _check_sweep(n)
-    ws = _kernels.y_batch(D.entries, involution_matrix(n))
+    ws = _kernels.y_batch(D.entries, _kernels.pairing_order(involution_matrix(n)))
     lhs = {k: math.fsum(ws ** (k + 1)) / ws.size for k in range(1, k_max + 1)}
 
     share, a, b = _planted_values(D)

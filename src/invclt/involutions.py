@@ -87,7 +87,7 @@ def _check_even(n: int) -> None:
 
 
 def _rank_blocks(n: int, cap: int) -> Iterator[np.ndarray]:
-    """Image matrices of consecutive rank ranges, in canonical order.
+    """Pairing orders of consecutive rank ranges, in canonical order.
 
     Each rank is decoded into its choice digits and paired by
     ``match_pairs``, 65536 ranks at a time.  ``n`` is checked at the call,
@@ -116,7 +116,11 @@ def enumerate_involutions(n: int) -> Iterator[Involution]:
     lazily, block by block.
     """
     blocks = _rank_blocks(n, ENUM_CAP)
-    return (Involution(n=n, images=images) for block in blocks for images in block)
+    return (
+        Involution(n=n, images=images)
+        for block in blocks
+        for images in _kernels.images_of(block)
+    )
 
 
 def involution_matrix(n: int) -> np.ndarray:
@@ -125,7 +129,7 @@ def involution_matrix(n: int) -> np.ndarray:
     Every oracle that holds all involutions at once goes through here, so
     ``MATRIX_CAP`` is their one limit.
     """
-    return np.concatenate(list(_rank_blocks(n, MATRIX_CAP)))
+    return np.concatenate([_kernels.images_of(block) for block in _rank_blocks(n, MATRIX_CAP)])
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +188,7 @@ def draw_choices(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
 def sample_involution(n: int, gen: np.random.Generator) -> Involution:
     """One exactly-uniform draw from Pi_n using the supplied generator."""
     _check_even(n)
-    images = _kernels.match_pairs(draw_choices(n, 1, gen), n)[0]
+    images = _kernels.images_of(_kernels.match_pairs(draw_choices(n, 1, gen), n))[0]
     out = Involution(n=n, images=images)
     out.validate()
     return out
@@ -206,7 +210,7 @@ def sample_involutions(
     _check_even(n)
 
     def worker(idx: int, count: int, gen: np.random.Generator) -> np.ndarray:
-        return _kernels.match_pairs(draw_choices(n, count, gen), n)
+        return _kernels.images_of(_kernels.match_pairs(draw_choices(n, count, gen), n))
 
     parts = rngmod.run_chunked(
         m,
@@ -227,13 +231,16 @@ def sample_y_values(
     stream: int = 0,
     threads: int = 1,
 ) -> np.ndarray:
-    """``m`` Monte Carlo values of Y = sum_i e_{i,pi(i)} without retaining pi."""
+    """``m`` Monte Carlo values of Y = sum_i e_{i,pi(i)}, summed off the pairing orders.
+
+    Same chunk streams as ``sample_involutions``: the values are Y of its
+    rows, and no image matrix is built.
+    """
     n = entries.shape[0]
     _check_even(n)
 
     def worker(idx: int, count: int, gen: np.random.Generator) -> np.ndarray:
-        images = _kernels.match_pairs(draw_choices(n, count, gen), n)
-        return _kernels.y_batch(entries, images)
+        return _kernels.y_batch(entries, _kernels.match_pairs(draw_choices(n, count, gen), n))
 
     parts = rngmod.run_chunked(
         m,
@@ -244,23 +251,6 @@ def sample_y_values(
         threads=threads,
     )
     return rngmod.concat_chunks(parts)
-
-
-def rank_of(images: np.ndarray) -> int:
-    """Canonical rank of one involution (inverse of the choice decoding).
-
-    The mixed-radix value is built in Python ints, so it is exact at every
-    ``n``, also where ``(n-1)!!`` overflows int64.
-    """
-    n = images.shape[0]
-    rem = list(range(n))
-    rank = 0
-    for high in choice_highs(n).tolist():
-        i0 = rem.pop(0)
-        j = int(images[i0])
-        rank = rank * high + rem.index(j)
-        rem.remove(j)
-    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from invclt import rng as rngmod
 from invclt.arrays import standardize, validate_and_symmetrize
 from invclt.bounds import lower_bound_array
-from invclt.involutions import involution_matrix
+from invclt.involutions import choice_highs, involution_matrix
 
 
 def rand_symmetric(n: int, seed: int, heavy: bool = False):
@@ -51,3 +51,21 @@ def canonical_positions(images: np.ndarray) -> np.ndarray:
     codes = involution_matrix(n) @ place
     order = np.argsort(codes)
     return order[np.searchsorted(codes, images @ place, sorter=order)]
+
+
+def rank_of(images: np.ndarray) -> int:
+    """Canonical rank of one involution (inverse of the choice decoding).
+
+    Walks the row with a Python list, independently of the kernels; the
+    mixed-radix value is built in Python ints, so it is exact at every ``n``,
+    also where ``(n-1)!!`` overflows int64.
+    """
+    n = images.shape[0]
+    rem = list(range(n))
+    rank = 0
+    for high in choice_highs(n).tolist():
+        i0 = rem.pop(0)
+        j = int(images[i0])
+        rank = rank * high + rem.index(j)
+        rem.remove(j)
+    return rank

@@ -333,7 +333,47 @@ class TestSimulate:
         assert len(json.loads(js.read_text())["draws"]["48"]) == 2
 
 
+# `lowerbound --n 64,100 --draws 20000 --seed 7`, recorded before the lattice
+# values were summed off the pairing order in place of an image matrix.  The
+# lattice array's Y is a sum of integers, exact in every summation order, so
+# any change of the kernels must reproduce these bits.  The list may change
+# only with a deliberate change of the sampling stream or of the report
+# schema (such as an exact lattice law in the report).
+RECORDED_LOWERBOUND = [
+    {
+        "beta_over_n": 0.04279640051181075,
+        "dkw_slack": 0.013784867119002347,
+        "floor": 0.01580392922166222,
+        "ks": 0.10575000000000001,
+        "lattice_ok": True,
+        "m": 20000,
+        "n": 64,
+        "pass": True,
+        "sigma": 11.31518039237536,
+    },
+    {
+        "beta_over_n": 0.03464282088752121,
+        "dkw_slack": 0.013784867119002347,
+        "floor": 0.012661913646978447,
+        "ks": 0.08619565026294829,
+        "lattice_ok": True,
+        "m": 20000,
+        "n": 100,
+        "pass": True,
+        "sigma": 14.142871944020088,
+    },
+]
+
+
 class TestLowerbound:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_experiments_match_recorded_list(self, threads, capsys):
+        from invclt.cli import main
+
+        argv = ["lowerbound", "--n", "64,100", "--draws", "20000", "--seed", "7"]
+        assert main([*argv, "--threads", threads]) == 0
+        assert json.loads(capsys.readouterr().out)["experiments"] == RECORDED_LOWERBOUND
+
     def test_small_run(self, tmp_path):
         csv = tmp_path / "rows.csv"
         out = run_cli(

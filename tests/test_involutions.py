@@ -12,7 +12,6 @@ from invclt.involutions import (
     enumerate_involutions,
     exact_w_distribution,
     involution_matrix,
-    rank_of,
     rank_radices,
     sample_involution,
     sample_involutions,
@@ -20,7 +19,13 @@ from invclt.involutions import (
     y_value,
 )
 
-from conftest import assert_involution, canonical_positions, rand_centered, rand_symmetric
+from conftest import (
+    assert_involution,
+    canonical_positions,
+    rand_centered,
+    rand_symmetric,
+    rank_of,
+)
 
 
 class TestEnumeration:
@@ -160,6 +165,28 @@ class TestSampling:
         a = sample_y_values(entries, m, master_seed=3, threads=1)
         b = sample_y_values(entries, m, master_seed=3, threads=2)
         assert a.shape == (m,) and np.array_equal(a, b)
+
+    # sample_y_values sums Y off the decoded pairing orders, sample_involutions
+    # scatters the same chunk streams into images; here Y is summed over the
+    # images, entry by entry.  The lattice array's Y is a sum of integers, so
+    # the two agree bit for bit; on a real-valued array they agree to the
+    # rounding of a sum, relative to the sum of the absolute terms.
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [64, 196])
+    def test_y_values_are_y_of_sampled_images(self, n, threads):
+        from invclt.bounds import lower_bound_array
+
+        m = rngmod.DEFAULT_CHUNK + 1_808  # two chunks
+        kw = dict(master_seed=11, stream=5, threads=threads)
+        images = sample_involutions(n, m, **kw)
+        points = np.arange(n)
+        lattice = lower_bound_array(n).entries
+        want = lattice[points, images].sum(axis=1)
+        assert np.array_equal(sample_y_values(lattice, m, **kw), want)
+        entries = rand_centered(n, seed=n).entries
+        terms = entries[points, images]
+        got = sample_y_values(entries, m, **kw)
+        assert np.all(np.abs(got - terms.sum(axis=1)) <= 1e-13 * np.abs(terms).sum(axis=1))
 
     def test_sampled_always_valid(self):
         for img in sample_involutions(12, 500, master_seed=5):

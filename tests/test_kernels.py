@@ -7,11 +7,10 @@ from invclt.involutions import (
     choice_highs,
     draw_choices,
     involution_matrix,
-    rank_of,
     y_value,
 )
 
-from conftest import assert_involution, rand_centered
+from conftest import assert_involution, rand_centered, rank_of
 
 
 def test_backend_reported():
@@ -19,21 +18,32 @@ def test_backend_reported():
 
 
 # Each kernel is checked against a second, independent implementation:
-# match_pairs against the canonical rank of its rows (``rank_of``), y_batch
-# against ``y_value``, and case_terms and exact_gap against their plain-Python
-# loop references (``_kernels._*_loop``).
+# match_pairs (through images_of) against the canonical rank of its rows
+# (``rank_of``), y_batch against ``y_value``, and case_terms and exact_gap
+# against their plain-Python loop references (``_kernels._*_loop``).
+
+
+def random_matchings(n: int, m: int, seed: int) -> np.ndarray:
+    """``m`` image rows built from random permutations, pairs in shuffled order."""
+    gen = rngmod.derive_stream(seed, n)
+    pairs = np.array([gen.permutation(n) for _ in range(m)]).reshape(m, n // 2, 2)
+    images = np.empty((m, n), dtype=np.int64)
+    rows = np.arange(m)[:, None]
+    images[rows, pairs[:, :, 0]] = pairs[:, :, 1]
+    images[rows, pairs[:, :, 1]] = pairs[:, :, 0]
+    return images
 
 
 class TestMatchPairs:
     # 256 is the largest n whose indices fit in uint8, 258 the smallest past it
-    @pytest.mark.parametrize("n", [4, 8, 14, 196, 256, 258])
+    @pytest.mark.parametrize("n", [2, 4, 8, 14, 196, 256, 258])
     def test_rows_decode_to_their_ranks(self, n):
         # rank_of walks each row with a Python list; the choices' mixed-radix
         # value is the rank the pairing must reproduce.  From n = 36 on the rank
         # overflows int64, so it is built in Python ints here too.
         gen = rngmod.derive_stream(9, n)
         choices = draw_choices(n, 500 if n <= 14 else 50, gen)
-        images = _kernels.match_pairs(choices, n)
+        images = _kernels.images_of(_kernels.match_pairs(choices, n))
         highs = choice_highs(n).tolist()
         want = []
         for digits in choices.tolist():
@@ -45,6 +55,16 @@ class TestMatchPairs:
         for row in images[:50]:
             assert_involution(row)
 
+    @pytest.mark.parametrize("n", [2, 4, 14, 196, 256, 258])
+    def test_pairing_order_round_trip(self, n):
+        order = _kernels.match_pairs(draw_choices(n, 300, rngmod.derive_stream(13, n)), n)
+        back = _kernels.pairing_order(_kernels.images_of(order))
+        assert back.dtype == order.dtype == np.min_scalar_type(n - 1)
+        assert np.array_equal(back, order)
+        # image rows whose pairs were never in pairing order
+        images = random_matchings(n, 300, seed=14)
+        assert np.array_equal(_kernels.images_of(_kernels.pairing_order(images)), images)
+
     @pytest.mark.parametrize("n", [2, 8, 196, 258])
     def test_both_caller_layouts_agree(self, n):
         # draw_choices hands over the transposed view of narrow unsigned digits,
@@ -52,15 +72,17 @@ class TestMatchPairs:
         narrow = draw_choices(n, 300, rngmod.derive_stream(12, n))
         assert narrow.dtype == np.min_scalar_type(n - 1) and narrow.T.flags.c_contiguous
         wide = np.ascontiguousarray(narrow, dtype=np.int64)
-        images = _kernels.match_pairs(narrow, n)
-        assert np.array_equal(images, _kernels.match_pairs(wide, n))
+        order = _kernels.match_pairs(narrow, n)
+        assert np.array_equal(order, _kernels.match_pairs(wide, n))
         if n == 2:
-            assert (images == [1, 0]).all()
+            assert (order == [0, 1]).all()
 
     @pytest.mark.parametrize("m", [0, 3])
     def test_output_shape_and_dtype(self, m):
         choices = np.zeros((m, 5), dtype=np.int64)
-        images = _kernels.match_pairs(choices, 10)
+        order = _kernels.match_pairs(choices, 10)
+        assert order.dtype == np.uint8 and order.shape == (m, 10)
+        images = _kernels.images_of(order)
         assert images.dtype == np.int64 and images.shape == (m, 10)
 
     def test_choice_ranges(self):
@@ -69,28 +91,41 @@ class TestMatchPairs:
     def test_smallest_first_semantics(self):
         # choice 0 at every step pairs consecutive indices
         choices = np.zeros((1, 3), dtype=np.int64)
-        img = _kernels.match_pairs(choices, 6)[0]
-        assert img.tolist() == [1, 0, 3, 2, 5, 4]
+        order = _kernels.match_pairs(choices, 6)
+        assert order[0].tolist() == [0, 1, 2, 3, 4, 5]
+        assert _kernels.images_of(order)[0].tolist() == [1, 0, 3, 2, 5, 4]
         # choice n-2t-2 pairs the smallest with the largest remaining
         choices = np.array([[4, 2, 0]], dtype=np.int64)
-        img = _kernels.match_pairs(choices, 6)[0]
-        assert img.tolist() == [5, 4, 3, 2, 1, 0]
+        order = _kernels.match_pairs(choices, 6)
+        assert order[0].tolist() == [0, 5, 1, 4, 2, 3]
+        assert _kernels.images_of(order)[0].tolist() == [5, 4, 3, 2, 1, 0]
 
 
 class TestYBatch:
     def test_rows_match_y_value(self):
         D = rand_centered(10, seed=70)
         imgs = involution_matrix(10)[:500]
-        got = _kernels.y_batch(D.entries, imgs)
+        got = _kernels.y_batch(D.entries, _kernels.pairing_order(imgs))
         want = [y_value(D, Involution(n=10, images=row)) for row in imgs]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+
+    # the sampling path hands y_batch the decoded order itself, uint8 then uint16
+    @pytest.mark.parametrize("n", [196, 258])
+    def test_decoded_orders_match_y_value(self, n):
+        D = rand_centered(n, seed=n)
+        order = _kernels.match_pairs(draw_choices(n, 40, rngmod.derive_stream(15, n)), n)
+        got = _kernels.y_batch(D.entries, order)
+        images = _kernels.images_of(order)
+        want = [y_value(D, Involution(n=n, images=row)) for row in images]
+        scale = np.abs(D.entries[np.arange(n), images]).sum(axis=1)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 class TestCaseTerms:
     def test_backends_agree(self):
         D = rand_centered(12, seed=71)
         gen = rngmod.derive_stream(10, 1)
-        imgs = _kernels.match_pairs(draw_choices(12, 400, gen), 12)
+        imgs = _kernels.images_of(_kernels.match_pairs(draw_choices(12, 400, gen), 12))
         quads = np.array(
             [sorted(gen.choice(12, size=4, replace=False).tolist()) for _ in range(400)]
         )
