@@ -23,15 +23,18 @@ Kernel semantics:
   dtype, pair ``t`` at entries ``2t, 2t+1``; no image matrix is built.
 * ``images_of(order)`` scatters pairing orders into the ``(m, n)`` int64
   image matrix (``pi(x)`` at column ``x``), for the callers that look up
-  partners: enumeration (``involution_matrix``, ``enumerate_involutions``),
-  ``sample_involution(s)`` and the coupling draws (``zero_bias_draws``,
-  ``zero_bias_gap_samples``).  ``pairing_order(images)`` is its inverse:
-  per row, each ``i < pi(i)`` in ascending order, followed by ``pi(i)``.
+  partners: ``involution_matrix``, ``sample_involutions`` and the coupling
+  draws (``zero_bias_draws``, ``zero_bias_gap_samples``).
+  ``pairing_order(images)`` is its inverse: per row, each ``i < pi(i)`` in
+  ascending order, followed by ``pi(i)``.
 * ``y_batch(d, order)``: Y = sum_i d[i, pi(i)], which for symmetric ``d``
   is twice the sum of ``d`` over the ``n/2`` pairs, gathered by one flat
-  ``np.take``.  The Monte Carlo values (``sample_y_values``) and the exact
-  law (``exact_w_distribution``) pass it ``match_pairs`` output directly;
-  the exact sweeps that hold image matrices convert with ``pairing_order``.
+  ``np.take``.  The Monte Carlo values (``sample_y_values``), the exact law
+  (``exact_w_distribution``) and the moments of ``exact_zero_bias_moments``
+  pass it ``match_pairs`` output (sampled, or the blocks of
+  ``enumerate_involutions``) directly; ``stein_sweep`` and
+  ``_planted_values``, which hold image matrices, convert with
+  ``pairing_order``.
 * ``case_terms(d, images, quads)``: the coupling integrand of each
   (involution, quadruple) row, as ``(a, delta)`` with
   ``a = T - T_dag + delta`` and ``delta = 2*(d_ik + d_jl - d_ij - d_kl)``,

@@ -4,7 +4,9 @@ Construction summary (all indices 0-based internally):
 
 * Swap map: for distinct ``a, b``, ``swap(pi, a, b)`` returns the involution
   with the cycles ``(a, b)`` and ``(pi(a), pi(b))`` planted and every other
-  cycle untouched.
+  cycle untouched: on an image row it writes ``b, a, pi(b), pi(a)`` at
+  ``a, b, pi(a), pi(b)``.  ``stein_sweep`` applies it to base-n digit codes,
+  ``zero_bias_draws`` and ``_planted_values`` to image rows.
 * Stein pair: ``pi' = swap(pi, I, J)`` for a uniform ordered pair ``(I, J)``,
   giving ``W - W' = 2(d_{I pi(I)} + d_{J pi(J)} - d_{IJ} - d_{pi(I) pi(J)})``
   and ``E(W - W' | pi) = (4/n) W``.
@@ -28,19 +30,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from . import _kernels, rng as rngmod
 from .arrays import CenteredArray, check_centered
-from .errors import CapExceeded, EqualIndices, InputError, NoCaseMatched
+from .errors import CapExceeded, InputError, NoCaseMatched
 from .involutions import (
-    Involution,
     double_factorial,
+    draw_choices,
+    enumerate_involutions,
     exact_w_distribution,
     involution_matrix,
-    draw_choices,
 )
 
 TABLE_CAP = 48  # materialized O(n^4) table above this uses rejection sampling
@@ -74,29 +75,6 @@ def cn(n: int) -> float:
 def lambda_n(n: int) -> float:
     """Linearity constant of the Stein pair: E(W - W'|W) = (4/n) W."""
     return 4.0 / n
-
-
-# ---------------------------------------------------------------------------
-# swap composition
-# ---------------------------------------------------------------------------
-
-
-def alpha_compose(pi: Involution, i: int, j: int) -> Involution:
-    """Plant cycles (i, j) and (pi(i), pi(j)); all other cycles unchanged.
-
-    Right-composes ``pi`` with ``tau_{i, pi(j)} tau_{j, pi(i)}``; degenerate
-    transpositions (``pi(i) == j``) collapse to the identity, so the result
-    is total and equals ``pi`` when (i, j) is already a cycle.
-    """
-    if i == j:
-        raise EqualIndices(f"i == j == {i}")
-    img = pi.images.copy()
-    pi_i, pi_j = int(img[i]), int(img[j])
-    img[i], img[j] = j, i
-    img[pi_i], img[pi_j] = pi_j, pi_i
-    out = Involution(n=pi.n, images=img)
-    out.validate()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +261,6 @@ def _cases(q, p):
     return r1, r2, case
 
 
-def classify(pi: Involution, quad: Iterable[int]) -> tuple[int, int, int]:
-    """(R1, R2, case_id) for the rewiring table.
-
-    R1 = |{pi(I), pi(J)} ∩ {K, L}|, R2 = |{pi(I), pi(K)} ∩ {J, L}|; the case
-    is the first row of ``_kernels.case_rows`` that holds (the rows are
-    disjoint, so the order is a safety net only).
-    """
-    q = np.array([int(x) for x in quad], dtype=np.int64)
-    if len(set(q.tolist())) != 4:
-        raise InputError("quadruple indices must be distinct")
-    r1, r2, case = _cases(q[:, None], pi.images[q][:, None])
-    return int(r1[0]), int(r2[0]), int(case[0])
-
-
 def rewire(images: np.ndarray, quads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """pi_dag for every row of an (m, n) image matrix and its (m, 4) quadruples.
 
@@ -336,17 +300,6 @@ def rewire(images: np.ndarray, quads: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return out, touched, ok
 
 
-def pi_dagger(pi: Involution, quad: Iterable[int]) -> tuple[Involution, int]:
-    """Rewire ``pi`` so the cycles (I,K) and (J,L) appear; all indices
-    outside the touched set keep their images.  Returns pi_dag and the case."""
-    q = tuple(int(x) for x in quad)
-    _, _, case = classify(pi, q)
-    dag, _, ok = rewire(pi.images[None, :], np.array([q]))
-    if not ok[0]:
-        raise NoCaseMatched(f"case {case}: the rewired involution failed its closure check")
-    return Involution(n=pi.n, images=dag[0]), case
-
-
 # ---------------------------------------------------------------------------
 # zero-bias draws
 # ---------------------------------------------------------------------------
@@ -354,13 +307,15 @@ def pi_dagger(pi: Involution, quad: Iterable[int]) -> tuple[Involution, int]:
 
 @dataclass
 class ZeroBiasDraw:
-    pi: Involution
+    """One coupled draw; ``pi``, ``pi_dagger`` and ``pi_ddagger`` are 0-based image rows."""
+
+    pi: np.ndarray
     quad: tuple[int, int, int, int]
     case_id: int
     r1: int
     r2: int
-    pi_dagger: Involution
-    pi_ddagger: Involution
+    pi_dagger: np.ndarray
+    pi_ddagger: np.ndarray
     u: float
     w: float
     w_dagger: float
@@ -374,13 +329,13 @@ class ZeroBiasDraw:
 
     def to_json(self) -> dict:
         return {
-            "pi": self.pi.to_list_1based(),
+            "pi": (self.pi + 1).tolist(),
             "quad": [q + 1 for q in self.quad],
             "case_id": self.case_id,
             "r1": self.r1,
             "r2": self.r2,
-            "pi_dagger": self.pi_dagger.to_list_1based(),
-            "pi_ddagger": self.pi_ddagger.to_list_1based(),
+            "pi_dagger": (self.pi_dagger + 1).tolist(),
+            "pi_ddagger": (self.pi_ddagger + 1).tolist(),
             "u": self.u,
             "w": self.w,
             "w_dagger": self.w_dagger,
@@ -433,13 +388,13 @@ def zero_bias_draws(D: CenteredArray, m: int, gen: np.random.Generator) -> list[
     w_star = u * w_dag + (1.0 - u) * w_ddag
     return [
         ZeroBiasDraw(
-            pi=Involution(n=n, images=images[r]),
+            pi=images[r],
             quad=tuple(quads[r].tolist()),
             case_id=int(case[r]),
             r1=int(r1[r]),
             r2=int(r2[r]),
-            pi_dagger=Involution(n=n, images=dag[r]),
-            pi_ddagger=Involution(n=n, images=ddag[r]),
+            pi_dagger=dag[r],
+            pi_ddagger=ddag[r],
             u=float(u[r]),
             w=float(w[r]),
             w_dagger=float(w_dag[r]),
@@ -549,7 +504,7 @@ def stein_sweep(D: CenteredArray) -> tuple[float, float, int, float]:
       2 * (4/n) * Var(W) = 8/n;
     * max |count(a, b) - count(b, a)| over the exact joint law of (W, W'),
       keyed by the atoms of W, so equal laws give exactly equal counts;
-    * max |W - W(alpha_compose(pi, i, j)) - 2(d_{i pi(i)} + d_{j pi(j)} -
+    * max |W - W(swap(pi, i, j)) - 2(d_{i pi(i)} + d_{j pi(j)} -
       d_{ij} - d_{pi(i) pi(j)})|, infinite if a composed code is no
       involution.
 
@@ -567,7 +522,7 @@ def stein_sweep(D: CenteredArray) -> tuple[float, float, int, float]:
     lin_err = float(np.abs(delta.mean(axis=1) - lambda_n(n) * w).max())
     m2 = math.fsum((delta * delta).ravel()) / delta.size
 
-    # alpha_compose writes j, i, pi(j), pi(i) at i, j, pi(i), pi(j)
+    # the swap writes j, i, pi(j), pi(i) at i, j, pi(i), pi(j)
     place = n ** np.arange(n, dtype=np.int64)
     code = invs @ place
     order = np.argsort(code)
@@ -577,7 +532,7 @@ def stein_sweep(D: CenteredArray) -> tuple[float, float, int, float]:
         + (ii - pi_j) * (place[jj] - place[pi_i])
     )
     pos = np.searchsorted(code, composed, sorter=order)
-    target = order[np.minimum(pos, code.size - 1)]  # row of alpha_compose(pi, i, j)
+    target = order[np.minimum(pos, code.size - 1)]  # row of swap(pi, i, j)
     if np.array_equal(code[target], composed):
         formula_err = float(np.abs(w[:, None] - w[target] - delta).max())
     else:
@@ -618,7 +573,7 @@ def _planted_values(D: CenteredArray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """(share, W_dag, W_ddag) over every square-bias quadruple and completion.
 
     ``share`` is the quadruple's probability split evenly over its uniform
-    completions; W_ddag is W at ``alpha_compose(pi_dag, I, J)``, which trades
+    completions; W_ddag is W at ``swap(pi_dag, I, J)``, which trades
     the cycles (I,K), (J,L) for (I,J), (K,L).
     """
     n = D.n
@@ -806,7 +761,7 @@ def exact_zero_bias_moments(D: CenteredArray, k_max: int) -> list[tuple[int, flo
     """
     n = D.n
     _check_sweep(n)
-    ws = _kernels.y_batch(D.entries, _kernels.pairing_order(involution_matrix(n)))
+    ws = np.concatenate([_kernels.y_batch(D.entries, block) for block in enumerate_involutions(n)])
     lhs = {k: math.fsum(ws ** (k + 1)) / ws.size for k in range(1, k_max + 1)}
 
     share, a, b = _planted_values(D)

@@ -25,10 +25,6 @@ class AsymmetryExceedsTolerance(InputError):
     """Matrix asymmetry or diagonal magnitude exceeds the declared tolerance."""
 
 
-class DimensionMismatch(InputError):
-    """Array and permutation sizes disagree."""
-
-
 class DegenerateArray(InvcltError):
     """sigma^2 is (numerically) zero: no nonzero centered entry exists
     (CLI exit code 3)."""
@@ -36,10 +32,6 @@ class DegenerateArray(InvcltError):
 
 class CapExceeded(InvcltError):
     """Requested exact enumeration or table beyond the configured cap."""
-
-
-class EqualIndices(InvcltError):
-    """A pair-swap operation was given i == j."""
 
 
 class NoCaseMatched(InvcltError):

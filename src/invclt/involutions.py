@@ -7,6 +7,11 @@ smallest of the rest), and its canonical rank is that sequence read as a
 mixed-radix number.  Enumeration decodes the ranks 0, 1, 2, ... in order, so
 the canonical order is lexicographic in the choice sequence.
 
+A matching is held in one of two forms: a pairing order (``match_pairs``
+output, pair t at entries 2t and 2t+1), or a row of an (m, n) int64 image
+matrix (pi(x) at column x); ``_kernels.images_of`` and
+``_kernels.pairing_order`` convert between them.
+
 Uniform sampling repeatedly matches the smallest unmatched index to a
 uniform choice among the remaining unmatched indices; uniformity follows
 from |Pi_n| = (n-1) |Pi_{n-2}|.  The choices of consecutive steps are drawn
@@ -23,8 +28,8 @@ from typing import Iterator
 import numpy as np
 
 from . import _kernels, rng as rngmod
-from .arrays import CenteredArray, SymmetricArray
-from .errors import CapExceeded, DimensionMismatch, InputError, OddDimension
+from .arrays import CenteredArray
+from .errors import CapExceeded, InputError, OddDimension
 
 ENUM_CAP = 16  # |Pi_16| ~ 2.03M keeps exact sweeps desk-scale
 MATRIX_CAP = 12  # |Pi_12| = 10,395 rows: every materialized involution matrix
@@ -39,87 +44,30 @@ def double_factorial(n: int) -> int:
     return out
 
 
-@dataclass(eq=False, frozen=True)
-class Involution:
-    """Self-inverse permutation without fixed points, images 0-based."""
-
-    n: int
-    images: np.ndarray
-
-    def validate(self) -> None:
-        img = self.images
-        if img.shape != (self.n,):
-            raise InputError("involution image array has wrong shape")
-        idx = np.arange(self.n)
-        if np.any(img == idx):
-            raise InputError("involution has a fixed point")
-        if not np.array_equal(img[img], idx):
-            raise InputError("permutation is not an involution")
-
-    def cycles(self) -> list[tuple[int, int]]:
-        return [(i, int(self.images[i])) for i in range(self.n) if i < self.images[i]]
-
-    def to_list_1based(self) -> list[int]:
-        return [int(v) + 1 for v in self.images]
-
-    @classmethod
-    def from_list_1based(cls, values: list[int]) -> "Involution":
-        img = np.asarray(values, dtype=np.int64) - 1
-        out = cls(n=len(values), images=img)
-        out.validate()
-        return out
-
-    @classmethod
-    def from_cycles(cls, n: int, cycles: list[tuple[int, int]]) -> "Involution":
-        """Build from 1-based two-cycles, e.g. [(1,2),(3,4)]."""
-        img = -np.ones(n, dtype=np.int64)
-        for a, b in cycles:
-            img[a - 1] = b - 1
-            img[b - 1] = a - 1
-        out = cls(n=n, images=img)
-        out.validate()
-        return out
-
-
 def _check_even(n: int) -> None:
     if n < 2 or n % 2:
         raise OddDimension(f"n={n}: involutions without fixed points need even n >= 2")
 
 
-def _rank_blocks(n: int, cap: int) -> Iterator[np.ndarray]:
-    """Pairing orders of consecutive rank ranges, in canonical order.
+def enumerate_involutions(n: int) -> Iterator[np.ndarray]:
+    """Pairing orders of all (n-1)!! involutions, in canonical order, for n <= ENUM_CAP.
 
     Each rank is decoded into its choice digits and paired by
-    ``match_pairs``, 65536 ranks at a time.  ``n`` is checked at the call,
-    before the first block is decoded.
+    ``match_pairs``, 65536 ranks to a block.  Parity and the cap are checked
+    at the call; the returned iterator decodes the blocks lazily.
     """
     _check_even(n)
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds enumeration cap {cap}")
+    if n > ENUM_CAP:
+        raise CapExceeded(f"n={n} exceeds enumeration cap {ENUM_CAP}")
     total = double_factorial(n - 1)
     highs = choice_highs(n)
     rad = rank_radices(n)
     block = 65536
-
-    def blocks() -> Iterator[np.ndarray]:
-        for start in range(0, total, block):
-            ranks = np.arange(start, min(start + block, total), dtype=np.int64)
-            yield _kernels.match_pairs(ranks[:, None] // rad % highs, n)
-
-    return blocks()
-
-
-def enumerate_involutions(n: int) -> Iterator[Involution]:
-    """All (n-1)!! involutions in canonical order, for n <= ENUM_CAP.
-
-    The cap and parity are checked at the call; the involutions are decoded
-    lazily, block by block.
-    """
-    blocks = _rank_blocks(n, ENUM_CAP)
     return (
-        Involution(n=n, images=images)
-        for block in blocks
-        for images in _kernels.images_of(block)
+        _kernels.match_pairs(
+            np.arange(start, min(start + block, total), dtype=np.int64)[:, None] // rad % highs, n
+        )
+        for start in range(0, total, block)
     )
 
 
@@ -127,9 +75,11 @@ def involution_matrix(n: int) -> np.ndarray:
     """All involutions as an ((n-1)!!, n) image matrix, canonical order.
 
     Every oracle that holds all involutions at once goes through here, so
-    ``MATRIX_CAP`` is their one limit.
+    ``MATRIX_CAP`` is their one limit; it is checked before any decoding.
     """
-    return np.concatenate([_kernels.images_of(block) for block in _rank_blocks(n, MATRIX_CAP)])
+    if n > MATRIX_CAP:
+        raise CapExceeded(f"n={n} exceeds involution matrix cap {MATRIX_CAP}")
+    return np.concatenate([_kernels.images_of(block) for block in enumerate_involutions(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +133,6 @@ def draw_choices(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
         out[start] = rest
         start = stop
     return out.T
-
-
-def sample_involution(n: int, gen: np.random.Generator) -> Involution:
-    """One exactly-uniform draw from Pi_n using the supplied generator."""
-    _check_even(n)
-    images = _kernels.images_of(_kernels.match_pairs(draw_choices(n, 1, gen), n))[0]
-    out = Involution(n=n, images=images)
-    out.validate()
-    return out
 
 
 def sample_involutions(
@@ -258,20 +199,6 @@ def sample_y_values(
 # ---------------------------------------------------------------------------
 
 
-def _entries_of(array) -> np.ndarray:
-    if isinstance(array, (SymmetricArray, CenteredArray)):
-        return array.entries
-    return np.asarray(array, dtype=np.float64)
-
-
-def y_value(array, pi: Involution) -> float:
-    """Y = sum_i e_{i, pi(i)}; every two-cycle contributes twice its score."""
-    e = _entries_of(array)
-    if e.shape[0] != pi.n:
-        raise DimensionMismatch(f"array n={e.shape[0]} vs involution n={pi.n}")
-    return float(e[np.arange(pi.n), pi.images].sum())
-
-
 @dataclass
 class ExactDistribution:
     """Finite law as sorted atoms with integer multiplicities."""
@@ -314,5 +241,5 @@ def _merge_atoms(values: np.ndarray, tol: float = ATOM_MERGE_TOL) -> ExactDistri
 
 def exact_w_distribution(D: CenteredArray) -> ExactDistribution:
     """Exact law of W = Y_D over the uniform involution, for n <= ENUM_CAP."""
-    values = [_kernels.y_batch(D.entries, block) for block in _rank_blocks(D.n, ENUM_CAP)]
+    values = [_kernels.y_batch(D.entries, block) for block in enumerate_involutions(D.n)]
     return _merge_atoms(np.concatenate(values))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from invclt import rng as rngmod
+from invclt import coupling, rng as rngmod
 from invclt.arrays import standardize, validate_and_symmetrize
 from invclt.bounds import lower_bound_array
 from invclt.involutions import choice_highs, involution_matrix
@@ -69,3 +69,47 @@ def rank_of(images: np.ndarray) -> int:
         rank = rank * high + rem.index(j)
         rem.remove(j)
     return rank
+
+
+# ---------------------------------------------------------------------------
+# one matching as an image row: test-side helpers over the batch calls
+# ---------------------------------------------------------------------------
+
+
+def from_cycles(n: int, cycles: list[tuple[int, int]]) -> np.ndarray:
+    """Image row of the involution with the given 1-based two-cycles."""
+    images = np.full(n, -1, dtype=np.int64)
+    for a, b in cycles:
+        images[a - 1], images[b - 1] = b - 1, a - 1
+    assert_involution(images)
+    return images
+
+
+def y_value(entries: np.ndarray, images: np.ndarray):
+    """Y = sum_i e[i, pi(i)] of an image row (or of each row of a matrix),
+    entry by entry: the oracle for ``_kernels.y_batch``, which sums pairs."""
+    return entries[np.arange(images.shape[-1]), images].sum(axis=-1)
+
+
+def alpha_compose(images: np.ndarray, i: int, j: int) -> np.ndarray:
+    """The swap map on one image row: plant the cycles (i, j) and
+    (pi(i), pi(j)), every other cycle unchanged (``pi`` itself when (i, j)
+    is a cycle)."""
+    out = images.copy()
+    pi_i, pi_j = int(images[i]), int(images[j])
+    out[i], out[j] = j, i
+    out[pi_i], out[pi_j] = pi_j, pi_i
+    return out
+
+
+def classify(images: np.ndarray, quad) -> tuple[int, int, int]:
+    """(R1, R2, case) of one image row and quadruple, through ``coupling._cases``."""
+    q = np.asarray(quad, dtype=np.int64)
+    r1, r2, case = coupling._cases(q[:, None], images[q][:, None])
+    return int(r1[0]), int(r2[0]), int(case[0])
+
+
+def pi_dagger(images: np.ndarray, quad) -> tuple[np.ndarray, bool]:
+    """pi_dag of one image row through ``coupling.rewire``, and its closure flag."""
+    dag, _, ok = coupling.rewire(images[None, :], np.asarray([quad], dtype=np.int64))
+    return dag[0], bool(ok[0])

@@ -247,6 +247,72 @@ class TestVerify:
         assert out.returncode == 2
 
 
+# `simulate --n 10 --draws 2000 --seed 7 --json <path> --dump-draws 3`: the
+# audit draws of the JSON report, recorded while each draw still held its
+# involutions as objects.  The draws now hold image rows; ``to_json`` must
+# give the same keys and the same values.  The list may change only with a
+# deliberate change of the audit stream or of the report schema.
+RECORDED_DRAWS = [
+    {
+        "case_id": 2,
+        "index_set": [1, 3, 4, 5, 6, 10],
+        "pi": [5, 9, 6, 10, 1, 3, 8, 7, 2, 4],
+        "pi_dagger": [6, 9, 5, 10, 3, 1, 8, 7, 2, 4],
+        "pi_ddagger": [10, 9, 5, 6, 3, 4, 8, 7, 2, 1],
+        "quad": [6, 4, 1, 10],
+        "r1": 1,
+        "r2": 0,
+        "s": 0.7621984566329563,
+        "t": -0.872957863337519,
+        "t_dagger": 1.765823304284311,
+        "t_ddagger": 0.22044613404226546,
+        "u": 0.4043273709163828,
+        "w": -0.11075940670456275,
+        "w_dagger": 2.5280217609172673,
+        "w_ddagger": 0.9826445906752217,
+        "w_star": 1.6074828789933875,
+    },
+    {
+        "case_id": 6,
+        "index_set": [2, 4, 6, 7, 8, 9],
+        "pi": [3, 6, 1, 7, 10, 2, 4, 9, 8, 5],
+        "pi_dagger": [3, 7, 1, 9, 10, 8, 2, 6, 4, 5],
+        "pi_ddagger": [3, 9, 1, 7, 10, 8, 4, 6, 2, 5],
+        "quad": [9, 2, 4, 7],
+        "r1": 0,
+        "r2": 1,
+        "s": 0.04030952496143858,
+        "t": 0.06832806968750985,
+        "t_dagger": -0.8324237287031959,
+        "t_ddagger": 0.09382960666913151,
+        "u": 0.03209920802126398,
+        "w": 0.10863759464894843,
+        "w_dagger": -0.7921142037417573,
+        "w_ddagger": 0.1341391316305701,
+        "w_star": 0.10440713313806417,
+    },
+    {
+        "case_id": 3,
+        "index_set": [1, 2, 3, 4, 6, 9],
+        "pi": [4, 3, 2, 1, 7, 9, 5, 10, 6, 8],
+        "pi_dagger": [2, 1, 9, 6, 7, 4, 5, 10, 3, 8],
+        "pi_ddagger": [6, 4, 9, 2, 7, 1, 5, 10, 3, 8],
+        "quad": [1, 6, 2, 4],
+        "r1": 1,
+        "r2": 1,
+        "s": -0.34738695013197984,
+        "t": 0.008227132041774832,
+        "t_dagger": -0.718602149390374,
+        "t_ddagger": 0.3598646616348739,
+        "u": 0.21122758336060865,
+        "w": -0.339159818090205,
+        "w_dagger": -1.065989099522354,
+        "w_ddagger": 0.012477711502894062,
+        "w_star": -0.2153242267245913,
+    },
+]
+
+
 class TestSimulate:
     def test_row_fields_and_thread_invariance(self, tmp_path):
         args = ("simulate", "--n", "10", "--draws", "20000", "--seed", "5")
@@ -331,6 +397,14 @@ class TestSimulate:
         assert main(argv) == 0
         assert built == [48]
         assert len(json.loads(js.read_text())["draws"]["48"]) == 2
+
+    def test_draw_dump_matches_recorded_list(self, tmp_path, capsys):
+        from invclt.cli import main
+
+        js = tmp_path / "report.json"
+        argv = ["simulate", "--n", "10", "--draws", "2000", "--seed", "7"]
+        assert main([*argv, "--json", str(js), "--dump-draws", "3"]) == 0
+        assert json.loads(js.read_text())["draws"] == {"10": RECORDED_DRAWS}
 
 
 # `lowerbound --n 64,100 --draws 20000 --seed 7`, recorded before the lattice

@@ -7,9 +7,15 @@ binding a name that the module never reads fails here.  Names listed in
 skipped.  A top-level ``_private`` function of the package fails when no
 statement of the package or the tests other than its own definition names
 it, as a bare name or as an attribute.
+
+The package root exports only what is read off it (``invclt.<name>`` or
+``from invclt import <name>``) in the tests, the benchmark or the README,
+and every exception class is raised somewhere in the package, directly or
+through a subclass.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -106,3 +112,82 @@ def test_scan_flags_an_unused_private_function():
     )
     tests = ast.parse("import mod\nmod._by_attribute()\n")
     assert dead_private_functions([package], [tests]) == ["_dead", "_recursive"]
+
+
+def root_exports() -> list[str]:
+    """The ``__all__`` list of the package root."""
+    tree = ast.parse((ROOT / "src" / "invclt" / "__init__.py").read_text())
+    (value,) = (
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
+    )
+    return ast.literal_eval(value)
+
+
+def names_read_off_root(tree: ast.Module) -> set[str]:
+    """Names read as ``invclt.<name>`` or imported by ``from invclt import <name>``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "invclt" and not node.level:
+            out |= {alias.name for alias in node.names}
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "invclt"
+        ):
+            out.add(node.attr)
+    return out
+
+
+def test_every_root_export_is_read_outside_the_package():
+    read = set()
+    for path in sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        read |= names_read_off_root(ast.parse(path.read_text(), filename=str(path)))
+    readme = (ROOT / "README.md").read_text()
+    read |= set(re.findall(r"\binvclt\.(\w+)", readme))
+    for line in re.findall(r"from invclt import ([^\n]+)", readme):
+        read |= {part.split()[0] for part in line.split(",")}
+    assert [name for name in root_exports() if name not in read] == []
+
+
+def unraised_error_classes(errors: ast.Module, package: list[ast.Module]) -> list[str]:
+    """Classes of ``errors`` that no ``raise`` of ``package`` names, directly or
+    through a subclass."""
+    bases = {
+        node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+        for node in errors.body
+        if isinstance(node, ast.ClassDef)
+    }
+    raised = set()
+    for tree in package:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    covered = set()
+    while raised - covered:
+        covered |= raised
+        raised |= {base for name in covered for base in bases.get(name, ())}
+    return sorted(set(bases) - covered)
+
+
+def test_every_error_class_is_raised():
+    def parse(path):
+        return ast.parse(path.read_text(), filename=str(path))
+
+    errors = parse(ROOT / "src" / "invclt" / "errors.py")
+    assert unraised_error_classes(errors, [parse(path) for path in PACKAGE]) == []
+
+
+def test_scan_flags_an_unraised_error_class():
+    errors = ast.parse(
+        "class Base(Exception):\n    pass\n"
+        "class Mid(Base):\n    pass\n"
+        "class Leaf(Mid):\n    pass\n"
+        "class Unused(Base):\n    pass\n"
+        "class Bare(Exception):\n    pass\n"
+    )
+    package = ast.parse("def f(x):\n    if x:\n        raise Leaf('x')\n    raise Bare\n")
+    assert unraised_error_classes(errors, [package]) == ["Unused"]

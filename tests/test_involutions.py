@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from invclt import rng as rngmod
-from invclt.errors import CapExceeded, DimensionMismatch, InputError, OddDimension
+from invclt import _kernels, rng as rngmod
+from invclt.errors import CapExceeded, OddDimension
 from invclt.involutions import (
-    Involution,
     choice_highs,
     double_factorial,
     draw_choices,
@@ -13,67 +12,77 @@ from invclt.involutions import (
     exact_w_distribution,
     involution_matrix,
     rank_radices,
-    sample_involution,
     sample_involutions,
     sample_y_values,
-    y_value,
 )
 
 from conftest import (
     assert_involution,
     canonical_positions,
+    from_cycles,
     rand_centered,
     rand_symmetric,
     rank_of,
+    y_value,
 )
+
+
+def enumerated(n):
+    """All pairing orders of ``enumerate_involutions(n)``, blocks concatenated."""
+    return np.concatenate(list(enumerate_involutions(n)))
 
 
 class TestEnumeration:
     def test_n2(self):
-        out = list(enumerate_involutions(2))
-        assert len(out) == 1
-        assert out[0].to_list_1based() == [2, 1]
+        assert enumerated(2).tolist() == [[0, 1]]
+        assert _kernels.images_of(enumerated(2)).tolist() == [[1, 0]]
 
     def test_n4_canonical_order(self):
-        out = [inv.to_list_1based() for inv in enumerate_involutions(4)]
+        out = (_kernels.images_of(enumerated(4)) + 1).tolist()
         assert out == [[2, 1, 4, 3], [3, 4, 1, 2], [4, 3, 2, 1]]
 
     def test_n8_count(self):
-        assert sum(1 for _ in enumerate_involutions(8)) == 105
+        assert sum(len(block) for block in enumerate_involutions(8)) == 105
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_double_factorial_counts(self, n):
-        assert sum(1 for _ in enumerate_involutions(n)) == double_factorial(n - 1)
+        assert sum(len(block) for block in enumerate_involutions(n)) == double_factorial(n - 1)
 
     def test_all_valid(self):
         for n in (4, 6, 8):
-            for inv in enumerate_involutions(n):
-                assert_involution(inv.images)
+            for images in _kernels.images_of(enumerated(n)):
+                assert_involution(images)
 
     def test_cap(self):
+        # checked at the call, before any block is asked for
         with pytest.raises(CapExceeded):
-            list(enumerate_involutions(18))
+            enumerate_involutions(18)
 
     def test_odd(self):
         with pytest.raises(OddDimension):
-            list(enumerate_involutions(5))
+            enumerate_involutions(5)
 
     def test_matrix_matches_enumeration(self):
-        mat = involution_matrix(6)
-        listed = np.array([inv.images for inv in enumerate_involutions(6)])
-        assert np.array_equal(mat, listed)
+        for n in range(2, 12, 2):
+            assert np.array_equal(enumerated(n), _kernels.pairing_order(involution_matrix(n)))
 
     def test_rank_agrees_with_canonical_position(self):
-        for pos, inv in enumerate(enumerate_involutions(6)):
-            assert rank_of(inv.images) == pos
+        for pos, images in enumerate(_kernels.images_of(enumerated(6))):
+            assert rank_of(images) == pos
 
     def test_matrix_row_r_has_rank_r(self):
         mat = involution_matrix(10)
         assert mat.shape == (945, 10)
         assert [rank_of(row) for row in mat] == list(range(945))
 
+    def test_matrix_cap_fires_before_decoding(self, monkeypatch):
+        decoded = []
+        monkeypatch.setattr(_kernels, "match_pairs", lambda choices, n: decoded.append(n))
+        with pytest.raises(CapExceeded):
+            involution_matrix(14)
+        assert decoded == []
+
     def test_n16_is_decoded_in_blocks(self, monkeypatch):
-        from invclt import _kernels
         from invclt.arrays import standardize
         from invclt.bounds import lower_bound_array
 
@@ -86,9 +95,12 @@ class TestEnumeration:
 
         monkeypatch.setattr(_kernels, "match_pairs", recording)
         total = double_factorial(15)
-        # the generator decodes lazily: one block for the first involution
-        next(enumerate_involutions(16))
-        assert 0 < sum(decoded) < total
+        # the call decodes nothing; each block is decoded when it is asked for
+        blocks = enumerate_involutions(16)
+        assert decoded == []
+        first = next(blocks)
+        assert decoded == [len(first)] and 0 < len(first) < total
+        assert first.shape[1] == 16 and first.dtype == np.uint8
         decoded.clear()
         # the +-1 lattice array has few atoms, so the pass is mostly decoding
         dist = exact_w_distribution(standardize(lower_bound_array(16)))
@@ -127,12 +139,11 @@ class TestDrawChoices:
 
 class TestSampling:
     def test_determinism(self):
-        g1 = rngmod.derive_stream(42, 1)
-        g2 = rngmod.derive_stream(42, 1)
-        a = sample_involution(8, g1)
-        b = sample_involution(8, g2)
-        assert np.array_equal(a.images, b.images)
-        assert_involution(a.images)
+        a = sample_involutions(8, 50, master_seed=42)
+        b = sample_involutions(8, 50, master_seed=42)
+        assert np.array_equal(a, b)
+        for images in a:
+            assert_involution(images)
 
     def test_n4_frequencies(self):
         # 0.005 is 5.8 standard deviations of each frequency: the binomial tails
@@ -194,24 +205,24 @@ class TestSampling:
 
 
 class TestYValue:
+    # Y through y_batch on the pairing order against the image-row sum
+    @staticmethod
+    def y(entries, images):
+        return float(_kernels.y_batch(entries, _kernels.pairing_order(images[None, :]))[0])
+
     def test_zero_array(self):
-        pi = Involution.from_cycles(4, [(1, 2), (3, 4)])
-        assert y_value(np.zeros((4, 4)), pi) == 0.0
+        assert self.y(np.zeros((4, 4)), from_cycles(4, [(1, 2), (3, 4)])) == 0.0
 
     def test_appendix_values(self, appendix4):
-        assert y_value(appendix4, Involution.from_cycles(4, [(1, 3), (2, 4)])) == 4.0
-        assert y_value(appendix4, Involution.from_cycles(4, [(1, 2), (3, 4)])) == 0.0
+        assert self.y(appendix4.entries, from_cycles(4, [(1, 3), (2, 4)])) == 4.0
+        assert self.y(appendix4.entries, from_cycles(4, [(1, 2), (3, 4)])) == 0.0
 
     def test_double_counted_cycles(self):
         E = rand_symmetric(6, seed=12)
-        pi = Involution.from_cycles(6, [(1, 4), (2, 6), (3, 5)])
+        pi = from_cycles(6, [(1, 4), (2, 6), (3, 5)])
         expected = 2 * (E.entries[0, 3] + E.entries[1, 5] + E.entries[2, 4])
-        assert y_value(E, pi) == pytest.approx(expected, rel=1e-15)
-
-    def test_dimension_mismatch(self):
-        pi = Involution.from_cycles(4, [(1, 2), (3, 4)])
-        with pytest.raises(DimensionMismatch):
-            y_value(np.zeros((6, 6)), pi)
+        assert self.y(E.entries, pi) == pytest.approx(expected, rel=1e-15)
+        assert y_value(E.entries, pi) == pytest.approx(expected, rel=1e-15)
 
 
 class TestExactDistribution:
@@ -285,14 +296,9 @@ class TestExactDistribution:
 
 class TestInvolutionType:
     def test_roundtrip(self):
-        pi = Involution.from_list_1based([2, 1, 4, 3])
-        assert pi.to_list_1based() == [2, 1, 4, 3]
-        assert pi.cycles() == [(0, 1), (2, 3)]
-
-    def test_fixed_point_rejected(self):
-        with pytest.raises(InputError):
-            Involution.from_list_1based([1, 2, 4, 3])
-
-    def test_non_involution_rejected(self):
-        with pytest.raises(InputError):
-            Involution.from_list_1based([2, 3, 1, 4])
+        # a matching is an image row or a pairing order: its two-cycles, in order
+        images = from_cycles(4, [(1, 2), (3, 4)])
+        assert (images + 1).tolist() == [2, 1, 4, 3]
+        order = _kernels.pairing_order(images[None, :])
+        assert order.tolist() == [[0, 1, 2, 3]]
+        assert np.array_equal(_kernels.images_of(order)[0], images)

@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from invclt import _kernels, rng as rngmod
-from invclt.involutions import (
-    Involution,
-    choice_highs,
-    draw_choices,
-    involution_matrix,
-    y_value,
-)
+from invclt.involutions import choice_highs, draw_choices, involution_matrix
 
-from conftest import assert_involution, rand_centered, rank_of
+from conftest import assert_involution, rand_centered, rank_of, y_value
 
 
 def test_backend_reported():
@@ -106,7 +100,7 @@ class TestYBatch:
         D = rand_centered(10, seed=70)
         imgs = involution_matrix(10)[:500]
         got = _kernels.y_batch(D.entries, _kernels.pairing_order(imgs))
-        want = [y_value(D, Involution(n=10, images=row)) for row in imgs]
+        want = y_value(D.entries, imgs)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
 
     # the sampling path hands y_batch the decoded order itself, uint8 then uint16
@@ -116,7 +110,7 @@ class TestYBatch:
         order = _kernels.match_pairs(draw_choices(n, 40, rngmod.derive_stream(15, n)), n)
         got = _kernels.y_batch(D.entries, order)
         images = _kernels.images_of(order)
-        want = [y_value(D, Involution(n=n, images=row)) for row in images]
+        want = y_value(D.entries, images)
         scale = np.abs(D.entries[np.arange(n), images]).sum(axis=1)
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
