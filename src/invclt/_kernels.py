@@ -47,7 +47,11 @@ Kernel semantics:
   (i,j,k,l), (j,i,l,k), (k,l,i,j) and (l,k,j,i) name the same three
   candidate pairings {il|jk}, {ij|kl}, {ik|jl}, so they give bit-identical
   ``delta``, ``base`` and ``a`` under every involution, and one row with
-  the summed weight stands for all four.
+  the summed weight stands for all four.  ``pairing_a`` gathers ``a``
+  quadruple-major, whole rows of point-pair-major tables, and the integral
+  is ``|delta|*(phi(t) - t + 1/2)`` at ``t = a/delta`` (``_phi``),
+  so with ``p*|delta|`` and ``p*sign(delta)`` folded into the weights each
+  involution's sum is two matrix-vector products.
 
 One pairing rule (``pairing_rule``) picks, per (involution, quadruple), the
 pairing {xy|zw} = {il|jk} if pi holds (I,L) or (J,K) (rows 3, 4, 9),
@@ -335,20 +339,25 @@ def pairing_a(d: np.ndarray, invs: np.ndarray, pairs, base: np.ndarray) -> np.nd
     """``a`` for every (involution, quadruple), one row per involution.
 
     ``pairs`` and ``base`` come from ``quad_pairs``.  M and the cycle mask
-    are tabled once per involution and gathered per quadruple.
+    are tabled once per involution, point-pair major as ``(n*n, m)``, so
+    each pair's column of the quadruples is one ``np.take`` of whole rows
+    (contiguous copies across the involutions).  The sum is built as a
+    ``(Q, m)`` buffer and returned as its ``(m, Q)`` transposed view.  M is
+    ``2*((v_x + v_y) - d[pi(x), pi(y)])``, as in ``case_terms``, so both
+    kernels give ``a`` bit for bit.
     """
-    m, n = invs.shape
-    v = d[np.arange(n), invs]
-    M = 2.0 * (v[:, :, None] + v[:, None, :] - d[invs[:, :, None], invs[:, None, :]])
-    M = M.reshape(m, n * n)
-    cyc = (invs[:, :, None] == np.arange(n)).reshape(m, n * n)  # pi(x) == y
-    # np.take: a few times faster than M[:, f] here
+    n = d.shape[0]
+    pis = np.ascontiguousarray(invs.T)  # (n, m): pi(x), point by point
+    v = d[np.arange(n)[:, None], pis]
+    M = 2.0 * (v[:, None, :] + v[None, :, :] - d[pis[:, None, :], pis[None, :, :]])
+    M = M.reshape(n * n, -1)
+    cyc = (pis[:, None, :] == np.arange(n)[:, None]).reshape(n * n, -1)  # pi(x) == y
     a = _pairing_sum(
-        lambda xy: np.take(cyc, pairs[xy], axis=1),
-        lambda xy: np.take(M, pairs[xy], axis=1),
+        lambda xy: np.take(cyc, pairs[xy], axis=0),
+        lambda xy: np.take(M, pairs[xy], axis=0),
     )
-    a += base
-    return a
+    a += base[:, None]
+    return a.T
 
 
 # ---------------------------------------------------------------------------
@@ -356,25 +365,28 @@ def pairing_a(d: np.ndarray, invs: np.ndarray, pairs, base: np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def seg_abs_integral(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Vectorized ``int_0^1 |a - u*c| du`` (c must be nonzero).
+def _phi(t: np.ndarray) -> np.ndarray:
+    """``phi(t) = u*(2t - u)`` with ``u = clip(t, 0, 1)``.
 
-    Both branches are built in place in two full-size buffers; the
-    arithmetic is that of ``_seg_abs_integral_loop``, operation for
-    operation.  (``np.where`` selects faster than ``np.copyto(where=)`` on
-    the ~60k-term blocks of ``exact_gap``.)
+    It is ``0`` for ``t <= 0``, ``t**2`` on ``[0, 1]`` and ``2t - 1`` for
+    ``t >= 1``, so ``int_0^1 |t - u| du = phi(t) - t + 1/2`` and, at
+    ``t = a/c``, ``int_0^1 |a - u*c| du = |c|*(phi(t) - t + 1/2)``.
     """
-    b = a - c
-    quad = a * b
-    same = quad >= 0.0
-    lin = np.add(a, b)
-    np.abs(lin, out=lin)
-    lin /= 2.0
-    np.multiply(a, a, out=quad)
-    b *= b
-    quad += b
-    quad /= 2.0 * np.abs(c)
-    return np.where(same, lin, quad)
+    u = np.clip(t, 0.0, 1.0)
+    t = 2.0 * t
+    t -= u
+    t *= u
+    return t
+
+
+def seg_abs_integral(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Vectorized ``int_0^1 |a - u*c| du = |c|*(phi(a/c) - a/c + 1/2)`` (c must be nonzero).
+
+    ``exact_gap`` sums the same identity with ``|c|`` folded into its
+    weights; ``_seg_abs_integral_loop`` is the two-branch reference.
+    """
+    t = a / c
+    return np.abs(c) * (_phi(t) - t + 0.5)
 
 
 def _seg_abs_integral_loop(a: float, c: float) -> float:
@@ -421,15 +433,21 @@ def exact_gap(d, invs, quads, probs) -> float:
     integrand comes from the pairing closed form (``pairing_a``) over blocks
     of involutions; a block holds at most ``_GAP_BLOCK_TERMS`` (involution,
     quadruple) terms, or one involution if there are more quadruples than
-    that.
+    that.  Each block is summed on its ``(Q, m)`` buffer through
+    ``int_0^1 |a - u*delta| du = |delta|*(phi(t) - t + 1/2)``, ``t = a/delta``:
+    per involution, ``phi(t) @ (p*|delta|) - a @ (p*sign(delta))`` plus
+    ``sum(p*|delta|)/2``.
     """
     quads, probs = fold_orders(quads, probs, d.shape[0])
     pairs, delta, base = quad_pairs(d, quads)
+    w_abs = probs * np.abs(delta)
+    w_sign = probs * np.sign(delta)
+    half = 0.5 * w_abs.sum()
     block = max(1, _GAP_BLOCK_TERMS // max(1, len(quads)))
     per_pi = np.empty(invs.shape[0], dtype=np.float64)
     for s in range(0, invs.shape[0], block):
-        a = pairing_a(d, invs[s : s + block], pairs, base)
-        per_pi[s : s + block] = seg_abs_integral(a, delta) @ probs
+        a = pairing_a(d, invs[s : s + block], pairs, base).T  # (Q, m) buffer
+        per_pi[s : s + block] = w_abs @ _phi(a / delta[:, None]) - w_sign @ a + half
     return float(per_pi.sum() / invs.shape[0])
 
 

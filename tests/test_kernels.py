@@ -153,6 +153,19 @@ class TestSegIntegral:
         val = float(_kernels.seg_abs_integral(np.array([3.0]), np.array([1.0]))[0])
         assert val == pytest.approx(2.5, rel=1e-15)
 
+    def test_clip_form_matches_two_branch_loop(self):
+        # the clip form |c|*(phi(t) - t + 1/2) at t = a/c on each side of, at
+        # and just off the kinks t = 0 and t = 1, far out, and at random
+        ratios = [0.0, 1.0, 1e-12, -1e-12, 1 - 1e-12, 1 + 1e-12, 0.5, -0.3, 2.0, 1e12, -1e12]
+        scales = [1.0, -1.0, 3.7, -1e-9, 1e9]
+        gen = rngmod.derive_stream(16, 1)
+        a = np.concatenate([[t * c for t in ratios for c in scales], gen.normal(size=200_000)])
+        c = np.concatenate([[c for _ in ratios for c in scales], gen.normal(size=200_000)])
+        got = _kernels.seg_abs_integral(a, c)
+        loop = _kernels._seg_abs_integral_loop
+        want = np.array([loop(x, y) for x, y in zip(a.tolist(), c.tolist())])
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+
 
 class TestExactGap:
     def test_backends_agree(self):
@@ -197,6 +210,8 @@ class TestExactGap:
         pairs, delta_q, base = _kernels.quad_pairs(D.entries, quads)
         a_pi = _kernels.pairing_a(D.entries, invs, pairs, base)
         np.testing.assert_allclose(a_pi.ravel(), want, rtol=0.0, atol=1e-13)
+        # the quadruple-major tables give case_terms' values bit for bit
+        assert np.array_equal(a_pi.ravel(), a)
         assert np.array_equal(np.tile(delta_q, len(invs)), delta_t)
 
 
