@@ -78,9 +78,6 @@ class MomentSummary:
     sigma2: float
     beta: float | None  # undefined (None) when sigma2 is treated as zero
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "mu": self.mu, "sigma2": self.sigma2, "beta": self.beta}
-
 
 def _as_matrix(raw) -> np.ndarray:
     try:
@@ -92,14 +89,12 @@ def _as_matrix(raw) -> np.ndarray:
     return arr
 
 
-def validate_and_symmetrize(
-    raw, symmetrize: bool = False, tol: float = SYMMETRY_TOL
-) -> SymmetricArray:
+def validate_and_symmetrize(raw, symmetrize: bool = False) -> SymmetricArray:
     """Validate a raw square matrix and return the exactly-symmetric array.
 
     With ``symmetrize`` the off-diagonal is replaced by ``(e_ij + e_ji)/2``
     and the diagonal by zero.  Without it, asymmetry and diagonal magnitude
-    beyond ``tol`` (relative to max|e|) raise; sub-tolerance noise is
+    beyond ``SYMMETRY_TOL`` (relative to max|e|) raise; sub-tolerance noise is
     canonicalized by mirroring the upper triangle.
     """
     arr = _as_matrix(raw)
@@ -114,7 +109,7 @@ def validate_and_symmetrize(
     if symmetrize:
         out = (arr + arr.T) / 2.0
     else:
-        bound = tol * max(scale, 1e-300)
+        bound = SYMMETRY_TOL * max(scale, 1e-300)
         asym = float(np.abs(arr - arr.T).max())
         if asym > bound:
             raise AsymmetryExceedsTolerance(
@@ -185,17 +180,13 @@ def standardize(E: SymmetricArray) -> CenteredArray:
     return out
 
 
-def beta_value(D: CenteredArray) -> float:
-    """sum_{i != j} |d_ij|^3 (the diagonal is zero, so the full sum equals it)."""
-    return float((np.abs(D.entries) ** 3).sum())
-
-
 def check_centered(D: CenteredArray) -> dict:
     """Verify the standardized-array contract; raises on violation.
 
     Checks exact symmetry and zero diagonal, row sums below
-    ``1e-9 * n * max|d|``, and unit variance through the centered-array
-    variance formula.
+    ``ROW_SUM_TOL * n * max|d|``, and ``|sigma^2 - 1| <= VARIANCE_TOL`` with
+    sigma^2 from the centered-array variance formula; returns the row-sum
+    error and sigma^2.
     """
     d = D.entries
     n = D.n
@@ -213,15 +204,6 @@ def check_centered(D: CenteredArray) -> dict:
     if abs(sigma2 - 1.0) > VARIANCE_TOL:
         raise InputError(f"variance of standardized array is {sigma2!r}, not 1")
     return {"row_err": row_err, "sigma2": sigma2}
-
-
-def centered_from_entries(d, validate: bool = True) -> CenteredArray:
-    """Wrap pre-standardized entries (used by tests and the truncation op)."""
-    arr = _as_matrix(d)
-    out = CenteredArray(n=arr.shape[0], entries=arr, beta=float((np.abs(arr) ** 3).sum()))
-    if validate:
-        check_centered(out)
-    return out
 
 
 # ---------------------------------------------------------------------------

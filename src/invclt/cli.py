@@ -72,8 +72,8 @@ def _parse_n_list(text: str) -> list[int]:
     return out
 
 
-def _emit(obj: dict, stream=None) -> None:
-    print(json.dumps(obj, sort_keys=True), file=stream or sys.stdout)
+def _emit(obj: dict) -> None:
+    print(json.dumps(obj, sort_keys=True))
 
 
 def _write_cdf(path: str, F: distmod.StepCDF) -> None:
@@ -236,8 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def seed(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=lambda s: int(s, 0), default=rngmod.DEFAULT_SEED)
+
+    def common(p: argparse.ArgumentParser) -> None:
+        seed(p)
         p.add_argument("--draws", type=int, default=100_000, help="Monte Carlo draws")
         p.add_argument("--threads", type=int, default=1)
 
@@ -256,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(fn=run_analyze)
 
     pv = sub.add_parser("verify", help="run the exact-oracle check suite")
-    common(pv)
+    seed(pv)
     pv.add_argument("--only", default=None, help="run a single check family")
     pv.set_defaults(fn=run_verify)
 
@@ -291,10 +294,7 @@ def main(argv=None) -> int:
     except NoCaseMatched as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InvcltError as exc:
+    except (InvcltError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -92,16 +92,11 @@ class QuadrupleTable:
     """
 
     n: int
-    c_n: float
     weights: np.ndarray  # flat, length n^4; zero off the support
     raw_total: float
 
     def __post_init__(self) -> None:
         self._cum = np.cumsum(self.weights)
-
-    def weight(self, i: int, j: int, k: int, l: int) -> float:
-        n = self.n
-        return float(self.weights[((i * n + j) * n + k) * n + l])
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """(quads, probs) for the positive-weight ordered quadruples."""
@@ -151,21 +146,19 @@ def square_bias_table(D: CenteredArray) -> QuadrupleTable:
     w[:, ii, :, ii] = 0.0
     w[:, :, ii, ii] = 0.0
     flat = w.ravel()
-    return QuadrupleTable(n=n, c_n=cn(n), weights=flat, raw_total=float(flat.sum()))
+    return QuadrupleTable(n=n, weights=flat, raw_total=float(flat.sum()))
 
 
-def _decode_distinct(r1, r2, r3, r4, n):
-    """Map reduced-range integers to uniform ordered distinct quadruples."""
-    i = r1
-    j = r2 + (r2 >= i)
-    lo = np.minimum(i, j)
-    hi = np.maximum(i, j)
-    k = r3
-    k = k + (k >= lo)
-    k = k + (k >= hi)
-    used = np.sort(np.stack([i, j, k], axis=0), axis=0)
+def _decode_distinct(i, j, r3, r4):
+    """Complete distinct pairs ``(i, j)`` to ordered distinct quadruples.
+
+    ``r3`` below ``n - 2`` and ``r4`` below ``n - 3`` step over the points
+    already taken, so uniform integers give uniform filler points.
+    """
+    k = r3 + (r3 >= np.minimum(i, j))
+    k = k + (k >= np.maximum(i, j))
     l = r4
-    for row in used:
+    for row in np.sort(np.stack([i, j, k], axis=0), axis=0):
         l = l + (l >= row)
     return np.stack([i, j, k, l], axis=1)
 
@@ -190,7 +183,7 @@ def _square_bias_proposals(
     ab = np.searchsorted(cum, gen.random(batch) * cum[-1], side="right")
     a, b = np.divmod(np.minimum(ab, last), n)
     r = gen.integers(0, [n - 2, n - 3], size=(batch, 2))
-    drawn = _decode_distinct(a, b - (b > a), r[:, 0], r[:, 1], n)
+    drawn = _decode_distinct(a, b, r[:, 0], r[:, 1])
     # the columns of ``drawn`` (a, b, c, e) placed at the positions of each
     # term: ik -> (a, c, b, e), jl -> (c, a, e, b), ij -> (a, b, c, e),
     # kl -> (c, e, a, b)
@@ -457,7 +450,7 @@ def zero_bias_gap_samples(
         extra_id=stream,
         threads=threads,
     )
-    return rngmod.concat_chunks(parts)
+    return np.concatenate(parts)
 
 
 def estimate_gap(
@@ -622,13 +615,14 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
     """
     n = D.n
     _check_sweep(n)
-    table = square_bias_table(D)
+    check_centered(D)
+    d = D.entries
     invs = involution_matrix(n)
     quads = np.array(list(itertools.permutations(range(n), 4)), dtype=np.int64)
     n_inv, n_q = invs.shape[0], quads.shape[0]
     q = quads.T
     i, j, k, l = q
-    support = table.weights[((i * n + j) * n + k) * n + l] > 0.0
+    support = d[i, k] + d[j, l] - (d[i, j] + d[k, l]) != 0.0  # the square-bias support
     sq = quads[support]
     si, sj, _, sl = sq.T
     n_s = sq.shape[0]

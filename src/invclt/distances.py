@@ -26,11 +26,6 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 QUADRATURE_POINTS = 2000  # Simpson intervals (even) per piece in lp_norm_quadrature
 
 
-def normal_cdf(x):
-    """Standard normal CDF via the complementary error function."""
-    return ndtr(x)
-
-
 def normal_pdf(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT2PI
 
@@ -49,10 +44,6 @@ class StepCDF:
             raise InputError("jump points must be strictly increasing")
         if np.any(np.diff(self.cum) < 0) or self.cum[-1] != 1.0:
             raise InputError("cumulative values must be nondecreasing and end at 1")
-
-    def __call__(self, t: float) -> float:
-        idx = np.searchsorted(self.xs, t, side="right")
-        return 0.0 if idx == 0 else float(self.cum[idx - 1])
 
 
 def ecdf(samples) -> StepCDF:
@@ -74,7 +65,7 @@ def step_cdf_from_distribution(dist: ExactDistribution) -> StepCDF:
 
 def kolmogorov_distance(F: StepCDF) -> float:
     """sup_t |F(t) - Phi(t)|, exact: both gaps at every jump point."""
-    phis = normal_cdf(F.xs)
+    phis = ndtr(F.xs)
     upper = np.abs(F.cum - phis)
     lower = np.abs(phis - np.concatenate(([0.0], F.cum[:-1])))
     return float(max(upper.max(), lower.max()))

@@ -52,23 +52,25 @@ def _check_even(n: int) -> None:
 def enumerate_involutions(n: int) -> Iterator[np.ndarray]:
     """Pairing orders of all (n-1)!! involutions, in canonical order, for n <= ENUM_CAP.
 
-    Each rank is decoded into its choice digits and paired by
-    ``match_pairs``, 65536 ranks to a block.  Parity and the cap are checked
-    at the call; the returned iterator decodes the blocks lazily.
+    Each rank is split into its choice digits by ``_split_digits``, as in
+    ``draw_choices``, and paired by ``match_pairs``, 65536 ranks to a block.
+    Parity and the cap are checked at the call; the returned iterator
+    decodes the blocks lazily.
     """
     _check_even(n)
     if n > ENUM_CAP:
         raise CapExceeded(f"n={n} exceeds enumeration cap {ENUM_CAP}")
-    total = double_factorial(n - 1)
-    highs = choice_highs(n)
-    rad = rank_radices(n)
+    total = double_factorial(n - 1)  # below 2**32 up to n = 20
+    highs = choice_highs(n).tolist()
     block = 65536
-    return (
-        _kernels.match_pairs(
-            np.arange(start, min(start + block, total), dtype=np.int64)[:, None] // rad % highs, n
-        )
-        for start in range(0, total, block)
-    )
+
+    def decode(start: int) -> np.ndarray:
+        ranks = np.arange(start, min(start + block, total), dtype=np.uint32)
+        digits = np.empty((n // 2, ranks.size), dtype=np.min_scalar_type(n - 1))
+        _split_digits(ranks, highs, digits)
+        return _kernels.match_pairs(digits.T, n)
+
+    return (decode(start) for start in range(0, total, block))
 
 
 def involution_matrix(n: int) -> np.ndarray:
@@ -92,19 +94,16 @@ def choice_highs(n: int) -> np.ndarray:
     return np.arange(n - 1, 0, -2, dtype=np.int64)
 
 
-def rank_radices(n: int) -> np.ndarray:
-    """Place values turning a choice sequence into a canonical rank.
+def _split_digits(rest: np.ndarray, highs: list[int], out: np.ndarray) -> None:
+    """Write the mixed-radix digits of ``rest`` over ``highs`` into the rows of ``out``.
 
-    Ranks are int64, so ``n`` must keep the largest, ``(n-1)!! - 1``, within
-    ``np.iinfo(np.int64).max``: n <= 34.
+    ``rest`` is a uint32 array below ``prod(highs)``, divided in place; row
+    0 gets the most significant digit, so a canonical rank splits into its
+    choice sequence.
     """
-    if double_factorial(n - 1) - 1 > np.iinfo(np.int64).max:
-        raise CapExceeded(f"n={n}: canonical ranks overflow int64")
-    highs = choice_highs(n)
-    rad = np.ones(n // 2, dtype=np.int64)
-    for t in range(n // 2 - 2, -1, -1):
-        rad[t] = rad[t + 1] * highs[t + 1]
-    return rad
+    for t in range(len(highs) - 1, 0, -1):
+        np.divmod(rest, highs[t], out=(rest, out[t]))
+    out[0] = rest
 
 
 def draw_choices(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -128,9 +127,7 @@ def draw_choices(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
             prod *= highs[stop]
             stop += 1
         rest = gen.integers(0, prod, size=count, dtype=np.uint32)
-        for t in range(stop - 1, start, -1):
-            np.divmod(rest, highs[t], out=(rest, out[t]))
-        out[start] = rest
+        _split_digits(rest, highs[start:stop], out[start:stop])
         start = stop
     return out.T
 
@@ -161,7 +158,7 @@ def sample_involutions(
         extra_id=stream,
         threads=threads,
     )
-    return rngmod.concat_chunks(parts)
+    return np.concatenate(parts)
 
 
 def sample_y_values(
@@ -191,7 +188,7 @@ def sample_y_values(
         extra_id=stream,
         threads=threads,
     )
-    return rngmod.concat_chunks(parts)
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -211,26 +208,13 @@ class ExactDistribution:
     def probs(self) -> np.ndarray:
         return self.counts / self.total
 
-    def mean(self) -> float:
-        return float(self.probs @ self.values)
 
-    def var(self) -> float:
-        mu = self.mean()
-        return float(self.probs @ (self.values - mu) ** 2)
-
-    def moment(self, k: int) -> float:
-        return float(self.probs @ self.values**k)
-
-    def to_csv_rows(self) -> list[tuple[float, float]]:
-        return [(float(v), float(p)) for v, p in zip(self.values, self.probs)]
-
-
-def _merge_atoms(values: np.ndarray, tol: float = ATOM_MERGE_TOL) -> ExactDistribution:
+def _merge_atoms(values: np.ndarray) -> ExactDistribution:
     vals, counts = np.unique(values, return_counts=True)
     if len(vals) == 0:
         raise InputError("empty value list")
-    # an atom starts wherever the step from the previous distinct value exceeds tol
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(vals) > tol)))
+    # an atom starts wherever the step from the previous distinct value exceeds the tolerance
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(vals) > ATOM_MERGE_TOL)))
     merged_c = np.add.reduceat(counts, starts)
     return ExactDistribution(
         values=np.add.reduceat(vals * counts, starts) / merged_c,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -80,7 +80,3 @@ def run_chunked(
         return [job(item) for item in plan]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(job, plan))
-
-
-def concat_chunks(parts: Sequence[np.ndarray]) -> np.ndarray:
-    return np.concatenate(parts, axis=0)

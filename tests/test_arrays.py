@@ -7,9 +7,8 @@ import pytest
 from invclt.arrays import (
     CenteredArray,
     SymmetricArray,
-    beta_value,
     center_hat,
-    centered_from_entries,
+    check_centered,
     load_matrix,
     moments,
     save_matrix_json,
@@ -67,7 +66,7 @@ class TestValidateAndSymmetrize:
     def test_sub_tolerance_asymmetry_canonicalized(self):
         arr = constant_offdiag(4, 1.0)
         arr[1, 0] = 1.0 + 1e-13
-        out = validate_and_symmetrize(arr, tol=1e-9)
+        out = validate_and_symmetrize(arr)
         assert np.array_equal(out.entries, out.entries.T)
 
     def test_dirty_diagonal_rejected(self):
@@ -149,10 +148,6 @@ class TestMoments:
         via_hat = sigma2_from_hat(center_hat(E))
         assert abs(direct - via_hat) <= 1e-10 * via_hat
 
-    def test_json_keys(self):
-        s = moments(rand_symmetric(6, seed=1))
-        assert set(s.to_json()) == {"n", "mu", "sigma2", "beta"}
-
 
 class TestStandardize:
     def test_appendix(self, appendix4, appendix4_std):
@@ -198,16 +193,20 @@ class TestStandardize:
 class TestBetaValue:
     def test_matches_stored(self):
         D = standardize(rand_symmetric(8, seed=9))
-        assert beta_value(D) == D.beta
+        assert D.beta == float((np.abs(D.entries) ** 3).sum())
 
     def test_sign_pattern(self):
-        # m nonzero entries of magnitude 1/s gives beta = m / s^3
-        n, s = 6, 2.0
-        d = np.zeros((n, n))
-        d[0, 1] = d[1, 0] = 1.0 / s
-        d[2, 3] = d[3, 2] = -1.0 / s
-        D = centered_from_entries(d, validate=False)
-        assert beta_value(D) == pytest.approx(4.0 / s**3, rel=1e-15)
+        # +1 on the pairs of one matching and -1 on another: every row sum
+        # vanishes, so centering keeps the array, and its m = 12 entries of
+        # magnitude 1 standardize to magnitude 1/s, giving beta = m / s^3
+        n = 6
+        e = np.zeros((n, n))
+        for t in range(0, n, 2):
+            e[t, t + 1] = e[t + 1, t] = 1.0
+            e[t + 1, (t + 2) % n] = e[(t + 2) % n, t + 1] = -1.0
+        s = math.sqrt(2.0 * (n - 2) / ((n - 1) * (n - 3)) * 12)
+        D = standardize(SymmetricArray(n=n, entries=e))
+        assert D.beta == pytest.approx(12.0 / s**3, rel=1e-14)
 
 
 class TestIO:
@@ -246,14 +245,14 @@ class TestIO:
             load_matrix(tmp_path / "nope.csv")
 
 
-def test_centered_from_entries_validates():
+def test_check_centered_rejects_unstandardized_entries():
     bad = np.ones((6, 6))
     with pytest.raises(InputError):
-        centered_from_entries(bad)
+        check_centered(CenteredArray(n=6, entries=bad, beta=36.0))
 
 
 def test_centered_wrapper_accepts_real_standardized():
     D = standardize(rand_symmetric(8, seed=11))
-    again = centered_from_entries(D.entries)
-    assert isinstance(again, CenteredArray)
-    assert again.beta == pytest.approx(D.beta, rel=1e-14)
+    stats = check_centered(CenteredArray(n=8, entries=D.entries, beta=D.beta))
+    assert stats["sigma2"] == pytest.approx(1.0, abs=1e-12)
+    assert stats["row_err"] <= 1e-12

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from invclt.arrays import centered_from_entries, moments, standardize
+from invclt.arrays import CenteredArray, moments, standardize
 from invclt.bounds import (
     K_L1,
     K_LINF,
@@ -83,7 +83,7 @@ class TestTruncate:
         d = rand_centered(10, seed=65).entries.copy()
         d = np.clip(d, -0.45, 0.45)  # exactly one pair above the threshold
         d[0, 1] = d[1, 0] = 0.6
-        D = centered_from_entries(d, validate=False)
+        D = CenteredArray(n=10, entries=d, beta=float((np.abs(d) ** 3).sum()))
         res = truncate(D)
         pairs = {tuple(p) for p in res.gamma.tolist()}
         assert pairs == {(0, 1), (1, 0)}

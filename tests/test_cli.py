@@ -142,6 +142,16 @@ class TestVerify:
         out = run_cli("verify", "--only", "bogus_check")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--draws", "5"]], ids=lambda f: f[0])
+    def test_mc_flags_are_usage_errors(self, flag, capsys):
+        # verify draws no Monte Carlo sample sized by the command line
+        from invclt.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_sweeps_shared_within_one_run(self, monkeypatch):
         # the five sweep families share one n = 6 and one n = 8 sweep per
         # run_checks call, and a second call computes them again

@@ -7,7 +7,7 @@ import pytest
 import scipy.stats as st
 
 from invclt import _kernels, coupling, rng as rngmod
-from invclt.arrays import centered_from_entries
+from invclt.arrays import CenteredArray
 from invclt.bounds import gap_bound
 from invclt.coupling import (
     cn,
@@ -104,9 +104,9 @@ class TestSquareBiasTable:
 
     def test_repeated_index_weight_zero(self):
         D = rand_centered(6, seed=26)
-        table = square_bias_table(D)
-        assert table.weight(0, 0, 1, 2) == 0.0
-        assert table.weight(3, 1, 3, 2) == 0.0
+        weight = square_bias_table(D).weights.reshape((6,) * 4)
+        assert weight[0, 0, 1, 2] == 0.0
+        assert weight[3, 1, 3, 2] == 0.0
 
     @pytest.mark.parametrize("n", [6, 8, 10, 12])
     def test_normalization(self, n):
@@ -116,12 +116,12 @@ class TestSquareBiasTable:
 
     def test_swap_symmetries_exact(self):
         D = rand_centered(8, seed=27)
-        table = square_bias_table(D)
+        weight = square_bias_table(D).weights.reshape((8,) * 4)
         quads = [(0, 1, 2, 3), (4, 2, 7, 5), (1, 6, 0, 3)]
         for i, j, k, l in quads:
-            w = table.weight(i, j, k, l)
-            assert table.weight(i, k, j, l) == w
-            assert table.weight(j, i, l, k) == w
+            w = weight[i, j, k, l]
+            assert weight[i, k, j, l] == w
+            assert weight[j, i, l, k] == w
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_weights_match_loop_build(self, n):
@@ -229,7 +229,7 @@ class TestQuadrupleSampling:
         # square-bias weights no longer form a normalized law
         gen = rngmod.derive_stream(7, 7)
         for d in (np.zeros((8, 8)), 2.0 * rand_centered(8, seed=33).entries):
-            D = centered_from_entries(d, validate=False)
+            D = CenteredArray(n=8, entries=d, beta=float((np.abs(d) ** 3).sum()))
             with pytest.raises(InputError):
                 sample_quadruples_rejection(D, 10, gen)
             with pytest.raises(InputError):

@@ -4,13 +4,12 @@ once tuned the limits, chunking and tolerances are gone."""
 import functools
 import importlib
 import inspect
-import math
 import pkgutil
 
 import pytest
 
 import invclt
-from invclt import arrays, bounds, coupling, distances, involutions, rng as rngmod
+from invclt import arrays, bounds, cli, coupling, distances, involutions, rng as rngmod
 from invclt.errors import CapExceeded
 
 from conftest import rand_centered
@@ -49,15 +48,6 @@ def test_oracle_cap_fires_just_above_its_constant(monkeypatch, name):
     assert tables == []
 
 
-def test_ranks_stop_where_int64_ends():
-    # the largest rank is (n-1)!! - 1: 33!! - 1 ~ 6.3e18 fits int64, 35!! - 1 does not
-    rad = involutions.rank_radices(34)
-    highs = involutions.choice_highs(34).tolist()
-    assert rad.tolist() == [math.prod(highs[t + 1 :]) for t in range(17)]
-    with pytest.raises(CapExceeded):
-        involutions.rank_radices(36)
-
-
 REMOVED = {
     coupling.square_bias_table: {"cap"},
     coupling.exact_gap: {"cap"},
@@ -80,12 +70,17 @@ REMOVED = {
     bounds.lower_bound_experiment: {"epsilon"},
     bounds.dkw_slack: {"delta"},
     distances.lp_norm_quadrature: {"points_per_piece"},
+    arrays.validate_and_symmetrize: {"tol"},
+    involutions._merge_atoms: {"tol"},
+    cli._emit: {"stream"},
 }
-DROPPED = {"cap", "chunk", "var_tol", "epsilon", "delta", "points_per_piece"}
+# ``validate`` went with ``arrays.centered_from_entries``, a wrapper whose
+# ``validate=False`` skipped ``check_centered``
+DROPPED = {"cap", "chunk", "var_tol", "epsilon", "delta", "points_per_piece", "tol", "validate"}
 
 
 def test_removed_keywords_stay_removed():
-    assert len(REMOVED) == 21
+    assert len(REMOVED) == 24
     for fn, names in REMOVED.items():
         assert not names & set(inspect.signature(fn).parameters), fn.__name__
     # and no other public function of the package grew one of them

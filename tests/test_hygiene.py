@@ -8,6 +8,11 @@ skipped.  A top-level ``_private`` function of the package fails when no
 statement of the package or the tests other than its own definition names
 it, as a bare name or as an attribute.
 
+Every public top-level function and class of the package, and every
+public method of its classes, must be named by a statement of the package
+or the benchmark other than its own definition; the tests alone do not keep
+a name alive, apart from the few listed in ``TEST_REFERENCES``.
+
 The package root exports only what is read off it (``invclt.<name>`` or
 ``from invclt import <name>``) in the tests, the benchmark or the README,
 and every exception class is raised somewhere in the package, directly or
@@ -23,6 +28,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "invclt").glob("*.py"))
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
+
+# public names that only the tests read, each with the reason it stays
+TEST_REFERENCES = {
+    "lp_norm_quadrature": "Simpson reference for the closed-form L1 distance",
+    "sample_involutions": "image rows for the sampler's law and thread-invariance tests",
+    "seg_abs_integral": "the clip-form segment integral, checked against its loop and quadrature",
+    "save_matrix_json": "writes the JSON matrix files of the I/O round trip and the CLI tests",
+}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -112,6 +126,74 @@ def test_scan_flags_an_unused_private_function():
     )
     tests = ast.parse("import mod\nmod._by_attribute()\n")
     assert dead_private_functions([package], [tests]) == ["_dead", "_recursive"]
+
+
+def statements(tree: ast.Module) -> list[ast.AST]:
+    """Top-level statements, with each class split into its body statements."""
+    out = []
+    for node in tree.body:
+        out += node.body if isinstance(node, ast.ClassDef) else [node]
+    return out
+
+
+def public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, node) of each public top-level function and class, and of each
+    public method of a public class as ``Class.method``."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            out += [
+                (f"{node.name}.{sub.name}", sub)
+                for sub in node.body
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
+            ]
+    return out
+
+
+def unread_public_names(package: list[ast.Module], others: list[ast.Module]) -> list[str]:
+    """Public definitions of ``package`` that no statement outside their own
+    definition names, as a bare name or as an attribute."""
+    units = [(node, names_read(node)) for tree in package + others for node in statements(tree)]
+    unread = []
+    for tree in package:
+        for name, node in public_definitions(tree):
+            own = node.body if isinstance(node, ast.ClassDef) else [node]
+            if not any(
+                node.name in names for unit, names in units if not any(unit is o for o in own)
+            ):
+                unread.append(name)
+    return sorted(unread)
+
+
+def test_every_public_name_is_read_by_a_program_path():
+    def parse(path):
+        return ast.parse(path.read_text(), filename=str(path))
+
+    unread = unread_public_names([parse(path) for path in PACKAGE], [parse(p) for p in BENCHMARK])
+    # an exemption whose name a program path reads is stale
+    assert unread == sorted(TEST_REFERENCES)
+
+
+def test_scan_flags_an_unread_public_name():
+    package = ast.parse(
+        "def used():\n    return Kept().read()\n"
+        "def recursive(k):\n    return recursive(k - 1)\n"
+        "def _private():\n    pass\n"
+        "class Kept:\n"
+        "    def read(self):\n        return self.helper()\n"
+        "    def helper(self):\n        pass\n"
+        "    def unread(self):\n        return self.unread()\n"
+        "    def __call__(self):\n        pass\n"
+        "class Lonely:\n"
+        "    def make(self):\n        return Lonely()\n"
+    )
+    bench = ast.parse("import mod\nmod.used()\n")
+    assert unread_public_names([package], [bench]) == [
+        "Kept.unread", "Lonely", "Lonely.make", "recursive"
+    ]
 
 
 def root_exports() -> list[str]:
