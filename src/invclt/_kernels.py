@@ -1,11 +1,10 @@
 """Hot numeric kernels, vectorized in numpy.
 
-The kernels below are the only implementation the package runs.  Three of
-them have a plain-Python loop twin (``_case_terms_loop``,
-``_exact_gap_loop``, ``_seg_abs_integral_loop``); the tests compare the
-kernels against these loops, and nothing else calls them.  The loop twins
-are the only copy of the ten-row table of short cycle sums ``T`` (before)
-and ``T_dag`` (after the rewiring); the rows themselves, as conditions, are
+The kernels below are the only implementation of each step.  The tests
+check ``case_terms``, ``pairing_a`` and ``exact_gap`` against plain-Python
+loop references that live in ``tests/oracles.py``; those loops hold the
+only copy of the ten-row table of short cycle sums ``T`` (before) and
+``T_dag`` (after the rewiring).  The rows themselves, as conditions, are
 ``case_rows``.
 
 Kernel semantics:
@@ -23,8 +22,8 @@ Kernel semantics:
   dtype, pair ``t`` at entries ``2t, 2t+1``; no image matrix is built.
 * ``images_of(order)`` scatters pairing orders into the ``(m, n)`` int64
   image matrix (``pi(x)`` at column ``x``), for the callers that look up
-  partners: ``involution_matrix``, ``sample_involutions`` and the coupling
-  draws (``zero_bias_draws``, ``zero_bias_gap_samples``).
+  partners: ``involution_matrix`` and the coupling draws
+  (``zero_bias_draws``, ``zero_bias_gap_samples``).
   ``pairing_order(images)`` is its inverse: per row, each ``i < pi(i)`` in
   ascending order, followed by ``pi(i)``.
 * ``y_batch(d, order)``: Y = sum_i d[i, pi(i)], which for symmetric ``d``
@@ -209,69 +208,6 @@ def case_rows(q, p):
     )
 
 
-def _case_term_loop(d, i, j, k, l, pi_i, pi_j, pi_k, pi_l):
-    """``(case, T, T_dag, delta)`` of one (involution, quadruple), row by row of the table."""
-    d_ik = d[i, k]
-    d_jl = d[j, l]
-    d_ij = d[i, j]
-    d_kl = d[k, l]
-    base = d_ik + d_jl
-    delta = 2.0 * (base - (d_ij + d_kl))
-    a1 = pi_i == k
-    a2 = pi_j == l
-    b1 = pi_i == l
-    b2 = pi_j == k
-    c1 = pi_i == j
-    c2 = pi_k == l
-    if a1 and not a2:
-        case = 1
-        t = 2.0 * (d_ik + d[j, pi_j] + d[l, pi_l])
-        tdag = 2.0 * (base + d[pi_j, pi_l])
-    elif (not a1) and a2:
-        case = 2
-        t = 2.0 * (d_jl + d[i, pi_i] + d[k, pi_k])
-        tdag = 2.0 * (base + d[pi_i, pi_k])
-    elif b1 and not b2:
-        case = 3
-        t = 2.0 * (d[i, l] + d[j, pi_j] + d[k, pi_k])
-        tdag = 2.0 * (base + d[pi_j, pi_k])
-    elif (not b1) and b2:
-        case = 4
-        t = 2.0 * (d[j, k] + d[i, pi_i] + d[l, pi_l])
-        tdag = 2.0 * (base + d[pi_i, pi_l])
-    elif c1 and not c2:
-        case = 5
-        t = 2.0 * (d_ij + d[k, pi_k] + d[l, pi_l])
-        tdag = 2.0 * (base + d[pi_k, pi_l])
-    elif (not c1) and c2:
-        case = 6
-        t = 2.0 * (d_kl + d[i, pi_i] + d[j, pi_j])
-        tdag = 2.0 * (base + d[pi_i, pi_j])
-    elif a1 and a2:
-        case = 7
-        t = 2.0 * base
-        tdag = 2.0 * base
-    elif c1 and c2:
-        case = 8
-        t = 2.0 * (d_ij + d_kl)
-        tdag = 2.0 * base
-    elif b1 and b2:
-        case = 9
-        t = 2.0 * (d[i, l] + d[j, k])
-        tdag = 2.0 * base
-    else:
-        case = 10
-        t = 2.0 * (d[i, pi_i] + d[j, pi_j] + d[k, pi_k] + d[l, pi_l])
-        tdag = 2.0 * (base + d[pi_i, pi_k] + d[pi_j, pi_l])
-    return case, t, tdag, delta
-
-
-def _case_terms_loop(d, images, quads):
-    """Loop reference for ``case_terms``: ``(case, T, T_dag, delta)`` per row."""
-    terms = [_case_term_loop(d, *q, *images[r, q]) for r, q in enumerate(quads)]
-    return tuple(np.array(col) for col in zip(*terms))
-
-
 # ---------------------------------------------------------------------------
 # pairing rule: a = T - T_dag + delta
 # ---------------------------------------------------------------------------
@@ -379,23 +315,6 @@ def _phi(t: np.ndarray) -> np.ndarray:
     return t
 
 
-def seg_abs_integral(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Vectorized ``int_0^1 |a - u*c| du = |c|*(phi(a/c) - a/c + 1/2)`` (c must be nonzero).
-
-    ``exact_gap`` sums the same identity with ``|c|`` folded into its
-    weights; ``_seg_abs_integral_loop`` is the two-branch reference.
-    """
-    t = a / c
-    return np.abs(c) * (_phi(t) - t + 0.5)
-
-
-def _seg_abs_integral_loop(a: float, c: float) -> float:
-    b = a - c
-    if a * b >= 0.0:
-        return abs(a + b) / 2.0
-    return (a * a + b * b) / (2.0 * abs(c))
-
-
 # The four orders of a quadruple that share delta, base and the pairing
 # rule's a; row p is the one that leads with position p.
 _ORDERS = np.array([(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)])
@@ -449,32 +368,6 @@ def exact_gap(d, invs, quads, probs) -> float:
         a = pairing_a(d, invs[s : s + block], pairs, base).T  # (Q, m) buffer
         per_pi[s : s + block] = w_abs @ _phi(a / delta[:, None]) - w_sign @ a + half
     return float(per_pi.sum() / invs.shape[0])
-
-
-def _exact_gap_loop(d, invs, quads, probs) -> float:
-    """Loop reference for ``exact_gap``, through the ten-row table."""
-    total = 0.0
-    comp = 0.0  # Kahan compensation: the tests compare the sum to 1e-12
-    n_inv = invs.shape[0]
-    n_q = quads.shape[0]
-    for r in range(n_inv):
-        acc = 0.0
-        acc_c = 0.0
-        for q in range(n_q):
-            i, j, k, l = quads[q, 0], quads[q, 1], quads[q, 2], quads[q, 3]
-            _, t, tdag, delta = _case_term_loop(
-                d, i, j, k, l, invs[r, i], invs[r, j], invs[r, k], invs[r, l]
-            )
-            val = probs[q] * _seg_abs_integral_loop(t - tdag + delta, delta)
-            y = val - acc_c
-            s = acc + y
-            acc_c = (s - acc) - y
-            acc = s
-        y = acc - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return total / n_inv
 
 
 # the perfbench binding test reads this second name of the kernel

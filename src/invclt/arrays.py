@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -55,14 +55,6 @@ class SymmetricArray:
 
 
 @dataclass(eq=False)
-class HatArray:
-    """Centered array ê: every marginal sum vanishes, diagonal exactly zero."""
-
-    n: int
-    entries: np.ndarray
-
-
-@dataclass(eq=False)
 class CenteredArray:
     """Standardized array D with Var(W) = 1 and its beta = sum |d|^3."""
 
@@ -77,6 +69,8 @@ class MomentSummary:
     mu: float
     sigma2: float
     beta: float | None  # undefined (None) when sigma2 is treated as zero
+    # the centered array ê behind beta, kept for ``standardize`` (None with beta)
+    hat: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _as_matrix(raw) -> np.ndarray:
@@ -126,8 +120,9 @@ def validate_and_symmetrize(raw, symmetrize: bool = False) -> SymmetricArray:
     return SymmetricArray(n=n, entries=out)
 
 
-def center_hat(E: SymmetricArray) -> HatArray:
-    """Marginal centering; leaves W - E[W] unchanged."""
+def center_hat(E: SymmetricArray) -> np.ndarray:
+    """Marginal centering ê: every marginal sum vanishes, the diagonal is
+    exactly zero, and W - E[W] is unchanged."""
     n = E.n
     e = E.entries
     row = e.sum(axis=1)
@@ -135,7 +130,7 @@ def center_hat(E: SymmetricArray) -> HatArray:
     # grouping the two marginal terms keeps the result bitwise symmetric
     hat = e - (row[:, None] + row[None, :]) / (n - 2) + tot / ((n - 1) * (n - 2))
     np.fill_diagonal(hat, 0.0)
-    return HatArray(n=n, entries=hat)
+    return hat
 
 
 def _sigma2_formula(e: np.ndarray, n: int) -> float:
@@ -147,10 +142,10 @@ def _sigma2_formula(e: np.ndarray, n: int) -> float:
     )
 
 
-def sigma2_from_hat(hat: HatArray) -> float:
+def sigma2_from_hat(hat: np.ndarray) -> float:
     """Variance via the centered array: 2(n-2)/((n-1)(n-3)) * sum ê^2."""
-    n = hat.n
-    return 2.0 * (n - 2) / ((n - 1) * (n - 3)) * float((hat.entries**2).sum())
+    n = hat.shape[0]
+    return 2.0 * (n - 2) / ((n - 1) * (n - 3)) * float((hat * hat).sum())
 
 
 def moments(E: SymmetricArray) -> MomentSummary:
@@ -163,18 +158,21 @@ def moments(E: SymmetricArray) -> MomentSummary:
     scale = float(np.abs(e).max())
     if sigma2 <= DEGENERACY_CUTOFF * scale * scale:
         return MomentSummary(n=n, mu=mu, sigma2=0.0, beta=None)
-    hat = center_hat(E).entries
+    hat = center_hat(E)
     beta = float((np.abs(hat) ** 3).sum()) / sigma2**1.5
-    return MomentSummary(n=n, mu=mu, sigma2=sigma2, beta=beta)
+    return MomentSummary(n=n, mu=mu, sigma2=sigma2, beta=beta, hat=hat)
 
 
-def standardize(E: SymmetricArray) -> CenteredArray:
-    """Return D = ê / sigma; raises DegenerateArray when sigma^2 is zero."""
-    summary = moments(E)
+def standardize(E: SymmetricArray, summary: MomentSummary | None = None) -> CenteredArray:
+    """Return D = ê / sigma; raises DegenerateArray when sigma^2 is zero.
+
+    ``summary`` is ``moments(E)``, passed by a caller that holds it already.
+    """
+    if summary is None:
+        summary = moments(E)
     if summary.beta is None:
         raise DegenerateArray("sigma^2 = 0: every centered entry vanishes")
-    hat = center_hat(E).entries
-    d = hat / np.sqrt(summary.sigma2)
+    d = summary.hat / np.sqrt(summary.sigma2)
     out = CenteredArray(n=E.n, entries=d, beta=float((np.abs(d) ** 3).sum()))
     check_centered(out)
     return out
@@ -200,7 +198,7 @@ def check_centered(D: CenteredArray) -> dict:
     row_err = float(np.abs(d.sum(axis=1)).max())
     if row_err > ROW_SUM_TOL * n * max(scale, 1e-300):
         raise InputError(f"row sums fail to vanish: {row_err:.3e}")
-    sigma2 = 2.0 * (n - 2) / ((n - 1) * (n - 3)) * float((d * d).sum())
+    sigma2 = sigma2_from_hat(d)
     if abs(sigma2 - 1.0) > VARIANCE_TOL:
         raise InputError(f"variance of standardized array is {sigma2!r}, not 1")
     return {"row_err": row_err, "sigma2": sigma2}
@@ -247,10 +245,3 @@ def load_matrix(path: str | Path) -> np.ndarray:
             raise InputError("JSON field n disagrees with entries shape")
         return arr
     return _as_matrix(_parse_csv_text(text))
-
-
-def save_matrix_json(arr: np.ndarray, path: str | Path) -> None:
-    arr = _as_matrix(arr)
-    Path(path).write_text(
-        json.dumps({"n": arr.shape[0], "entries": arr.tolist()}, sort_keys=True)
-    )

@@ -52,7 +52,7 @@ def check_hat_marginals(seed: int) -> list[dict]:
     for n in (6, 12, 30):
         gen = rngmod.derive_stream(seed, rngmod.PURPOSE_CHECKS, 1, n)
         E = validate_and_symmetrize(gen.standard_normal((n, n)), symmetrize=True)
-        hat = center_hat(E).entries
+        hat = center_hat(E)
         err = max(
             float(np.abs(hat.sum(axis=0)).max()),
             float(np.abs(hat.sum(axis=1)).max()),

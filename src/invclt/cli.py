@@ -88,7 +88,7 @@ def run_analyze(args) -> int:
     raw = load_matrix(args.input)
     E = validate_and_symmetrize(raw, symmetrize=args.symmetrize)
     summary = moments(E)
-    D = standardize(E)  # raises DegenerateArray when sigma^2 = 0
+    D = standardize(E, summary)  # raises DegenerateArray when sigma^2 = 0
     p_list = _parse_p_list(args.p)
     exact = E.n <= min(args.cap, invmod.ENUM_CAP)
     if exact:

@@ -432,7 +432,7 @@ def zero_bias_gap_samples(
     table = square_bias_table(D) if n <= TABLE_CAP else None
     d = D.entries
 
-    def worker(idx: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    def worker(count: int, gen: np.random.Generator) -> np.ndarray:
         images = _kernels.images_of(_kernels.match_pairs(draw_choices(n, count, gen), n))
         if table is not None:
             quads = table.sample(gen.random(count))

@@ -7,8 +7,8 @@ form: on each constant piece the crossing of Phi with the level is
 ``int Phi = t Phi(t) + phi(t)`` handles every segment including the
 unbounded tails, so no quadrature, iteration or truncation enters.
 Intermediate L^p values are reported through the interpolation bound
-``||f||_p^p <= ||f||_inf^{p-1} ||f||_1``; an optional Simpson quadrature
-exists for cross-checking.
+``||f||_p^p <= ||f||_inf^{p-1} ||f||_1``.  The Simpson quadrature that
+cross-checks ``l1_distance`` lives with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import EmptySample, InputError, InvalidP
 from .involutions import ExactDistribution
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-QUADRATURE_POINTS = 2000  # Simpson intervals (even) per piece in lp_norm_quadrature
 
 
 def normal_pdf(x):
@@ -133,30 +132,6 @@ def distance_report(
     l1 = l1_distance(F)
     lp = {float(p): lp_upper(linf, l1, p) for p in p_list}
     return DistanceReport(linf=linf, l1=l1, lp=lp, exact=exact, m_samples=m_samples)
-
-
-def lp_norm_quadrature(F: StepCDF, p: float) -> float:
-    """Direct composite-Simpson evaluation of ||F - Phi||_p for cross-checks.
-
-    F is constant on each open piece, so the integrand on a piece is
-    |level - Phi(t)|^p with the level taken from the piece, not sampled at
-    the discontinuities.
-    """
-    if p < 1.0:
-        raise InvalidP(f"p={p}")
-    lo = min(float(F.xs[0]), -8.3)
-    hi = max(float(F.xs[-1]), 8.3)
-    knots = [lo, *map(float, F.xs), hi]
-    levels = [0.0, *map(float, F.cum)]
-    total = 0.0
-    for a, b, c in zip(knots[:-1], knots[1:], levels):
-        if b <= a:
-            continue
-        t = np.linspace(a, b, QUADRATURE_POINTS + 1)
-        g = np.abs(c - ndtr(t)) ** p
-        h = (b - a) / QUADRATURE_POINTS
-        total += h / 3.0 * float(g[0] + g[-1] + 4.0 * g[1:-1:2].sum() + 2.0 * g[2:-2:2].sum())
-    return total ** (1.0 / p)
 
 
 def cdf_rows(F: StepCDF) -> list[tuple[float, float, float]]:

@@ -132,35 +132,6 @@ def draw_choices(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
     return out.T
 
 
-def sample_involutions(
-    n: int,
-    m: int,
-    *,
-    master_seed: int = rngmod.DEFAULT_SEED,
-    stream: int = 0,
-    threads: int = 1,
-) -> np.ndarray:
-    """``m`` uniform draws as an (m, n) image matrix.
-
-    The result is a pure function of (master_seed, stream, m); thread count
-    only schedules the chunks.
-    """
-    _check_even(n)
-
-    def worker(idx: int, count: int, gen: np.random.Generator) -> np.ndarray:
-        return _kernels.images_of(_kernels.match_pairs(draw_choices(n, count, gen), n))
-
-    parts = rngmod.run_chunked(
-        m,
-        worker,
-        master_seed=master_seed,
-        purpose=rngmod.PURPOSE_INVOLUTIONS,
-        extra_id=stream,
-        threads=threads,
-    )
-    return np.concatenate(parts)
-
-
 def sample_y_values(
     entries: np.ndarray,
     m: int,
@@ -171,13 +142,15 @@ def sample_y_values(
 ) -> np.ndarray:
     """``m`` Monte Carlo values of Y = sum_i e_{i,pi(i)}, summed off the pairing orders.
 
-    Same chunk streams as ``sample_involutions``: the values are Y of its
-    rows, and no image matrix is built.
+    No image matrix is built.  The result is a pure function of
+    (master_seed, stream, m); thread count only schedules the chunks.  The
+    test reference ``sample_involutions`` (``tests/oracles.py``) draws image
+    rows on the same chunk streams, and these values are Y of its rows.
     """
     n = entries.shape[0]
     _check_even(n)
 
-    def worker(idx: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    def worker(count: int, gen: np.random.Generator) -> np.ndarray:
         return _kernels.y_batch(entries, _kernels.match_pairs(draw_choices(n, count, gen), n))
 
     parts = rngmod.run_chunked(

@@ -55,14 +55,14 @@ def chunk_plan(m: int) -> list[tuple[int, int]]:
 
 def run_chunked(
     m: int,
-    worker: Callable[[int, int, np.random.Generator], np.ndarray],
+    worker: Callable[[int, np.random.Generator], np.ndarray],
     *,
     master_seed: int,
     purpose: int,
     extra_id: int = 0,
     threads: int = 1,
 ) -> list[np.ndarray]:
-    """Run ``worker(chunk_index, count, gen)`` over every chunk.
+    """Run ``worker(count, gen)`` over every chunk, ``gen`` being the chunk's stream.
 
     Results come back ordered by chunk index, so the concatenation is
     identical for any ``threads`` value.  The pool holds at most one thread
@@ -74,7 +74,7 @@ def run_chunked(
     def job(item: tuple[int, int]) -> np.ndarray:
         idx, count = item
         gen = derive_stream(master_seed, purpose, extra_id, idx)
-        return worker(idx, count, gen)
+        return worker(count, gen)
 
     if threads <= 1:
         return [job(item) for item in plan]

@@ -29,9 +29,10 @@ from invclt.distances import (
     lp_upper,
     step_cdf_from_distribution,
 )
-from invclt.involutions import exact_w_distribution, sample_involutions
+from invclt.involutions import exact_w_distribution
 
 from conftest import canonical_positions, rand_centered
+from oracles import sample_involutions
 
 SEED = 0xC0FFEE
 

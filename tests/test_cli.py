@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -6,14 +8,26 @@ import sys
 import numpy as np
 import pytest
 
-from invclt.arrays import save_matrix_json
+from invclt import arrays, cli
 from invclt.bounds import lower_bound_array
+
+from oracles import save_matrix_json
 
 
 def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "invclt.cli", *args], capture_output=True, text=True
-    )
+    """Run ``invclt`` in this process, with its stdout and stderr captured.
+
+    argparse reports a usage error by raising ``SystemExit``; its code
+    stands in for the exit code.  ``test_entry_point_matches_in_process``
+    runs the same code through ``python -m invclt.cli``.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +52,15 @@ def degenerate_file(tmp_path_factory):
     np.fill_diagonal(arr, 0.0)
     save_matrix_json(arr, path)
     return str(path)
+
+
+def test_entry_point_matches_in_process(appendix_file):
+    args = ("analyze", "--input", appendix_file)
+    proc = subprocess.run(
+        [sys.executable, "-m", "invclt.cli", *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == run_cli(*args).stdout
 
 
 class TestAnalyze:
@@ -67,6 +90,27 @@ class TestAnalyze:
         assert accepted.returncode == 0
         obj = json.loads(accepted.stdout)
         assert obj["mode"] == "exact" and obj["n"] == 4
+
+    def test_one_centering_and_one_moments_per_run(self, monkeypatch, tmp_path):
+        # mu, sigma^2, beta and D all come off one moments call, which
+        # centers the input once
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(arrays, "center_hat", counted(arrays.center_hat))
+        monkeypatch.setattr(arrays, "moments", counted(arrays.moments))
+        monkeypatch.setattr(cli, "moments", arrays.moments)
+        path = tmp_path / "m12.json"
+        save_matrix_json(np.random.default_rng(12).standard_normal((12, 12)), path)
+        out = run_cli("analyze", "--input", str(path), "--symmetrize")
+        assert out.returncode == 0 and json.loads(out.stdout)["mode"] == "exact"
+        assert sorted(calls) == ["center_hat", "moments"]
 
     def test_byte_identical_reruns(self, appendix_file):
         a = run_cli("analyze", "--input", appendix_file, "--seed", "7")
@@ -145,10 +189,8 @@ class TestVerify:
     @pytest.mark.parametrize("flag", [["--threads", "2"], ["--draws", "5"]], ids=lambda f: f[0])
     def test_mc_flags_are_usage_errors(self, flag, capsys):
         # verify draws no Monte Carlo sample sized by the command line
-        from invclt.cli import main
-
         with pytest.raises(SystemExit) as exc:
-            main(["verify", *flag])
+            cli.main(["verify", *flag])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -180,27 +222,24 @@ class TestVerify:
 
     def test_failed_check_exit_1(self, monkeypatch, capsys):
         from invclt import checks as checksmod
-        from invclt.cli import main
-
         def failing(seed):
             return [{"check": "always_fails", "n": 0, "max_abs_error": 1.0, "pass": False}]
 
         monkeypatch.setitem(checksmod.CHECKS, "always_fails", failing)
-        rc = main(["verify", "--only", "always_fails"])
+        rc = cli.main(["verify", "--only", "always_fails"])
         assert rc == 1
         obj = json.loads(capsys.readouterr().out)
         assert obj["pass"] is False
 
     def test_internal_error_exit_4(self, monkeypatch, capsys):
         from invclt import checks as checksmod
-        from invclt.cli import main
         from invclt.errors import NoCaseMatched
 
         def broken(seed):
             raise NoCaseMatched("(R1,R2)=(0,1) matched no rewiring case")
 
         monkeypatch.setitem(checksmod.CHECKS, "case_exhaustiveness", broken)
-        rc = main(["verify", "--only", "case_exhaustiveness"])
+        rc = cli.main(["verify", "--only", "case_exhaustiveness"])
         assert rc == 4
         assert "internal error" in capsys.readouterr().err
 
@@ -213,18 +252,14 @@ class TestVerify:
         [("simulate", "--n", "-4"), ("simulate", "--n", ","), ("lowerbound", "--n", ",")],
     )
     def test_bad_n_list_exit_2(self, argv, capsys):
-        from invclt.cli import main
-
-        assert main([*argv, "--draws", "100"]) == 2
+        assert cli.main([*argv, "--draws", "100"]) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error:")
 
     def test_single_draw_simulate_exit_2(self, tmp_path, capsys):
         # a standard error needs two draws; one draw used to write NaN
-        from invclt.cli import main
-
         path = tmp_path / "r.json"
-        assert main(["simulate", "--n", "10", "--draws", "1", "--json", str(path)]) == 2
+        assert cli.main(["simulate", "--n", "10", "--draws", "1", "--json", str(path)]) == 2
         assert not path.exists()
         assert capsys.readouterr().out == ""
 
@@ -233,9 +268,7 @@ class TestVerify:
     )
     def test_dump_draws_misuse_exit_2(self, extra, capsys):
         # rejected before any row is simulated: no CSV reaches stdout
-        from invclt.cli import main
-
-        assert main(["simulate", "--n", "10", "--draws", "100", *extra]) == 2
+        assert cli.main(["simulate", "--n", "10", "--draws", "100", *extra]) == 2
         out = capsys.readouterr()
         assert out.out == "" and "--dump-draws" in out.err
 
@@ -392,8 +425,6 @@ class TestSimulate:
         # the audit draws take their quadruples from the rejection sampler,
         # so the MC gap's table is the only n^4 build of the row
         from invclt import coupling
-        from invclt.cli import main
-
         built = []
         build = coupling.square_bias_table
 
@@ -404,16 +435,14 @@ class TestSimulate:
         monkeypatch.setattr(coupling, "square_bias_table", counted)
         js = tmp_path / "report.json"
         argv = ["simulate", "--n", "48", "--draws", "1000", "--json", str(js), "--dump-draws", "2"]
-        assert main(argv) == 0
+        assert cli.main(argv) == 0
         assert built == [48]
         assert len(json.loads(js.read_text())["draws"]["48"]) == 2
 
     def test_draw_dump_matches_recorded_list(self, tmp_path, capsys):
-        from invclt.cli import main
-
         js = tmp_path / "report.json"
         argv = ["simulate", "--n", "10", "--draws", "2000", "--seed", "7"]
-        assert main([*argv, "--json", str(js), "--dump-draws", "3"]) == 0
+        assert cli.main([*argv, "--json", str(js), "--dump-draws", "3"]) == 0
         assert json.loads(js.read_text())["draws"] == {"10": RECORDED_DRAWS}
 
 
@@ -452,10 +481,8 @@ RECORDED_LOWERBOUND = [
 class TestLowerbound:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_experiments_match_recorded_list(self, threads, capsys):
-        from invclt.cli import main
-
         argv = ["lowerbound", "--n", "64,100", "--draws", "20000", "--seed", "7"]
-        assert main([*argv, "--threads", threads]) == 0
+        assert cli.main([*argv, "--threads", threads]) == 0
         assert json.loads(capsys.readouterr().out)["experiments"] == RECORDED_LOWERBOUND
 
     def test_small_run(self, tmp_path):

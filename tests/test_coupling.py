@@ -25,7 +25,7 @@ from invclt.coupling import (
     zero_bias_gap_samples,
 )
 from invclt.errors import CapExceeded, InputError, NoCaseMatched
-from invclt.involutions import double_factorial, involution_matrix, sample_involutions
+from invclt.involutions import double_factorial, involution_matrix
 
 from conftest import (
     alpha_compose,
@@ -36,6 +36,7 @@ from conftest import (
     rand_centered,
     y_value,
 )
+from oracles import _case_terms_loop, _exact_gap_loop, sample_involutions
 
 
 def _no_table(D):
@@ -300,7 +301,7 @@ class TestClassifyAndDagger:
         zbs = zero_bias_draws(D, 300, gen)
         images = np.array([zb.pi for zb in zbs])
         quads = np.array([zb.quad for zb in zbs])
-        case_k, t_k, tdag_k, delta_k = _kernels._case_terms_loop(d, images, quads)
+        case_k, t_k, tdag_k, delta_k = _case_terms_loop(d, images, quads)
         a_f, delta_f = _kernels.case_terms(d, images, quads)
         np.testing.assert_allclose(a_f, t_k - tdag_k + delta_k, rtol=0.0, atol=1e-13)
         assert np.array_equal(delta_f, delta_k)
@@ -479,11 +480,11 @@ class TestExactOracles:
         assert abs(rows[1][1] - rows[1][2]) < 1e-9  # E[W^3] = 2 E[W*]
         assert abs(rows[3][1] - rows[3][2]) < 1e-8  # E[W^5] = 4 E[(W*)^3]
 
-    def test_exact_gap_backends_agree(self):
+    def test_exact_gap_matches_loop_reference(self):
         D = rand_centered(8, seed=41)
         g = exact_gap(D)
         quads, probs = square_bias_table(D).support()
-        g_loop = _kernels._exact_gap_loop(D.entries, involution_matrix(8), quads, probs)
+        g_loop = _exact_gap_loop(D.entries, involution_matrix(8), quads, probs)
         assert abs(g - g_loop) <= 1e-12
 
 
@@ -528,7 +529,7 @@ class TestEstimateGap:
         fast = zero_bias_gap_samples(D, 3_000, master_seed=112)
 
         def loop_terms(d, images, quads):
-            _, t, tdag, delta = _kernels._case_terms_loop(d, images, quads)
+            _, t, tdag, delta = _case_terms_loop(d, images, quads)
             return t - tdag + delta, delta
 
         monkeypatch.setattr(_kernels, "case_terms", loop_terms)

@@ -14,7 +14,6 @@ from invclt.distances import (
     ecdf,
     kolmogorov_distance,
     l1_distance,
-    lp_norm_quadrature,
     lp_upper,
     step_cdf_from_distribution,
 )
@@ -22,6 +21,7 @@ from invclt.errors import EmptySample, InputError, InvalidP
 from invclt.involutions import exact_w_distribution
 
 from conftest import rand_centered
+from oracles import lp_norm_quadrature
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 

@@ -9,7 +9,7 @@ import pkgutil
 import pytest
 
 import invclt
-from invclt import arrays, bounds, cli, coupling, distances, involutions, rng as rngmod
+from invclt import arrays, bounds, cli, coupling, involutions, rng as rngmod
 from invclt.errors import CapExceeded
 
 from conftest import rand_centered
@@ -59,7 +59,6 @@ REMOVED = {
     involutions.involution_matrix: {"cap"},
     involutions.exact_w_distribution: {"cap"},
     bounds.exact_collision_probability: {"cap"},
-    involutions.sample_involutions: {"chunk"},
     involutions.sample_y_values: {"chunk"},
     coupling.zero_bias_gap_samples: {"chunk", "table"},
     coupling.zero_bias_draws: {"table"},
@@ -69,7 +68,6 @@ REMOVED = {
     arrays.check_centered: {"var_tol"},
     bounds.lower_bound_experiment: {"epsilon"},
     bounds.dkw_slack: {"delta"},
-    distances.lp_norm_quadrature: {"points_per_piece"},
     arrays.validate_and_symmetrize: {"tol"},
     involutions._merge_atoms: {"tol"},
     cli._emit: {"stream"},
@@ -80,7 +78,7 @@ DROPPED = {"cap", "chunk", "var_tol", "epsilon", "delta", "points_per_piece", "t
 
 
 def test_removed_keywords_stay_removed():
-    assert len(REMOVED) == 24
+    assert len(REMOVED) == 22
     for fn, names in REMOVED.items():
         assert not names & set(inspect.signature(fn).parameters), fn.__name__
     # and no other public function of the package grew one of them

@@ -1,17 +1,16 @@
-"""Every imported name is used in its module, and every private function
-of the package is used somewhere.
+"""Every imported name is used in its module, and every name the package
+defines is read by a program path.
 
 A stdlib ``ast`` scan over the package and the test modules: an import
 binding a name that the module never reads fails here.  Names listed in
 ``__all__`` count as used (re-exports), and ``__future__`` imports are
-skipped.  A top-level ``_private`` function of the package fails when no
-statement of the package or the tests other than its own definition names
-it, as a bare name or as an attribute.
+skipped.
 
-Every public top-level function and class of the package, and every
-public method of its classes, must be named by a statement of the package
-or the benchmark other than its own definition; the tests alone do not keep
-a name alive, apart from the few listed in ``TEST_REFERENCES``.
+Every top-level function of the package, private or public, every public
+class, constant and method of a public class must be named, as a bare name
+or as an attribute, by a statement of a program path (the package or the
+benchmark) other than its own definition.  The tests alone keep no name
+alive: what only they run belongs in ``tests/oracles.py``.
 
 The package root exports only what is read off it (``invclt.<name>`` or
 ``from invclt import <name>``) in the tests, the benchmark or the README,
@@ -29,14 +28,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "invclt").glob("*.py"))
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
-
-# public names that only the tests read, each with the reason it stays
-TEST_REFERENCES = {
-    "lp_norm_quadrature": "Simpson reference for the closed-form L1 distance",
-    "sample_involutions": "image rows for the sampler's law and thread-invariance tests",
-    "seg_abs_integral": "the clip-form segment integral, checked against its loop and quadrature",
-    "save_matrix_json": "writes the JSON matrix files of the I/O round trip and the CLI tests",
-}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -90,9 +81,25 @@ def names_read(node: ast.AST) -> set[str]:
     return out
 
 
-def dead_private_functions(package: list[ast.Module], others: list[ast.Module]) -> list[str]:
-    """Top-level ``_private`` functions of ``package`` that no other statement names."""
-    statements = [(node, names_read(node)) for tree in package + others for node in tree.body]
+def is_program_path(path: Path) -> bool:
+    """The package and the benchmark run in programs; the tests do not."""
+    return path.parent in (ROOT / "src" / "invclt", ROOT / "perfbench")
+
+
+def parse_all() -> dict[Path, ast.Module]:
+    """Every module of the package, the tests and the benchmark, by path."""
+    return {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES + BENCHMARK}
+
+
+def dead_private_functions(package: list[ast.Module], modules: dict[Path, ast.Module]) -> list[str]:
+    """Top-level ``_private`` functions of ``package`` that no other statement
+    of a program path among ``modules`` names."""
+    statements = [
+        (node, names_read(node))
+        for path, tree in modules.items()
+        if is_program_path(path)
+        for node in tree.body
+    ]
     dead = []
     for tree in package:
         for node in tree.body:
@@ -108,11 +115,8 @@ def dead_private_functions(package: list[ast.Module], others: list[ast.Module]) 
 
 
 def test_every_private_function_is_used():
-    def parse(path):
-        return ast.parse(path.read_text(), filename=str(path))
-
-    tests = [parse(path) for path in MODULES if path not in PACKAGE]
-    assert dead_private_functions([parse(path) for path in PACKAGE], tests) == []
+    modules = parse_all()
+    assert dead_private_functions([modules[path] for path in PACKAGE], modules) == []
 
 
 def test_scan_flags_an_unused_private_function():
@@ -123,9 +127,14 @@ def test_scan_flags_an_unused_private_function():
         "def __dunder__():\n    pass\n"
         "def public():\n    return _used()\n"
         "def _by_attribute():\n    pass\n"
+        "def _test_only():\n    pass\n"
     )
-    tests = ast.parse("import mod\nmod._by_attribute()\n")
-    assert dead_private_functions([package], [tests]) == ["_dead", "_recursive"]
+    modules = {
+        ROOT / "src" / "invclt" / "mod.py": package,
+        ROOT / "perfbench" / "bench.py": ast.parse("import mod\nmod._by_attribute()\n"),
+        ROOT / "tests" / "test_mod.py": ast.parse("import mod\nmod._test_only()\n"),
+    }
+    assert dead_private_functions([package], modules) == ["_dead", "_recursive", "_test_only"]
 
 
 def statements(tree: ast.Module) -> list[ast.AST]:
@@ -137,10 +146,16 @@ def statements(tree: ast.Module) -> list[ast.AST]:
 
 
 def public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
-    """(name, node) of each public top-level function and class, and of each
-    public method of a public class as ``Class.method``."""
+    """(name, node) of each public top-level function, class and constant,
+    and of each public method of a public class as ``Class.method``."""
     out = []
     for node in tree.body:
+        if isinstance(node, ast.Assign):
+            out += [
+                (t.id, node)
+                for t in node.targets
+                if isinstance(t, ast.Name) and not t.id.startswith("_")
+            ]
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
         out.append((node.name, node))
@@ -153,28 +168,29 @@ def public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
     return out
 
 
-def unread_public_names(package: list[ast.Module], others: list[ast.Module]) -> list[str]:
-    """Public definitions of ``package`` that no statement outside their own
-    definition names, as a bare name or as an attribute."""
-    units = [(node, names_read(node)) for tree in package + others for node in statements(tree)]
+def unread_public_names(package: list[ast.Module], modules: dict[Path, ast.Module]) -> list[str]:
+    """Public definitions of ``package`` that no statement of a program path
+    among ``modules``, outside their own definition, names as a bare name or
+    as an attribute."""
+    units = [
+        (node, names_read(node))
+        for path, tree in modules.items()
+        if is_program_path(path)
+        for node in statements(tree)
+    ]
     unread = []
     for tree in package:
         for name, node in public_definitions(tree):
             own = node.body if isinstance(node, ast.ClassDef) else [node]
-            if not any(
-                node.name in names for unit, names in units if not any(unit is o for o in own)
-            ):
+            key = name.rsplit(".", 1)[-1]
+            if not any(key in names for unit, names in units if not any(unit is o for o in own)):
                 unread.append(name)
     return sorted(unread)
 
 
 def test_every_public_name_is_read_by_a_program_path():
-    def parse(path):
-        return ast.parse(path.read_text(), filename=str(path))
-
-    unread = unread_public_names([parse(path) for path in PACKAGE], [parse(p) for p in BENCHMARK])
-    # an exemption whose name a program path reads is stale
-    assert unread == sorted(TEST_REFERENCES)
+    modules = parse_all()
+    assert unread_public_names([modules[path] for path in PACKAGE], modules) == []
 
 
 def test_scan_flags_an_unread_public_name():
@@ -189,10 +205,17 @@ def test_scan_flags_an_unread_public_name():
         "    def __call__(self):\n        pass\n"
         "class Lonely:\n"
         "    def make(self):\n        return Lonely()\n"
+        "def test_only():\n    pass\n"
+        "SIZE = 4\n"
+        "LIMIT = _CAP = 3\n"
     )
-    bench = ast.parse("import mod\nmod.used()\n")
-    assert unread_public_names([package], [bench]) == [
-        "Kept.unread", "Lonely", "Lonely.make", "recursive"
+    modules = {
+        ROOT / "src" / "invclt" / "mod.py": package,
+        ROOT / "perfbench" / "bench.py": ast.parse("import mod\nmod.used(mod.SIZE)\n"),
+        ROOT / "tests" / "test_mod.py": ast.parse("import mod\nmod.test_only(mod.LIMIT)\n"),
+    }
+    assert unread_public_names([package], modules) == [
+        "Kept.unread", "LIMIT", "Lonely", "Lonely.make", "recursive", "test_only"
     ]
 
 

@@ -13,7 +13,6 @@ from invclt.involutions import (
     enumerate_involutions,
     exact_w_distribution,
     involution_matrix,
-    sample_involutions,
     sample_y_values,
 )
 
@@ -26,6 +25,7 @@ from conftest import (
     rank_of,
     y_value,
 )
+from oracles import sample_involutions
 
 
 def enumerated(n):

@@ -5,6 +5,7 @@ from invclt import _kernels, rng as rngmod
 from invclt.involutions import choice_highs, draw_choices, involution_matrix
 
 from conftest import assert_involution, rand_centered, rank_of, y_value
+from oracles import _case_terms_loop, _exact_gap_loop, _seg_abs_integral_loop, seg_abs_integral
 
 
 def test_backend_reported():
@@ -14,7 +15,7 @@ def test_backend_reported():
 # Each kernel is checked against a second, independent implementation:
 # match_pairs (through images_of) against the canonical rank of its rows
 # (``rank_of``), y_batch against ``y_value``, and case_terms and exact_gap
-# against their plain-Python loop references (``_kernels._*_loop``).
+# against their plain-Python loop references (``oracles._*_loop``).
 
 
 def random_matchings(n: int, m: int, seed: int) -> np.ndarray:
@@ -116,7 +117,7 @@ class TestYBatch:
 
 
 class TestCaseTerms:
-    def test_backends_agree(self):
+    def test_kernel_matches_loop_reference(self):
         D = rand_centered(12, seed=71)
         gen = rngmod.derive_stream(10, 1)
         imgs = _kernels.images_of(_kernels.match_pairs(draw_choices(12, 400, gen), 12))
@@ -126,7 +127,7 @@ class TestCaseTerms:
         gen2 = rngmod.derive_stream(10, 2)
         perm = np.array([gen2.permutation(4) for _ in range(400)])
         quads = np.take_along_axis(quads, perm, axis=1)
-        c1, t1, td1, de1 = _kernels._case_terms_loop(D.entries, imgs, quads)
+        c1, t1, td1, de1 = _case_terms_loop(D.entries, imgs, quads)
         a2, de2 = _kernels.case_terms(D.entries, imgs, quads)
         np.testing.assert_allclose(a2, t1 - td1 + de1, rtol=0.0, atol=1e-13)
         assert np.array_equal(de1, de2)
@@ -143,14 +144,14 @@ class TestSegIntegral:
             c = float(gen.normal())
             if c == 0.0:
                 continue
-            exact = float(_kernels.seg_abs_integral(np.array([a]), np.array([c]))[0])
+            exact = float(seg_abs_integral(np.array([a]), np.array([c]))[0])
             g = np.abs(a - u * c)
             grid = du * (0.5 * (g[0] + g[-1]) + g[1:-1].sum())
             assert abs(exact - grid) < 1e-8
 
     def test_same_sign_closed_form(self):
         # endpoints with one sign: the integral is |a - c/2|
-        val = float(_kernels.seg_abs_integral(np.array([3.0]), np.array([1.0]))[0])
+        val = float(seg_abs_integral(np.array([3.0]), np.array([1.0]))[0])
         assert val == pytest.approx(2.5, rel=1e-15)
 
     def test_clip_form_matches_two_branch_loop(self):
@@ -161,14 +162,14 @@ class TestSegIntegral:
         gen = rngmod.derive_stream(16, 1)
         a = np.concatenate([[t * c for t in ratios for c in scales], gen.normal(size=200_000)])
         c = np.concatenate([[c for _ in ratios for c in scales], gen.normal(size=200_000)])
-        got = _kernels.seg_abs_integral(a, c)
-        loop = _kernels._seg_abs_integral_loop
+        got = seg_abs_integral(a, c)
+        loop = _seg_abs_integral_loop
         want = np.array([loop(x, y) for x, y in zip(a.tolist(), c.tolist())])
         assert np.all(np.abs(got - want) <= 1e-15 * want)
 
 
 class TestExactGap:
-    def test_backends_agree(self):
+    def test_kernel_matches_loop_reference(self):
         from invclt.coupling import square_bias_table
 
         D8, D10 = rand_centered(8, seed=72), rand_centered(10, seed=73)
@@ -187,7 +188,7 @@ class TestExactGap:
             (D10, inv10, q10, p10),
             (D10, inv10[3:4], q10, p10),
         ):
-            a = _kernels._exact_gap_loop(D.entries, invs, quads, probs)
+            a = _exact_gap_loop(D.entries, invs, quads, probs)
             b = _kernels.exact_gap(D.entries, invs, quads, probs)
             assert abs(a - b) < 1e-12
 
@@ -202,7 +203,7 @@ class TestExactGap:
         invs = involution_matrix(n)
         images = np.repeat(invs, len(quads), axis=0)
         all_quads = np.tile(quads, (len(invs), 1))
-        _, t, tdag, delta_t = _kernels._case_terms_loop(D.entries, images, all_quads)
+        _, t, tdag, delta_t = _case_terms_loop(D.entries, images, all_quads)
         want = t - tdag + delta_t
         a, delta = _kernels.case_terms(D.entries, images, all_quads)
         np.testing.assert_allclose(a, want, rtol=0.0, atol=1e-13)
@@ -260,7 +261,7 @@ class TestFoldOrders:
         rows, _ = _kernels.fold_orders(quads, probs, 8)
         assert len(rows) < len(quads) and 4 * len(rows) != len(quads)
         invs = involution_matrix(8)
-        a = _kernels._exact_gap_loop(D.entries, invs, quads, probs)
+        a = _exact_gap_loop(D.entries, invs, quads, probs)
         b = _kernels.exact_gap(D.entries, invs, quads, probs)
         assert abs(a - b) < 1e-12
 
@@ -272,7 +273,7 @@ class TestFoldOrders:
         invs = involution_matrix(10)
         pairs, delta, base = _kernels.quad_pairs(D.entries, quads)
         per_pi = [
-            _kernels.seg_abs_integral(
+            seg_abs_integral(
                 _kernels.pairing_a(D.entries, invs[s : s + 105], pairs, base), delta
             )
             @ probs

@@ -6,7 +6,7 @@ from invclt import rng as rngmod
 C = rngmod.DEFAULT_CHUNK
 
 
-def draw(idx, count, gen):
+def draw(count, gen):
     return gen.random(count)
 
 
