@@ -1,11 +1,11 @@
 """Hot numeric kernels, vectorized in numpy.
 
 The kernels below are the only implementation of each step.  The tests
-check ``case_terms``, ``pairing_a`` and ``exact_gap`` against plain-Python
-loop references that live in ``tests/oracles.py``; those loops hold the
-only copy of the ten-row table of short cycle sums ``T`` (before) and
-``T_dag`` (after the rewiring).  The rows themselves, as conditions, are
-``case_rows``.
+check ``case_terms``, ``held_pairing_a`` and ``exact_gap`` against
+plain-Python loop references that live in ``tests/oracles.py``; those loops
+hold the only copy of the ten-row table of short cycle sums ``T`` (before)
+and ``T_dag`` (after the rewiring).  The rows themselves, as conditions,
+are ``case_rows``.
 
 Kernel semantics:
 
@@ -46,22 +46,28 @@ Kernel semantics:
   (i,j,k,l), (j,i,l,k), (k,l,i,j) and (l,k,j,i) name the same three
   candidate pairings {il|jk}, {ij|kl}, {ik|jl}, so they give bit-identical
   ``delta``, ``base`` and ``a`` under every involution, and one row with
-  the summed weight stands for all four.  ``pairing_a`` gathers ``a``
-  quadruple-major, whole rows of point-pair-major tables, and the integral
-  is ``|delta|*(phi(t) - t + 1/2)`` at ``t = a/delta`` (``_phi``),
-  so with ``p*|delta|`` and ``p*sign(delta)`` folded into the weights each
-  involution's sum is two matrix-vector products.
+  the summed weight stands for all four.  ``held_pairing_a`` then tables
+  the three pairings of each 4-set once per block of involutions
+  (``pairing_table``) and reads each row's ``a`` off that table with one
+  gather, and the integral is ``|delta|*(phi(t) - t + 1/2)`` at
+  ``t = a/delta`` (``_phi``), so with ``p*|delta|`` and ``p*sign(delta)``
+  folded into the weights each involution's sum is two matrix-vector
+  products.
 
 One pairing rule (``pairing_rule``) picks, per (involution, quadruple), the
-pairing {xy|zw} = {il|jk} if pi holds (I,L) or (J,K) (rows 3, 4, 9),
-{ij|kl} if it holds (I,J) or (K,L) (rows 5, 6, 8), and {ik|jl} otherwise
-(rows 1, 2, 7, 10).  Both integrand kernels read ``a`` off it: with
-``v_x = d[x, pi(x)]`` and ``M(x, y) = 2*(v_x + v_y - d[pi(x), pi(y)])``,
-which is ``2*d_xy`` when (x, y) is a cycle of pi,
-``a = -2*(d_ij + d_kl) + M(x, y) + M(z, w)``.  ``case_terms`` evaluates M
-per row; ``exact_gap`` tables it per involution (``pairing_a``).  The same
-rule builds the rewired involution itself (``coupling.rewire``): pi_dag
-pairs pi(x) with pi(y) and pi(z) with pi(w), then plants (I,K) and (J,L).
+pairing {xy|zw} of the quadruple that pi holds: {il|jk} if pi holds (I,L)
+or (J,K) (rows 3, 4, 9), {ij|kl} if it holds (I,J) or (K,L) (rows 5, 6, 8),
+and the row's own {ik|jl} otherwise (rows 1, 2, 7, 10).  Two pairs of
+different pairings share a point, so pi holds a pair of at most one of
+them: the held pairing is the same whatever the row's order, and only
+when none is held does the order choose.  Both integrand kernels read
+``a`` off the rule: with ``v_x = d[x, pi(x)]`` and
+``M(x, y) = 2*(v_x + v_y - d[pi(x), pi(y)])``, which is ``2*d_xy`` when
+(x, y) is a cycle of pi, ``a = -2*(d_ij + d_kl) + M(x, y) + M(z, w)``.
+``case_terms`` evaluates M per row; ``held_pairing_a`` sums it once per
+pairing of each 4-set, for every involution of a block.  The same rule
+builds the rewired involution itself (``coupling.rewire``): pi_dag pairs
+pi(x) with pi(y) and pi(z) with pi(w), then plants (I,K) and (J,L).
 """
 
 from __future__ import annotations
@@ -236,7 +242,10 @@ def pairing_rule(holds, options):
 
     ``options`` holds one value for each of {il|jk}, {ij|kl} and {ik|jl}, in
     that order, and ``holds(xy)`` is true where the pair ``xy`` (positions,
-    as in ``_PAIRS``) is a cycle of pi; the rule is in the module docstring.
+    as in ``_PAIRS``) is a cycle of pi.  pi holds a pair of at most one
+    pairing, since two pairs of different pairings share a point, so the
+    rule picks that held pairing, and the row's own {ik|jl} when none is
+    held; the order in which it tests them does not change the pick.
     """
     _, _, ij, kl, il, jk = _PAIRS
     return np.where(
@@ -271,14 +280,44 @@ def case_terms(d: np.ndarray, images: np.ndarray, quads: np.ndarray):
     return a, delta
 
 
-def pairing_a(d: np.ndarray, invs: np.ndarray, pairs, base: np.ndarray) -> np.ndarray:
-    """``a`` for every (involution, quadruple), one row per involution.
+def pairing_table(quads: np.ndarray, n: int):
+    """The three pairings of each 4-set of ``quads``, and each row's own {ik|jl}.
 
-    ``pairs`` and ``base`` come from ``quad_pairs``.  M and the cycle mask
-    are tabled once per involution, point-pair major as ``(n*n, m)``, so
-    each pair's column of the quadruples is one ``np.take`` of whole rows
-    (contiguous copies across the involutions).  The sum is built as a
-    ``(Q, m)`` buffer and returned as its ``(m, Q)`` transposed view.  M is
+    The ``k`` sets come out in the order of their sorted points
+    (a, b, c, d).  Pairing ``r`` of set ``s`` is table row ``r*k + s``, and
+    it pairs ``a`` with its ``r``-th larger point: {ab|cd}, {ac|bd},
+    {ad|bc}.  Returns the flat indices ``(first, second)`` of each pairing's
+    two pairs into an ``(n, n)`` array, as ``x*n + y``, and ``key``, the
+    table row of each row's {ik|jl} (the pairing that holds ``a``'s pair in
+    that row).
+    """
+    q = np.asarray(quads, dtype=np.int64)
+    pts = np.sort(q, axis=1)
+    _, rep, set_of_row = np.unique(
+        np.ravel_multi_index(pts.T, (n,) * 4), return_index=True, return_inverse=True
+    )
+    a, b, c, d = pts[rep].T
+    i, j, k, l = q.T
+    lo = pts[:, 0]
+    partner = np.where((i == lo) | (k == lo), i + k, j + l) - lo
+    rank = (partner > pts[:, 1]).astype(np.int64) + (partner > pts[:, 2])
+    key = rank * len(rep) + set_of_row
+    first = np.concatenate([a * n + b, a * n + c, a * n + d])
+    second = np.concatenate([c * n + d, b * n + d, b * n + c])
+    return (first, second), key
+
+
+def held_pairing_a(d: np.ndarray, invs: np.ndarray, table, key, base: np.ndarray) -> np.ndarray:
+    """``a`` for every (quadruple, involution), as a ``(Q, m)`` array.
+
+    ``table`` and ``key`` come from ``pairing_table``, ``base`` from
+    ``quad_pairs``.  The pairing rule picks the pairing that pi holds
+    whatever the row's order, and the row's own {ik|jl} only when pi holds
+    none (``pairing_rule``).  So M and the cycle mask are tabled once per
+    involution, point-pair major as ``(n*n, m)``; each pairing's
+    ``S = M(p1) + M(p2)`` and ``H = cyc(p1) | cyc(p2)`` are gathered once
+    per set, a held pairing's ``S`` replaces its set's three entries, and
+    each row reads the table at its ``key``.  M is
     ``2*((v_x + v_y) - d[pi(x), pi(y)])``, as in ``case_terms``, so both
     kernels give ``a`` bit for bit.
     """
@@ -288,12 +327,17 @@ def pairing_a(d: np.ndarray, invs: np.ndarray, pairs, base: np.ndarray) -> np.nd
     M = 2.0 * (v[:, None, :] + v[None, :, :] - d[pis[:, None, :], pis[None, :, :]])
     M = M.reshape(n * n, -1)
     cyc = (pis[:, None, :] == np.arange(n)[:, None]).reshape(n * n, -1)  # pi(x) == y
-    a = _pairing_sum(
-        lambda xy: np.take(cyc, pairs[xy], axis=0),
-        lambda xy: np.take(M, pairs[xy], axis=0),
-    )
+    first, second = table
+    S = np.take(M, first, axis=0)
+    S += np.take(M, second, axis=0)
+    H = np.take(cyc, first, axis=0)
+    H |= np.take(cyc, second, axis=0)
+    S, H = S.reshape(3, -1, S.shape[1]), H.reshape(3, -1, H.shape[1])
+    held = np.where(H[0], S[0], np.where(H[1], S[1], S[2]))
+    S = np.where(H[0] | H[1] | H[2], held, S)
+    a = np.take(S.reshape(-1, S.shape[2]), key, axis=0)
     a += base[:, None]
-    return a.T
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -349,23 +393,25 @@ def exact_gap(d, invs, quads, probs) -> float:
     three candidate pairings, so they give bit-identical ``delta``, ``base``
     and ``a`` under every involution, and one row per orbit carries the
     summed weight, a quarter of the columns on a full support.  The
-    integrand comes from the pairing closed form (``pairing_a``) over blocks
-    of involutions; a block holds at most ``_GAP_BLOCK_TERMS`` (involution,
-    quadruple) terms, or one involution if there are more quadruples than
-    that.  Each block is summed on its ``(Q, m)`` buffer through
+    integrand comes off the per-pairing table (``held_pairing_a``) over
+    blocks of involutions; a block holds at most ``_GAP_BLOCK_TERMS``
+    (involution, quadruple) terms, or one involution if there are more
+    quadruples than that.  Each block is summed on its own contiguous
+    ``(Q, m)`` array through
     ``int_0^1 |a - u*delta| du = |delta|*(phi(t) - t + 1/2)``, ``t = a/delta``:
     per involution, ``phi(t) @ (p*|delta|) - a @ (p*sign(delta))`` plus
     ``sum(p*|delta|)/2``.
     """
     quads, probs = fold_orders(quads, probs, d.shape[0])
-    pairs, delta, base = quad_pairs(d, quads)
+    _, delta, base = quad_pairs(d, quads)
+    table, key = pairing_table(quads, d.shape[0])
     w_abs = probs * np.abs(delta)
     w_sign = probs * np.sign(delta)
     half = 0.5 * w_abs.sum()
     block = max(1, _GAP_BLOCK_TERMS // max(1, len(quads)))
     per_pi = np.empty(invs.shape[0], dtype=np.float64)
     for s in range(0, invs.shape[0], block):
-        a = pairing_a(d, invs[s : s + block], pairs, base).T  # (Q, m) buffer
+        a = held_pairing_a(d, invs[s : s + block], table, key, base)
         per_pi[s : s + block] = w_abs @ _phi(a / delta[:, None]) - w_sign @ a + half
     return float(per_pi.sum() / invs.shape[0])
 

@@ -8,7 +8,7 @@ form of a sampler whose program path never builds one.
   row by row.  It is the only copy of the short cycle sums ``T`` (before)
   and ``T_dag`` (after the rewiring); the rows themselves, as conditions,
   are ``_kernels.case_rows``.  It checks ``_kernels.case_terms`` and
-  ``_kernels.pairing_a``.
+  ``_kernels.held_pairing_a``.
 * ``_exact_gap_loop`` sums the table's integrand through the two-branch
   segment integral ``_seg_abs_integral_loop``; it checks
   ``_kernels.exact_gap``.  ``seg_abs_integral`` is the clip form that

@@ -176,6 +176,11 @@ class TestVerify:
         assert {r["check"] for r in obj["checks"]} == {"lemma_3_3_normalization"}
         assert all(r["max_abs_error"] < 1e-10 for r in obj["checks"])
 
+    def test_default_payload_matches_recorded(self):
+        out = run_cli("verify")
+        assert out.returncode == 0
+        assert json.loads(out.stdout) == RECORDED_VERIFY
+
     def test_impossible_cases_check_present(self):
         out = run_cli("verify", "--only", "impossible_cases_21_12")
         obj = json.loads(out.stdout)
@@ -356,6 +361,352 @@ RECORDED_DRAWS = [
 ]
 
 
+# `simulate --n 10,20,48,64 --draws 2000 --seed 7 --json <path>`: the rows of
+# the JSON report, which the CSV on stdout repeats column by column.  The rows
+# run the square-bias table (n = 10, 20, 48) and the rejection sampler above
+# TABLE_CAP (n = 64).  Recorded before exact_gap read its integrand off one
+# table per pairing of each 4-set; the MC path shares only case_terms and the
+# pairing rule with it.  The list may change only with a deliberate change of
+# a sampling stream or of the report schema.
+RECORDED_SIMULATE = [
+    {
+        "beta": 1.237784986823176,
+        "bound_l1": 46.91205100059837,
+        "bound_linf": 7637436.130906773,
+        "gap_bound": 22.418761681341362,
+        "gap_mc": 0.9268198594773309,
+        "gap_se": 0.01541449038034542,
+        "ks_mc": 0.027844790521896035,
+        "l1_mc": 0.042155465115728805,
+        "n": 10,
+    },
+    {
+        "beta": 2.1588658351905377,
+        "bound_l1": 40.91050757686069,
+        "bound_linf": 6660365.130854452,
+        "gap_bound": 15.768356060231685,
+        "gap_mc": 0.6790079967264538,
+        "gap_se": 0.011753308032437348,
+        "ks_mc": 0.014365068291119332,
+        "l1_mc": 0.025567240700140267,
+        "n": 20,
+    },
+    {
+        "beta": 3.692302461984645,
+        "bound_l1": 29.153804856087092,
+        "bound_linf": 4746335.276589055,
+        "gap_bound": 9.698704210039528,
+        "gap_mc": 0.4682410278379032,
+        "gap_se": 0.007837141383189722,
+        "ks_mc": 0.019138068045668033,
+        "l1_mc": 0.027057135926595522,
+        "n": 48,
+    },
+    {
+        "beta": 4.242721785770858,
+        "bound_l1": 25.1248680751118,
+        "bound_linf": 4090411.1231179675,
+        "gap_bound": 8.12394213032247,
+        "gap_mc": 0.3961417549929,
+        "gap_se": 0.006699996584710616,
+        "ks_mc": 0.012704743927796303,
+        "l1_mc": 0.023950334305458933,
+        "n": 64,
+    },
+]
+
+
+# `verify` at the default seed: the whole payload, recorded before exact_gap
+# read its integrand off one table per pairing of each 4-set.  Every value is
+# a deterministic function of the seed, so a change of summation order in a
+# check shows here; the payload was the same with OpenBLAS at 1 and 2 threads.
+# It may change only with a deliberate change of a check or of the report schema.
+RECORDED_VERIFY = {
+    "checks": [
+        {
+            "check": "hat_marginals",
+            "max_abs_error": 4.440892098500626e-16,
+            "n": 6,
+            "pass": True,
+        },
+        {
+            "check": "hat_marginals",
+            "max_abs_error": 1.3322676295501878e-15,
+            "n": 12,
+            "pass": True,
+        },
+        {
+            "check": "hat_marginals",
+            "max_abs_error": 1.1546319456101628e-14,
+            "n": 30,
+            "pass": True,
+        },
+        {
+            "check": "sigma_consistency",
+            "max_abs_error": 2.184648346875156e-16,
+            "n": 6,
+            "pass": True,
+        },
+        {"check": "sigma_consistency", "max_abs_error": 0.0, "n": 12, "pass": True},
+        {
+            "check": "sigma_consistency",
+            "max_abs_error": 2.327997393878488e-16,
+            "n": 30,
+            "pass": True,
+        },
+        {
+            "check": "brute_force_moments",
+            "max_abs_error": 1.1102230246251565e-16,
+            "n": 6,
+            "pass": True,
+        },
+        {
+            "check": "brute_force_moments",
+            "max_abs_error": 5.551115123125783e-17,
+            "n": 8,
+            "pass": True,
+        },
+        {
+            "check": "lemma_3_3_normalization",
+            "max_abs_error": 4.440892098500626e-16,
+            "n": 6,
+            "pass": True,
+        },
+        {
+            "check": "lemma_3_3_normalization",
+            "max_abs_error": 2.220446049250313e-16,
+            "n": 8,
+            "pass": True,
+        },
+        {
+            "check": "lemma_3_3_normalization",
+            "max_abs_error": 4.440892098500626e-16,
+            "n": 10,
+            "pass": True,
+        },
+        {
+            "check": "lemma_3_3_normalization",
+            "max_abs_error": 4.440892098500626e-16,
+            "n": 12,
+            "pass": True,
+        },
+        {
+            "check": "stein_linearity",
+            "formula_error": 2.220446049250313e-16,
+            "max_abs_error": 2.220446049250313e-16,
+            "n": 6,
+            "pass": True,
+        },
+        {
+            "check": "stein_linearity",
+            "formula_error": 4.440892098500626e-16,
+            "max_abs_error": 5.551115123125783e-16,
+            "n": 8,
+            "pass": True,
+        },
+        {
+            "check": "stein_linearity",
+            "formula_error": 8.881784197001252e-16,
+            "max_abs_error": 6.661338147750939e-16,
+            "n": 10,
+            "pass": True,
+        },
+        {"check": "stein_second_moment", "max_abs_error": 0.0, "n": 6, "pass": True},
+        {
+            "check": "stein_second_moment",
+            "max_abs_error": 2.220446049250313e-16,
+            "n": 8,
+            "pass": True,
+        },
+        {"check": "stein_second_moment", "max_abs_error": 0.0, "n": 10, "pass": True},
+        {
+            "case_counts": {
+                "1": 720,
+                "2": 720,
+                "3": 720,
+                "4": 720,
+                "5": 720,
+                "6": 720,
+                "7": 360,
+                "8": 360,
+                "9": 360,
+                "10": 0,
+            },
+            "check": "case_exhaustiveness",
+            "max_abs_error": 0.0,
+            "n": 6,
+            "pass": True,
+        },
+        {
+            "case_counts": {
+                "1": 20160,
+                "2": 20160,
+                "3": 20160,
+                "4": 20160,
+                "5": 20160,
+                "6": 20160,
+                "7": 5040,
+                "8": 5040,
+                "9": 5040,
+                "10": 40320,
+            },
+            "check": "case_exhaustiveness",
+            "max_abs_error": 0.0,
+            "n": 8,
+            "pass": True,
+        },
+        {
+            "check": "impossible_cases_21_12",
+            "max_abs_error": 0.0,
+            "n": 6,
+            "pass": True,
+        },
+        {
+            "check": "impossible_cases_21_12",
+            "max_abs_error": 0.0,
+            "n": 8,
+            "pass": True,
+        },
+        {
+            "check": "completion_uniformity",
+            "expected_count": 15,
+            "max_abs_error": 0.0,
+            "n": 6,
+            "pass": True,
+        },
+        {
+            "check": "completion_uniformity",
+            "expected_count": 35,
+            "max_abs_error": 0.0,
+            "n": 8,
+            "pass": True,
+        },
+        {"check": "p2_joint_law", "max_abs_error": 0.0, "n": 8, "pass": True},
+        {"check": "p3_structural_zeros", "max_abs_error": 0.0, "n": 8, "pass": True},
+        {
+            "check": "zero_bias_moments",
+            "max_abs_error": 8.881784197001252e-16,
+            "n": 6,
+            "pass": True,
+        },
+        {
+            "check": "zero_bias_moments",
+            "max_abs_error": 3.197442310920451e-14,
+            "n": 8,
+            "pass": True,
+        },
+        {
+            "check": "zero_bias_cdf",
+            "max_abs_error": 7.771561172376096e-16,
+            "n": 6,
+            "pass": True,
+        },
+        {
+            "check": "zero_bias_cdf",
+            "max_abs_error": 1.6653345369377348e-15,
+            "n": 8,
+            "pass": True,
+        },
+        {"check": "exchangeability", "max_abs_error": 0.0, "n": 6, "pass": True},
+        {"check": "exchangeability", "max_abs_error": 0.0, "n": 8, "pass": True},
+        {
+            "case_counts": {
+                "1": 47,
+                "2": 36,
+                "3": 51,
+                "4": 56,
+                "5": 49,
+                "6": 36,
+                "7": 13,
+                "8": 15,
+                "9": 11,
+                "10": 86,
+            },
+            "check": "zero_bias_draw_invariants",
+            "max_abs_error": 4.440892098500626e-16,
+            "n": 8,
+            "pass": True,
+        },
+        {
+            "case_counts": {
+                "1": 44,
+                "2": 39,
+                "3": 29,
+                "4": 34,
+                "5": 46,
+                "6": 43,
+                "7": 7,
+                "8": 2,
+                "9": 7,
+                "10": 149,
+            },
+            "check": "zero_bias_draw_invariants",
+            "max_abs_error": 6.661338147750939e-16,
+            "n": 10,
+            "pass": True,
+        },
+        {
+            "check": "bound_chain",
+            "exact_gap": 0.9460274146511111,
+            "gap_bound": 24.23282263753452,
+            "l1": 0.05732201103616896,
+            "linf": 0.03247291618994452,
+            "max_abs_error": 0.0,
+            "n": 10,
+            "pass": True,
+        },
+        {
+            "check": "bound_chain",
+            "exact_gap": 0.8887540080905459,
+            "gap_bound": 23.509658794272084,
+            "l1": 0.017638300753714125,
+            "linf": 0.01162115236840755,
+            "max_abs_error": 0.0,
+            "n": 12,
+            "pass": True,
+        },
+        {
+            "check": "truncation_inequalities",
+            "max_abs_error": 0.0,
+            "n": 16,
+            "pass": True,
+        },
+        {
+            "check": "truncation_inequalities",
+            "max_abs_error": 0.0,
+            "n": 100,
+            "pass": True,
+        },
+        {
+            "check": "truncation_inequalities",
+            "max_abs_error": 0.0,
+            "n": 1000,
+            "pass": True,
+        },
+        {
+            "bound": 2.701551569381359,
+            "check": "truncation_collision",
+            "collision": 0.1111111111111111,
+            "gamma_size": 2,
+            "max_abs_error": 0.0,
+            "n": 10,
+            "pass": True,
+        },
+        {
+            "bound": 2.8567144501826305,
+            "check": "truncation_collision",
+            "collision": 0.1717171717171717,
+            "gamma_size": 4,
+            "max_abs_error": 0.0,
+            "n": 12,
+            "pass": True,
+        },
+    ],
+    "pass": True,
+    "schema": 1,
+}
+
+
 class TestSimulate:
     def test_row_fields_and_thread_invariance(self, tmp_path):
         args = ("simulate", "--n", "10", "--draws", "20000", "--seed", "5")
@@ -378,6 +729,17 @@ class TestSimulate:
         assert int(vals["n"]) == 10
         assert float(vals["gap_mc"]) <= float(vals["gap_bound"])
 
+    def test_rows_match_recorded_list(self, tmp_path):
+        js = tmp_path / "report.json"
+        argv = ("simulate", "--n", "10,20,48,64", "--draws", "2000", "--seed", "7")
+        out = run_cli(*argv, "--json", str(js))
+        assert out.returncode == 0
+        assert json.loads(js.read_text())["rows"] == RECORDED_SIMULATE
+        header, *rows = out.stdout.splitlines()
+        cols = header.split(",")
+        got = [dict(zip(cols, map(json.loads, row.split(",")))) for row in rows]
+        assert got == [{c: rec[c] for c in cols} for rec in RECORDED_SIMULATE]
+
     def test_mc_ks_close_to_exact(self):
         out = run_cli("simulate", "--n", "10", "--draws", "100000", "--seed", "5")
         header, row = out.stdout.strip().splitlines()
@@ -392,7 +754,9 @@ class TestSimulate:
         ks_exact = kolmogorov_distance(
             step_cdf_from_distribution(exact_w_distribution(D))
         )
-        # |KS(F_m, Phi) - KS(F, Phi)| <= sup|F_m - F| <= DKW slack
+        # |KS(F_m, Phi) - KS(F, Phi)| <= sup|F_m - F|, and by the DKW
+        # inequality P(sup|F_m - F| > 4 * slack) <= 2 exp(-2m (4 * slack)^2)
+        # = 2 * 2000^-16, so the false-failure probability is below 1e-52
         slack = math.sqrt(math.log(2.0 / 0.001) / (2.0 * 100000))
         assert abs(float(vals["ks_mc"]) - ks_exact) <= 4.0 * slack
 

@@ -164,6 +164,10 @@ class TestQuadrupleSampling:
         codes = ((draws[:, 0] * 6 + draws[:, 1]) * 6 + draws[:, 2]) * 6 + draws[:, 3]
         ref = ((quads[:, 0] * 6 + quads[:, 1]) * 6 + quads[:, 2]) * 6 + quads[:, 3]
         counts = np.bincount(np.searchsorted(ref, codes), minlength=len(ref))
+        # false-failure probability at most 2.4e-2, the union bound over the
+        # 360 support bins of the exact binomial tails beyond 4 sigma + 1:
+        # 6.3e-5 per bin where the normal tail holds, up to 2.7e-4 for the
+        # bins with m*p < 1
         sigma = np.sqrt(m * probs * (1 - probs))
         assert np.all(np.abs(counts - m * probs) <= 4.0 * sigma + 1.0)
 
@@ -490,7 +494,9 @@ class TestExactOracles:
 
 class TestEstimateGap:
     def test_matches_exact_within_4_stderr(self):
-        # false-failure probability 6.3e-5 (two-sided normal tail beyond 4)
+        # false-failure probability 6.3e-5 (two-sided normal tail beyond 4),
+        # asymptotically in the draws: the mean of 100,000 draws is normal by
+        # the CLT, and se is estimated from the same draws
         D = rand_centered(8, seed=42)
         exact = exact_gap(D)
         mean, se = estimate_gap(D, 100_000, master_seed=4242)
@@ -517,7 +523,8 @@ class TestEstimateGap:
     def test_below_gap_bound(self, n):
         # the mean coupling gap honors the explicit rate bound; the true mean
         # lies below it, so the false-failure probability is at most 3.2e-5 per
-        # n (one-sided normal tail beyond 4)
+        # n (one-sided normal tail beyond 4, asymptotically in the draws), and
+        # at most 9.5e-5 over the three n (union bound)
         D = rand_centered(n, seed=45 + n)
         mean, se = estimate_gap(D, 30_000, master_seed=99 + n)
         assert mean - 4.0 * se <= gap_bound(n, D.beta)

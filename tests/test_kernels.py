@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -195,7 +197,7 @@ class TestExactGap:
     @pytest.mark.parametrize("n", [6, 8])
     def test_pairing_closed_form_matches_table(self, n):
         # both pairing-rule kernels against the ten-row loop, on every
-        # (involution, support quadruple)
+        # (involution, support quadruple); the support rows come in all orders
         from invclt.coupling import square_bias_table
 
         D = rand_centered(n, seed=74 + n)
@@ -208,12 +210,39 @@ class TestExactGap:
         a, delta = _kernels.case_terms(D.entries, images, all_quads)
         np.testing.assert_allclose(a, want, rtol=0.0, atol=1e-13)
         assert np.array_equal(delta, delta_t)
-        pairs, delta_q, base = _kernels.quad_pairs(D.entries, quads)
-        a_pi = _kernels.pairing_a(D.entries, invs, pairs, base)
-        np.testing.assert_allclose(a_pi.ravel(), want, rtol=0.0, atol=1e-13)
-        # the quadruple-major tables give case_terms' values bit for bit
-        assert np.array_equal(a_pi.ravel(), a)
+        _, delta_q, base = _kernels.quad_pairs(D.entries, quads)
+        table, key = _kernels.pairing_table(quads, n)
+        a_pi = _kernels.held_pairing_a(D.entries, invs, table, key, base).T.ravel()
+        np.testing.assert_allclose(a_pi, want, rtol=0.0, atol=1e-13)
+        # the per-pairing table gives case_terms' values bit for bit
+        assert np.array_equal(a_pi, a)
         assert np.array_equal(np.tile(delta_q, len(invs)), delta_t)
+
+    def test_pi_holds_at_most_one_pairing(self):
+        # the premise of the per-pairing table, over every involution and
+        # every ordered quadruple of distinct points at n = 8: two pairs of
+        # different pairings share a point, so pi holds a pair of at most
+        # one of {il|jk}, {ij|kl}, {ik|jl}, and the rule picks that pairing
+        # whatever the order, or the row's own {ik|jl} when none is held
+        import itertools
+
+        n = 8
+        invs = involution_matrix(n)
+        quads = np.array(list(itertools.permutations(range(n), 4)))
+        assert (len(invs), len(quads)) == (105, 1680)
+        images = np.repeat(invs, len(quads), axis=0)
+        q = np.tile(quads, (len(invs), 1))
+        p = np.take_along_axis(images, q, axis=1)  # pi(I), pi(J), pi(K), pi(L)
+
+        def holds(xy):
+            return p[:, xy[0]] == q[:, xy[1]]
+
+        ik, jl, ij, kl, il, jk = _kernels._PAIRS
+        held = np.stack([holds(x) | holds(y) for x, y in ((il, jk), (ij, kl), (ik, jl))])
+        assert held.sum(axis=0).max() == 1
+        assert held.any(axis=0).any() and not held.any(axis=0).all()
+        want = np.where(held.any(axis=0), held.argmax(axis=0), 2)
+        assert np.array_equal(_kernels.pairing_rule(holds, [0, 1, 2]), want)
 
 
 class TestFoldOrders:
@@ -226,14 +255,19 @@ class TestFoldOrders:
         D = rand_centered(n, seed=80 + n)
         quads, _ = square_bias_table(D).support()
         invs = involution_matrix(n)
-        pairs, delta, base = _kernels.quad_pairs(D.entries, quads)
-        a = _kernels.pairing_a(D.entries, invs, pairs, base)
+
+        def terms(rows):
+            _, delta, base = _kernels.quad_pairs(D.entries, rows)
+            table, key = _kernels.pairing_table(rows, n)
+            return delta, base, _kernels.held_pairing_a(D.entries, invs, table, key, base)
+
+        delta, base, a = terms(quads)
         assert len(_kernels._ORDERS) == 4
         for order in _kernels._ORDERS[1:]:
-            pairs_o, delta_o, base_o = _kernels.quad_pairs(D.entries, quads[:, order])
+            delta_o, base_o, a_o = terms(quads[:, order])
             assert np.array_equal(delta_o, delta)
             assert np.array_equal(base_o, base)
-            assert np.array_equal(_kernels.pairing_a(D.entries, invs, pairs_o, base_o), a)
+            assert np.array_equal(a_o, a)
 
     @pytest.mark.parametrize("n", [8, 10])
     def test_full_support_folds_to_a_quarter(self, n):
@@ -271,10 +305,12 @@ class TestFoldOrders:
         D = rand_centered(10, seed=97)
         quads, probs = square_bias_table(D).support()
         invs = involution_matrix(10)
-        pairs, delta, base = _kernels.quad_pairs(D.entries, quads)
+        _, delta, base = _kernels.quad_pairs(D.entries, quads)
+        table, key = _kernels.pairing_table(quads, 10)
         per_pi = [
             seg_abs_integral(
-                _kernels.pairing_a(D.entries, invs[s : s + 105], pairs, base), delta
+                _kernels.held_pairing_a(D.entries, invs[s : s + 105], table, key, base).T,
+                delta,
             )
             @ probs
             for s in range(0, len(invs), 105)
@@ -284,17 +320,40 @@ class TestFoldOrders:
         assert abs(got - want) <= 1e-13 * want
 
     def test_full_support_evaluates_a_quarter_of_the_columns(self, monkeypatch):
-        # dropping the fold would quadruple the work without changing the value
+        # dropping the fold would quadruple the work without changing the
+        # value; the table holds the three pairings of each of the C(8, 4) sets
         from invclt.coupling import exact_gap, square_bias_table
 
         D = rand_centered(8, seed=98)
-        columns = []
-        pairing_a = _kernels.pairing_a
+        columns, pairings = [], []
+        held_pairing_a = _kernels.held_pairing_a
 
-        def counted(d, invs, pairs, base):
+        def counted(d, invs, table, key, base):
             columns.append(len(base))
-            return pairing_a(d, invs, pairs, base)
+            pairings.append(len(table[0]))
+            return held_pairing_a(d, invs, table, key, base)
 
-        monkeypatch.setattr(_kernels, "pairing_a", counted)
+        monkeypatch.setattr(_kernels, "held_pairing_a", counted)
         exact_gap(D)
         assert columns and set(columns) == {len(square_bias_table(D).support()[0]) // 4}
+        assert set(pairings) == {3 * math.comb(8, 4)}
+
+    def test_sets_short_of_rows_match_loop(self):
+        # one folded row dropped from each 4-set: the table is keyed off the
+        # rows it is given, not on six rows per set
+        from invclt.coupling import square_bias_table
+
+        D = rand_centered(8, seed=99)
+        quads, probs = _kernels.fold_orders(*square_bias_table(D).support(), 8)
+        _, lead, per_set = np.unique(
+            np.sort(quads, axis=1), axis=0, return_index=True, return_counts=True
+        )
+        assert len(lead) == math.comb(8, 4) and set(per_set) == {6}
+        keep = np.setdiff1d(np.arange(len(quads)), lead)
+        quads, probs = quads[keep], probs[keep]
+        per_set = np.unique(np.sort(quads, axis=1), axis=0, return_counts=True)[1]
+        assert len(per_set) == math.comb(8, 4) and set(per_set) == {5}
+        invs = involution_matrix(8)
+        a = _exact_gap_loop(D.entries, invs, quads, probs)
+        b = _kernels.exact_gap(D.entries, invs, quads, probs)
+        assert abs(a - b) < 1e-12
