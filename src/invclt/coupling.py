@@ -108,9 +108,14 @@ class QuadrupleTable:
         return quads, self.weights[idx] / self._cum[-1]
 
     def sample(self, us: np.ndarray) -> np.ndarray:
-        """Invert the cumulative table at uniforms ``us`` -> (m, 4) quads."""
+        """Invert the cumulative table at uniforms ``us`` -> (m, 4) quads.
+
+        The keys are inverted in ascending order and the indices scattered
+        back, so each search starts where the last one ended and stays in
+        cache; row for row the result is the per-key inversion.
+        """
         x = np.asarray(us) * self._cum[-1]
-        idx = np.searchsorted(self._cum, x, side="right")
+        idx = _sorted_search(self._cum, x)
         idx = np.minimum(idx, self.weights.size - 1)
         quads = np.empty((idx.size, 4), dtype=np.int64)
         rest, quads[:, 3] = np.divmod(idx, self.n)
@@ -149,17 +154,28 @@ def square_bias_table(D: CenteredArray) -> QuadrupleTable:
     return QuadrupleTable(n=n, weights=flat, raw_total=float(flat.sum()))
 
 
+def _sorted_search(cum: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``searchsorted(cum, x, side="right")``, searched in ascending key order."""
+    order = np.argsort(x)
+    idx = np.empty(x.shape, dtype=np.intp)
+    idx[order] = np.searchsorted(cum, x[order], side="right")
+    return idx
+
+
 def _decode_distinct(i, j, r3, r4):
     """Complete distinct pairs ``(i, j)`` to ordered distinct quadruples.
 
     ``r3`` below ``n - 2`` and ``r4`` below ``n - 3`` step over the points
-    already taken, so uniform integers give uniform filler points.
+    already taken, in ascending order, so uniform integers give uniform
+    filler points.  A min/max network orders the three taken points; the
+    result is that of stepping over them after a full sort.
     """
-    k = r3 + (r3 >= np.minimum(i, j))
-    k = k + (k >= np.maximum(i, j))
-    l = r4
-    for row in np.sort(np.stack([i, j, k], axis=0), axis=0):
-        l = l + (l >= row)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    k = r3 + (r3 >= lo)
+    k += k >= hi
+    l = r4 + (r4 >= np.minimum(lo, k))
+    l += l >= np.maximum(lo, np.minimum(hi, k))
+    l += l >= np.maximum(hi, k)
     return np.stack([i, j, k, l], axis=1)
 
 
@@ -174,13 +190,14 @@ def _square_bias_proposals(
     positions with uniform distinct points from the remaining ``n - 2``; it
     is accepted with probability ``[..]^2 / (4 S)``.  ``d`` must have a zero
     diagonal.  Stream use: term, pair uniform, two point integers, accept
-    uniform.
+    uniform.  The pair uniforms are inverted in ascending order; the pairs
+    are those of the per-key inversion.
     """
     n = d.shape[0]
     cum = np.cumsum(d * d)
     last = np.flatnonzero(d.ravel())[-1]  # the last pair of positive weight
     term = gen.integers(0, 4, size=batch)
-    ab = np.searchsorted(cum, gen.random(batch) * cum[-1], side="right")
+    ab = _sorted_search(cum, gen.random(batch) * cum[-1])
     a, b = np.divmod(np.minimum(ab, last), n)
     r = gen.integers(0, [n - 2, n - 3], size=(batch, 2))
     drawn = _decode_distinct(a, b, r[:, 0], r[:, 1])

@@ -13,6 +13,13 @@ form of a sampler whose program path never builds one.
   segment integral ``_seg_abs_integral_loop``; it checks
   ``_kernels.exact_gap``.  ``seg_abs_integral`` is the clip form that
   ``exact_gap`` folds into its weights, written out on its own.
+* ``table_sample_per_key``, ``_decode_distinct_sort`` and
+  ``_square_bias_proposals_per_key`` are the square-bias samplers key by
+  key: one unsorted ``searchsorted`` over the keys in input order, and the
+  three taken points fully sorted before the fourth steps over them.  They
+  check ``coupling.QuadrupleTable.sample``, ``coupling._decode_distinct``
+  and ``coupling._square_bias_proposals``, which search the keys in
+  ascending order and order the points with a min/max network.
 * ``lp_norm_quadrature`` integrates ``|F - Phi|^p`` by composite Simpson;
   it checks the closed-form ``distances.l1_distance``.
 * ``sample_involutions`` draws image rows on the chunk streams of
@@ -147,6 +154,51 @@ def _exact_gap_loop(d, invs, quads, probs) -> float:
         comp = (s - total) - y
         total = s
     return total / n_inv
+
+
+# ---------------------------------------------------------------------------
+# square-bias quadruple samplers, key by key
+# ---------------------------------------------------------------------------
+
+
+def table_sample_per_key(table, us: np.ndarray) -> np.ndarray:
+    """``table.sample(us)`` with the keys searched in input order."""
+    idx = np.searchsorted(table._cum, np.asarray(us) * table._cum[-1], side="right")
+    idx = np.minimum(idx, table.weights.size - 1)
+    return np.stack(np.unravel_index(idx, (table.n,) * 4), axis=1)
+
+
+def _decode_distinct_sort(i, j, r3, r4):
+    """Complete distinct pairs ``(i, j)`` to ordered distinct quadruples.
+
+    ``r3`` below ``n - 2`` and ``r4`` below ``n - 3`` step over the points
+    already taken, so uniform integers give uniform filler points.
+    """
+    k = r3 + (r3 >= np.minimum(i, j))
+    k = k + (k >= np.maximum(i, j))
+    l = r4
+    for row in np.sort(np.stack([i, j, k], axis=0), axis=0):
+        l = l + (l >= row)
+    return np.stack([i, j, k, l], axis=1)
+
+
+def _square_bias_proposals_per_key(d, batch, gen):
+    """``coupling._square_bias_proposals`` with per-key search and a sorted decode."""
+    n = d.shape[0]
+    cum = np.cumsum(d * d)
+    last = np.flatnonzero(d.ravel())[-1]
+    term = gen.integers(0, 4, size=batch)
+    ab = np.searchsorted(cum, gen.random(batch) * cum[-1], side="right")
+    a, b = np.divmod(np.minimum(ab, last), n)
+    r = gen.integers(0, [n - 2, n - 3], size=(batch, 2))
+    drawn = _decode_distinct_sort(a, b, r[:, 0], r[:, 1])
+    layout = np.array([[0, 2, 1, 3], [2, 0, 3, 1], [0, 1, 2, 3], [2, 3, 0, 1]])
+    quads = np.take_along_axis(drawn, layout[term], axis=1)
+    i, j, k, l = quads.T
+    ik, jl, ij, kl = d[i, k], d[j, l], d[i, j], d[k, l]
+    bracket = ik + jl - (ij + kl)
+    s = ik * ik + jl * jl + ij * ij + kl * kl
+    return quads, gen.random(batch) * (4.0 * s) < bracket * bracket
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,14 @@ from conftest import (
     rand_centered,
     y_value,
 )
-from oracles import _case_terms_loop, _exact_gap_loop, sample_involutions
+from oracles import (
+    _case_terms_loop,
+    _decode_distinct_sort,
+    _exact_gap_loop,
+    _square_bias_proposals_per_key,
+    sample_involutions,
+    table_sample_per_key,
+)
 
 
 def _no_table(D):
@@ -153,6 +160,66 @@ class TestQuadrupleSampling:
         assert np.array_equal(
             sample_quadruples_rejection(D, 50, g1), sample_quadruples_rejection(D, 50, g2)
         )
+
+    def test_table_sample_is_per_key_inversion(self):
+        # the sorted search must give, row for row, what an unsorted
+        # searchsorted gives: shuffled keys, repeated keys, the ends of [0, 1)
+        # and keys on the cumulative steps themselves
+        D = rand_centered(8, seed=34)
+        table = square_bias_table(D)
+        gen = rngmod.derive_stream(14, 8)
+        keys = gen.random(5000)
+        us = np.concatenate(
+            [
+                keys,
+                keys[:100],
+                np.repeat(keys[100:110], 7),
+                [0.0, 0.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 0.0)],
+                table._cum[:: table._cum.size // 97] / table._cum[-1],
+            ]
+        )
+        gen.shuffle(us)
+        got = table.sample(us)
+        assert np.array_equal(got, table_sample_per_key(table, us))
+        perm = gen.permutation(us.size)
+        assert np.array_equal(table.sample(us[perm]), got[perm])
+
+    def test_decode_distinct_exhaustive_n8(self):
+        # every ordered i != j, r3 < n - 2 and r4 < n - 3: the network agrees
+        # with the full sort, and the 56 * 6 * 5 inputs map one to one onto
+        # the 8 * 7 * 6 * 5 ordered distinct quadruples
+        n = 8
+        rows = np.array(
+            [(i, j, r3, r4) for i, j in itertools.permutations(range(n), 2)
+             for r3 in range(n - 2) for r4 in range(n - 3)]
+        )
+        got = coupling._decode_distinct(*rows.T)
+        assert np.array_equal(got, _decode_distinct_sort(*rows.T))
+        assert sorted(map(tuple, got.tolist())) == list(itertools.permutations(range(n), 4))
+
+    def test_decode_distinct_random_n64(self):
+        n = 64
+        gen = rngmod.derive_stream(15, n)
+        i = gen.integers(0, n, size=100_000)
+        j = (i + gen.integers(1, n, size=i.size)) % n
+        r3, r4 = gen.integers(0, [n - 2, n - 3], size=(i.size, 2)).T
+        got = coupling._decode_distinct(i, j, r3, r4)
+        assert np.array_equal(got, _decode_distinct_sort(i, j, r3, r4))
+        assert got.min() >= 0 and got.max() < n
+        s = np.sort(got, axis=1)
+        assert np.all(s[:, 1:] != s[:, :-1])
+
+    @pytest.mark.parametrize("n", [10, 64])
+    def test_proposals_match_per_key_reference(self, n):
+        # same quadruples and accept flags as the per-key reference, and the
+        # same stream use: both generators go on with the same draws
+        D = rand_centered(n, seed=1400 + n)
+        g1, g2 = rngmod.derive_stream(16, n), rngmod.derive_stream(16, n)
+        quads, accepted = coupling._square_bias_proposals(D.entries, 20_000, g1)
+        want_quads, want_accepted = _square_bias_proposals_per_key(D.entries, 20_000, g2)
+        assert np.array_equal(quads, want_quads)
+        assert np.array_equal(accepted, want_accepted)
+        assert np.array_equal(g1.random(8), g2.random(8))
 
     def test_table_frequencies_n6(self):
         D = rand_centered(6, seed=30)
