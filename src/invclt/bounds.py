@@ -104,8 +104,6 @@ def theorem_bounds(D: CenteredArray, p_list=(1.0, 2.0, math.inf)) -> BoundReport
 class TruncationResult:
     d_prime: np.ndarray  # truncated entries, not re-standardized
     gamma: np.ndarray  # (|Gamma|, 2) index pairs with |d| > 1/2
-    gamma_rows: list[np.ndarray]
-    stats: dict = field(default_factory=dict)
     collision_prob_bound: float = 0.0
     deterministic: dict = field(default_factory=dict)  # name -> bool
     conditional: dict = field(default_factory=dict)  # name -> bool | None
@@ -128,7 +126,6 @@ def truncate(D: CenteredArray) -> TruncationResult:
     d_prime = np.where(keep, d, 0.0)
     gi, gj = np.nonzero(~keep)
     gamma = np.stack([gi, gj], axis=1) if gi.size else np.empty((0, 2), dtype=np.int64)
-    gamma_rows = [gj[gi == i] for i in range(n)]
 
     row_cubes = (np.abs(d) ** 3).sum(axis=1)
     row_sums_prime = d_prime.sum(axis=1)
@@ -139,9 +136,7 @@ def truncate(D: CenteredArray) -> TruncationResult:
     beta_prime = summary.beta
 
     deterministic = {
-        "gamma_row_bound": bool(
-            all(len(g) <= 8.0 * row_cubes[i] + 1e-12 for i, g in enumerate(gamma_rows))
-        ),
+        "gamma_row_bound": bool(np.all(np.bincount(gi, minlength=n) <= 8.0 * row_cubes + 1e-12)),
         "gamma_bound": bool(gamma.shape[0] <= 8.0 * beta + 1e-12),
         "total_bound": bool(abs(total_prime) <= 4.0 * beta + 1e-12),
         "row_bound": bool(
@@ -160,16 +155,6 @@ def truncate(D: CenteredArray) -> TruncationResult:
     return TruncationResult(
         d_prime=d_prime,
         gamma=gamma,
-        gamma_rows=gamma_rows,
-        stats={
-            "gamma_size": int(gamma.shape[0]),
-            "total_prime": total_prime,
-            "row_sums_prime": row_sums_prime,
-            "mu_prime": mu_prime,
-            "sigma2_prime": sigma2_prime,
-            "beta_prime": beta_prime,
-            "beta": beta,
-        },
         collision_prob_bound=16.0 * beta / n,
         deterministic=deterministic,
         conditional=conditional,

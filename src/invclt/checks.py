@@ -230,19 +230,19 @@ def check_zero_bias_draw_invariants(seed: int) -> list[dict]:
         gen = rngmod.derive_stream(seed, rngmod.PURPOSE_CHECKS, 10, n)
         D = random_centered(n, gen)
         d = D.entries
-        worst = 0.0
-        cases = {c: 0 for c in range(1, 11)}
-        for zb in coupling.zero_bias_draws(D, 400, gen):
-            cases[zb.case_id] += 1
-            i, j, k, l = zb.quad
-            delta = 2.0 * (d[i, k] + d[j, l] - (d[i, j] + d[k, l]))
-            worst = max(
-                worst,
-                abs(zb.w_star - (zb.u * zb.w_dagger + (1.0 - zb.u) * zb.w_ddagger)),
-                abs((zb.w_dagger - zb.w_ddagger) - delta),
-                abs(zb.w - (zb.s + zb.t)),
-                abs((zb.w - zb.w_star) - (zb.t - (zb.u * zb.t_dagger + (1.0 - zb.u) * zb.t_ddagger))),
-            )
+        z = coupling.zero_bias_draws(D, 400, gen)
+        i, j, k, l = z["quad"].T
+        u, w, w_star, t = z["u"], z["w"], z["w_star"], z["t"]
+        w_dag, w_ddag = z["w_dagger"], z["w_ddagger"]
+        delta = 2.0 * (d[i, k] + d[j, l] - (d[i, j] + d[k, l]))
+        errors = [
+            w_star - (u * w_dag + (1.0 - u) * w_ddag),
+            (w_dag - w_ddag) - delta,
+            w - (z["s"] + t),
+            (w - w_star) - (t - (u * z["t_dagger"] + (1.0 - u) * z["t_ddagger"])),
+        ]
+        worst = float(np.abs(errors).max())
+        cases = dict(enumerate(np.bincount(z["case_id"], minlength=11)[1:].tolist(), start=1))
         out.append(
             _record("zero_bias_draw_invariants", n, worst, worst <= 1e-12, case_counts=cases)
         )

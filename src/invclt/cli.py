@@ -156,7 +156,7 @@ def _simulate_row(n: int, args) -> tuple[dict, list]:
     draws = []
     if args.dump_draws:
         agen = rngmod.derive_stream(args.seed, rngmod.PURPOSE_AUDIT, n)
-        draws = [zb.to_json() for zb in coupling.zero_bias_draws(D, args.dump_draws, agen)]
+        draws = coupling.draw_json_rows(coupling.zero_bias_draws(D, args.dump_draws, agen))
     return row, draws
 
 

@@ -315,52 +315,18 @@ def rewire(images: np.ndarray, quads: np.ndarray) -> tuple[np.ndarray, np.ndarra
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ZeroBiasDraw:
-    """One coupled draw; ``pi``, ``pi_dagger`` and ``pi_ddagger`` are 0-based image rows."""
+def zero_bias_draws(D: CenteredArray, m: int, gen: np.random.Generator) -> dict[str, np.ndarray]:
+    """``m`` coupled realizations of (W, W*), drawn as one batch of columns.
 
-    pi: np.ndarray
-    quad: tuple[int, int, int, int]
-    case_id: int
-    r1: int
-    r2: int
-    pi_dagger: np.ndarray
-    pi_ddagger: np.ndarray
-    u: float
-    w: float
-    w_dagger: float
-    w_ddagger: float
-    w_star: float
-    s: float
-    t: float
-    t_dagger: float
-    t_ddagger: float
-    index_set: frozenset[int]
+    Row ``r`` of every column belongs to draw ``r``; points are 0-based:
 
-    def to_json(self) -> dict:
-        return {
-            "pi": (self.pi + 1).tolist(),
-            "quad": [q + 1 for q in self.quad],
-            "case_id": self.case_id,
-            "r1": self.r1,
-            "r2": self.r2,
-            "pi_dagger": (self.pi_dagger + 1).tolist(),
-            "pi_ddagger": (self.pi_ddagger + 1).tolist(),
-            "u": self.u,
-            "w": self.w,
-            "w_dagger": self.w_dagger,
-            "w_ddagger": self.w_ddagger,
-            "w_star": self.w_star,
-            "s": self.s,
-            "t": self.t,
-            "t_dagger": self.t_dagger,
-            "t_ddagger": self.t_ddagger,
-            "index_set": sorted(x + 1 for x in self.index_set),
-        }
-
-
-def zero_bias_draws(D: CenteredArray, m: int, gen: np.random.Generator) -> list[ZeroBiasDraw]:
-    """``m`` coupled realizations of (W, W*), drawn as one batch.
+    * ``pi``, ``pi_dagger``, ``pi_ddagger``: (m, n) int image rows;
+    * ``quad``: (m, 4) int square-bias quadruples (I, J, K, L);
+    * ``case_id``, ``r1``, ``r2``: (m,) int rewiring case and (R1, R2);
+    * ``u``, ``w``, ``w_dagger``, ``w_ddagger``, ``w_star``, ``s``, ``t``,
+      ``t_dagger``, ``t_ddagger``: (m,) float;
+    * ``index_set``: (m, n) bool mask of the touched set, the quadruple
+      and its images under pi.
 
     Stream use: the pairing choices of the ``m`` involutions, the ``m``
     quadruples (``sample_quadruples_rejection``, exact at every ``n``), then
@@ -396,28 +362,40 @@ def zero_bias_draws(D: CenteredArray, m: int, gen: np.random.Generator) -> list[
     )
     w, w_dag, w_ddag = s + t, s + t_dag, s + t_ddag
     w_star = u * w_dag + (1.0 - u) * w_ddag
-    return [
-        ZeroBiasDraw(
-            pi=images[r],
-            quad=tuple(quads[r].tolist()),
-            case_id=int(case[r]),
-            r1=int(r1[r]),
-            r2=int(r2[r]),
-            pi_dagger=dag[r],
-            pi_ddagger=ddag[r],
-            u=float(u[r]),
-            w=float(w[r]),
-            w_dagger=float(w_dag[r]),
-            w_ddagger=float(w_ddag[r]),
-            w_star=float(w_star[r]),
-            s=float(s[r]),
-            t=float(t[r]),
-            t_dagger=float(t_dag[r]),
-            t_ddagger=float(t_ddag[r]),
-            index_set=frozenset(np.flatnonzero(touched[r]).tolist()),
-        )
-        for r in range(m)
-    ]
+    return {
+        "pi": images,
+        "quad": quads,
+        "case_id": case,
+        "r1": r1,
+        "r2": r2,
+        "pi_dagger": dag,
+        "pi_ddagger": ddag,
+        "u": u,
+        "w": w,
+        "w_dagger": w_dag,
+        "w_ddagger": w_ddag,
+        "w_star": w_star,
+        "s": s,
+        "t": t,
+        "t_dagger": t_dag,
+        "t_ddagger": t_ddag,
+        "index_set": touched,
+    }
+
+
+def draw_json_rows(draws: dict[str, np.ndarray]) -> list[dict]:
+    """The ``--dump-draws`` rows of ``zero_bias_draws`` columns.
+
+    Points are 1-based, ``index_set`` lists the touched points in ascending
+    order, and every value is a plain Python number.
+    """
+    cols = {
+        key: (col + 1 if key in ("pi", "quad", "pi_dagger", "pi_ddagger") else col).tolist()
+        for key, col in draws.items()
+        if key != "index_set"
+    }
+    cols["index_set"] = [(np.flatnonzero(row) + 1).tolist() for row in draws["index_set"]]
+    return [dict(zip(cols, row)) for row in zip(*cols.values())]
 
 
 # ---------------------------------------------------------------------------

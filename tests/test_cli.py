@@ -297,9 +297,10 @@ class TestVerify:
 
 # `simulate --n 10 --draws 2000 --seed 7 --json <path> --dump-draws 3`: the
 # audit draws of the JSON report, recorded while each draw still held its
-# involutions as objects.  The draws now hold image rows; ``to_json`` must
-# give the same keys and the same values.  The list may change only with a
-# deliberate change of the audit stream or of the report schema.
+# involutions as objects.  The draws are now column arrays; the rows of
+# ``coupling.draw_json_rows`` must give the same keys and the same values.
+# The list may change only with a deliberate change of the audit stream or
+# of the report schema.
 RECORDED_DRAWS = [
     {
         "case_id": 2,

@@ -369,9 +369,8 @@ class TestClassifyAndDagger:
         n = 10
         D = rand_centered(n, seed=33)
         d = D.entries
-        zbs = zero_bias_draws(D, 300, gen)
-        images = np.array([zb.pi for zb in zbs])
-        quads = np.array([zb.quad for zb in zbs])
+        z = zero_bias_draws(D, 300, gen)
+        images, quads = z["pi"], z["quad"]
         case_k, t_k, tdag_k, delta_k = _case_terms_loop(d, images, quads)
         a_f, delta_f = _kernels.case_terms(d, images, quads)
         np.testing.assert_allclose(a_f, t_k - tdag_k + delta_k, rtol=0.0, atol=1e-13)
@@ -383,8 +382,8 @@ class TestClassifyAndDagger:
         tdag = np.where(touched, d[idx, dag], 0.0).sum(axis=1)
         np.testing.assert_allclose(t, t_k, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(tdag, tdag_k, rtol=0.0, atol=1e-12)
-        assert np.array_equal([zb.case_id for zb in zbs], case_k)
-        assert np.array_equal([zb.t_dagger for zb in zbs], tdag)
+        assert np.array_equal(z["case_id"], case_k)
+        assert np.array_equal(z["t_dagger"], tdag)
 
     def test_closure_mask_catches_a_wrong_pairing(self, monkeypatch):
         # always pairing {ik|jl} breaks the rows where pi holds (I,L) or
@@ -401,40 +400,58 @@ class TestClassifyAndDagger:
 
 class TestZeroBiasDraw:
     def test_draw_invariants(self, gen):
-        D = rand_centered(10, seed=34)
+        n, m = 10, 300
+        D = rand_centered(n, seed=34)
         d = D.entries
-        for zb in zero_bias_draws(D, 300, gen):
-            assert zb.w_star == zb.u * zb.w_dagger + (1.0 - zb.u) * zb.w_ddagger
-            assert zb.w == zb.s + zb.t
-            assert zb.w_dagger == zb.s + zb.t_dagger
-            assert zb.w_ddagger == zb.s + zb.t_ddagger
-            assert abs(zb.w - y_value(d, zb.pi)) <= 1e-12
-            assert abs(zb.w_dagger - y_value(d, zb.pi_dagger)) <= 1e-12
-            assert abs(zb.w_ddagger - y_value(d, zb.pi_ddagger)) <= 1e-12
-            i, j, k, l = zb.quad
-            delta = 2.0 * (d[i, k] + d[j, l] - (d[i, j] + d[k, l]))
-            assert delta != 0.0
-            assert abs((zb.w_dagger - zb.w_ddagger) - delta) <= 1e-12
-            gap = zb.t - (zb.u * zb.t_dagger + (1.0 - zb.u) * zb.t_ddagger)
-            assert abs((zb.w - zb.w_star) - gap) <= 1e-12
-            assert (zb.r1, zb.r2, zb.case_id) == classify(zb.pi, zb.quad)
-            assert (zb.r1, zb.r2) not in ((2, 1), (1, 2))
-            dag, ok = pi_dagger(zb.pi, zb.quad)
-            assert ok and np.array_equal(dag, zb.pi_dagger)
-            assert np.array_equal(zb.pi_ddagger, alpha_compose(zb.pi_dagger, i, j))
-            assert zb.pi_dagger[i] == k and zb.pi_dagger[j] == l
-            assert zb.pi_ddagger[i] == j and zb.pi_ddagger[k] == l
-            p = zb.pi
-            assert zb.index_set == {i, j, k, l, *p[[i, j, k, l]].tolist()}
+        z = zero_bias_draws(D, m, gen)
+        pi, dag, ddag, u = z["pi"], z["pi_dagger"], z["pi_ddagger"], z["u"]
+        assert np.array_equal(z["w_star"], u * z["w_dagger"] + (1.0 - u) * z["w_ddagger"])
+        assert np.array_equal(z["w"], z["s"] + z["t"])
+        assert np.array_equal(z["w_dagger"], z["s"] + z["t_dagger"])
+        assert np.array_equal(z["w_ddagger"], z["s"] + z["t_ddagger"])
+        assert np.abs(z["w"] - y_value(d, pi)).max() <= 1e-12
+        assert np.abs(z["w_dagger"] - y_value(d, dag)).max() <= 1e-12
+        assert np.abs(z["w_ddagger"] - y_value(d, ddag)).max() <= 1e-12
+        i, j, k, l = z["quad"].T
+        delta = 2.0 * (d[i, k] + d[j, l] - (d[i, j] + d[k, l]))
+        assert np.all(delta != 0.0)
+        assert np.abs((z["w_dagger"] - z["w_ddagger"]) - delta).max() <= 1e-12
+        gap = z["t"] - (u * z["t_dagger"] + (1.0 - u) * z["t_ddagger"])
+        assert np.abs((z["w"] - z["w_star"]) - gap).max() <= 1e-12
+        r = np.arange(m)
+        assert np.array_equal(dag[r, i], k) and np.array_equal(dag[r, j], l)
+        assert np.array_equal(ddag[r, i], j) and np.array_equal(ddag[r, k], l)
+        for row in r:
+            quad = tuple(z["quad"][row].tolist())
+            r12 = (int(z["r1"][row]), int(z["r2"][row]))
+            assert (*r12, int(z["case_id"][row])) == classify(pi[row], quad)
+            assert r12 not in ((2, 1), (1, 2))
+            ref, ok = pi_dagger(pi[row], quad)
+            assert ok and np.array_equal(ref, dag[row])
+            assert np.array_equal(ddag[row], alpha_compose(dag[row], quad[0], quad[1]))
+            touched = z["index_set"][row]
+            assert set(np.flatnonzero(touched).tolist()) == {*quad, *pi[row, list(quad)].tolist()}
             # pi, dagger and ddagger agree off the touched set
-            outside = np.setdiff1d(np.arange(10), np.fromiter(zb.index_set, dtype=np.int64))
-            assert np.array_equal(zb.pi[outside], zb.pi_dagger[outside])
-            assert np.array_equal(zb.pi[outside], zb.pi_ddagger[outside])
+            assert np.array_equal(pi[row, ~touched], dag[row, ~touched])
+            assert np.array_equal(pi[row, ~touched], ddag[row, ~touched])
+
+    @pytest.mark.parametrize("n", [8, 50])
+    def test_gap_matches_case_terms_integrand(self, n, gen):
+        # the audit columns' |W - W*|, summed over image rows, against the
+        # MC gap's pairing-rule integrand |a - U delta| on the same rows
+        D = rand_centered(n, seed=38)
+        z = zero_bias_draws(D, 500, gen)
+        a, delta = _kernels.case_terms(D.entries, z["pi"], z["quad"])
+        gaps = np.abs(a - z["u"] * delta)
+        scale = max(np.abs(col).max() for col in (a, delta, z["w"], z["w_dagger"], z["w_ddagger"]))
+        assert np.abs(np.abs(z["w"] - z["w_star"]) - gaps).max() <= 1e-12 * scale
 
     def test_minimum_dimension(self, gen):
         D = rand_centered(6, seed=35)
-        (zb,) = zero_bias_draws(D, 1, gen)
-        assert zb.case_id in range(1, 11)
+        z = zero_bias_draws(D, 1, gen)
+        assert z["pi"].shape == z["index_set"].shape == (1, 6)
+        assert z["quad"].shape == (1, 4)
+        assert z["case_id"].shape == (1,) and z["case_id"][0] in range(1, 11)
         with pytest.raises(InputError):
             zero_bias_draws(rand_centered(4, seed=35), 1, gen)
         with pytest.raises(InputError):
@@ -442,28 +459,41 @@ class TestZeroBiasDraw:
 
     def test_json_dump(self, gen):
         D = rand_centered(8, seed=36)
-        obj = zero_bias_draws(D, 1, gen)[0].to_json()
-        assert set(obj) == {
-            "pi",
-            "quad",
-            "case_id",
-            "r1",
-            "r2",
-            "pi_dagger",
-            "pi_ddagger",
-            "u",
-            "w",
-            "w_dagger",
-            "w_ddagger",
-            "w_star",
-            "s",
-            "t",
-            "t_dagger",
-            "t_ddagger",
-            "index_set",
-        }
-        assert sorted(obj["pi"]) == list(range(1, 9))
-        json.dumps(obj)  # plain Python numbers only
+        z = zero_bias_draws(D, 2, gen)
+        rows = coupling.draw_json_rows(z)
+        assert len(rows) == 2
+        for r, obj in enumerate(rows):
+            assert set(obj) == set(z) == {
+                "pi",
+                "quad",
+                "case_id",
+                "r1",
+                "r2",
+                "pi_dagger",
+                "pi_ddagger",
+                "u",
+                "w",
+                "w_dagger",
+                "w_ddagger",
+                "w_star",
+                "s",
+                "t",
+                "t_dagger",
+                "t_ddagger",
+                "index_set",
+            }
+            assert sorted(obj["pi"]) == list(range(1, 9))
+            for key in ("pi", "quad", "pi_dagger", "pi_ddagger"):
+                assert obj[key] == (z[key][r] + 1).tolist()
+            assert obj["index_set"] == (np.flatnonzero(z["index_set"][r]) + 1).tolist()
+            # plain Python numbers only: float for the float columns, int for the rest
+            for key, value in obj.items():
+                want = float if z[key].dtype.kind == "f" else int
+                if isinstance(value, list):
+                    assert all(type(x) is want for x in value)
+                else:
+                    assert type(value) is want and value == z[key][r]
+        json.dumps(rows)
 
 
 class TestZeroBiasLaw:
@@ -485,8 +515,8 @@ class TestZeroBiasLaw:
         grid, _, f_def = exact_wstar_cdf(D)
         m = 20_000
         draws = zero_bias_draws(D, m, gen)
-        samples = np.array([zb.w_star for zb in draws])
-        cases = np.bincount([zb.case_id for zb in draws], minlength=11)
+        samples = draws["w_star"]
+        cases = np.bincount(draws["case_id"], minlength=11)
         ecdf_vals = np.searchsorted(np.sort(samples), grid, side="right") / m
         ks = np.abs(ecdf_vals - f_def).max()
         slack = math.sqrt(math.log(2.0 / 0.001) / (2.0 * m))
@@ -629,7 +659,8 @@ class TestEstimateGap:
     def test_single_draw_rejection_and_full_object_above_cap(self, gen, monkeypatch):
         monkeypatch.setattr(coupling, "square_bias_table", _no_table)
         D = rand_centered(50, seed=47)
-        (zb,) = zero_bias_draws(D, 1, gen)
-        assert len(set(zb.quad)) == 4
-        assert zb.case_id in range(1, 11)
-        assert zb.pi_dagger[zb.quad[0]] == zb.quad[2]
+        z = zero_bias_draws(D, 1, gen)
+        (quad,) = z["quad"].tolist()
+        assert len(set(quad)) == 4
+        assert z["case_id"][0] in range(1, 11)
+        assert z["pi_dagger"][0, quad[0]] == quad[2]
