@@ -28,14 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    AsymmetryExceedsTolerance,
-    DegenerateArray,
-    DimensionTooSmall,
-    InputError,
-    NonFinite,
-    OddDimension,
-)
+from .errors import DegenerateArray, InputError
 
 # sigma^2 at or below DEGENERACY_CUTOFF * max|e|^2 counts as zero: the exact
 # theory assumes strict positivity, floating point needs a cutoff.
@@ -93,12 +86,12 @@ def validate_and_symmetrize(raw, symmetrize: bool = False) -> SymmetricArray:
     """
     arr = _as_matrix(raw)
     if not np.isfinite(arr).all():
-        raise NonFinite("matrix contains non-finite entries")
+        raise InputError("matrix contains non-finite entries")
     n = arr.shape[0]
     if n % 2:
-        raise OddDimension(f"n={n} is odd; no fixed-point-free involution exists")
+        raise InputError(f"n={n} is odd; no fixed-point-free involution exists")
     if n < 4:
-        raise DimensionTooSmall(f"n={n} < 4")
+        raise InputError(f"n={n} < 4")
     scale = float(np.abs(arr).max())
     if symmetrize:
         out = (arr + arr.T) / 2.0
@@ -106,14 +99,10 @@ def validate_and_symmetrize(raw, symmetrize: bool = False) -> SymmetricArray:
         bound = SYMMETRY_TOL * max(scale, 1e-300)
         asym = float(np.abs(arr - arr.T).max())
         if asym > bound:
-            raise AsymmetryExceedsTolerance(
-                f"max |e_ij - e_ji| = {asym:.3e} exceeds {bound:.3e}"
-            )
+            raise InputError(f"max |e_ij - e_ji| = {asym:.3e} exceeds {bound:.3e}")
         diag = float(np.abs(np.diag(arr)).max())
         if diag > bound:
-            raise AsymmetryExceedsTolerance(
-                f"max |e_ii| = {diag:.3e} exceeds {bound:.3e}"
-            )
+            raise InputError(f"max |e_ii| = {diag:.3e} exceeds {bound:.3e}")
         out = np.triu(arr, 1)
         out = out + out.T
     np.fill_diagonal(out, 0.0)
@@ -151,7 +140,7 @@ def sigma2_from_hat(hat: np.ndarray) -> float:
 def moments(E: SymmetricArray) -> MomentSummary:
     n = E.n
     if n < 4:
-        raise DimensionTooSmall(f"n={n} < 4")
+        raise InputError(f"n={n} < 4")
     e = E.entries
     mu = float(e.sum()) / (n - 1)
     sigma2 = _sigma2_formula(e, n)
@@ -241,7 +230,11 @@ def load_matrix(path: str | Path) -> np.ndarray:
         if not isinstance(obj, dict) or "entries" not in obj:
             raise InputError('JSON matrix must be {"n": int, "entries": [[...]]}')
         arr = _as_matrix(obj["entries"])
-        if "n" in obj and int(obj["n"]) != arr.shape[0]:
-            raise InputError("JSON field n disagrees with entries shape")
+        if "n" in obj:
+            n = obj["n"]
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise InputError(f"JSON field n must be an integer, got {n!r}")
+            if n != arr.shape[0]:
+                raise InputError("JSON field n disagrees with entries shape")
         return arr
     return _as_matrix(_parse_csv_text(text))

@@ -22,7 +22,7 @@ import numpy as np
 from . import involutions as invmod
 from .arrays import CenteredArray, SymmetricArray, moments
 from .distances import ecdf, kolmogorov_distance, normal_pdf
-from .errors import InvalidP, OddDimension
+from .errors import InputError
 
 K_L1 = 379.0
 K_LINF = 61_702_446.0
@@ -37,7 +37,7 @@ def kp(p) -> float:
     """K_p = 379^{1/p} * 61,702,446^{1-1/p} for p in [1, inf]."""
     p = float(p)
     if math.isnan(p) or p < 1.0:
-        raise InvalidP(f"p={p} outside [1, inf]")
+        raise InputError(f"p={p} outside [1, inf]")
     if math.isinf(p):
         return K_LINF
     return K_L1 ** (1.0 / p) * K_LINF ** (1.0 - 1.0 / p)
@@ -182,7 +182,7 @@ def lower_bound_array(n: int) -> SymmetricArray:
     i != j with i - j even; -1 otherwise; mirrored below the diagonal.
     """
     if n < 4 or n % 2:
-        raise OddDimension(f"n={n} must be even and >= 4")
+        raise InputError(f"n={n} must be even and >= 4")
     i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
     upper = np.where((i - j) % 2 == 0, 1.0, -1.0)

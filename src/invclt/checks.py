@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _kernels
 from . import bounds as boundsmod
 from . import coupling
 from . import distances as distmod
@@ -26,6 +27,7 @@ from .arrays import (
     standardize,
     validate_and_symmetrize,
 )
+from .errors import InputError
 
 
 def random_centered(
@@ -232,15 +234,13 @@ def check_zero_bias_draw_invariants(seed: int) -> list[dict]:
         d = D.entries
         z = coupling.zero_bias_draws(D, 400, gen)
         i, j, k, l = z["quad"].T
-        u, w, w_star, t = z["u"], z["w"], z["w_star"], z["t"]
-        w_dag, w_ddag = z["w_dagger"], z["w_ddagger"]
         delta = 2.0 * (d[i, k] + d[j, l] - (d[i, j] + d[k, l]))
+        # each W against Y summed afresh over its involution's pairs
         errors = [
-            w_star - (u * w_dag + (1.0 - u) * w_ddag),
-            (w_dag - w_ddag) - delta,
-            w - (z["s"] + t),
-            (w - w_star) - (t - (u * z["t_dagger"] + (1.0 - u) * z["t_ddagger"])),
+            z[w] - _kernels.y_batch(d, _kernels.pairing_order(z[pi]))
+            for w, pi in (("w", "pi"), ("w_dagger", "pi_dagger"), ("w_ddagger", "pi_ddagger"))
         ]
+        errors.append((z["w_dagger"] - z["w_ddagger"]) - delta)
         worst = float(np.abs(errors).max())
         cases = dict(enumerate(np.bincount(z["case_id"], minlength=11)[1:].tolist(), start=1))
         out.append(
@@ -337,7 +337,7 @@ def run_checks(seed: int, only: str | None = None) -> list[dict]:
     global _shared_sweeps
     names = [only] if only else list(CHECKS)
     if only and only not in CHECKS:
-        raise KeyError(f"unknown check {only!r}; known: {', '.join(CHECKS)}")
+        raise InputError(f"unknown check {only!r}; known: {', '.join(CHECKS)}")
     records: list[dict] = []
     _shared_sweeps = {}
     try:

@@ -29,7 +29,7 @@ from . import distances as distmod
 from . import involutions as invmod
 from . import rng as rngmod
 from .arrays import load_matrix, moments, standardize, validate_and_symmetrize
-from .errors import DegenerateArray, InputError, InvcltError, NoCaseMatched
+from .errors import DegenerateArray, InputError, NoCaseMatched
 
 SCHEMA_VERSION = 1
 EXACT_MODE_CAP = 12  # |Pi_12| = 10,395: exact law wherever cheap
@@ -94,13 +94,13 @@ def run_analyze(args) -> int:
     if exact:
         dist = invmod.exact_w_distribution(D)
         F = distmod.step_cdf_from_distribution(dist)
-        report = distmod.distance_report(F, p_list, exact=True)
+        report = distmod.distance_report(F, p_list)
     else:
         w = invmod.sample_y_values(
             D.entries, args.draws, master_seed=args.seed, threads=args.threads
         )
         F = distmod.ecdf(w)
-        report = distmod.distance_report(F, p_list, exact=False, m_samples=args.draws)
+        report = distmod.distance_report(F, p_list, m_samples=args.draws)
     rep = boundsmod.theorem_bounds(D, p_list)
     rep_json = rep.to_json()
     _emit(
@@ -122,10 +122,7 @@ def run_analyze(args) -> int:
 
 
 def run_verify(args) -> int:
-    try:
-        records = checksmod.run_checks(args.seed, only=args.only)
-    except KeyError as exc:
-        raise InputError(str(exc)) from exc
+    records = checksmod.run_checks(args.seed, only=args.only)
     ok = all(r["pass"] for r in records)
     _emit({"schema": SCHEMA_VERSION, "pass": ok, "checks": records})
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
@@ -294,7 +291,7 @@ def main(argv=None) -> int:
     except NoCaseMatched as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (InvcltError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _kernels, rng as rngmod
 from .arrays import CenteredArray, check_centered
-from .errors import CapExceeded, InputError, NoCaseMatched
+from .errors import InputError, NoCaseMatched
 from .involutions import (
     double_factorial,
     draw_choices,
@@ -64,7 +64,7 @@ CASE_R = {
 
 def _check_sweep(n: int) -> None:
     if n > SWEEP_CAP:
-        raise CapExceeded(f"n={n} exceeds sweep cap {SWEEP_CAP}")
+        raise InputError(f"n={n} exceeds sweep cap {SWEEP_CAP}")
 
 
 def cn(n: int) -> float:
@@ -132,7 +132,7 @@ def square_bias_table(D: CenteredArray) -> QuadrupleTable:
     """
     n = D.n
     if n > TABLE_CAP:
-        raise CapExceeded(f"n={n} exceeds quadruple table cap {TABLE_CAP}")
+        raise InputError(f"n={n} exceeds quadruple table cap {TABLE_CAP}")
     check_centered(D)
     d = D.entries
     # grouped so the (i,j,k,l) -> (i,k,j,l) swap negates the bracket exactly;

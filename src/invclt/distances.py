@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import EmptySample, InputError, InvalidP
+from .errors import InputError
 from .involutions import ExactDistribution
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -38,7 +38,7 @@ class StepCDF:
 
     def __post_init__(self) -> None:
         if self.xs.size == 0:
-            raise EmptySample("step CDF needs at least one jump")
+            raise InputError("step CDF needs at least one jump")
         if np.any(np.diff(self.xs) <= 0):
             raise InputError("jump points must be strictly increasing")
         if np.any(np.diff(self.cum) < 0) or self.cum[-1] != 1.0:
@@ -49,7 +49,7 @@ def ecdf(samples) -> StepCDF:
     """Empirical CDF; jump heights are integer multiples of 1/m."""
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
-        raise EmptySample("empty sample")
+        raise InputError("empty sample")
     vals, counts = np.unique(arr, return_counts=True)
     cum = np.cumsum(counts) / arr.size
     cum[-1] = 1.0
@@ -99,7 +99,7 @@ def lp_upper(linf: float, l1: float, p) -> float:
         raise InputError("need linf in [0,1] and l1 >= 0")
     p = float(p)
     if math.isnan(p) or p < 1.0:
-        raise InvalidP(f"p={p} outside [1, inf]")
+        raise InputError(f"p={p} outside [1, inf]")
     if p == 1.0:
         return l1
     if math.isinf(p):
@@ -112,26 +112,23 @@ class DistanceReport:
     linf: float
     l1: float
     lp: dict[float, float]
-    exact: bool
-    m_samples: int | None = None
+    m_samples: int | None = None  # None for the exact law
 
     def to_json(self) -> dict:
         return {
             "linf": self.linf,
             "l1": self.l1,
             "lp_upper": {("inf" if math.isinf(p) else repr(p)): v for p, v in self.lp.items()},
-            "mode": "exact" if self.exact else "mc",
+            "mode": "exact" if self.m_samples is None else "mc",
             "m_samples": self.m_samples,
         }
 
 
-def distance_report(
-    F: StepCDF, p_list, exact: bool, m_samples: int | None = None
-) -> DistanceReport:
+def distance_report(F: StepCDF, p_list, m_samples: int | None = None) -> DistanceReport:
     linf = kolmogorov_distance(F)
     l1 = l1_distance(F)
     lp = {float(p): lp_upper(linf, l1, p) for p in p_list}
-    return DistanceReport(linf=linf, l1=l1, lp=lp, exact=exact, m_samples=m_samples)
+    return DistanceReport(linf=linf, l1=l1, lp=lp, m_samples=m_samples)
 
 
 def cdf_rows(F: StepCDF) -> list[tuple[float, float, float]]:

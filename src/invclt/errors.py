@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all invclt modules."""
+"""Exception hierarchy shared by all invclt modules.
+
+One class per failure exit code of the CLI (``cli.main``): every raise of
+the package uses one of the three leaves, so their handlers are the whole
+error contract.
+"""
 
 
 class InvcltError(Exception):
@@ -6,23 +11,8 @@ class InvcltError(Exception):
 
 
 class InputError(InvcltError):
-    """Malformed or unreadable input (CLI exit code 2)."""
-
-
-class NonFinite(InputError):
-    """Matrix contains NaN or infinite entries."""
-
-
-class OddDimension(InputError):
-    """n is odd: there is no fixed-point-free involution on an odd set."""
-
-
-class DimensionTooSmall(InputError):
-    """n < 4: the variance formula needs n - 3 > 0."""
-
-
-class AsymmetryExceedsTolerance(InputError):
-    """Matrix asymmetry or diagonal magnitude exceeds the declared tolerance."""
+    """Malformed, unreadable or out-of-range input, including an ``n``
+    beyond an enumeration or table cap (CLI exit code 2)."""
 
 
 class DegenerateArray(InvcltError):
@@ -30,18 +20,6 @@ class DegenerateArray(InvcltError):
     (CLI exit code 3)."""
 
 
-class CapExceeded(InvcltError):
-    """Requested exact enumeration or table beyond the configured cap."""
-
-
 class NoCaseMatched(InvcltError):
     """No rewiring case matched; the ten cases are exhaustive, so this
     indicates an implementation bug (CLI exit code 4)."""
-
-
-class EmptySample(InputError):
-    """Empirical CDF requested for an empty sample."""
-
-
-class InvalidP(InputError):
-    """L^p order outside [1, inf]."""

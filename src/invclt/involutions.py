@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _kernels, rng as rngmod
 from .arrays import CenteredArray
-from .errors import CapExceeded, InputError, OddDimension
+from .errors import InputError
 
 ENUM_CAP = 16  # |Pi_16| ~ 2.03M keeps exact sweeps desk-scale
 MATRIX_CAP = 12  # |Pi_12| = 10,395 rows: every materialized involution matrix
@@ -46,7 +46,7 @@ def double_factorial(n: int) -> int:
 
 def _check_even(n: int) -> None:
     if n < 2 or n % 2:
-        raise OddDimension(f"n={n}: involutions without fixed points need even n >= 2")
+        raise InputError(f"n={n}: involutions without fixed points need even n >= 2")
 
 
 def enumerate_involutions(n: int) -> Iterator[np.ndarray]:
@@ -59,7 +59,7 @@ def enumerate_involutions(n: int) -> Iterator[np.ndarray]:
     """
     _check_even(n)
     if n > ENUM_CAP:
-        raise CapExceeded(f"n={n} exceeds enumeration cap {ENUM_CAP}")
+        raise InputError(f"n={n} exceeds enumeration cap {ENUM_CAP}")
     total = double_factorial(n - 1)  # below 2**32 up to n = 20
     highs = choice_highs(n).tolist()
     block = 65536
@@ -80,7 +80,7 @@ def involution_matrix(n: int) -> np.ndarray:
     ``MATRIX_CAP`` is their one limit; it is checked before any decoding.
     """
     if n > MATRIX_CAP:
-        raise CapExceeded(f"n={n} exceeds involution matrix cap {MATRIX_CAP}")
+        raise InputError(f"n={n} exceeds involution matrix cap {MATRIX_CAP}")
     return np.concatenate([_kernels.images_of(block) for block in enumerate_involutions(n)])
 
 
@@ -175,7 +175,10 @@ class ExactDistribution:
 
     values: np.ndarray
     counts: np.ndarray
-    total: int
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def probs(self) -> np.ndarray:
@@ -192,7 +195,6 @@ def _merge_atoms(values: np.ndarray) -> ExactDistribution:
     return ExactDistribution(
         values=np.add.reduceat(vals * counts, starts) / merged_c,
         counts=merged_c.astype(np.int64),
-        total=int(values.shape[0]),
     )
 
 

@@ -16,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import InputError
+
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_CHUNK = 8192
 
@@ -48,7 +50,7 @@ def derive_stream(master_seed: int, *ids: int) -> np.random.Generator:
 def chunk_plan(m: int) -> list[tuple[int, int]]:
     """Split ``m`` draws into (chunk_index, count) pieces of ``DEFAULT_CHUNK``."""
     if m < 1:
-        raise ValueError("draw count must be >= 1")
+        raise InputError("draw count must be >= 1")
     starts = range(0, m, DEFAULT_CHUNK)
     return [(idx, min(DEFAULT_CHUNK, m - s)) for idx, s in enumerate(starts)]
 

@@ -39,7 +39,7 @@ from invclt import _kernels, rng as rngmod
 from invclt._kernels import _phi
 from invclt.arrays import _as_matrix
 from invclt.distances import StepCDF
-from invclt.errors import InvalidP
+from invclt.errors import InputError
 from invclt.involutions import _check_even, draw_choices
 
 QUADRATURE_POINTS = 2000  # Simpson intervals (even) per piece in lp_norm_quadrature
@@ -214,7 +214,7 @@ def lp_norm_quadrature(F: StepCDF, p: float) -> float:
     the discontinuities.
     """
     if p < 1.0:
-        raise InvalidP(f"p={p}")
+        raise InputError(f"p={p}")
     lo = min(float(F.xs[0]), -8.3)
     hi = max(float(F.xs[-1]), 8.3)
     knots = [lo, *map(float, F.xs), hi]

@@ -18,7 +18,7 @@ from invclt.bounds import (
     theorem_bounds,
     truncate,
 )
-from invclt.errors import InvalidP, OddDimension
+from invclt.errors import InputError
 from invclt.involutions import involution_matrix
 
 from conftest import rand_centered, y_value
@@ -40,7 +40,7 @@ class TestKp:
             assert kp(p) == pytest.approx(expected, rel=1e-12)
 
     def test_invalid(self):
-        with pytest.raises(InvalidP):
+        with pytest.raises(InputError, match=r"p=0.99 outside \[1, inf\]"):
             kp(0.99)
 
 
@@ -184,7 +184,7 @@ class TestLowerBoundArray:
         assert np.array_equal(E.entries, E.entries.T)
 
     def test_odd_rejected(self):
-        with pytest.raises(OddDimension):
+        with pytest.raises(InputError, match="n=7 must be even and >= 4"):
             lower_bound_array(7)
 
 

@@ -188,8 +188,9 @@ class TestVerify:
         assert all(r["max_abs_error"] == 0 for r in obj["checks"])
 
     def test_unknown_check_exit_2(self):
-        out = run_cli("verify", "--only", "bogus_check")
+        out = run_cli("verify", "--only", "nope")
         assert out.returncode == 2
+        assert out.stderr.startswith("error: unknown check 'nope'")
 
     @pytest.mark.parametrize("flag", [["--threads", "2"], ["--draws", "5"]], ids=lambda f: f[0])
     def test_mc_flags_are_usage_errors(self, flag, capsys):
@@ -293,6 +294,18 @@ class TestVerify:
         path.write_text('{"n": 2, "entries": [["a", 1], [1, 0]]}')
         out = run_cli("analyze", "--input", str(path))
         assert out.returncode == 2
+
+    @pytest.mark.parametrize(
+        "n", ['"abc"', "[4]", "4.5", "true"], ids=["string", "list", "float", "bool"]
+    )
+    def test_non_integer_json_n_exit_2(self, n, tmp_path):
+        # only a JSON integer names the row count: 4.5 and true are not 4
+        path = tmp_path / "bad_n.json"
+        entries = json.dumps(lower_bound_array(4).entries.tolist())
+        path.write_text(f'{{"n": {n}, "entries": {entries}}}')
+        out = run_cli("analyze", "--input", str(path))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: JSON field n must be an integer")
 
 
 # `simulate --n 10 --draws 2000 --seed 7 --json <path> --dump-draws 3`: the
@@ -642,7 +655,7 @@ RECORDED_VERIFY = {
                 "10": 149,
             },
             "check": "zero_bias_draw_invariants",
-            "max_abs_error": 6.661338147750939e-16,
+            "max_abs_error": 8.881784197001252e-16,
             "n": 10,
             "pass": True,
         },

@@ -24,7 +24,7 @@ from invclt.coupling import (
     zero_bias_draws,
     zero_bias_gap_samples,
 )
-from invclt.errors import CapExceeded, InputError, NoCaseMatched
+from invclt.errors import InputError, NoCaseMatched
 from invclt.involutions import double_factorial, involution_matrix
 
 from conftest import (
@@ -570,7 +570,7 @@ class TestExactOracles:
             assert np.array_equal(np.unique(block, axis=0), np.unique(held, axis=0))
 
     def test_sweep_caps(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(InputError, match="n=10 exceeds sweep cap"):
             exhaustive_sweep(rand_centered(10, seed=39))
 
     def test_zero_bias_moments_identities(self):

@@ -17,7 +17,7 @@ from invclt.distances import (
     lp_upper,
     step_cdf_from_distribution,
 )
-from invclt.errors import EmptySample, InputError, InvalidP
+from invclt.errors import InputError
 from invclt.involutions import exact_w_distribution
 
 from conftest import rand_centered
@@ -65,7 +65,7 @@ class TestEcdf:
         assert np.array_equal(a.xs, b.xs) and np.array_equal(a.cum, b.cum)
 
     def test_empty(self):
-        with pytest.raises(EmptySample):
+        with pytest.raises(InputError, match="empty sample"):
             ecdf([])
 
     def test_step_semantics(self):
@@ -176,7 +176,7 @@ class TestLpUpper:
         assert lp_upper(0.2, 0.05, 2.0) == pytest.approx(0.1, rel=1e-12)
 
     def test_invalid(self):
-        with pytest.raises(InvalidP):
+        with pytest.raises(InputError, match=r"p=0.5 outside \[1, inf\]"):
             lp_upper(0.2, 0.05, 0.5)
 
     def test_monotone_in_p_toward_linf(self):
@@ -194,10 +194,13 @@ class TestLpUpper:
 
 def test_distance_report_and_rows(appendix4_std):
     F = step_cdf_from_distribution(exact_w_distribution(appendix4_std))
-    rep = distance_report(F, [1.0, 2.0, math.inf], exact=True)
+    rep = distance_report(F, [1.0, 2.0, math.inf])
     assert rep.lp[1.0] == rep.l1 and rep.lp[math.inf] == rep.linf
     obj = rep.to_json()
-    assert obj["mode"] == "exact" and "inf" in obj["lp_upper"]
+    assert obj["mode"] == "exact" and obj["m_samples"] is None and "inf" in obj["lp_upper"]
+    # the mode follows from the sample count alone
+    mc = distance_report(F, [1.0], m_samples=7).to_json()
+    assert mc["mode"] == "mc" and mc["m_samples"] == 7
     rows = cdf_rows(F)
     assert len(rows) == 3
     t, f, p = rows[1]

@@ -10,7 +10,7 @@ import pytest
 
 import invclt
 from invclt import arrays, bounds, cli, coupling, involutions, rng as rngmod
-from invclt.errors import CapExceeded
+from invclt.errors import InputError
 
 from conftest import rand_centered
 
@@ -43,7 +43,7 @@ def test_oracle_cap_fires_just_above_its_constant(monkeypatch, name):
     if name != "square_bias_table":
         # the guard must fire before any O(n^4) table is built
         monkeypatch.setattr(coupling, "square_bias_table", lambda *a: tables.append(a))
-    with pytest.raises(CapExceeded):
+    with pytest.raises(InputError, match="exceeds .* cap"):
         fn(arg)
     assert tables == []
 

@@ -14,8 +14,9 @@ alive: what only they run belongs in ``tests/oracles.py``.
 
 The package root exports only what is read off it (``invclt.<name>`` or
 ``from invclt import <name>``) in the tests, the benchmark or the README,
-and every exception class is raised somewhere in the package, directly or
-through a subclass.
+every exception class is raised somewhere in the package, directly or
+through a subclass, and every class below the root is named by an ``except``
+clause of ``cli.main``, so each failure reaches its own exit code.
 """
 
 import ast
@@ -138,10 +139,11 @@ def test_scan_flags_an_unused_private_function():
 
 
 def statements(tree: ast.Module) -> list[ast.AST]:
-    """Top-level statements, with each class split into its body statements."""
+    """Top-level statements, with each class split into its bases and its
+    body statements: a subclass reads its base."""
     out = []
     for node in tree.body:
-        out += node.body if isinstance(node, ast.ClassDef) else [node]
+        out += node.bases + node.body if isinstance(node, ast.ClassDef) else [node]
     return out
 
 
@@ -198,7 +200,8 @@ def test_scan_flags_an_unread_public_name():
         "def used():\n    return Kept().read()\n"
         "def recursive(k):\n    return recursive(k - 1)\n"
         "def _private():\n    pass\n"
-        "class Kept:\n"
+        "class Root:\n    pass\n"
+        "class Kept(Root):\n"
         "    def read(self):\n        return self.helper()\n"
         "    def helper(self):\n        pass\n"
         "    def unread(self):\n        return self.unread()\n"
@@ -256,14 +259,19 @@ def test_every_root_export_is_read_outside_the_package():
     assert [name for name in root_exports() if name not in read] == []
 
 
-def unraised_error_classes(errors: ast.Module, package: list[ast.Module]) -> list[str]:
-    """Classes of ``errors`` that no ``raise`` of ``package`` names, directly or
-    through a subclass."""
-    bases = {
+def error_bases(errors: ast.Module) -> dict[str, set[str]]:
+    """Each class of ``errors`` -> the names of its bases."""
+    return {
         node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
         for node in errors.body
         if isinstance(node, ast.ClassDef)
     }
+
+
+def unraised_error_classes(errors: ast.Module, package: list[ast.Module]) -> list[str]:
+    """Classes of ``errors`` that no ``raise`` of ``package`` names, directly or
+    through a subclass."""
+    bases = error_bases(errors)
     raised = set()
     for tree in package:
         for node in ast.walk(tree):
@@ -296,3 +304,43 @@ def test_scan_flags_an_unraised_error_class():
     )
     package = ast.parse("def f(x):\n    if x:\n        raise Leaf('x')\n    raise Bare\n")
     assert unraised_error_classes(errors, [package]) == ["Unused"]
+
+
+def uncaught_error_classes(errors: ast.Module, cli: ast.Module) -> list[str]:
+    """Classes of ``errors``, other than a root (one with no base in
+    ``errors``), that no ``except`` clause of ``cli``'s ``main`` names."""
+    bases = error_bases(errors)
+    (main,) = (node for node in cli.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = {
+        sub.id
+        for node in ast.walk(main)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        for sub in ast.walk(node.type)
+        if isinstance(sub, ast.Name)
+    }
+    return sorted(name for name, base in bases.items() if base & set(bases) and name not in caught)
+
+
+def test_every_error_class_has_its_own_exit_code():
+    def parse(path):
+        return ast.parse(path.read_text(), filename=str(path))
+
+    errors = parse(ROOT / "src" / "invclt" / "errors.py")
+    assert uncaught_error_classes(errors, parse(ROOT / "src" / "invclt" / "cli.py")) == []
+
+
+def test_scan_flags_an_uncaught_error_class():
+    errors = ast.parse(
+        "class Base(Exception):\n    pass\n"
+        "class Bad(Base):\n    pass\n"
+        "class Broken(Base):\n    pass\n"
+        "class Leaf(Bad):\n    pass\n"
+        "class Elsewhere(Base):\n    pass\n"
+    )
+    cli = ast.parse(
+        "def helper():\n    try:\n        pass\n    except Elsewhere:\n        pass\n"
+        "def main():\n    try:\n        pass\n"
+        "    except Broken:\n        return 3\n"
+        "    except (Bad, OSError):\n        return 2\n"
+    )
+    assert uncaught_error_classes(errors, cli) == ["Elsewhere", "Leaf"]

@@ -5,7 +5,7 @@ import pytest
 import scipy.stats as st
 
 from invclt import _kernels, rng as rngmod
-from invclt.errors import CapExceeded, OddDimension
+from invclt.errors import InputError
 from invclt.involutions import (
     choice_highs,
     double_factorial,
@@ -56,11 +56,11 @@ class TestEnumeration:
 
     def test_cap(self):
         # checked at the call, before any block is asked for
-        with pytest.raises(CapExceeded):
+        with pytest.raises(InputError, match="n=18 exceeds enumeration cap"):
             enumerate_involutions(18)
 
     def test_odd(self):
-        with pytest.raises(OddDimension):
+        with pytest.raises(InputError, match="need even n >= 2"):
             enumerate_involutions(5)
 
     def test_matrix_matches_enumeration(self):
@@ -79,7 +79,7 @@ class TestEnumeration:
     def test_matrix_cap_fires_before_decoding(self, monkeypatch):
         decoded = []
         monkeypatch.setattr(_kernels, "match_pairs", lambda choices, n: decoded.append(n))
-        with pytest.raises(CapExceeded):
+        with pytest.raises(InputError, match="n=14 exceeds involution matrix cap"):
             involution_matrix(14)
         assert decoded == []
 
@@ -288,7 +288,7 @@ class TestExactDistribution:
         np.testing.assert_allclose(dist.values, ref_v, rtol=1e-15)
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(InputError, match="n=18 exceeds enumeration cap"):
             exact_w_distribution(rand_centered(18, seed=1))
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from invclt import rng as rngmod
+from invclt.errors import InputError
 
 C = rngmod.DEFAULT_CHUNK
 
@@ -39,3 +40,8 @@ def test_pool_size_is_clamped_to_chunks_and_cpus(monkeypatch, m, cpus, pool):
     assert len(got) == len(rngmod.chunk_plan(m))
     assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
+
+
+def test_empty_draw_count_is_an_input_error():
+    with pytest.raises(InputError, match="draw count must be >= 1"):
+        rngmod.chunk_plan(0)
