@@ -230,6 +230,10 @@ def load_matrix(path: str | Path) -> np.ndarray:
         if not isinstance(obj, dict) or "entries" not in obj:
             raise InputError('JSON matrix must be {"n": int, "entries": [[...]]}')
         arr = _as_matrix(obj["entries"])
+        # numpy reads true as 1.0 and "2" as 2.0; only a JSON number is an entry
+        bad = [v for row in obj["entries"] for v in row if type(v) not in (int, float)]
+        if bad:
+            raise InputError(f"JSON matrix entries must be numbers, got {bad[0]!r}")
         if "n" in obj:
             n = obj["n"]
             if not isinstance(n, int) or isinstance(n, bool):

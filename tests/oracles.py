@@ -20,8 +20,11 @@ form of a sampler whose program path never builds one.
   check ``coupling.QuadrupleTable.sample``, ``coupling._decode_distinct``
   and ``coupling._square_bias_proposals``, which search the keys in
   ascending order and order the points with a min/max network.
-* ``lp_norm_quadrature`` integrates ``|F - Phi|^p`` by composite Simpson;
-  it checks the closed-form ``distances.l1_distance``.
+* ``lp_norm_quadrature`` integrates ``|F - Phi|^p`` by composite Simpson,
+  with scipy's ``ndtr`` for Phi; it checks the closed-form
+  ``distances.l1_distance``.  ``l1_distance_clip`` is that closed form with
+  the package's Phi but the quantile clipped into every piece, where
+  ``l1_distance`` calls it only on the pieces that Phi crosses.
 * ``sample_involutions`` draws image rows on the chunk streams of
   ``involutions.sample_y_values``, so the values that function sums are Y
   of these rows.
@@ -30,6 +33,7 @@ form of a sampler whose program path never builds one.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +42,7 @@ from scipy.special import ndtr
 from invclt import _kernels, rng as rngmod
 from invclt._kernels import _phi
 from invclt.arrays import _as_matrix
-from invclt.distances import StepCDF
+from invclt.distances import StepCDF, _int_phi, normal_cdf, normal_pdf, normal_quantile
 from invclt.errors import InputError
 from invclt.involutions import _check_even, draw_choices
 
@@ -228,6 +232,21 @@ def lp_norm_quadrature(F: StepCDF, p: float) -> float:
         h = (b - a) / QUADRATURE_POINTS
         total += h / 3.0 * float(g[0] + g[-1] + 4.0 * g[1:-1:2].sum() + 2.0 * g[2:-2:2].sum())
     return total ** (1.0 / p)
+
+
+def l1_distance_clip(F: StepCDF) -> float:
+    """``distances.l1_distance`` with the crossing of every piece taken from
+    the quantile: ``t = clip(normal_quantile(c), a, b)`` on each piece
+    ``[a, b]`` at level ``c``, and Phi evaluated afresh at ``a``, ``b`` and
+    ``t``.  The same Phi and the same sums as the package."""
+    xs = F.xs
+    a, b, c = xs[:-1], xs[1:], F.cum[:-1]
+    t = np.clip(normal_quantile(c), a, b)
+    big_a, big_b, big_t = (_int_phi(x, normal_cdf(x)) for x in (a, b, t))
+    middle = (c * (t - a) - (big_t - big_a)) + ((big_b - big_t) - c * (b - t))
+    lower_tail = _int_phi(xs[0], normal_cdf(xs[0]))
+    upper_tail = normal_pdf(xs[-1]) - xs[-1] * (1.0 - normal_cdf(xs[-1]))
+    return math.fsum([float(lower_tail), *middle.tolist(), float(upper_tail)])
 
 
 def sample_involutions(

@@ -63,6 +63,20 @@ def test_entry_point_matches_in_process(appendix_file):
     assert proc.stdout == run_cli(*args).stdout
 
 
+def test_cli_imports_no_scipy(appendix_file):
+    # Phi is numpy code (distances.normal_cdf); importing scipy.special would
+    # add about 0.3 s and 26 MB to every start of the CLI
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from invclt import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = cli.main(['analyze', '--input', {appendix_file!r}])\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert json.loads(proc.stdout) == [0, []]
+
+
 class TestAnalyze:
     def test_appendix_exact_mode(self, appendix_file):
         out = run_cli("analyze", "--input", appendix_file)
@@ -165,6 +179,107 @@ class TestAnalyze:
         obj = json.loads(out.stdout)
         assert obj["mode"] == "mc"
         assert obj["distances"]["m_samples"] == 1000
+
+    @pytest.mark.parametrize("n,extra", [(12, ()), (30, ("--draws", "20000", "--seed", "7"))])
+    def test_payload_matches_recorded(self, n, extra, tmp_path):
+        path = tmp_path / f"rng{n}.json"
+        save_matrix_json(np.random.default_rng(n).standard_normal((n, n)), path)
+        out = run_cli("analyze", "--input", str(path), "--symmetrize", *extra)
+        assert out.returncode == 0
+        assert leaves(json.loads(out.stdout)) == leaves(RECORDED_ANALYZE[n])
+
+
+# `analyze --input <array> --symmetrize` on the array
+# `default_rng(n).standard_normal((n, n))`: exact mode at n = 12, and MC mode
+# at n = 30 with `--draws 20000 --seed 7`.  Recorded with Phi from
+# `distances.normal_cdf`; against scipy's Phi only `l1` and `lp_upper` moved
+# (at most 3.8e-13 relative).  The payloads are compared leaf by leaf, so a
+# failure names the field that moved.  They may change only with a deliberate
+# change of the moments, the distances, the bounds, the sampling stream or
+# the report schema.
+RECORDED_ANALYZE = {
+    12: {
+        "beta": 1.579400347603134,
+        "bound_report": {
+            "beta": 1.5794003476031344,
+            "gap_bound": 22.28709379395534,
+            "kp": {
+                "1.0": 379.0,
+                "2.0": 152922.29083426655,
+                "inf": 61702446.0,
+            },
+            "l1_refined": 44.57418758791068,
+            "n": 12,
+            "valid": True,
+            "valid_strict": True,
+        },
+        "bounds": {
+            "1.0": 49.88272764513233,
+            "2.0": 20127.12660832568,
+            "inf": 8121072.055030302,
+        },
+        "distances": {
+            "l1": 0.011394277106315062,
+            "linf": 0.009878057648533334,
+            "lp_upper": {
+                "1.0": 0.011394277106315062,
+                "2.0": 0.010609115237358097,
+                "inf": 0.009878057648533334,
+            },
+            "m_samples": None,
+            "mode": "exact",
+        },
+        "mode": "exact",
+        "mu": 0.4052219212812797,
+        "n": 12,
+        "schema": 1,
+        "sigma2": 8.456672300145147,
+    },
+    30: {
+        "beta": 3.0083125260560104,
+        "bound_report": {
+            "beta": 3.0083125260560104,
+            "gap_bound": 13.49863256136066,
+            "kp": {
+                "1.0": 379.0,
+                "2.0": 152922.29083426655,
+                "inf": 61702446.0,
+            },
+            "l1_refined": 26.99726512272132,
+            "n": 30,
+            "valid": True,
+            "valid_strict": True,
+        },
+        "bounds": {
+            "1.0": 38.0050149125076,
+            "2.0": 15334.601434330143,
+            "inf": 6187341.373003152,
+        },
+        "distances": {
+            "l1": 0.006377577713512606,
+            "linf": 0.00766639019507015,
+            "lp_upper": {
+                "1.0": 0.006377577713512606,
+                "2.0": 0.006992352912372984,
+                "inf": 0.00766639019507015,
+            },
+            "m_samples": 20000,
+            "mode": "mc",
+        },
+        "mode": "mc",
+        "mu": -0.31418268515316944,
+        "n": 30,
+        "schema": 1,
+        "sigma2": 29.79650044150175,
+    },
+}
+
+
+def leaves(obj, path=""):
+    """``{dotted path: value}`` of every leaf of a JSON payload."""
+    if not isinstance(obj, dict):
+        return {path: obj}
+    return {k: v for key, val in obj.items() for k, v in leaves(val, f"{path}.{key}").items()}
 
 
 class TestVerify:
@@ -307,6 +422,21 @@ class TestVerify:
         assert out.returncode == 2
         assert out.stderr.startswith("error: JSON field n must be an integer")
 
+    @pytest.mark.parametrize(
+        "one,zero", [("true", "false"), ('"1"', '"0"'), ("1", "null")],
+        ids=["bool", "string", "null"],
+    )
+    def test_non_number_json_entries_exit_2(self, one, zero, tmp_path):
+        # numpy reads true as 1.0 and "1" as 1.0; only JSON numbers are entries
+        path = tmp_path / "cycle.json"
+        rows = "[[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]"
+        path.write_text(f'{{"entries": {rows}}}')
+        assert run_cli("analyze", "--input", str(path)).returncode == 0
+        path.write_text(f'{{"entries": {rows.replace("1", one).replace("0", zero)}}}')
+        out = run_cli("analyze", "--input", str(path))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: JSON matrix entries must be numbers, got ")
+
 
 # `simulate --n 10 --draws 2000 --seed 7 --json <path> --dump-draws 3`: the
 # audit draws of the JSON report, recorded while each draw still held its
@@ -380,8 +510,10 @@ RECORDED_DRAWS = [
 # run the square-bias table (n = 10, 20, 48) and the rejection sampler above
 # TABLE_CAP (n = 64).  Recorded before exact_gap read its integrand off one
 # table per pairing of each 4-set; the MC path shares only case_terms and the
-# pairing rule with it.  The list may change only with a deliberate change of
-# a sampling stream or of the report schema.
+# pairing rule with it.  `l1_mc` was re-recorded when Phi moved from scipy to
+# `distances.normal_cdf` (each by at most 4.1e-14 relative); every other value
+# kept its bits.  The list may change only with a deliberate change of a
+# sampling stream, of Phi or of the report schema.
 RECORDED_SIMULATE = [
     {
         "beta": 1.237784986823176,
@@ -391,7 +523,7 @@ RECORDED_SIMULATE = [
         "gap_mc": 0.9268198594773309,
         "gap_se": 0.01541449038034542,
         "ks_mc": 0.027844790521896035,
-        "l1_mc": 0.042155465115728805,
+        "l1_mc": 0.04215546511572901,
         "n": 10,
     },
     {
@@ -402,7 +534,7 @@ RECORDED_SIMULATE = [
         "gap_mc": 0.6790079967264538,
         "gap_se": 0.011753308032437348,
         "ks_mc": 0.014365068291119332,
-        "l1_mc": 0.025567240700140267,
+        "l1_mc": 0.025567240700141103,
         "n": 20,
     },
     {
@@ -413,7 +545,7 @@ RECORDED_SIMULATE = [
         "gap_mc": 0.4682410278379032,
         "gap_se": 0.007837141383189722,
         "ks_mc": 0.019138068045668033,
-        "l1_mc": 0.027057135926595522,
+        "l1_mc": 0.02705713592659552,
         "n": 48,
     },
     {
@@ -424,7 +556,7 @@ RECORDED_SIMULATE = [
         "gap_mc": 0.3961417549929,
         "gap_se": 0.006699996584710616,
         "ks_mc": 0.012704743927796303,
-        "l1_mc": 0.023950334305458933,
+        "l1_mc": 0.023950334305457965,
         "n": 64,
     },
 ]
@@ -434,7 +566,9 @@ RECORDED_SIMULATE = [
 # read its integrand off one table per pairing of each 4-set.  Every value is
 # a deterministic function of the seed, so a change of summation order in a
 # check shows here; the payload was the same with OpenBLAS at 1 and 2 threads.
-# It may change only with a deliberate change of a check or of the report schema.
+# The two `bound_chain` `l1` values were re-recorded when Phi moved from scipy
+# to `distances.normal_cdf` (by 6.1e-15 and 1.4e-14 relative).  It may change
+# only with a deliberate change of a check, of Phi or of the report schema.
 RECORDED_VERIFY = {
     "checks": [
         {
@@ -663,7 +797,7 @@ RECORDED_VERIFY = {
             "check": "bound_chain",
             "exact_gap": 0.9460274146511111,
             "gap_bound": 24.23282263753452,
-            "l1": 0.05732201103616896,
+            "l1": 0.05732201103616931,
             "linf": 0.03247291618994452,
             "max_abs_error": 0.0,
             "n": 10,
@@ -673,7 +807,7 @@ RECORDED_VERIFY = {
             "check": "bound_chain",
             "exact_gap": 0.8887540080905459,
             "gap_bound": 23.509658794272084,
-            "l1": 0.017638300753714125,
+            "l1": 0.01763830075371437,
             "linf": 0.01162115236840755,
             "max_abs_error": 0.0,
             "n": 12,

@@ -3,7 +3,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from invclt import rng as rngmod
 from invclt.coupling import exact_gap
@@ -15,13 +14,15 @@ from invclt.distances import (
     kolmogorov_distance,
     l1_distance,
     lp_upper,
+    normal_cdf,
+    normal_quantile,
     step_cdf_from_distribution,
 )
 from invclt.errors import InputError
 from invclt.involutions import exact_w_distribution
 
 from conftest import rand_centered
-from oracles import lp_norm_quadrature
+from oracles import l1_distance_clip, lp_norm_quadrature
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -30,23 +31,52 @@ def phi(t):
     return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
 
+def ncdf(t) -> float:
+    """Phi(t) from mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        return float(mpmath.ncdf(mpmath.mpf(float(t))))
+
+
 class TestNormalCdf:
-    """The normal CDF every distance evaluates, ``scipy.special.ndtr``."""
+    """The package's Phi (``normal_cdf``) and its inverse (``normal_quantile``)."""
 
     def test_zero(self):
-        assert ndtr(0.0) == 0.5
+        assert normal_cdf(0.0) == 0.5
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 5.0])
     def test_symmetry(self, x):
-        assert ndtr(-x) + ndtr(x) == pytest.approx(1.0, abs=1e-15)
+        assert abs(normal_cdf(-x) + normal_cdf(x) - 1.0) <= 1.2e-16
 
     def test_value_at_one(self):
-        assert abs(float(ndtr(1.0)) - 0.841344746068543) < 1e-12
+        assert abs(normal_cdf(1.0) - ncdf(1.0)) <= 1.2e-16
 
     def test_against_mpmath_grid(self):
-        for x in np.linspace(-6.0, 6.0, 41):
-            ref = float(mpmath.ncdf(mpmath.mpf(float(x))))
-            assert abs(float(ndtr(float(x))) - ref) < 1e-12
+        # both branches (|x| below and above sqrt(2)), both erfc forms (|x|
+        # below and above 8 sqrt(2)) and the lower tail down to 2.9e-316
+        xs = np.linspace(-38.0, 9.0, 4701)
+        ref = np.array([ncdf(x) for x in xs])
+        assert np.abs(normal_cdf(xs) - ref).max() <= 2.3e-16
+
+    def test_lower_tail_relative(self):
+        # exp(-x^2/2) turns the rounding of x^2/2 into a relative error that
+        # grows like x^2 eps (2.2e-13 at x = -36.8, as for scipy's ndtr);
+        # this checks the tail forms far below the grid's absolute bound
+        xs = np.linspace(-37.0, -1.0, 3601)
+        ref = np.array([ncdf(x) for x in xs])
+        assert np.all(np.abs(normal_cdf(xs) - ref) <= 1e-15 * xs**2 * ref)
+
+    def test_shapes(self):
+        assert normal_cdf(np.zeros((2, 3))).shape == (2, 3)
+        assert normal_cdf(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
+
+    def test_quantile_against_mpmath(self):
+        ps = [k / 1000 for k in range(1, 1000)] + [1e-9, 1e-6, 1.0 - 1e-6]
+        got = normal_quantile(np.array(ps))
+        with mpmath.workdps(40):
+            ref = [float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1)) for p in ps]
+        assert got[ps.index(0.5)] == 0.0
+        rel = [abs(g - r) / abs(r) for g, r in zip(got.tolist(), ref) if r != 0.0]
+        assert max(rel) <= 1e-13
 
 
 class TestEcdf:
@@ -91,7 +121,7 @@ class TestKolmogorov:
 
     def test_appendix_exact_law(self, appendix4_std):
         F = step_cdf_from_distribution(exact_w_distribution(appendix4_std))
-        expected = abs(1.0 / 3.0 - float(ndtr(-math.sqrt(1.5))))
+        expected = abs(1.0 / 3.0 - ncdf(-math.sqrt(1.5)))
         assert kolmogorov_distance(F) == pytest.approx(expected, abs=1e-12)
 
     def test_large_normal_sample_is_close(self):
@@ -117,7 +147,7 @@ class TestL1:
         # middle piece is Phi(1) - Phi(-1) + 2 phi(1) - 2 phi(0), so the
         # total is 4 Phi(1) + 4 phi(1) - 2 phi(0) - 3
         F = StepCDF(xs=np.array([-1.0, 1.0]), cum=np.array([0.5, 1.0]))
-        expected = 4.0 * float(ndtr(1.0)) + 4.0 * phi(1.0) - 2.0 * phi(0.0) - 3.0
+        expected = 4.0 * ncdf(1.0) + 4.0 * phi(1.0) - 2.0 * phi(0.0) - 3.0
         got = l1_distance(F)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(lp_norm_quadrature(F, 1.0), abs=1e-9)
@@ -149,7 +179,7 @@ class TestL1:
 class TestLevelCrossing:
     @pytest.mark.parametrize("c", [0.1, 1.0 / 3.0, 0.5, 0.9, 0.999])
     def test_one_crossing_piece_against_mpmath(self, c):
-        # one middle piece [-6, 6] at level c, crossed by Phi at ndtri(c)
+        # one middle piece [-6, 6] at level c, crossed by Phi at normal_quantile(c)
         F = StepCDF(xs=np.array([-6.0, 6.0]), cum=np.array([c, 1.0]))
         level = mpmath.mpf(c)
         cross = mpmath.sqrt(2) * mpmath.erfinv(2 * level - 1)
@@ -163,6 +193,24 @@ class TestLevelCrossing:
         F = StepCDF(xs=np.array([-1.0, 0.0, 1.0]), cum=np.array([0.01, 0.99, 1.0]))
         quad = lp_norm_quadrature(F, 1.0)
         assert l1_distance(F) == pytest.approx(quad, abs=1e-9)
+
+
+class TestCrossingOnly:
+    """``l1_distance`` calls the quantile only on the pieces that Phi crosses;
+    clipping it into every piece (``l1_distance_clip``) gives the same L1."""
+
+    def test_large_ecdf(self):
+        F = ecdf(rngmod.derive_stream(2024, 11).standard_normal(100_000))
+        # a few hundred of the 99,999 pieces cross: both paths run
+        assert np.any((F.Phi[:-1] < F.cum[:-1]) & (F.cum[:-1] < F.Phi[1:]))
+        ref = l1_distance_clip(F)
+        assert abs(l1_distance(F) - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_exact_laws(self, n):
+        F = step_cdf_from_distribution(exact_w_distribution(rand_centered(n, seed=60 + n)))
+        ref = l1_distance_clip(F)
+        assert abs(l1_distance(F) - ref) <= 1e-15 * ref
 
 
 class TestLpUpper:
