@@ -69,7 +69,7 @@ class MomentSummary:
 def _as_matrix(raw) -> np.ndarray:
     try:
         arr = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"matrix entries are not numeric: {exc}") from exc
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError(f"expected a square matrix, got shape {arr.shape}")

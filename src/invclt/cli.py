@@ -32,7 +32,6 @@ from .arrays import load_matrix, moments, standardize, validate_and_symmetrize
 from .errors import DegenerateArray, InputError, NoCaseMatched
 
 SCHEMA_VERSION = 1
-EXACT_MODE_CAP = 12  # |Pi_12| = 10,395: exact law wherever cheap
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -90,7 +89,7 @@ def run_analyze(args) -> int:
     summary = moments(E)
     D = standardize(E, summary)  # raises DegenerateArray when sigma^2 = 0
     p_list = _parse_p_list(args.p)
-    exact = E.n <= min(args.cap, invmod.ENUM_CAP)
+    exact = E.n <= invmod.ENUM_CAP  # the exact law wherever enumeration may run
     if exact:
         dist = invmod.exact_w_distribution(D)
         F = distmod.step_cdf_from_distribution(dist)
@@ -246,12 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--input", required=True)
     pa.add_argument("--symmetrize", action="store_true")
     pa.add_argument("--p", default="1,2,inf")
-    pa.add_argument(
-        "--cap",
-        type=int,
-        default=EXACT_MODE_CAP,
-        help=f"exact-mode threshold (at most {invmod.ENUM_CAP})",
-    )
     pa.add_argument("--emit-cdf", default=None)
     pa.set_defaults(fn=run_analyze)
 

@@ -1,7 +1,9 @@
+import argparse
+
 import numpy as np
 import pytest
 
-from invclt import coupling, rng as rngmod
+from invclt import cli, coupling, rng as rngmod
 from invclt.arrays import standardize, validate_and_symmetrize
 from invclt.bounds import lower_bound_array
 from invclt.involutions import choice_highs, involution_matrix
@@ -17,6 +19,17 @@ def rand_symmetric(n: int, seed: int, heavy: bool = False):
 
 def rand_centered(n: int, seed: int, heavy: bool = False):
     return standardize(rand_symmetric(n, seed, heavy))
+
+
+def cli_options() -> dict[str, set[str]]:
+    """Each ``invclt`` subcommand -> its option strings, without ``-h``."""
+    (sub,) = (
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
 
 
 @pytest.fixture(scope="session")

@@ -2,15 +2,18 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from invclt import arrays, cli
+from invclt import arrays, cli, distances, involutions
 from invclt.bounds import lower_bound_array
 
+from conftest import cli_options
 from oracles import save_matrix_json
 
 
@@ -61,6 +64,18 @@ def test_entry_point_matches_in_process(appendix_file):
     )
     assert proc.returncode == 0
     assert proc.stdout == run_cli(*args).stdout
+
+
+def test_readme_usage_matches_parser():
+    # the options README's CLI block lists for each command are the ones its
+    # subparser takes
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)
+    listed = {
+        cmd: set(re.findall(r"--[a-z][a-z-]*", text))
+        for cmd, text in re.findall(r"^invclt (\w+)(.*?)(?=^invclt |\Z)", block, re.S | re.M)
+    }
+    assert listed == cli_options()
 
 
 def test_cli_imports_no_scipy(appendix_file):
@@ -155,30 +170,40 @@ class TestAnalyze:
         t, f, phi = (float(x) for x in lines[2].split(","))
         assert t == 0.0 and f == pytest.approx(2.0 / 3.0) and phi == 0.5
 
-    def test_mc_mode_above_cap(self, appendix_file, tmp_path):
-        # force MC mode by lowering the exact cap
-        out = run_cli(
-            "analyze", "--input", appendix_file, "--cap", "2", "--draws", "5000"
-        )
-        assert out.returncode == 0
-        obj = json.loads(out.stdout)
-        assert obj["mode"] == "mc"
-        assert obj["distances"]["m_samples"] == 5000
-
-    def test_raised_cap_keeps_enumeration_guard(self, tmp_path):
-        # n = 18 lies above the enumeration cap whatever --cap says; exact
-        # mode would enumerate 34.5M matchings
+    def test_mc_mode_above_enumeration_cap(self, tmp_path):
+        # exact mode runs wherever exact_w_distribution may; n = 18 lies
+        # above ENUM_CAP (|Pi_18| is 34.5M matchings), so it samples
         path = tmp_path / "n18.json"
-        gen = np.random.default_rng(18)
-        save_matrix_json(gen.standard_normal((18, 18)), path)
-        out = run_cli(
-            "analyze", "--input", str(path), "--symmetrize",
-            "--cap", "20", "--draws", "1000",
-        )
+        save_matrix_json(np.random.default_rng(18).standard_normal((18, 18)), path)
+        out = run_cli("analyze", "--input", str(path), "--symmetrize", "--draws", "1000")
         assert out.returncode == 0
         obj = json.loads(out.stdout)
         assert obj["mode"] == "mc"
         assert obj["distances"]["m_samples"] == 1000
+
+    def test_exact_mode_at_n14(self, tmp_path):
+        # n = 14 is below ENUM_CAP, so analyze reports the exact law's
+        # distances, not Monte Carlo ones
+        E = np.random.default_rng(14).standard_normal((14, 14))
+        path = tmp_path / "n14.json"
+        save_matrix_json(E, path)
+        out = run_cli("analyze", "--input", str(path), "--symmetrize")
+        assert out.returncode == 0
+        obj = json.loads(out.stdout)
+        assert obj["mode"] == "exact" and obj["distances"]["m_samples"] is None
+        A = arrays.validate_and_symmetrize(E, symmetrize=True)
+        D = arrays.standardize(A, arrays.moments(A))
+        F = distances.step_cdf_from_distribution(involutions.exact_w_distribution(D))
+        ref = distances.distance_report(F, [1.0, 2.0, math.inf])
+        assert obj["distances"]["l1"] == ref.l1
+        assert obj["distances"]["linf"] == ref.linf
+
+    def test_cap_option_is_a_usage_error(self, appendix_file, capsys):
+        # the exact-mode threshold is ENUM_CAP; no option moves it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "--input", appendix_file, "--cap", "12"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cap 12" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n,extra", [(12, ()), (30, ("--draws", "20000", "--seed", "7"))])
     def test_payload_matches_recorded(self, n, extra, tmp_path):
@@ -193,10 +218,12 @@ class TestAnalyze:
 # `default_rng(n).standard_normal((n, n))`: exact mode at n = 12, and MC mode
 # at n = 30 with `--draws 20000 --seed 7`.  Recorded with Phi from
 # `distances.normal_cdf`; against scipy's Phi only `l1` and `lp_upper` moved
-# (at most 3.8e-13 relative).  The payloads are compared leaf by leaf, so a
-# failure names the field that moved.  They may change only with a deliberate
-# change of the moments, the distances, the bounds, the sampling stream or
-# the report schema.
+# (at most 3.8e-13 relative), and at n = 30 they moved again, by at most
+# 1.4e-16, when `l1_distance` summed its pieces in numpy in place of
+# `math.fsum`.  The payloads are compared leaf by leaf, so a failure names
+# the field that moved.  They may change only with a deliberate change of the
+# moments, the distances, the bounds, the sampling stream or the report
+# schema.
 RECORDED_ANALYZE = {
     12: {
         "beta": 1.579400347603134,
@@ -256,11 +283,11 @@ RECORDED_ANALYZE = {
             "inf": 6187341.373003152,
         },
         "distances": {
-            "l1": 0.006377577713512606,
+            "l1": 0.0063775777135126055,
             "linf": 0.00766639019507015,
             "lp_upper": {
-                "1.0": 0.006377577713512606,
-                "2.0": 0.006992352912372984,
+                "1.0": 0.0063775777135126055,
+                "2.0": 0.006992352912372983,
                 "inf": 0.00766639019507015,
             },
             "m_samples": 20000,
@@ -437,6 +464,17 @@ class TestVerify:
         assert out.returncode == 2
         assert out.stderr.startswith("error: JSON matrix entries must be numbers, got ")
 
+    def test_huge_json_integer_entry_exit_2(self, tmp_path):
+        # json reads 10**400 as a Python int, which no float64 holds; the CSV
+        # route reads 1e400 as inf and exits 2 as well
+        path = tmp_path / "huge.json"
+        rows = [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
+        rows[0][1] = rows[1][0] = 10**400
+        path.write_text(json.dumps({"entries": rows}))
+        out = run_cli("analyze", "--input", str(path))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: matrix entries are not numeric: ")
+
 
 # `simulate --n 10 --draws 2000 --seed 7 --json <path> --dump-draws 3`: the
 # audit draws of the JSON report, recorded while each draw still held its
@@ -512,8 +550,10 @@ RECORDED_DRAWS = [
 # table per pairing of each 4-set; the MC path shares only case_terms and the
 # pairing rule with it.  `l1_mc` was re-recorded when Phi moved from scipy to
 # `distances.normal_cdf` (each by at most 4.1e-14 relative); every other value
-# kept its bits.  The list may change only with a deliberate change of a
-# sampling stream, of Phi or of the report schema.
+# kept its bits.  It moved again (n = 10, 20, 48, by at most 1.7e-16) when
+# `l1_distance` summed its pieces in numpy in place of `math.fsum`.  The list
+# may change only with a deliberate change of a sampling stream, of Phi or of
+# the report schema.
 RECORDED_SIMULATE = [
     {
         "beta": 1.237784986823176,
@@ -523,7 +563,7 @@ RECORDED_SIMULATE = [
         "gap_mc": 0.9268198594773309,
         "gap_se": 0.01541449038034542,
         "ks_mc": 0.027844790521896035,
-        "l1_mc": 0.04215546511572901,
+        "l1_mc": 0.042155465115729006,
         "n": 10,
     },
     {
@@ -534,7 +574,7 @@ RECORDED_SIMULATE = [
         "gap_mc": 0.6790079967264538,
         "gap_se": 0.011753308032437348,
         "ks_mc": 0.014365068291119332,
-        "l1_mc": 0.025567240700141103,
+        "l1_mc": 0.025567240700141106,
         "n": 20,
     },
     {
@@ -545,7 +585,7 @@ RECORDED_SIMULATE = [
         "gap_mc": 0.4682410278379032,
         "gap_se": 0.007837141383189722,
         "ks_mc": 0.019138068045668033,
-        "l1_mc": 0.02705713592659552,
+        "l1_mc": 0.027057135926595522,
         "n": 48,
     },
     {

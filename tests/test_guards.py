@@ -12,7 +12,7 @@ import invclt
 from invclt import arrays, bounds, cli, coupling, involutions, rng as rngmod
 from invclt.errors import InputError
 
-from conftest import rand_centered
+from conftest import cli_options, rand_centered
 
 
 ORACLES = {
@@ -87,3 +87,7 @@ def test_removed_keywords_stay_removed():
         for name, fn in vars(mod).items():
             if inspect.isfunction(fn) and not name.startswith("_"):
                 assert not DROPPED & set(inspect.signature(fn).parameters), name
+    # and no command-line option brings one back
+    for command, options in cli_options().items():
+        named = {opt.lstrip("-").replace("-", "_") for opt in options}
+        assert not DROPPED & named, command
