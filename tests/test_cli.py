@@ -12,6 +12,7 @@ import pytest
 
 from invclt import arrays, cli, distances, involutions
 from invclt.bounds import lower_bound_array
+from invclt.errors import InputError
 
 from conftest import cli_options
 from oracles import save_matrix_json
@@ -170,7 +171,7 @@ class TestAnalyze:
         t, f, phi = (float(x) for x in lines[2].split(","))
         assert t == 0.0 and f == pytest.approx(2.0 / 3.0) and phi == 0.5
 
-    def test_mc_mode_above_enumeration_cap(self, tmp_path):
+    def test_mc_mode_above_cap(self, tmp_path):
         # exact mode runs wherever exact_w_distribution may; n = 18 lies
         # above ENUM_CAP (|Pi_18| is 34.5M matchings), so it samples
         path = tmp_path / "n18.json"
@@ -180,6 +181,24 @@ class TestAnalyze:
         obj = json.loads(out.stdout)
         assert obj["mode"] == "mc"
         assert obj["distances"]["m_samples"] == 1000
+
+    def test_raised_cap_keeps_enumeration_guard(self, tmp_path, monkeypatch, capsys):
+        # the exact-mode threshold is the enumeration cap itself: just above
+        # it analyze never asks for the exact law, and enumeration refuses
+        n = involutions.ENUM_CAP + 2
+        path = tmp_path / f"n{n}.json"
+        save_matrix_json(np.random.default_rng(n).standard_normal((n, n)), path)
+
+        def enumerate_forbidden(D):
+            raise AssertionError(f"exact law requested at n={D.n}")
+
+        monkeypatch.setattr(involutions, "exact_w_distribution", enumerate_forbidden)
+        rc = cli.main(["analyze", "--input", str(path), "--symmetrize", "--draws", "500"])
+        assert rc == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["mode"] == "mc" and obj["distances"]["m_samples"] == 500
+        with pytest.raises(InputError, match="exceeds enumeration cap"):
+            involutions.enumerate_involutions(n)
 
     def test_exact_mode_at_n14(self, tmp_path):
         # n = 14 is below ENUM_CAP, so analyze reports the exact law's
