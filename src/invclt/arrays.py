@@ -62,8 +62,9 @@ class MomentSummary:
     mu: float
     sigma2: float
     beta: float | None  # undefined (None) when sigma2 is treated as zero
-    # the centered array ê behind beta, kept for ``standardize`` (None with beta)
-    hat: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # the standardized entries d = ê / sigma behind beta, kept for
+    # ``standardize`` (None with beta)
+    d: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _as_matrix(raw) -> np.ndarray:
@@ -147,9 +148,9 @@ def moments(E: SymmetricArray) -> MomentSummary:
     scale = float(np.abs(e).max())
     if sigma2 <= DEGENERACY_CUTOFF * scale * scale:
         return MomentSummary(n=n, mu=mu, sigma2=0.0, beta=None)
-    hat = center_hat(E)
-    beta = float((np.abs(hat) ** 3).sum()) / sigma2**1.5
-    return MomentSummary(n=n, mu=mu, sigma2=sigma2, beta=beta, hat=hat)
+    d = center_hat(E) / np.sqrt(sigma2)
+    beta = float((np.abs(d) ** 3).sum())
+    return MomentSummary(n=n, mu=mu, sigma2=sigma2, beta=beta, d=d)
 
 
 def standardize(E: SymmetricArray, summary: MomentSummary | None = None) -> CenteredArray:
@@ -161,8 +162,7 @@ def standardize(E: SymmetricArray, summary: MomentSummary | None = None) -> Cent
         summary = moments(E)
     if summary.beta is None:
         raise DegenerateArray("sigma^2 = 0: every centered entry vanishes")
-    d = summary.hat / np.sqrt(summary.sigma2)
-    out = CenteredArray(n=E.n, entries=d, beta=float((np.abs(d) ** 3).sum()))
+    out = CenteredArray(n=E.n, entries=summary.d, beta=summary.beta)
     check_centered(out)
     return out
 

@@ -254,7 +254,7 @@ def check_bound_chain(seed: int) -> list[dict]:
     for n in (10, 12):
         gen = rngmod.derive_stream(seed, rngmod.PURPOSE_CHECKS, 11, n)
         D = random_centered(n, gen)
-        F = distmod.step_cdf_from_distribution(invmod.exact_w_distribution(D))
+        F = invmod.exact_w_distribution(D)
         l1 = distmod.l1_distance(F)
         linf = distmod.kolmogorov_distance(F)
         gap = coupling.exact_gap(D)
@@ -335,8 +335,8 @@ CHECKS: dict[str, Callable[[int], list[dict]]] = {
 
 def run_checks(seed: int, only: str | None = None) -> list[dict]:
     global _shared_sweeps
-    names = [only] if only else list(CHECKS)
-    if only and only not in CHECKS:
+    names = list(CHECKS) if only is None else [only]
+    if only is not None and only not in CHECKS:
         raise InputError(f"unknown check {only!r}; known: {', '.join(CHECKS)}")
     records: list[dict] = []
     _shared_sweeps = {}

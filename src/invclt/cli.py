@@ -91,8 +91,7 @@ def run_analyze(args) -> int:
     p_list = _parse_p_list(args.p)
     exact = E.n <= invmod.ENUM_CAP  # the exact law wherever enumeration may run
     if exact:
-        dist = invmod.exact_w_distribution(D)
-        F = distmod.step_cdf_from_distribution(dist)
+        F = invmod.exact_w_distribution(D)
         report = distmod.distance_report(F, p_list)
     else:
         w = invmod.sample_y_values(

@@ -586,9 +586,6 @@ def _planted_values(D: CenteredArray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 class SweepReport:
     """Outcome of the exhaustive (involution x quadruple) sweep."""
 
-    n: int
-    quads: int
-    involutions: int
     case_counts: dict[int, int]
     impossible_r: int  # occurrences of (R1,R2) in {(2,1),(1,2)}
     multi_match: int  # (pi, quad) pairs matching != 1 table rows
@@ -683,9 +680,6 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
     p3_dev = max(int(np.abs(got3 - want3).max(initial=0)), abs(missing))
 
     return SweepReport(
-        n=n,
-        quads=n_q,
-        involutions=n_inv,
         case_counts={c: int(case_counts[c]) for c in range(1, 11)},
         impossible_r=impossible,
         multi_match=multi_match,
@@ -720,9 +714,9 @@ def exact_wstar_cdf(D: CenteredArray):
         frac = (x[:, None] - seg_lo[None, :]) / (seg_hi - seg_lo)[None, :]
         return np.clip(frac, 0.0, 1.0) @ share
 
-    dist = exact_w_distribution(D)
-    vals = dist.values
-    ps = dist.probs
+    F = exact_w_distribution(D)
+    vals = F.xs
+    ps = np.diff(F.cum, prepend=0.0)
     sigma2 = float(ps @ vals**2)
     # E[W 1(W > t)] is constant between atoms; integrate it piece by piece
     tail_ev = np.concatenate((np.cumsum((ps * vals)[::-1])[::-1][1:], [0.0]))

@@ -1,4 +1,9 @@
-"""Distances between a step CDF and the standard normal.
+"""Finite laws as step CDFs, and their distances from the standard normal.
+
+``StepCDF`` is the one finite-law type and ``ecdf`` its one constructor.
+Monte Carlo samples of W and the exact law, which passes the value of W at
+every involution once (``exact_w_distribution``), both go through it, so
+they share one atom rule (``ATOM_MERGE_TOL``).
 
 Phi is evaluated here in numpy (``normal_cdf``, the cephes ``ndtr``
 rational forms), once per step CDF: ``StepCDF.Phi`` holds it at every
@@ -23,7 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .involutions import ExactDistribution
+
+# sorted distinct values within this step of each other are one atom: the
+# rounding noise of sums of the same terms in different orders
+ATOM_MERGE_TOL = 1e-12
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
@@ -180,20 +188,28 @@ class StepCDF:
 
 
 def ecdf(samples) -> StepCDF:
-    """Empirical CDF; jump heights are integer multiples of 1/m."""
+    """The finite law of ``samples``, each of weight 1/m: the one constructor
+    of a ``StepCDF`` from values, sampled or enumerated.
+
+    A run of sorted distinct values, each within ``ATOM_MERGE_TOL`` of the
+    previous one, is one atom at the count-weighted mean of the run; an atom
+    of a single distinct value keeps that value.  Jump heights are integer
+    multiples of 1/m.
+    """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         raise InputError("empty sample")
     vals, counts = np.unique(arr, return_counts=True)
+    near = np.diff(vals) <= ATOM_MERGE_TOL
+    if near.any():
+        starts = np.flatnonzero(np.concatenate(([True], ~near)))
+        runs = np.add.reduceat(counts, starts)
+        means = np.add.reduceat(vals * counts, starts) / runs
+        vals = np.where(np.diff(starts, append=vals.size) > 1, means, vals[starts])
+        counts = runs
     cum = np.cumsum(counts) / arr.size
     cum[-1] = 1.0
     return StepCDF(xs=vals, cum=cum)
-
-
-def step_cdf_from_distribution(dist: ExactDistribution) -> StepCDF:
-    cum = np.cumsum(dist.counts) / dist.total
-    cum[-1] = 1.0
-    return StepCDF(xs=dist.values.copy(), cum=cum)
 
 
 def kolmogorov_distance(F: StepCDF) -> float:

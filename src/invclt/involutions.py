@@ -18,22 +18,25 @@ from |Pi_n| = (n-1) |Pi_{n-2}|.  The choices of consecutive steps are drawn
 together (``draw_choices``): one uniform 32-bit integer below the product of
 their choice counts, split into its mixed-radix digits, gives them
 independent and exactly uniform.
+
+The exact law of W (``exact_w_distribution``) is the ``distances.ecdf`` of
+the (n-1)!! values of W, one per involution, so it is a ``StepCDF`` like
+every sampled law.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from . import _kernels, rng as rngmod
 from .arrays import CenteredArray
+from .distances import StepCDF, ecdf
 from .errors import InputError
 
 ENUM_CAP = 16  # |Pi_16| ~ 2.03M keeps exact sweeps desk-scale
 MATRIX_CAP = 12  # |Pi_12| = 10,395 rows: every materialized involution matrix
-ATOM_MERGE_TOL = 1e-12
 
 
 def double_factorial(n: int) -> int:
@@ -169,36 +172,8 @@ def sample_y_values(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExactDistribution:
-    """Finite law as sorted atoms with integer multiplicities."""
-
-    values: np.ndarray
-    counts: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def probs(self) -> np.ndarray:
-        return self.counts / self.total
-
-
-def _merge_atoms(values: np.ndarray) -> ExactDistribution:
-    vals, counts = np.unique(values, return_counts=True)
-    if len(vals) == 0:
-        raise InputError("empty value list")
-    # an atom starts wherever the step from the previous distinct value exceeds the tolerance
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(vals) > ATOM_MERGE_TOL)))
-    merged_c = np.add.reduceat(counts, starts)
-    return ExactDistribution(
-        values=np.add.reduceat(vals * counts, starts) / merged_c,
-        counts=merged_c.astype(np.int64),
-    )
-
-
-def exact_w_distribution(D: CenteredArray) -> ExactDistribution:
-    """Exact law of W = Y_D over the uniform involution, for n <= ENUM_CAP."""
+def exact_w_distribution(D: CenteredArray) -> StepCDF:
+    """Exact law of W = Y_D over the uniform involution, for n <= ENUM_CAP:
+    ``ecdf`` of the (n-1)!! values, one per involution."""
     values = [_kernels.y_batch(D.entries, block) for block in enumerate_involutions(D.n)]
-    return _merge_atoms(np.concatenate(values))
+    return ecdf(np.concatenate(values))

@@ -23,12 +23,7 @@ from invclt.coupling import (
     square_bias_table,
     stein_sweep,
 )
-from invclt.distances import (
-    kolmogorov_distance,
-    l1_distance,
-    lp_upper,
-    step_cdf_from_distribution,
-)
+from invclt.distances import kolmogorov_distance, l1_distance, lp_upper
 from invclt.involutions import exact_w_distribution
 
 from conftest import canonical_positions, rand_centered
@@ -123,7 +118,7 @@ def test_criterion_6_bound_chain():
     details = []
     for n in (10, 12):
         D = rand_centered(n, seed=9600 + n)
-        F = step_cdf_from_distribution(exact_w_distribution(D))
+        F = exact_w_distribution(D)
         l1 = l1_distance(F)
         linf = kolmogorov_distance(F)
         gap = exact_gap(D)

@@ -212,7 +212,7 @@ class TestAnalyze:
         assert obj["mode"] == "exact" and obj["distances"]["m_samples"] is None
         A = arrays.validate_and_symmetrize(E, symmetrize=True)
         D = arrays.standardize(A, arrays.moments(A))
-        F = distances.step_cdf_from_distribution(involutions.exact_w_distribution(D))
+        F = involutions.exact_w_distribution(D)
         ref = distances.distance_report(F, [1.0, 2.0, math.inf])
         assert obj["distances"]["l1"] == ref.l1
         assert obj["distances"]["linf"] == ref.linf
@@ -223,6 +223,15 @@ class TestAnalyze:
             cli.main(["analyze", "--input", appendix_file, "--cap", "12"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --cap 12" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n,extra", [(12, ()), (30, ("--draws", "20000", "--seed", "7"))])
+    def test_one_beta_per_array(self, n, extra, tmp_path):
+        # the top-level beta and the bound report's beta are one number
+        path = tmp_path / f"rng{n}.json"
+        save_matrix_json(np.random.default_rng(n).standard_normal((n, n)), path)
+        out = run_cli("analyze", "--input", str(path), "--symmetrize", *extra)
+        obj = json.loads(out.stdout)
+        assert obj["beta"] == obj["bound_report"]["beta"]
 
     @pytest.mark.parametrize("n,extra", [(12, ()), (30, ("--draws", "20000", "--seed", "7"))])
     def test_payload_matches_recorded(self, n, extra, tmp_path):
@@ -239,13 +248,15 @@ class TestAnalyze:
 # `distances.normal_cdf`; against scipy's Phi only `l1` and `lp_upper` moved
 # (at most 3.8e-13 relative), and at n = 30 they moved again, by at most
 # 1.4e-16, when `l1_distance` summed its pieces in numpy in place of
-# `math.fsum`.  The payloads are compared leaf by leaf, so a failure names
-# the field that moved.  They may change only with a deliberate change of the
+# `math.fsum`.  The top-level `beta` at n = 12 moved by 2.8e-16 relative when
+# `moments` took beta from the standardized entries, sum |e^/sigma|^3, so it
+# now equals `bound_report.beta`.  The payloads are compared leaf by leaf, so
+# a failure names the field that moved.  They may change only with a deliberate change of the
 # moments, the distances, the bounds, the sampling stream or the report
 # schema.
 RECORDED_ANALYZE = {
     12: {
-        "beta": 1.579400347603134,
+        "beta": 1.5794003476031344,
         "bound_report": {
             "beta": 1.5794003476031344,
             "gap_bound": 22.28709379395534,
@@ -352,6 +363,12 @@ class TestVerify:
         out = run_cli("verify", "--only", "nope")
         assert out.returncode == 2
         assert out.stderr.startswith("error: unknown check 'nope'")
+
+    def test_empty_only_exit_2(self):
+        # an empty family name is unknown too, not "run every family"
+        out = run_cli("verify", "--only", "")
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("error: unknown check ''")
 
     @pytest.mark.parametrize("flag", [["--threads", "2"], ["--draws", "5"]], ids=lambda f: f[0])
     def test_mc_flags_are_usage_errors(self, flag, capsys):
@@ -626,7 +643,9 @@ RECORDED_SIMULATE = [
 # a deterministic function of the seed, so a change of summation order in a
 # check shows here; the payload was the same with OpenBLAS at 1 and 2 threads.
 # The two `bound_chain` `l1` values were re-recorded when Phi moved from scipy
-# to `distances.normal_cdf` (by 6.1e-15 and 1.4e-14 relative).  It may change
+# to `distances.normal_cdf` (by 6.1e-15 and 1.4e-14 relative).  The n = 8
+# `zero_bias_cdf` error went 1.665e-15 -> 1.776e-15 when the atom
+# probabilities became the jumps of the exact law's step CDF.  It may change
 # only with a deliberate change of a check, of Phi or of the report schema.
 RECORDED_VERIFY = {
     "checks": [
@@ -810,7 +829,7 @@ RECORDED_VERIFY = {
         },
         {
             "check": "zero_bias_cdf",
-            "max_abs_error": 1.6653345369377348e-15,
+            "max_abs_error": 1.7763568394002505e-15,
             "n": 8,
             "pass": True,
         },
@@ -953,14 +972,12 @@ class TestSimulate:
         vals = dict(zip(header.split(","), row.split(",")))
         # exact oracle for the same seeded array
         from invclt import checks, rng as rngmod
-        from invclt.distances import kolmogorov_distance, step_cdf_from_distribution
+        from invclt.distances import kolmogorov_distance
         from invclt.involutions import exact_w_distribution
 
         gen = rngmod.derive_stream(5, rngmod.PURPOSE_ARRAY, 10)
         D = checks.random_centered(10, gen)
-        ks_exact = kolmogorov_distance(
-            step_cdf_from_distribution(exact_w_distribution(D))
-        )
+        ks_exact = kolmogorov_distance(exact_w_distribution(D))
         # |KS(F_m, Phi) - KS(F, Phi)| <= sup|F_m - F|, and by the DKW
         # inequality P(sup|F_m - F| > 4 * slack) <= 2 exp(-2m (4 * slack)^2)
         # = 2 * 2000^-16, so the false-failure probability is below 1e-52
@@ -1020,12 +1037,14 @@ class TestSimulate:
 # `lowerbound --n 64,100 --draws 20000 --seed 7`, recorded before the lattice
 # values were summed off the pairing order in place of an image matrix.  The
 # lattice array's Y is a sum of integers, exact in every summation order, so
-# any change of the kernels must reproduce these bits.  The list may change
-# only with a deliberate change of the sampling stream or of the report
-# schema (such as an exact lattice law in the report).
+# any change of the kernels must reproduce these bits.  `beta_over_n` moved
+# in its last bit (2.0e-16 relative at most) when `moments` took beta from
+# the standardized entries, sum |e^/sigma|^3, the one formula of beta.  The
+# list may change only with a deliberate change of the moments, the sampling
+# stream or the report schema (such as an exact lattice law in the report).
 RECORDED_LOWERBOUND = [
     {
-        "beta_over_n": 0.04279640051181075,
+        "beta_over_n": 0.04279640051181076,
         "dkw_slack": 0.013784867119002347,
         "floor": 0.01580392922166222,
         "ks": 0.10575000000000001,
@@ -1036,7 +1055,7 @@ RECORDED_LOWERBOUND = [
         "sigma": 11.31518039237536,
     },
     {
-        "beta_over_n": 0.03464282088752121,
+        "beta_over_n": 0.034642820887521214,
         "dkw_slack": 0.013784867119002347,
         "floor": 0.012661913646978447,
         "ks": 0.08619565026294829,

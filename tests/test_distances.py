@@ -16,7 +16,6 @@ from invclt.distances import (
     lp_upper,
     normal_cdf,
     normal_quantile,
-    step_cdf_from_distribution,
 )
 from invclt.errors import InputError
 from invclt.involutions import exact_w_distribution
@@ -120,7 +119,7 @@ class TestKolmogorov:
         assert kolmogorov_distance(ecdf([0.0])) == 0.5
 
     def test_appendix_exact_law(self, appendix4_std):
-        F = step_cdf_from_distribution(exact_w_distribution(appendix4_std))
+        F = exact_w_distribution(appendix4_std)
         expected = abs(1.0 / 3.0 - ncdf(-math.sqrt(1.5)))
         assert kolmogorov_distance(F) == pytest.approx(expected, abs=1e-12)
 
@@ -138,6 +137,17 @@ class TestKolmogorov:
         assert l1_distance(a) == pytest.approx(l1_distance(b), abs=1e-14)
 
 
+class TestAtoms:
+    def test_near_ties_form_one_atom(self):
+        # values 5e-13 apart are one atom at their count-weighted mean; a
+        # lone value keeps its bits ((0.1 * 3) / 3 is not 0.1)
+        F = ecdf([0.1, 0.1, 0.1, 1.0, 1.0 + 5e-13, 1.0 + 5e-13, 2.0])
+        assert len(F.xs) == 3
+        assert F.xs[0] == 0.1 and F.xs[2] == 2.0
+        assert F.xs[1] == pytest.approx(1.0 + 1e-12 / 3, rel=1e-15)
+        np.testing.assert_array_equal(F.cum, np.array([3, 6, 7]) / 7)
+
+
 class TestL1:
     def test_point_mass_is_mean_abs_normal(self):
         assert l1_distance(ecdf([0.0])) == pytest.approx(2.0 * PHI0, abs=1e-9)
@@ -153,7 +163,7 @@ class TestL1:
         assert got == pytest.approx(lp_norm_quadrature(F, 1.0), abs=1e-9)
 
     def test_symmetric_law_is_twice_half_integral(self, appendix4_std):
-        F = step_cdf_from_distribution(exact_w_distribution(appendix4_std))
+        F = exact_w_distribution(appendix4_std)
         full = l1_distance(F)
         # the positive half, integrated independently: level 2/3 on [0, x),
         # level 1 beyond x, with Phi crossing 2/3 inside the first piece
@@ -165,14 +175,14 @@ class TestL1:
         assert full == pytest.approx(2.0 * float(half), abs=1e-12)
 
     def test_quadrature_cross_check_random_law(self):
-        F = step_cdf_from_distribution(exact_w_distribution(rand_centered(8, seed=51)))
+        F = exact_w_distribution(rand_centered(8, seed=51))
         assert l1_distance(F) == pytest.approx(lp_norm_quadrature(F, 1.0), abs=1e-6)
 
     def test_l1_bounded_by_twice_exact_gap(self):
         # zero-bias contract: ||F_W - Phi||_1 <= 2 E|W - W*|
         for n, seed in ((8, 52), (10, 53)):
             D = rand_centered(n, seed=seed)
-            F = step_cdf_from_distribution(exact_w_distribution(D))
+            F = exact_w_distribution(D)
             assert l1_distance(F) <= 2.0 * exact_gap(D) + 1e-12
 
 
@@ -208,7 +218,7 @@ class TestCrossingOnly:
 
     @pytest.mark.parametrize("n", [8, 10, 12])
     def test_exact_laws(self, n):
-        F = step_cdf_from_distribution(exact_w_distribution(rand_centered(n, seed=60 + n)))
+        F = exact_w_distribution(rand_centered(n, seed=60 + n))
         ref = l1_distance_clip(F)
         assert abs(l1_distance(F) - ref) <= 1e-15 * ref
 
@@ -241,7 +251,7 @@ class TestLpUpper:
 
 
 def test_distance_report_and_rows(appendix4_std):
-    F = step_cdf_from_distribution(exact_w_distribution(appendix4_std))
+    F = exact_w_distribution(appendix4_std)
     rep = distance_report(F, [1.0, 2.0, math.inf])
     assert rep.lp[1.0] == rep.l1 and rep.lp[math.inf] == rep.linf
     obj = rep.to_json()

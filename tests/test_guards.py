@@ -9,7 +9,7 @@ import pkgutil
 import pytest
 
 import invclt
-from invclt import arrays, bounds, cli, coupling, involutions, rng as rngmod
+from invclt import arrays, bounds, cli, coupling, distances, involutions, rng as rngmod
 from invclt.errors import InputError
 
 from conftest import cli_options, rand_centered
@@ -69,7 +69,7 @@ REMOVED = {
     bounds.lower_bound_experiment: {"epsilon"},
     bounds.dkw_slack: {"delta"},
     arrays.validate_and_symmetrize: {"tol"},
-    involutions._merge_atoms: {"tol"},
+    distances.ecdf: {"tol"},
     cli._emit: {"stream"},
 }
 # ``validate`` went with ``arrays.centered_from_entries``, a wrapper whose

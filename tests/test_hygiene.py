@@ -17,6 +17,10 @@ The package root exports only what is read off it (``invclt.<name>`` or
 every exception class is raised somewhere in the package, directly or
 through a subclass, and every class below the root is named by an ``except``
 clause of ``cli.main``, so each failure reaches its own exit code.
+
+The relative imports of the package form an acyclic module graph, and
+``distances`` imports only ``errors``: every finite law is a
+``distances.StepCDF``, and its producers import it, not the reverse.
 """
 
 import ast
@@ -344,3 +348,60 @@ def test_scan_flags_an_uncaught_error_class():
         "    except (Bad, OSError):\n        return 2\n"
     )
     assert uncaught_error_classes(errors, cli) == ["Elsewhere", "Leaf"]
+
+
+def package_imports(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """Module name -> the package modules its relative imports name."""
+    graph = {}
+    for name, tree in trees.items():
+        deps = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:  # from .mod import x
+                    deps.add(node.module.split(".")[0])
+                else:  # from . import mod
+                    deps |= {alias.name for alias in node.names}
+        graph[name] = deps
+    return graph
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """A cycle of ``graph`` as its module names, first repeated last; [] if none."""
+    done: set[str] = set()
+
+    def visit(path: list[str]) -> list[str]:
+        for dep in sorted(graph.get(path[-1], ())):
+            if dep in path:
+                return path[path.index(dep):] + [dep]
+            if dep not in done:
+                cycle = visit(path + [dep])
+                if cycle:
+                    return cycle
+        done.add(path[-1])
+        return []
+
+    for name in sorted(graph):
+        cycle = [] if name in done else visit([name])
+        if cycle:
+            return cycle
+    return []
+
+
+def test_package_import_graph():
+    graph = package_imports({path.stem: ast.parse(path.read_text()) for path in PACKAGE})
+    assert import_cycle(graph) == []
+    assert graph["distances"] == {"errors"}
+
+
+def test_scan_flags_an_import_cycle():
+    trees = {
+        "a": ast.parse("from . import b, rng as rngmod\n"),
+        "b": ast.parse("from .c import f\nimport numpy\nfrom numpy import sqrt\n"),
+        "c": ast.parse("def f():\n    from .a import g\n"),
+        "rng": ast.parse("from .errors import E\n"),
+    }
+    graph = package_imports(trees)
+    assert graph == {"a": {"b", "rng"}, "b": {"c"}, "c": {"a"}, "rng": {"errors"}}
+    assert import_cycle(graph) == ["a", "b", "c", "a"]
+    del graph["c"]
+    assert import_cycle(graph) == []

@@ -5,6 +5,7 @@ import pytest
 import scipy.stats as st
 
 from invclt import _kernels, rng as rngmod
+from invclt.distances import ATOM_MERGE_TOL, ecdf
 from invclt.errors import InputError
 from invclt.involutions import (
     choice_highs,
@@ -31,6 +32,11 @@ from oracles import sample_involutions
 def enumerated(n):
     """All pairing orders of ``enumerate_involutions(n)``, blocks concatenated."""
     return np.concatenate(list(enumerate_involutions(n)))
+
+
+def atom_counts(F, total):
+    """Integer multiplicities of a finite law whose jumps are multiples of 1/total."""
+    return np.rint(np.diff(F.cum, prepend=0.0) * total).astype(np.int64)
 
 
 class TestEnumeration:
@@ -104,8 +110,8 @@ class TestEnumeration:
         assert first.shape[1] == 16 and first.dtype == np.uint8
         decoded.clear()
         # the +-1 lattice array has few atoms, so the pass is mostly decoding
-        dist = exact_w_distribution(standardize(lower_bound_array(16)))
-        assert dist.total == sum(decoded) == total
+        F = exact_w_distribution(standardize(lower_bound_array(16)))
+        assert int(atom_counts(F, total).sum()) == sum(decoded) == total
         assert max(decoded) <= total // 30
 
 
@@ -229,38 +235,35 @@ class TestYValue:
 
 
 class TestExactDistribution:
+    """The exact law of W: a ``StepCDF`` with jumps in multiples of 1/(n-1)!!."""
+
     def test_appendix_atoms(self, appendix4_std):
-        dist = exact_w_distribution(appendix4_std)
+        F = exact_w_distribution(appendix4_std)
         root = np.sqrt(1.5)
-        np.testing.assert_allclose(dist.values, [-root, 0.0, root], atol=1e-12)
-        assert dist.counts.tolist() == [1, 1, 1]
-        assert dist.total == 3
+        np.testing.assert_allclose(F.xs, [-root, 0.0, root], atol=1e-12)
+        assert atom_counts(F, 3).tolist() == [1, 1, 1]
 
     def test_probs_sum_to_one(self):
-        dist = exact_w_distribution(rand_centered(8, seed=13))
-        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert int(dist.counts.sum()) == dist.total == 105
+        F = exact_w_distribution(rand_centered(8, seed=13))
+        assert F.cum[-1] == 1.0
+        counts = atom_counts(F, 105)
+        np.testing.assert_allclose(np.cumsum(counts) / 105, F.cum, rtol=0, atol=1e-15)
+        assert int(counts.sum()) == 105 and np.all(counts >= 1)
 
     def test_support_bounded_by_involution_count(self):
-        dist = exact_w_distribution(rand_centered(6, seed=14))
-        assert len(dist.values) <= 15
-        assert np.all(np.diff(dist.values) > 0)
+        F = exact_w_distribution(rand_centered(6, seed=14))
+        assert len(F.xs) <= 15
+        assert np.all(np.diff(F.xs) > 0)
 
     @pytest.mark.parametrize("n", [6, 8, 10, 12])
     def test_mean_zero_variance_one(self, n):
-        dist = exact_w_distribution(rand_centered(n, seed=500 + n))
-        mean = dist.probs @ dist.values
+        F = exact_w_distribution(rand_centered(n, seed=500 + n))
+        probs = np.diff(F.cum, prepend=0.0)
+        mean = probs @ F.xs
         assert abs(mean) < 1e-10
-        assert abs(dist.probs @ (dist.values - mean) ** 2 - 1.0) < 1e-8
+        assert abs(probs @ (F.xs - mean) ** 2 - 1.0) < 1e-8
 
     def test_atom_merging(self):
-        vals = np.array([0.0, 1.0, 1.0 + 5e-13, 2.0])
-        from invclt.involutions import ATOM_MERGE_TOL, _merge_atoms
-
-        dist = _merge_atoms(vals)
-        assert len(dist.values) == 3
-        assert dist.counts.tolist() == [1, 2, 1]
-
         def merge_loop(values, tol):
             # the sequential merge: join each distinct value within tol of the last
             vals, counts = np.unique(values, return_counts=True)
@@ -280,12 +283,21 @@ class TestExactDistribution:
         chain = 1.0 + 0.5 * tol * np.arange(6)
         vals = np.concatenate([chain, chain + 1.0, [3.0, 3.0 + 2 * tol], chain[:3] - 2.0])
         vals = np.repeat(vals, gen.integers(1, 4, size=vals.size))
-        dist = _merge_atoms(gen.permutation(vals))
+        F = ecdf(gen.permutation(vals))
         ref_v, ref_c = merge_loop(vals, tol)
         assert len(ref_c) == 5
-        assert dist.counts.tolist() == ref_c
-        assert dist.total == vals.size
-        np.testing.assert_allclose(dist.values, ref_v, rtol=1e-15)
+        assert atom_counts(F, vals.size).tolist() == ref_c
+        np.testing.assert_allclose(F.xs, ref_v, rtol=1e-15)
+
+    def test_equals_ecdf_of_enumerated_values(self):
+        # the image-matrix route to the 105 values of W at n = 8
+        D = rand_centered(8, seed=16)
+        invs = involution_matrix(8)
+        F = exact_w_distribution(D)
+        ref = ecdf(_kernels.y_batch(D.entries, _kernels.pairing_order(invs)))
+        for name in ("xs", "cum", "Phi"):
+            assert np.array_equal(getattr(F, name), getattr(ref, name)), name
+        assert int(atom_counts(F, len(invs)).sum()) == len(invs) == 105
 
     def test_cap(self):
         with pytest.raises(InputError, match="n=18 exceeds enumeration cap"):
