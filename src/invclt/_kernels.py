@@ -21,11 +21,13 @@ Kernel semantics:
   pairing order itself, one ``(m, n)`` row per draw in the smallest unsigned
   dtype, pair ``t`` at entries ``2t, 2t+1``; no image matrix is built.
 * ``images_of(order)`` scatters pairing orders into the ``(m, n)`` int64
-  image matrix (``pi(x)`` at column ``x``), for the callers that look up
-  partners: ``involution_matrix`` and the coupling draws
-  (``zero_bias_draws``, ``zero_bias_gap_samples``).
-  ``pairing_order(images)`` is its inverse: per row, each ``i < pi(i)`` in
-  ascending order, followed by ``pi(i)``.
+  image matrix (``pi(x)`` at column ``x``), for the callers that need
+  whole rows: ``involution_matrix`` and the audit draws
+  (``zero_bias_draws``).  ``pairing_order(images)`` is its inverse: per
+  row, each ``i < pi(i)`` in ascending order, followed by ``pi(i)``.
+* ``partners(order, points)`` reads ``pi`` at a few points per row straight
+  off the pairing order, with no image matrix; the MC gap
+  (``zero_bias_gap_samples``) reads its four images this way.
 * ``y_batch(d, order)``: Y = sum_i d[i, pi(i)], which for symmetric ``d``
   is twice the sum of ``d`` over the ``n/2`` pairs, gathered by one flat
   ``np.take``.  The Monte Carlo values (``sample_y_values``), the exact law
@@ -35,7 +37,8 @@ Kernel semantics:
   ``_planted_values``, which hold image matrices, convert with
   ``pairing_order``.
 * ``case_terms(d, images, quads)``: the coupling integrand of each
-  (involution, quadruple) row, as ``(a, delta)`` with
+  (involution, quadruple) row, from the ``(m, 4)`` images
+  ``(pi(I), pi(J), pi(K), pi(L))`` alone, as ``(a, delta)`` with
   ``a = T - T_dag + delta`` and ``delta = 2*(d_ik + d_jl - d_ij - d_kl)``,
   which equals both ``W - W'`` for the swap pair and ``Tdag - Tddag``;
   a draw's gap is ``|W - W*| = |a - u*delta|``.
@@ -133,6 +136,28 @@ def images_of(order: np.ndarray) -> np.ndarray:
     np.add(second, rows, out=idx)
     flat[idx] = first
     return images
+
+
+def partners(order: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``pi`` at ``points`` (``(m, k)``, one row per pairing order), as ``(m, k)`` int64.
+
+    Per point, three passes over the ``(n, m)`` transposed order in its own
+    unsigned dtype: mark the position where the point sits, keep the entry
+    paired with it there (``mate`` is the order with the two entries of
+    every pair swapped), and OR over positions; exactly one position per
+    row is marked.  The result is int64, since callers form ``pi(x) * n``.
+    """
+    seq = order.T
+    mate = np.empty_like(seq)
+    mate[0::2], mate[1::2] = seq[1::2], seq[0::2]
+    # contiguous rows: a strided point row would keep the compare off SIMD
+    pts = np.ascontiguousarray(points.T, dtype=seq.dtype)
+    hit = np.empty(seq.shape, dtype=bool)
+    out = np.empty(pts.shape, dtype=np.int64)
+    for point, row in zip(pts, out):
+        np.equal(seq, point, out=hit)
+        row[:] = np.bitwise_or.reduce(hit * mate, axis=0)
+    return out.T
 
 
 def pairing_order(images: np.ndarray) -> np.ndarray:
@@ -262,12 +287,16 @@ def _pairing_sum(holds, m):
 
 
 def case_terms(d: np.ndarray, images: np.ndarray, quads: np.ndarray):
-    """``(a, delta)`` by the pairing rule, one entry per row of ``images``/``quads``."""
+    """``(a, delta)`` by the pairing rule, one entry per row of ``images``/``quads``.
+
+    ``images`` is ``(m, 4)``: ``pi(I), pi(J), pi(K), pi(L)`` of each row's
+    quadruple, all of the involution that the integrand reads.
+    """
     n = d.shape[1]
     flat = d.ravel()
     pairs, delta, base = quad_pairs(d, quads)
     q = quads.T
-    p = images[np.arange(images.shape[0]), q]  # pi(I), pi(J), pi(K), pi(L)
+    p = images.T
     own = q * n + p  # flat index of each point's cycle (x, pi(x))
     v = flat[own]
 

@@ -136,13 +136,15 @@ def square_bias_table(D: CenteredArray) -> QuadrupleTable:
     check_centered(D)
     d = D.entries
     # grouped so the (i,j,k,l) -> (i,k,j,l) swap negates the bracket exactly;
-    # two n^4 buffers, the bracket in the first and the weights in the second
-    bracket = d[:, None, :, None] + d[None, :, None, :]
-    w = d[:, :, None, None] + d[None, None, :, :]
-    np.subtract(bracket, w, out=bracket)
-    np.multiply(cn(n), bracket, out=w)
-    w *= bracket
-    del bracket
+    # filled one leading index at a time, the bracket in an n^3 scratch buffer
+    w = np.empty((n,) * 4)
+    bracket = np.empty((n,) * 3)
+    for wi, di in zip(w, d):
+        np.add(di[:, None, None], d[None, :, :], out=wi)
+        np.add(di[None, :, None], d[:, None, :], out=bracket)
+        np.subtract(bracket, wi, out=bracket)
+        np.multiply(cn(n), bracket, out=wi)
+        wi *= bracket
     ii = np.arange(n)
     w[ii, ii] = 0.0
     w[ii, :, ii] = 0.0
@@ -414,7 +416,9 @@ def zero_bias_gap_samples(
     """|W - W*| for m coupled draws, batched through ``_kernels.case_terms``.
 
     A draw's gap is ``|a - U*delta|``, with ``a = T - T_dag + delta`` from
-    the pairing rule of ``_kernels`` and ``delta = W_dag - W_ddag``.  Per
+    the pairing rule of ``_kernels`` and ``delta = W_dag - W_ddag``.  It
+    reads pi only at the quadruple, off the pairing order
+    (``_kernels.partners``), so no image matrix is built.  Per
     chunk the stream is consumed as: pairing choices, the quadruples, then
     the interpolation uniforms U.  Up to ``TABLE_CAP`` the quadruples take one
     table uniform each.  Above it ``sample_quadruples_rejection`` takes, per
@@ -428,13 +432,13 @@ def zero_bias_gap_samples(
     d = D.entries
 
     def worker(count: int, gen: np.random.Generator) -> np.ndarray:
-        images = _kernels.images_of(_kernels.match_pairs(draw_choices(n, count, gen), n))
+        order = _kernels.match_pairs(draw_choices(n, count, gen), n)
         if table is not None:
             quads = table.sample(gen.random(count))
         else:
             quads = sample_quadruples_rejection(D, count, gen)
         u = gen.random(count)
-        a, delta = _kernels.case_terms(d, images, quads)
+        a, delta = _kernels.case_terms(d, _kernels.partners(order, quads), quads)
         return np.abs(a - u * delta)
 
     parts = rngmod.run_chunked(

@@ -100,12 +100,15 @@ def choice_highs(n: int) -> np.ndarray:
 def _split_digits(rest: np.ndarray, highs: list[int], out: np.ndarray) -> None:
     """Write the mixed-radix digits of ``rest`` over ``highs`` into the rows of ``out``.
 
-    ``rest`` is a uint32 array below ``prod(highs)``, divided in place; row
-    0 gets the most significant digit, so a canonical rank splits into its
-    choice sequence.
+    ``rest`` is a uint32 array below ``prod(highs)``; row 0 gets the most
+    significant digit, so a canonical rank splits into its choice sequence.
+    Each digit is ``rest - (rest // h) * h``: numpy divides uint32 by a
+    scalar through libdivide, but its ``divmod`` does not.
     """
     for t in range(len(highs) - 1, 0, -1):
-        np.divmod(rest, highs[t], out=(rest, out[t]))
+        quot = rest // highs[t]
+        np.subtract(rest, quot * highs[t], out=out[t], casting="unsafe")
+        rest = quot
     out[0] = rest
 
 

@@ -112,8 +112,12 @@ def _case_term_loop(d, i, j, k, l, pi_i, pi_j, pi_k, pi_l):
 
 
 def _case_terms_loop(d, images, quads):
-    """Loop reference for ``case_terms``: ``(case, T, T_dag, delta)`` per row."""
-    terms = [_case_term_loop(d, *q, *images[r, q]) for r, q in enumerate(quads)]
+    """Loop reference for ``case_terms``: ``(case, T, T_dag, delta)`` per row.
+
+    ``images`` is ``(m, 4)``, ``pi`` at each row's quadruple, as in
+    ``case_terms``.
+    """
+    terms = [_case_term_loop(d, *q, *p) for q, p in zip(quads, images)]
     return tuple(np.array(col) for col in zip(*terms))
 
 

@@ -371,8 +371,9 @@ class TestClassifyAndDagger:
         d = D.entries
         z = zero_bias_draws(D, 300, gen)
         images, quads = z["pi"], z["quad"]
-        case_k, t_k, tdag_k, delta_k = _case_terms_loop(d, images, quads)
-        a_f, delta_f = _kernels.case_terms(d, images, quads)
+        at_quads = images[np.arange(300)[:, None], quads]
+        case_k, t_k, tdag_k, delta_k = _case_terms_loop(d, at_quads, quads)
+        a_f, delta_f = _kernels.case_terms(d, at_quads, quads)
         np.testing.assert_allclose(a_f, t_k - tdag_k + delta_k, rtol=0.0, atol=1e-13)
         assert np.array_equal(delta_f, delta_k)
         dag, touched, ok = rewire(images, quads)
@@ -441,7 +442,8 @@ class TestZeroBiasDraw:
         # MC gap's pairing-rule integrand |a - U delta| on the same rows
         D = rand_centered(n, seed=38)
         z = zero_bias_draws(D, 500, gen)
-        a, delta = _kernels.case_terms(D.entries, z["pi"], z["quad"])
+        at_quads = z["pi"][np.arange(500)[:, None], z["quad"]]
+        a, delta = _kernels.case_terms(D.entries, at_quads, z["quad"])
         gaps = np.abs(a - z["u"] * delta)
         scale = max(np.abs(col).max() for col in (a, delta, z["w"], z["w_dagger"], z["w_ddagger"]))
         assert np.abs(np.abs(z["w"] - z["w_star"]) - gaps).max() <= 1e-12 * scale
@@ -640,6 +642,32 @@ class TestEstimateGap:
         slow = zero_bias_gap_samples(D, 3_000, master_seed=112)
         # rounding scales with the terms, not with a gap near 0
         assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [10, 50])  # table path, rejection path
+    def test_partners_match_image_matrix_replay(self, n, threads, monkeypatch):
+        # the same stream with pi read off a full image matrix: bit for bit;
+        # two chunks, so threads = 2 runs them in parallel
+        D = rand_centered(n, seed=50)
+        m = rngmod.DEFAULT_CHUNK + 500
+        fast = zero_bias_gap_samples(D, m, master_seed=113, threads=threads)
+        images_of = _kernels.images_of
+
+        def from_matrix(order, points):
+            return images_of(order)[np.arange(len(order))[:, None], points]
+
+        monkeypatch.setattr(_kernels, "partners", from_matrix)
+        slow = zero_bias_gap_samples(D, m, master_seed=113, threads=threads)
+        assert np.array_equal(fast, slow)
+
+    @pytest.mark.parametrize("n", [10, 50])
+    def test_gap_path_builds_no_image_matrix(self, n, monkeypatch):
+        def refuse(order):
+            raise AssertionError("the MC gap path built an (m, n) image matrix")
+
+        monkeypatch.setattr(_kernels, "images_of", refuse)
+        gaps = zero_bias_gap_samples(rand_centered(n, seed=51), 2_000, master_seed=114)
+        assert gaps.shape == (2_000,) and np.all(gaps >= 0.0)
 
     def test_thread_invariance_above_cap(self):
         # rejection path, three chunks of rngmod.DEFAULT_CHUNK

@@ -8,6 +8,7 @@ from invclt import _kernels, rng as rngmod
 from invclt.distances import ATOM_MERGE_TOL, ecdf
 from invclt.errors import InputError
 from invclt.involutions import (
+    _split_digits,
     choice_highs,
     double_factorial,
     draw_choices,
@@ -122,6 +123,31 @@ class TestDrawChoices:
         assert choices.shape == (2_000, n // 2)
         assert choices.dtype == np.min_scalar_type(n - 1)
         assert np.all(choices < choice_highs(n))
+
+    def test_split_digits_matches_python_divmod(self):
+        # every digit group of draw_choices at n = 4..200, on random uint32
+        # values below the group's product and on its two ends
+        gen = rngmod.derive_stream(19, 1)
+        for n in range(4, 201, 2):
+            highs = choice_highs(n).tolist()
+            start = 0
+            while start < len(highs):
+                stop = start + 1
+                while stop < len(highs) and math.prod(highs[start : stop + 1]) < 2**32:
+                    stop += 1
+                group, prod = highs[start:stop], math.prod(highs[start:stop])
+                values = np.concatenate([[0, prod - 1], gen.integers(0, prod, 30)])
+                out = np.empty((len(group), values.size), dtype=np.min_scalar_type(n - 1))
+                _split_digits(values.astype(np.uint32), group, out)
+                want = []
+                for value in values.tolist():
+                    digits = []
+                    for high in reversed(group):
+                        value, digit = divmod(value, high)
+                        digits.append(digit)
+                    want.append(digits[::-1])
+                assert out.T.tolist() == want
+                start = stop
 
     def test_one_draw_is_the_rank_up_to_n20(self):
         # 19!! < 2**32, so the whole sequence is one group and its draw the rank

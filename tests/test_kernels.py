@@ -98,6 +98,18 @@ class TestMatchPairs:
         assert _kernels.images_of(order)[0].tolist() == [5, 4, 3, 2, 1, 0]
 
 
+class TestPartners:
+    # 256 is the largest n whose points fit in uint8, so n = 258 reads a uint16 order
+    @pytest.mark.parametrize("n", [2, 4, 10, 64, 196, 258])
+    def test_matches_image_matrix(self, n):
+        gen = rngmod.derive_stream(19, n)
+        order = _kernels.match_pairs(draw_choices(n, 300, gen), n)
+        points = gen.integers(0, n, size=(300, 4))
+        got = _kernels.partners(order, points)
+        assert got.dtype == np.int64 and got.shape == (300, 4)
+        assert np.array_equal(got, _kernels.images_of(order)[np.arange(300)[:, None], points])
+
+
 class TestYBatch:
     def test_rows_match_y_value(self):
         D = rand_centered(10, seed=70)
@@ -129,8 +141,9 @@ class TestCaseTerms:
         gen2 = rngmod.derive_stream(10, 2)
         perm = np.array([gen2.permutation(4) for _ in range(400)])
         quads = np.take_along_axis(quads, perm, axis=1)
-        c1, t1, td1, de1 = _case_terms_loop(D.entries, imgs, quads)
-        a2, de2 = _kernels.case_terms(D.entries, imgs, quads)
+        at_quads = imgs[np.arange(400)[:, None], quads]
+        c1, t1, td1, de1 = _case_terms_loop(D.entries, at_quads, quads)
+        a2, de2 = _kernels.case_terms(D.entries, at_quads, quads)
         np.testing.assert_allclose(a2, t1 - td1 + de1, rtol=0.0, atol=1e-13)
         assert np.array_equal(de1, de2)
         assert set(np.unique(c1)) <= set(range(1, 11))
@@ -205,9 +218,10 @@ class TestExactGap:
         invs = involution_matrix(n)
         images = np.repeat(invs, len(quads), axis=0)
         all_quads = np.tile(quads, (len(invs), 1))
-        _, t, tdag, delta_t = _case_terms_loop(D.entries, images, all_quads)
+        at_quads = images[np.arange(len(images))[:, None], all_quads]
+        _, t, tdag, delta_t = _case_terms_loop(D.entries, at_quads, all_quads)
         want = t - tdag + delta_t
-        a, delta = _kernels.case_terms(D.entries, images, all_quads)
+        a, delta = _kernels.case_terms(D.entries, at_quads, all_quads)
         np.testing.assert_allclose(a, want, rtol=0.0, atol=1e-13)
         assert np.array_equal(delta, delta_t)
         _, delta_q, base = _kernels.quad_pairs(D.entries, quads)
