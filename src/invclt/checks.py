@@ -233,8 +233,7 @@ def check_zero_bias_draw_invariants(seed: int) -> list[dict]:
         D = random_centered(n, gen)
         d = D.entries
         z = coupling.zero_bias_draws(D, 400, gen)
-        i, j, k, l = z["quad"].T
-        delta = 2.0 * (d[i, k] + d[j, l] - (d[i, j] + d[k, l]))
+        delta = _kernels.quad_pairs(d, z["quad"])[1]
         # each W against Y summed afresh over its involution's pairs
         errors = [
             z[w] - _kernels.y_batch(d, _kernels.pairing_order(z[pi]))

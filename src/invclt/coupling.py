@@ -5,8 +5,10 @@ Construction summary (all indices 0-based internally):
 * Swap map: for distinct ``a, b``, ``swap(pi, a, b)`` returns the involution
   with the cycles ``(a, b)`` and ``(pi(a), pi(b))`` planted and every other
   cycle untouched: on an image row it writes ``b, a, pi(b), pi(a)`` at
-  ``a, b, pi(a), pi(b)``.  ``stein_sweep`` applies it to base-n digit codes,
-  ``zero_bias_draws`` and ``_planted_values`` to image rows.
+  ``a, b, pi(a), pi(b)``.  ``stein_sweep`` applies it to base-n digit codes
+  and ``zero_bias_draws`` to image rows; ``_planted_values`` plants the
+  result for pi_dag, the cycles (I,J) and (K,L), through
+  ``planted_completions``.
 * Stein pair: ``pi' = swap(pi, I, J)`` for a uniform ordered pair ``(I, J)``,
   giving ``W - W' = 2(d_{I pi(I)} + d_{J pi(J)} - d_{IJ} - d_{pi(I) pi(J)})``
   and ``E(W - W' | pi) = (4/n) W``.
@@ -101,11 +103,7 @@ class QuadrupleTable:
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """(quads, probs) for the positive-weight ordered quadruples."""
         idx = np.nonzero(self.weights)[0]
-        quads = np.empty((idx.size, 4), dtype=np.int64)
-        rest, quads[:, 3] = np.divmod(idx, self.n)
-        rest, quads[:, 2] = np.divmod(rest, self.n)
-        quads[:, 0], quads[:, 1] = np.divmod(rest, self.n)
-        return quads, self.weights[idx] / self._cum[-1]
+        return _quads_at(idx, self.n), self.weights[idx] / self._cum[-1]
 
     def sample(self, us: np.ndarray) -> np.ndarray:
         """Invert the cumulative table at uniforms ``us`` -> (m, 4) quads.
@@ -116,12 +114,16 @@ class QuadrupleTable:
         """
         x = np.asarray(us) * self._cum[-1]
         idx = _sorted_search(self._cum, x)
-        idx = np.minimum(idx, self.weights.size - 1)
-        quads = np.empty((idx.size, 4), dtype=np.int64)
-        rest, quads[:, 3] = np.divmod(idx, self.n)
-        rest, quads[:, 2] = np.divmod(rest, self.n)
-        quads[:, 0], quads[:, 1] = np.divmod(rest, self.n)
-        return quads
+        return _quads_at(np.minimum(idx, self.weights.size - 1), self.n)
+
+
+def _quads_at(idx: np.ndarray, n: int) -> np.ndarray:
+    """(m, 4) quadruples (i, j, k, l) at flat indices ``((i n + j) n + k) n + l``."""
+    quads = np.empty((idx.size, 4), dtype=np.int64)
+    rest, quads[:, 3] = np.divmod(idx, n)
+    rest, quads[:, 2] = np.divmod(rest, n)
+    quads[:, 0], quads[:, 1] = np.divmod(rest, n)
+    return quads
 
 
 def square_bias_table(D: CenteredArray) -> QuadrupleTable:
@@ -353,8 +355,7 @@ def zero_bias_draws(D: CenteredArray, m: int, gen: np.random.Generator) -> dict[
         raise NoCaseMatched(f"case {case[bad]}: the rewired involution failed its closure check")
     ddag = dag.copy()
     ddag[rows, quads] = quads[:, [1, 0, 3, 2]]
-    i, j, k, l = quads.T
-    if np.any(d[i, k] + d[j, l] - (d[i, j] + d[k, l]) == 0.0):
+    if np.any(_kernels.quad_pairs(d, quads)[1] == 0.0):
         raise NoCaseMatched("square-bias support produced a zero difference")
 
     idx = np.arange(n)
@@ -566,18 +567,13 @@ def _planted_values(D: CenteredArray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     ``share`` is the quadruple's probability split evenly over its uniform
     completions; W_ddag is W at ``swap(pi_dag, I, J)``, which trades
-    the cycles (I,K), (J,L) for (I,J), (K,L).
+    the cycles (I,K), (J,L) for (I,J), (K,L): the completions planted at
+    (I, K, J, L), row for row, since the points outside are the same.
     """
     n = D.n
     quads, probs = square_bias_table(D).support()
     dag = planted_completions(quads, n)
-    ddag = dag.copy()
-    np.put_along_axis(
-        ddag,
-        np.broadcast_to(quads[:, None, :], dag.shape[:2] + (4,)),
-        np.broadcast_to(quads[:, None, [1, 0, 3, 2]], dag.shape[:2] + (4,)),
-        axis=2,
-    )
+    ddag = planted_completions(quads[:, [0, 2, 1, 3]], n)
     share = np.repeat(probs / dag.shape[1], dag.shape[1])
     return (
         share,
@@ -596,8 +592,41 @@ class SweepReport:
     closure_failures: int
     uniformity_max_dev: int  # vs the exact per-completion count
     expected_completion_count: int
+    # worst count deviation over the observed keys (``_image_law_dev``)
     p2_max_dev: int
-    p3_max_dev: int  # worst count deviation, or the number of missing keys
+    p3_max_dev: int
+
+
+def _image_law_dev(points: np.ndarray, keys: np.ndarray, n: int) -> int:
+    """Worst |count - exact count| over the keys ``(row, pi(x_1), .., pi(x_r))``.
+
+    Row ``q`` of the (rows, r) ``points`` holds distinct points ``x_a``; each
+    involution adds one key ``((q n + y_1) n + ..) n + y_r`` per row, with
+    ``y_a = pi(x_a)``.  The key is a partial matching of ``X u Y`` when no
+    ``y_a`` equals its own ``x_a``, the ``y_a`` are distinct, and ``y_a = x_b``
+    exactly when ``y_b = x_a``; then ``(n - |X u Y| - 1)!!`` involutions
+    extend it, and no involution holds any other key.  A row's exact counts
+    sum to (n-1)!!, and so must its observed counts (one key per involution,
+    checked in total); so once every observed key has its exact count, no key
+    is missing.
+    """
+    surplus = abs(keys.size - points.shape[0] * double_factorial(n - 1))
+    rest, got = np.unique(keys, return_counts=True)
+    r = points.shape[1]
+    ys = np.empty((r, got.size), dtype=np.min_scalar_type(n - 1))
+    for a in reversed(range(r)):
+        rest, ys[a] = np.divmod(rest, n)
+    xs = points.astype(ys.dtype)[rest].T
+    hit = ys[:, None] == xs[None, :]  # hit[a, b]: y_a = x_b
+    consistent = (
+        ~hit[np.arange(r), np.arange(r)].any(axis=0)
+        & ((ys[:, None] == ys[None, :]).sum(axis=(0, 1)) == r)
+        & (hit == hit.transpose(1, 0, 2)).all(axis=(0, 1))
+    )
+    free = np.where(consistent, n - 2 * r + hit.sum(axis=(0, 1)), 0)  # n - |X u Y|
+    extensions = np.array([double_factorial(f - 1) for f in range(n + 1)])
+    want = np.where(consistent, extensions[free], 0)
+    return max(int(np.abs(got - want).max(initial=0)), surplus)
 
 
 def exhaustive_sweep(D: CenteredArray) -> SweepReport:
@@ -612,26 +641,21 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
     n = D.n
     _check_sweep(n)
     check_centered(D)
-    d = D.entries
     invs = involution_matrix(n)
     quads = np.array(list(itertools.permutations(range(n), 4)), dtype=np.int64)
     n_inv, n_q = invs.shape[0], quads.shape[0]
     q = quads.T
-    i, j, k, l = q
-    support = d[i, k] + d[j, l] - (d[i, j] + d[k, l]) != 0.0  # the square-bias support
+    support = _kernels.quad_pairs(D.entries, quads)[1] != 0.0  # the square-bias support
     sq = quads[support]
-    si, sj, _, sl = sq.T
     n_s = sq.shape[0]
     # rewired involutions are compared through their base-n digit codes
     code = n ** np.arange(n, dtype=np.int64)
     completion_codes = planted_completions(sq, n) @ code
 
-    idx = np.arange(n)
     case_counts = np.zeros(11, dtype=np.int64)
     impossible = multi_match = closure_failures = 0
     rewired_codes = np.empty((n_inv, n_s), dtype=np.int64)
-    p2_counts = np.zeros((n_s, n, n), dtype=np.int64)
-    p3_keys = []
+    keys = []  # (quad, pi(I), pi(J), pi(L)), one array per involution
     for r, parr in enumerate(invs):
         p = parr[q]
         rows = np.array(_kernels.case_rows(q, p))
@@ -646,42 +670,15 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
         closure_failures += int(np.count_nonzero(~ok))
 
         rewired_codes[r] = img[support] @ code
-        pi_i, pi_j, pi_k, pi_l = p[:, support]
-        p2_counts[np.arange(n_s), pi_i, pi_j] += 1
-        p3_keys.append(((np.arange(n_s) * n + pi_i) * n + pi_j) * n + pi_l)
+        pi_i, pi_j, _, pi_l = p[:, support]
+        keys.append(((np.arange(n_s) * n + pi_i) * n + pi_j) * n + pi_l)
 
     # conditional uniformity: every completion of every support quad must be
     # produced by exactly |Pi_n| / |Pi_{n-4}| base involutions
     expected = n_inv // double_factorial(n - 5)
     got = np.count_nonzero(rewired_codes[:, :, None] == completion_codes[None], axis=0)
     uni_dev = int(np.abs(got - expected).max(initial=0))
-
-    # (quad, pi(I), pi(J)) joint law: integer counts against the exact law
-    qi, qj = si[:, None, None], sj[:, None, None]
-    s, t = idx[None, :, None], idx[None, None, :]
-    want2 = np.where(
-        (s == qj) & (t == qi),
-        n_inv // (n - 1),
-        np.where(
-            (s == qi) | (s == t) | (s == qj) | (t == qj) | (t == qi),
-            0,
-            n_inv // ((n - 1) * (n - 3)),
-        ),
-    )
-    p2_dev = int(np.abs(p2_counts - want2).max(initial=0))
-
-    # (quad, pi(I), pi(J), pi(L)) joint law: one of the cycles (I,J), (I,L),
-    # (J,L) with the third image off {I, J, L}, or three distinct images off
-    # it.  Every key must carry its exact count, and none may be missing.
-    keys, got3 = np.unique(np.concatenate(p3_keys), return_counts=True)
-    rest, img_j = np.divmod(keys // n, n)
-    key_q, img_i = np.divmod(rest, n)
-    paired = (img_i == sj[key_q]) | (img_i == sl[key_q]) | (img_j == sl[key_q])
-    want3 = np.where(
-        paired, n_inv // ((n - 1) * (n - 3)), n_inv // ((n - 1) * (n - 3) * (n - 5))
-    )
-    missing = n_s * (3 * (n - 3) + (n - 3) * (n - 4) * (n - 5)) - keys.size
-    p3_dev = max(int(np.abs(got3 - want3).max(initial=0)), abs(missing))
+    keys = np.concatenate(keys)
 
     return SweepReport(
         case_counts={c: int(case_counts[c]) for c in range(1, 11)},
@@ -690,8 +687,8 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
         closure_failures=closure_failures,
         uniformity_max_dev=uni_dev,
         expected_completion_count=expected,
-        p2_max_dev=p2_dev,
-        p3_max_dev=p3_dev,
+        p2_max_dev=_image_law_dev(sq[:, :2], keys // n, n),
+        p3_max_dev=_image_law_dev(sq[:, [0, 1, 3]], keys, n),
     )
 
 

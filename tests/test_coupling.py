@@ -149,6 +149,13 @@ class TestSquareBiasTable:
         _, probs = square_bias_table(D).support()
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [10, 48])
+    def test_quad_decode_inverts_ravel_multi_index(self, n):
+        # support() and sample() share one decode of the flat table index
+        quads = rngmod.derive_stream(15, n).integers(0, n, size=(1000, 4))
+        flat = np.ravel_multi_index(tuple(quads.T), (n,) * 4)
+        assert np.array_equal(coupling._quads_at(flat, n), quads)
+
 
 class TestQuadrupleSampling:
     def test_deterministic(self):
@@ -400,6 +407,16 @@ class TestClassifyAndDagger:
 
 
 class TestZeroBiasDraw:
+    def test_zero_difference_is_an_internal_error(self, gen, monkeypatch):
+        # equal off-diagonal entries make every bracket zero; a quadruple off
+        # the square-bias support must stop the draw, not pass as a W* value
+        D = CenteredArray(n=8, entries=np.ones((8, 8)) - np.eye(8), beta=1.0)
+        monkeypatch.setattr(
+            coupling, "sample_quadruples_rejection", lambda D, m, gen: np.tile([0, 1, 2, 3], (m, 1))
+        )
+        with pytest.raises(NoCaseMatched, match="zero difference"):
+            zero_bias_draws(D, 5, gen)
+
     def test_draw_invariants(self, gen):
         n, m = 10, 300
         D = rand_centered(n, seed=34)
@@ -558,6 +575,68 @@ class TestExactOracles:
         rep = exhaustive_sweep(rand_centered(8, seed=51))
         assert rep.uniformity_max_dev > 0
         assert rep.p2_max_dev > 0 and rep.p3_max_dev > 0
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_image_law_rule_on_four_images(self, n):
+        # the rule on (pi(I), pi(J), pi(K), pi(L)) over every matching and
+        # ordered quadruple; per quadruple, no, one and two internal pairs
+        # weigh (n-4)(n-6) : 6(n-4) : 3 in units of (n-5)!!
+        every = involution_matrix(n)
+        quads = np.array(list(itertools.permutations(range(n), 4)))
+
+        def dev(invs):
+            images = invs[:, quads]  # (matchings, quadruples, 4)
+            keys = np.arange(len(quads))
+            for a in range(4):
+                keys = keys * n + images[:, :, a]
+            return coupling._image_law_dev(quads, keys.ravel(), n)
+
+        assert dev(every) == 0
+        inside = (every[:, quads][..., None] == quads[:, None, :]).any(axis=3)
+        internal = inside.sum(axis=2) // 2  # pairs of the matching within the quadruple
+        patterns = np.stack([np.count_nonzero(internal == c, axis=0) for c in (0, 1, 2)])
+        unit = double_factorial(n - 5)
+        assert np.all(patterns.T == [(n - 4) * (n - 6) * unit, 6 * (n - 4) * unit, 3 * unit])
+        biased = every.copy()
+        biased[1] = every[0]
+        assert dev(biased) >= 1
+        # at n = 6 every four-image key is held once, so a lost matching
+        # leaves no observed count wrong; only the total of the counts shows it
+        assert dev(every[1:]) >= 1
+
+    @pytest.mark.parametrize("points", [(0, 1), (0, 1, 3), (2, 0, 5, 1)])
+    def test_image_law_rule_counts_every_key(self, points):
+        # the rule's count of each key, held or not, is the number of
+        # matchings that hold it: read it off M copies, as M - deviation
+        n, r, M = 8, len(points), 1000
+        held = np.zeros(n**r, dtype=np.int64)
+        keys, counts = np.unique(
+            np.ravel_multi_index(tuple(involution_matrix(n)[:, points].T), (n,) * r),
+            return_counts=True,
+        )
+        held[keys] = counts
+        row = np.array([points])
+        rule = [M - coupling._image_law_dev(row, np.full(M, key), n) for key in range(n**r)]
+        assert np.array_equal(rule, held)
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_planted_ddag_is_the_swapped_dagger(self, n):
+        # planting (I,J) and (K,L) gives, row for row, pi_dag with the swap
+        # written over the quadruple
+        D = rand_centered(n, seed=52)
+        quads, _ = square_bias_table(D).support()
+        dag = planted_completions(quads, n)
+        swapped = dag.copy()
+        shape = dag.shape[:2] + (4,)
+        np.put_along_axis(
+            swapped,
+            np.broadcast_to(quads[:, None, :], shape),
+            np.broadcast_to(quads[:, None, [1, 0, 3, 2]], shape),
+            axis=2,
+        )
+        assert np.array_equal(planted_completions(quads[:, [0, 2, 1, 3]], n), swapped)
+        w_ddag = _kernels.y_batch(D.entries, _kernels.pairing_order(swapped.reshape(-1, n)))
+        assert np.array_equal(coupling._planted_values(D)[2], w_ddag)
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_planted_completions_per_support_quadruple(self, n):

@@ -7,11 +7,41 @@ the records at the expected ``n`` fail, and that the family's other records
 are untouched.
 """
 
+import re
+from pathlib import Path
+
+import numpy as np
+
 from invclt import bounds, checks, coupling, rng as rngmod
+from invclt.arrays import CenteredArray
+
+# the families that no test below injects a fault into yet
+NOT_YET_INJECTED = {
+    "hat_marginals",
+    "sigma_consistency",
+    "brute_force_moments",
+    "lemma_3_3_normalization",
+    "stein_linearity",
+    "stein_second_moment",
+    "case_exhaustiveness",
+    "completion_uniformity",
+    "p2_joint_law",
+    "p3_structural_zeros",
+    "zero_bias_moments",
+    "zero_bias_cdf",
+    "zero_bias_draw_invariants",
+}
 
 
 def run_family(name: str) -> list[dict]:
     return checks.CHECKS[name](rngmod.DEFAULT_SEED)
+
+
+def test_not_yet_injected_is_exactly_the_untested_families():
+    # a family that loses its test, or gains one while still listed, fails here
+    injected = set(re.findall(r'run_family\("(\w+)"\)', Path(__file__).read_text()))
+    assert injected <= set(checks.CHECKS)
+    assert set(checks.CHECKS) - injected == NOT_YET_INJECTED
 
 
 def test_bound_chain_fails_without_a_coupling_gap(monkeypatch):
@@ -36,3 +66,54 @@ def test_truncation_collision_fails_above_its_bound(monkeypatch):
     assert [(r["n"], r["pass"]) for r in collision] == [(10, False), (12, False)]
     assert all(r["max_abs_error"] > 0.0 for r in collision)
     assert all(r["pass"] for r in records if r["check"] == "truncation_inequalities")
+
+
+def test_impossible_cases_fail_on_a_non_involution(monkeypatch):
+    # at the quadruple (0,1,2,3) the row [2,3,1,0,5,4] has (R1,R2) = (2,1),
+    # which no involution can give; the n = 8 sweep is untouched
+    involution_matrix = coupling.involution_matrix
+
+    def with_extra_row(n):
+        invs = involution_matrix(n)
+        return np.vstack((invs, [2, 3, 1, 0, 5, 4])) if n == 6 else invs
+
+    monkeypatch.setattr(coupling, "involution_matrix", with_extra_row)
+    records = run_family("impossible_cases_21_12")
+    assert [(r["n"], r["pass"]) for r in records] == [(6, False), (8, True)]
+
+
+def test_exchangeability_fails_on_a_biased_base_law(monkeypatch):
+    # one matching counted twice, another never: the (W, W') law is no
+    # longer symmetric at either n
+    involution_matrix = coupling.involution_matrix
+
+    def biased(n):
+        invs = involution_matrix(n).copy()
+        invs[1] = invs[0]
+        return invs
+
+    monkeypatch.setattr(coupling, "involution_matrix", biased)
+    records = run_family("exchangeability")
+    assert [(r["n"], r["pass"]) for r in records] == [(6, False), (8, False)]
+
+
+def test_truncation_inequalities_fail_on_too_many_large_entries(monkeypatch):
+    # four entries of size 1 with beta = 1/4: truncation zeroes all four, so
+    # |Gamma| = 4 > 8 beta = 2 and only gamma_bound fails; every other
+    # record of the family keeps its own array
+    random_centered = checks.random_centered
+    entries = np.zeros((16, 16))
+    entries[0, 1] = entries[1, 0] = 1.0
+    entries[2, 3] = entries[3, 2] = -1.0
+
+    def planted(n, gen, heavy=False):
+        if n == 16:
+            return CenteredArray(n=16, entries=entries, beta=0.25)
+        return random_centered(n, gen, heavy=heavy)
+
+    monkeypatch.setattr(checks, "random_centered", planted)
+    held = bounds.truncate(planted(16, None)).deterministic
+    assert [claim for claim, ok in held.items() if not ok] == ["gamma_bound"]
+    records = run_family("truncation_inequalities")
+    failed = [(r["check"], r["n"]) for r in records if not r["pass"]]
+    assert failed == [("truncation_inequalities", 16)]
