@@ -375,14 +375,15 @@ def held_pairing_a(d: np.ndarray, invs: np.ndarray, table, key, base: np.ndarray
 
 
 def _phi(t: np.ndarray) -> np.ndarray:
-    """``phi(t) = u*(2t - u)`` with ``u = clip(t, 0, 1)``.
+    """``phi(t) = u*(2t - u)`` with ``u = clip(t, 0, 1)``, written into ``t``.
 
     It is ``0`` for ``t <= 0``, ``t**2`` on ``[0, 1]`` and ``2t - 1`` for
     ``t >= 1``, so ``int_0^1 |t - u| du = phi(t) - t + 1/2`` and, at
     ``t = a/c``, ``int_0^1 |a - u*c| du = |c|*(phi(t) - t + 1/2)``.
+    ``t`` is overwritten and returned; ``u`` is the only temporary.
     """
     u = np.clip(t, 0.0, 1.0)
-    t = 2.0 * t
+    t *= 2.0
     t -= u
     t *= u
     return t
@@ -441,7 +442,9 @@ def exact_gap(d, invs, quads, probs) -> float:
     per_pi = np.empty(invs.shape[0], dtype=np.float64)
     for s in range(0, invs.shape[0], block):
         a = held_pairing_a(d, invs[s : s + block], table, key, base)
-        per_pi[s : s + block] = w_abs @ _phi(a / delta[:, None]) - w_sign @ a + half
+        signed = w_sign @ a
+        a /= delta[:, None]  # t = a/delta, then phi(t), in a's own buffer
+        per_pi[s : s + block] = w_abs @ _phi(a) - signed + half
     return float(per_pi.sum() / invs.shape[0])
 
 

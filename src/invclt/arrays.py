@@ -16,6 +16,20 @@ column / grand sums):
   + e_{++}/((n-1)(n-2))`` off the diagonal, 0 on it
 * variance via the centered array: ``sigma^2 = 2(n-2)/((n-1)(n-3)) * sum ê^2``
 * third-moment rate quantity ``beta = sum_{i != j} |ê_ij / sigma|^3``
+
+Every ``n x n`` stage writes into a buffer it owns (``out=``, in-place
+operators).  The operations and their order are those of the plain
+expressions, so the values are the same bit for bit.  The peak allocation
+of each stage, in units of one ``n x n`` float64 array, is:
+
+* ``validate_and_symmetrize``: 1 with ``symmetrize`` (``np.add`` then
+  ``/=``), 2 without (the asymmetry buffer, then ``triu`` and its mirror);
+* ``center_hat``: 1, the result;
+* ``moments``: 2, the returned ``d`` and the ``|d|`` buffer that is cubed
+  in place for ``beta`` (``_sigma2_formula``'s ``e*e`` is freed before);
+* ``check_centered``: 1, the ``d*d`` of ``sigma2_from_hat``.
+
+``max|x|`` is read as ``max(x.max(), -x.min())``, which allocates nothing.
 """
 
 from __future__ import annotations
@@ -77,6 +91,12 @@ def _as_matrix(raw) -> np.ndarray:
     return arr
 
 
+def _max_abs(x: np.ndarray) -> float:
+    """``float(np.abs(x).max())`` without the ``abs`` copy; the outer ``abs``
+    only turns a ``-0.0`` maximum into ``0.0``."""
+    return abs(float(max(x.max(), -x.min())))
+
+
 def validate_and_symmetrize(raw, symmetrize: bool = False) -> SymmetricArray:
     """Validate a raw square matrix and return the exactly-symmetric array.
 
@@ -93,12 +113,13 @@ def validate_and_symmetrize(raw, symmetrize: bool = False) -> SymmetricArray:
         raise InputError(f"n={n} is odd; no fixed-point-free involution exists")
     if n < 4:
         raise InputError(f"n={n} < 4")
-    scale = float(np.abs(arr).max())
+    scale = _max_abs(arr)
     if symmetrize:
-        out = (arr + arr.T) / 2.0
+        out = np.add(arr, arr.T)
+        out /= 2.0
     else:
         bound = SYMMETRY_TOL * max(scale, 1e-300)
-        asym = float(np.abs(arr - arr.T).max())
+        asym = _max_abs(np.subtract(arr, arr.T))
         if asym > bound:
             raise InputError(f"max |e_ij - e_ji| = {asym:.3e} exceeds {bound:.3e}")
         diag = float(np.abs(np.diag(arr)).max())
@@ -117,8 +138,12 @@ def center_hat(E: SymmetricArray) -> np.ndarray:
     e = E.entries
     row = e.sum(axis=1)
     tot = row.sum()
-    # grouping the two marginal terms keeps the result bitwise symmetric
-    hat = e - (row[:, None] + row[None, :]) / (n - 2) + tot / ((n - 1) * (n - 2))
+    # e - (row_i + row_j)/(n-2) + tot/((n-1)(n-2)), in one buffer; grouping
+    # the two marginal terms keeps the result bitwise symmetric
+    hat = np.add(row[:, None], row[None, :])
+    hat /= n - 2
+    np.subtract(e, hat, out=hat)
+    hat += tot / ((n - 1) * (n - 2))
     np.fill_diagonal(hat, 0.0)
     return hat
 
@@ -145,11 +170,13 @@ def moments(E: SymmetricArray) -> MomentSummary:
     e = E.entries
     mu = float(e.sum()) / (n - 1)
     sigma2 = _sigma2_formula(e, n)
-    scale = float(np.abs(e).max())
+    scale = _max_abs(e)
     if sigma2 <= DEGENERACY_CUTOFF * scale * scale:
         return MomentSummary(n=n, mu=mu, sigma2=0.0, beta=None)
-    d = center_hat(E) / np.sqrt(sigma2)
-    beta = float((np.abs(d) ** 3).sum())
+    d = center_hat(E)
+    d /= np.sqrt(sigma2)
+    cubes = np.abs(d)
+    beta = float(np.power(cubes, 3, out=cubes).sum())
     return MomentSummary(n=n, mu=mu, sigma2=sigma2, beta=beta, d=d)
 
 
@@ -183,7 +210,7 @@ def check_centered(D: CenteredArray) -> dict:
         raise InputError("standardized array lost exact symmetry")
     if np.any(np.diag(d) != 0.0):
         raise InputError("standardized array has nonzero diagonal")
-    scale = float(np.abs(d).max())
+    scale = _max_abs(d)
     row_err = float(np.abs(d.sum(axis=1)).max())
     if row_err > ROW_SUM_TOL * n * max(scale, 1e-300):
         raise InputError(f"row sums fail to vanish: {row_err:.3e}")

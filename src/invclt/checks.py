@@ -36,8 +36,10 @@ def random_centered(
     """Random standardized array; ``heavy`` mixes in large symmetric spikes."""
     raw = gen.standard_normal((n, n))
     if heavy:
-        raw = raw * (1.0 + 4.0 * (gen.random((n, n)) < 3.0 / n))
-    return standardize(validate_and_symmetrize(raw, symmetrize=True))
+        raw *= 1.0 + 4.0 * (gen.random((n, n)) < 3.0 / n)
+    E = validate_and_symmetrize(raw, symmetrize=True)
+    del raw  # not held while standardize allocates
+    return standardize(E)
 
 
 def _record(check: str, n: int, err: float, ok: bool, **extra) -> dict:

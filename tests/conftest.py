@@ -9,12 +9,17 @@ from invclt.bounds import lower_bound_array
 from invclt.involutions import choice_highs, involution_matrix
 
 
-def rand_symmetric(n: int, seed: int, heavy: bool = False):
+def rand_raw(n: int, seed: int, heavy: bool = False) -> np.ndarray:
+    """Raw normal scores; ``heavy`` scales about 3 entries per row by 5."""
     gen = rngmod.derive_stream(seed, 0xBEEF, n)
     raw = gen.standard_normal((n, n))
     if heavy:
         raw = raw * (1.0 + 4.0 * (gen.random((n, n)) < 3.0 / n))
-    return validate_and_symmetrize(raw, symmetrize=True)
+    return raw
+
+
+def rand_symmetric(n: int, seed: int, heavy: bool = False):
+    return validate_and_symmetrize(rand_raw(n, seed, heavy), symmetrize=True)
 
 
 def rand_centered(n: int, seed: int, heavy: bool = False):

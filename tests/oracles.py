@@ -30,6 +30,11 @@ form of a sampler whose program path never builds one.
   of these rows.
 * ``save_matrix_json`` writes the JSON matrix files that
   ``arrays.load_matrix`` reads.
+* ``validate_and_symmetrize_chained``, ``center_hat_chained``,
+  ``moments_chained``, ``check_centered_chained`` and ``truncate_chained``
+  are the array pipeline as chained numpy expressions, one temporary per
+  operation.  The package computes the same operations into reused
+  buffers, and the tests require its values to equal these bit for bit.
 """
 
 import json
@@ -41,7 +46,15 @@ from scipy.special import ndtr
 
 from invclt import _kernels, rng as rngmod
 from invclt._kernels import _phi
-from invclt.arrays import _as_matrix
+from invclt.arrays import (
+    DEGENERACY_CUTOFF,
+    ROW_SUM_TOL,
+    SYMMETRY_TOL,
+    VARIANCE_TOL,
+    CenteredArray,
+    _as_matrix,
+)
+from invclt.bounds import EPSILON_0, N_0
 from invclt.distances import StepCDF, _int_phi, normal_cdf, normal_pdf, normal_quantile
 from invclt.errors import InputError
 from invclt.involutions import _check_even, draw_choices
@@ -128,7 +141,7 @@ def seg_abs_integral(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     weights; ``_seg_abs_integral_loop`` is the two-branch reference.
     """
     t = a / c
-    return np.abs(c) * (_phi(t) - t + 0.5)
+    return np.abs(c) * (_phi(t.copy()) - t + 0.5)
 
 
 def _seg_abs_integral_loop(a: float, c: float) -> float:
@@ -287,3 +300,108 @@ def save_matrix_json(arr: np.ndarray, path: str | Path) -> None:
     Path(path).write_text(
         json.dumps({"n": arr.shape[0], "entries": arr.tolist()}, sort_keys=True)
     )
+
+
+# ---------------------------------------------------------------------------
+# the array pipeline as chained expressions
+# ---------------------------------------------------------------------------
+
+
+def validate_and_symmetrize_chained(raw, symmetrize: bool = False) -> np.ndarray:
+    arr = _as_matrix(raw)
+    if not np.isfinite(arr).all():
+        raise InputError("matrix contains non-finite entries")
+    n = arr.shape[0]
+    if n % 2:
+        raise InputError(f"n={n} is odd; no fixed-point-free involution exists")
+    if n < 4:
+        raise InputError(f"n={n} < 4")
+    scale = float(np.abs(arr).max())
+    if symmetrize:
+        out = (arr + arr.T) / 2.0
+    else:
+        bound = SYMMETRY_TOL * max(scale, 1e-300)
+        asym = float(np.abs(arr - arr.T).max())
+        if asym > bound:
+            raise InputError(f"max |e_ij - e_ji| = {asym:.3e} exceeds {bound:.3e}")
+        diag = float(np.abs(np.diag(arr)).max())
+        if diag > bound:
+            raise InputError(f"max |e_ii| = {diag:.3e} exceeds {bound:.3e}")
+        out = np.triu(arr, 1)
+        out = out + out.T
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def center_hat_chained(e: np.ndarray) -> np.ndarray:
+    n = e.shape[0]
+    row = e.sum(axis=1)
+    tot = row.sum()
+    hat = e - (row[:, None] + row[None, :]) / (n - 2) + tot / ((n - 1) * (n - 2))
+    np.fill_diagonal(hat, 0.0)
+    return hat
+
+
+def moments_chained(e: np.ndarray):
+    """``(mu, sigma2, beta, d)``; ``beta`` and ``d`` are None when degenerate."""
+    n = e.shape[0]
+    mu = float(e.sum()) / (n - 1)
+    row = e.sum(axis=1)
+    tot = row.sum()
+    sq = float((e * e).sum())
+    sigma2 = (2.0 / ((n - 1) * (n - 3))) * (
+        (n - 2) * sq + tot * tot / (n - 1) - 2.0 * float((row * row).sum())
+    )
+    scale = float(np.abs(e).max())
+    if sigma2 <= DEGENERACY_CUTOFF * scale * scale:
+        return mu, 0.0, None, None
+    d = center_hat_chained(e) / np.sqrt(sigma2)
+    return mu, sigma2, float((np.abs(d) ** 3).sum()), d
+
+
+def check_centered_chained(D: CenteredArray) -> dict:
+    d = D.entries
+    n = D.n
+    if d.shape != (n, n):
+        raise InputError("entries shape does not match n")
+    if not np.array_equal(d, d.T):
+        raise InputError("standardized array lost exact symmetry")
+    if np.any(np.diag(d) != 0.0):
+        raise InputError("standardized array has nonzero diagonal")
+    scale = float(np.abs(d).max())
+    row_err = float(np.abs(d.sum(axis=1)).max())
+    if row_err > ROW_SUM_TOL * n * max(scale, 1e-300):
+        raise InputError(f"row sums fail to vanish: {row_err:.3e}")
+    sigma2 = 2.0 * (n - 2) / ((n - 1) * (n - 3)) * float((d * d).sum())
+    if abs(sigma2 - 1.0) > VARIANCE_TOL:
+        raise InputError(f"variance of standardized array is {sigma2!r}, not 1")
+    return {"row_err": row_err, "sigma2": sigma2}
+
+
+def truncate_chained(D: CenteredArray):
+    """``(d_prime, gamma, deterministic, conditional)`` of ``bounds.truncate``."""
+    d = D.entries
+    n = D.n
+    beta = D.beta
+    keep = np.abs(d) <= 0.5
+    d_prime = np.where(keep, d, 0.0)
+    gi, gj = np.nonzero(~keep)
+    gamma = np.stack([gi, gj], axis=1) if gi.size else np.empty((0, 2), dtype=np.int64)
+    row_cubes = (np.abs(d) ** 3).sum(axis=1)
+    row_sums_prime = d_prime.sum(axis=1)
+    total_prime = float(d_prime.sum())
+    mu_prime, sigma2_prime, beta_prime, _ = moments_chained(d_prime)
+    deterministic = {
+        "gamma_row_bound": bool(np.all(np.bincount(gi, minlength=n) <= 8.0 * row_cubes + 1e-12)),
+        "gamma_bound": bool(gamma.shape[0] <= 8.0 * beta + 1e-12),
+        "total_bound": bool(abs(total_prime) <= 4.0 * beta + 1e-12),
+        "row_bound": bool(np.all(np.abs(row_sums_prime) <= 4.0 * row_cubes + 1e-12)),
+        "mu_bound": bool(abs(mu_prime) <= 8.0 * beta / n + 1e-12),
+    }
+    conditional = {"sigma2_bound": None, "beta_bound": None}
+    if beta / n <= EPSILON_0 and n >= N_0:
+        conditional["sigma2_bound"] = bool(abs(sigma2_prime - 1.0) <= 10.0 * beta / n + 1e-12)
+        conditional["beta_bound"] = bool(
+            beta_prime is not None and beta_prime <= 22.0 * beta + 1e-12
+        )
+    return d_prime, gamma, deterministic, conditional

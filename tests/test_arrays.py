@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from invclt import rng as rngmod
 from invclt.arrays import (
     CenteredArray,
     SymmetricArray,
@@ -15,11 +17,20 @@ from invclt.arrays import (
     standardize,
     validate_and_symmetrize,
 )
+from invclt.bounds import truncate
+from invclt.checks import random_centered
 from invclt.errors import DegenerateArray, InputError
 from invclt.involutions import involution_matrix
 
-from conftest import rand_symmetric, y_value
-from oracles import save_matrix_json
+from conftest import rand_raw, rand_symmetric, y_value
+from oracles import (
+    center_hat_chained,
+    check_centered_chained,
+    moments_chained,
+    save_matrix_json,
+    truncate_chained,
+    validate_and_symmetrize_chained,
+)
 
 
 def constant_offdiag(n, c):
@@ -249,3 +260,144 @@ def test_centered_wrapper_accepts_real_standardized():
     stats = check_centered(CenteredArray(n=8, entries=D.entries, beta=D.beta))
     assert stats["sigma2"] == pytest.approx(1.0, abs=1e-12)
     assert stats["row_err"] <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the in-place pipeline against its chained-expression form
+# ---------------------------------------------------------------------------
+
+
+def bits(x: np.ndarray) -> tuple:
+    return x.dtype, x.shape, x.tobytes()
+
+
+def message(fn, *args) -> str:
+    with pytest.raises(InputError) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+def assert_truncate_is_chained(D: CenteredArray):
+    res = truncate(D)
+    d_prime, gamma, deterministic, conditional = truncate_chained(D)
+    assert bits(res.d_prime) == bits(d_prime)
+    assert bits(res.gamma) == bits(gamma)
+    assert (res.deterministic, res.conditional) == (deterministic, conditional)
+    return res
+
+
+@pytest.mark.parametrize("heavy", [False, True], ids=["normal", "heavy"])
+@pytest.mark.parametrize("n", [4, 6, 30, 200])
+class TestInPlaceIsBitIdentical:
+    def test_validate_and_symmetrize(self, n, heavy):
+        raw = rand_raw(n, 5, heavy)
+        before = raw.copy()
+        got = validate_and_symmetrize(raw, symmetrize=True).entries
+        assert bits(got) == bits(validate_and_symmetrize_chained(raw, True))
+        # asymmetry and diagonal below SYMMETRY_TOL, canonicalized without the flag
+        near = got + 1e-13 * raw
+        assert bits(validate_and_symmetrize(near).entries) == bits(
+            validate_and_symmetrize_chained(near)
+        )
+        assert bits(raw) == bits(before)
+
+    def test_center_hat_and_moments(self, n, heavy):
+        E = validate_and_symmetrize(rand_raw(n, 5, heavy), symmetrize=True)
+        before = E.entries.copy()
+        assert bits(center_hat(E)) == bits(center_hat_chained(E.entries))
+        s = moments(E)
+        mu, sigma2, beta, d = moments_chained(E.entries)
+        assert (s.mu, s.sigma2, s.beta) == (mu, sigma2, beta)
+        assert bits(s.d) == bits(d)
+        assert bits(E.entries) == bits(before)
+
+    def test_check_centered_and_truncate(self, n, heavy):
+        D = standardize(validate_and_symmetrize(rand_raw(n, 5, heavy), symmetrize=True))
+        assert check_centered(D) == check_centered_chained(D)
+        assert_truncate_is_chained(D)
+
+
+def test_truncate_is_bit_identical_where_the_conditional_claims_apply():
+    # random signs at n = 1100 give beta/n = 0.0107 <= 1/90, so sigma2_bound
+    # and beta_bound are read off the truncated array's moments (a normal
+    # array needs n of about 2500 for that)
+    signs = np.triu(np.sign(rand_raw(1100, 5)), 1)
+    D = standardize(validate_and_symmetrize(signs + signs.T))
+    assert None not in assert_truncate_is_chained(D).conditional.values()
+
+
+def guard_inputs() -> dict[str, np.ndarray]:
+    e = validate_and_symmetrize(rand_raw(6, 5), symmetrize=True).entries
+    nonfinite = e.copy()
+    nonfinite[1, 2] = np.inf
+    asym = e.copy()
+    asym[1, 2] += 1e-3
+    diag = e.copy()
+    diag[3, 3] = -1e-3
+    return {
+        "nan": np.full((4, 4), np.nan),
+        "inf": nonfinite,
+        "asymmetric": asym,
+        "dirty_diagonal": diag,
+        "odd": np.zeros((5, 5)),
+        "small": np.zeros((2, 2)),
+        "not_square": np.zeros((4, 6)),
+    }
+
+
+@pytest.mark.parametrize("case", list(guard_inputs()))
+def test_validate_guards_raise_as_the_chained_form(case):
+    raw = guard_inputs()[case]
+    assert message(validate_and_symmetrize, raw) == message(
+        validate_and_symmetrize_chained, raw
+    )
+
+
+def test_check_centered_guards_raise_as_the_chained_form():
+    D = standardize(rand_symmetric(8, seed=12))
+    asym = D.entries.copy()
+    asym[0, 1] = np.nextafter(asym[0, 1], 1.0)
+    diag = D.entries.copy()
+    diag[2, 2] = 1e-300
+    bad = [
+        CenteredArray(n=6, entries=D.entries, beta=D.beta),
+        CenteredArray(n=8, entries=asym, beta=D.beta),
+        CenteredArray(n=8, entries=diag, beta=D.beta),
+        CenteredArray(n=8, entries=D.entries + 1.0 - np.eye(8), beta=D.beta),
+        CenteredArray(n=8, entries=2.0 * D.entries, beta=D.beta),
+    ]
+    messages = [message(check_centered, B) for B in bad]
+    assert messages == [message(check_centered_chained, B) for B in bad]
+    assert len(set(messages)) == len(bad)
+
+
+# ---------------------------------------------------------------------------
+# allocation budget of the in-place pipeline
+# ---------------------------------------------------------------------------
+
+BUDGET_N = 400
+
+
+def peak_arrays(fn, *args) -> float:
+    """tracemalloc peak of one call, in units of one ``n x n`` float64 array;
+    what is alive before the call does not count."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (BUDGET_N * BUDGET_N * 8)
+
+
+def test_allocation_budget():
+    # the returned d plus the |d| buffer cubed for beta; the random array,
+    # its symmetrized copy and d with one temporary; d_prime and its moments.
+    # numpy reports every data buffer to tracemalloc, so the peaks repeat
+    # exactly from run to run
+    gen = rngmod.derive_stream(5, 0xA11, BUDGET_N)
+    E = validate_and_symmetrize(gen.standard_normal((BUDGET_N, BUDGET_N)), symmetrize=True)
+    D = standardize(E)
+    assert peak_arrays(moments, E) <= 2.05
+    assert peak_arrays(random_centered, BUDGET_N, gen) <= 3.05
+    assert peak_arrays(truncate, D) <= 3.2

@@ -12,14 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from invclt import bounds, checks, coupling, rng as rngmod
+from invclt import arrays, bounds, checks, coupling, rng as rngmod
 from invclt.arrays import CenteredArray
 
 # the families that no test below injects a fault into yet
 NOT_YET_INJECTED = {
-    "hat_marginals",
-    "sigma_consistency",
-    "brute_force_moments",
     "lemma_3_3_normalization",
     "stein_linearity",
     "stein_second_moment",
@@ -42,6 +39,55 @@ def test_not_yet_injected_is_exactly_the_untested_families():
     injected = set(re.findall(r'run_family\("(\w+)"\)', Path(__file__).read_text()))
     assert injected <= set(checks.CHECKS)
     assert set(checks.CHECKS) - injected == NOT_YET_INJECTED
+
+
+def test_hat_marginals_fail_without_the_grand_sum_term(monkeypatch):
+    # centering that forgets + e_{++}/((n-1)(n-2)) at n = 12 leaves every row
+    # sum off by e_{++}/(n-2)
+    center_hat = checks.center_hat
+
+    def without_grand_term(E):
+        hat = center_hat(E)
+        if E.n == 12:
+            hat -= float(E.entries.sum()) / ((E.n - 1) * (E.n - 2))
+            np.fill_diagonal(hat, 0.0)
+        return hat
+
+    monkeypatch.setattr(checks, "center_hat", without_grand_term)
+    records = run_family("hat_marginals")
+    assert [(r["n"], r["pass"]) for r in records] == [(6, True), (12, False), (30, True)]
+
+
+def test_sigma_consistency_fails_without_the_grand_sum_term(monkeypatch):
+    # the direct variance formula without its e_{++}^2/(n-1) term at n = 30;
+    # the centered-array formula it is compared with is untouched
+    formula = arrays._sigma2_formula
+
+    def without_grand_term(e, n):
+        if n != 30:
+            return formula(e, n)
+        tot = float(e.sum())
+        return formula(e, n) - 2.0 / ((n - 1) * (n - 3)) * tot * tot / (n - 1)
+
+    monkeypatch.setattr(arrays, "_sigma2_formula", without_grand_term)
+    records = run_family("sigma_consistency")
+    assert [(r["n"], r["pass"]) for r in records] == [(6, True), (12, True), (30, False)]
+
+
+def test_brute_force_moments_fail_on_a_mean_over_n(monkeypatch):
+    # mu = e_{++}/n in place of e_{++}/(n-1) at n = 6: the enumerated mean of
+    # Y over all 15 matchings disagrees
+    moments = checks.moments
+
+    def mean_over_n(E):
+        summary = moments(E)
+        if E.n == 6:
+            summary.mu = float(E.entries.sum()) / E.n
+        return summary
+
+    monkeypatch.setattr(checks, "moments", mean_over_n)
+    records = run_family("brute_force_moments")
+    assert [(r["n"], r["pass"]) for r in records] == [(6, False), (8, True)]
 
 
 def test_bound_chain_fails_without_a_coupling_gap(monkeypatch):
