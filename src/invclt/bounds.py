@@ -15,7 +15,7 @@ the theory guarantees only for beta/n <= 1/90 and n >= 1000.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,12 +102,10 @@ def theorem_bounds(D: CenteredArray, p_list=(1.0, 2.0, math.inf)) -> BoundReport
 
 @dataclass
 class TruncationResult:
-    d_prime: np.ndarray  # truncated entries, not re-standardized
     gamma: np.ndarray  # (|Gamma|, 2) index pairs with |d| > 1/2
-    collision_prob_bound: float = 0.0
-    deterministic: dict = field(default_factory=dict)  # name -> bool
-    conditional: dict = field(default_factory=dict)  # name -> bool | None
-    applicable: bool = False
+    collision_prob_bound: float
+    deterministic: dict  # name -> bool
+    conditional: dict  # name -> bool | None
 
 
 def truncate(D: CenteredArray) -> TruncationResult:
@@ -117,7 +115,10 @@ def truncate(D: CenteredArray) -> TruncationResult:
     |Gamma| <= 8 beta, |d'_{++}| <= 4 beta, |d'_{i+}| <= 4 sum_j |d_ij|^3 and
     |mu_{D'}| <= 8 beta / n.  Conditional claims (|sigma^2 - 1| <= 10 beta/n,
     beta_{D'} <= 22 beta) are reported as None when beta/n > 1/90 or
-    n < 1000, where the theory does not promise them.
+    n < 1000, where the theory does not promise them, and only otherwise are
+    the moments of D' computed.  By Holder every standardized array has
+    beta/n >= ((n-1)(n-3)/(2(n-2)))^{3/2} / (n sqrt(n(n-1))) > 1/90 for
+    n <= 1007, so the conditional claims are vacuous there.
     """
     d = D.entries
     n = D.n
@@ -133,10 +134,6 @@ def truncate(D: CenteredArray) -> TruncationResult:
     del abs_d  # not held while moments allocates
     row_sums_prime = d_prime.sum(axis=1)
     total_prime = float(d_prime.sum())
-    summary = moments(SymmetricArray(n=n, entries=d_prime))
-    mu_prime = summary.mu
-    sigma2_prime = summary.sigma2
-    beta_prime = summary.beta
 
     deterministic = {
         "gamma_row_bound": bool(np.all(np.bincount(gi, minlength=n) <= 8.0 * row_cubes + 1e-12)),
@@ -145,23 +142,21 @@ def truncate(D: CenteredArray) -> TruncationResult:
         "row_bound": bool(
             np.all(np.abs(row_sums_prime) <= 4.0 * row_cubes + 1e-12)
         ),
-        "mu_bound": bool(abs(mu_prime) <= 8.0 * beta / n + 1e-12),
+        "mu_bound": bool(abs(total_prime / (n - 1)) <= 8.0 * beta / n + 1e-12),
     }
-    applicable = (beta / n <= EPSILON_0) and (n >= N_0)
     conditional: dict[str, bool | None] = {"sigma2_bound": None, "beta_bound": None}
-    if applicable:
-        conditional["sigma2_bound"] = bool(abs(sigma2_prime - 1.0) <= 10.0 * beta / n + 1e-12)
+    if beta / n <= EPSILON_0 and n >= N_0:
+        summary = moments(SymmetricArray(n=n, entries=d_prime))
+        conditional["sigma2_bound"] = bool(abs(summary.sigma2 - 1.0) <= 10.0 * beta / n + 1e-12)
         conditional["beta_bound"] = bool(
-            beta_prime is not None and beta_prime <= 22.0 * beta + 1e-12
+            summary.beta is not None and summary.beta <= 22.0 * beta + 1e-12
         )
 
     return TruncationResult(
-        d_prime=d_prime,
         gamma=gamma,
         collision_prob_bound=16.0 * beta / n,
         deterministic=deterministic,
         conditional=conditional,
-        applicable=applicable,
     )
 
 

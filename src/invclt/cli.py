@@ -75,12 +75,16 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_cdf(path: str, F: distmod.StepCDF) -> None:
     rows = distmod.cdf_rows(F)
-    with open(path, "w") as fh:
-        fh.write("t,F,Phi\n")
-        for t, f, phi in rows:
-            fh.write(f"{t!r},{f!r},{phi!r}\n")
+    _write_text(path, "t,F,Phi\n" + "".join(f"{t!r},{f!r},{phi!r}\n" for t, f, phi in rows))
 
 
 def run_analyze(args) -> int:
@@ -184,20 +188,14 @@ def run_simulate(args) -> int:
     csv_lines += [",".join(repr(row[c]) if c != "n" else str(row[c]) for c in _SIM_COLS) for row in rows]
     csv_text = "\n".join(csv_lines) + "\n"
     if args.out:
-        try:
-            Path(args.out).write_text(csv_text)
-        except OSError as exc:
-            raise InputError(f"cannot write {args.out}: {exc}") from exc
+        _write_text(args.out, csv_text)
     else:
         sys.stdout.write(csv_text)
     if args.json:
         obj = {"schema": SCHEMA_VERSION, "rows": rows}
         if draws:
             obj["draws"] = {str(n): d for n, d in draws.items()}
-        try:
-            Path(args.json).write_text(json.dumps(obj, sort_keys=True))
-        except OSError as exc:
-            raise InputError(f"cannot write {args.json}: {exc}") from exc
+        _write_text(args.json, json.dumps(obj, sort_keys=True))
     return EXIT_OK
 
 
@@ -216,10 +214,7 @@ def run_lowerbound(args) -> int:
             _write_cdf(path, distmod.ecdf(w))
     _emit({"schema": SCHEMA_VERSION, "experiments": reports})
     if args.out:
-        try:
-            Path(args.out).write_text("\n".join(csv_lines) + "\n")
-        except OSError as exc:
-            raise InputError(f"cannot write {args.out}: {exc}") from exc
+        _write_text(args.out, "\n".join(csv_lines) + "\n")
     return EXIT_OK
 
 

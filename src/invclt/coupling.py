@@ -515,17 +515,17 @@ def stein_sweep(D: CenteredArray) -> tuple[float, float, int, float]:
     lin_err = float(np.abs(delta.mean(axis=1) - lambda_n(n) * w).max())
     m2 = math.fsum((delta * delta).ravel()) / delta.size
 
-    # the swap writes j, i, pi(j), pi(i) at i, j, pi(i), pi(j)
-    place = n ** np.arange(n, dtype=np.int64)
+    # the swap writes j, i, pi(j), pi(i) at i, j, pi(i), pi(j); pi(0) is the
+    # most significant digit, so the enumeration order sorts the codes
+    place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     code = invs @ place
-    order = np.argsort(code)
     composed = (
         code[:, None]
         + (jj - pi_i) * (place[ii] - place[pi_j])
         + (ii - pi_j) * (place[jj] - place[pi_i])
     )
-    pos = np.searchsorted(code, composed, sorter=order)
-    target = order[np.minimum(pos, code.size - 1)]  # row of swap(pi, i, j)
+    pos = np.searchsorted(code, composed)
+    target = np.minimum(pos, code.size - 1)  # row of swap(pi, i, j)
     if np.array_equal(code[target], composed):
         formula_err = float(np.abs(w[:, None] - w[target] - delta).max())
     else:

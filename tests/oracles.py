@@ -379,7 +379,7 @@ def check_centered_chained(D: CenteredArray) -> dict:
 
 
 def truncate_chained(D: CenteredArray):
-    """``(d_prime, gamma, deterministic, conditional)`` of ``bounds.truncate``."""
+    """``(gamma, deterministic, conditional)`` of ``bounds.truncate``."""
     d = D.entries
     n = D.n
     beta = D.beta
@@ -404,4 +404,4 @@ def truncate_chained(D: CenteredArray):
         conditional["beta_bound"] = bool(
             beta_prime is not None and beta_prime <= 22.0 * beta + 1e-12
         )
-    return d_prime, gamma, deterministic, conditional
+    return gamma, deterministic, conditional

@@ -147,7 +147,7 @@ def test_criterion_7_truncation_diagnostics():
             res = truncate(D)
             if not all(res.deterministic.values()):
                 failures.append((n, rep, res.deterministic))
-            if res.applicable and not all(res.conditional.values()):
+            if res.conditional["sigma2_bound"] is not None and not all(res.conditional.values()):
                 failures.append((n, rep, res.conditional))
             checked += 1
     assert checked == 100

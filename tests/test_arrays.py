@@ -279,8 +279,7 @@ def message(fn, *args) -> str:
 
 def assert_truncate_is_chained(D: CenteredArray):
     res = truncate(D)
-    d_prime, gamma, deterministic, conditional = truncate_chained(D)
-    assert bits(res.d_prime) == bits(d_prime)
+    gamma, deterministic, conditional = truncate_chained(D)
     assert bits(res.gamma) == bits(gamma)
     assert (res.deterministic, res.conditional) == (deterministic, conditional)
     return res
@@ -392,7 +391,9 @@ def peak_arrays(fn, *args) -> float:
 
 def test_allocation_budget():
     # the returned d plus the |d| buffer cubed for beta; the random array,
-    # its symmetrized copy and d with one temporary; d_prime and its moments.
+    # its symmetrized copy and d with one temporary; d_prime beside the |d|
+    # buffer (its moments are taken only where the conditional claims apply,
+    # n >= 1000).
     # numpy reports every data buffer to tracemalloc, so the peaks repeat
     # exactly from run to run
     gen = rngmod.derive_stream(5, 0xA11, BUDGET_N)
@@ -400,4 +401,4 @@ def test_allocation_budget():
     D = standardize(E)
     assert peak_arrays(moments, E) <= 2.05
     assert peak_arrays(random_centered, BUDGET_N, gen) <= 3.05
-    assert peak_arrays(truncate, D) <= 3.2
+    assert peak_arrays(truncate, D) <= 2.3

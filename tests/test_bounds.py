@@ -18,8 +18,10 @@ from invclt.bounds import (
     theorem_bounds,
     truncate,
 )
+from invclt.checks import random_centered
 from invclt.errors import InputError
 from invclt.involutions import involution_matrix
+from invclt.rng import DEFAULT_SEED, PURPOSE_CHECKS, derive_stream
 
 from conftest import rand_centered, y_value
 
@@ -74,8 +76,7 @@ class TestTruncate:
         D = rand_centered(100, seed=64)
         assert np.abs(D.entries).max() <= 0.5  # gaussian entries at this n
         res = truncate(D)
-        assert np.array_equal(res.d_prime, D.entries)
-        assert res.gamma.shape[0] == 0
+        assert res.gamma.shape == (0, 2)  # nothing zeroed: D' is D
         assert res.collision_prob_bound == pytest.approx(16.0 * D.beta / 100.0)
         assert all(res.deterministic.values())
 
@@ -86,8 +87,7 @@ class TestTruncate:
         D = CenteredArray(n=10, entries=d, beta=float((np.abs(d) ** 3).sum()))
         res = truncate(D)
         pairs = {tuple(p) for p in res.gamma.tolist()}
-        assert pairs == {(0, 1), (1, 0)}
-        assert res.d_prime[0, 1] == 0.0 and res.d_prime[1, 0] == 0.0
+        assert pairs == {(0, 1), (1, 0)}  # the only entries D' zeroes
         assert res.gamma.shape[0] == 2
 
     @pytest.mark.parametrize("n", [16, 100])
@@ -105,19 +105,22 @@ class TestTruncate:
     def test_regime_empty_at_1000(self):
         # Holder gives beta/n >= ((n-1)(n-3)/(2(n-2)))^{3/2} / n^2, which at
         # n = 1000 is ~0.0111465 > 1/90: no array at n = 1000 is inside the
-        # conditional regime, so `applicable` must be False there
+        # conditional regime, so both conditional claims must be None there
         min_rate = (999.0 * 997.0 / (2.0 * 998.0)) ** 1.5 / 1000.0**2
         assert min_rate > 1.0 / 90.0
         D = rand_centered(1000, seed=66)
         assert D.beta / 1000.0 >= min_rate - 1e-12
-        assert not truncate(D).applicable
+        assert truncate(D).conditional == {"sigma2_bound": None, "beta_bound": None}
+        # and so is verify's own truncation_inequalities array at n = 1000
+        gen = derive_stream(DEFAULT_SEED, PURPOSE_CHECKS, 12, 1000)
+        D = random_centered(1000, gen, heavy=False)
+        assert truncate(D).conditional == {"sigma2_bound": None, "beta_bound": None}
 
     def test_conditional_applicable_lattice_1010(self):
         # the lattice array at n = 1010 is inside the regime (beta/n ~ 0.01110)
         D = standardize(lower_bound_array(1010))
         assert D.beta / 1010.0 <= 1.0 / 90.0
         res = truncate(D)
-        assert res.applicable
         assert res.conditional["sigma2_bound"] and res.conditional["beta_bound"]
         assert res.gamma.shape[0] == 0  # all |d| ~ 1/sigma, far below 1/2
 
@@ -134,15 +137,13 @@ class TestTruncate:
         D = standardize(SymmetricArray(n=n, entries=e))
         assert D.beta / n <= 1.0 / 90.0
         res = truncate(D)
-        assert res.applicable
         assert res.gamma.shape[0] == 2
         assert res.conditional["sigma2_bound"] and res.conditional["beta_bound"]
 
     def test_conditional_not_applicable_small_n(self):
         D = rand_centered(16, seed=67)
         res = truncate(D)
-        assert not res.applicable
-        assert res.conditional["sigma2_bound"] is None
+        assert res.conditional == {"sigma2_bound": None, "beta_bound": None}
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_exact_collision_probability(self, n):
@@ -157,7 +158,8 @@ class TestTruncate:
         res = truncate(D)
         hit = np.abs(D.entries) > 0.5
         assert hit.any()
-        Dp = res.d_prime
+        Dp = D.entries.copy()
+        Dp[res.gamma[:, 0], res.gamma[:, 1]] = 0.0
         invs = involution_matrix(8)
         changed = y_value(Dp, invs) != y_value(D.entries, invs)
         assert np.all(hit[np.arange(8), invs[changed]].any(axis=1))

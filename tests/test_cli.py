@@ -171,6 +171,12 @@ class TestAnalyze:
         t, f, phi = (float(x) for x in lines[2].split(","))
         assert t == 0.0 and f == pytest.approx(2.0 / 3.0) and phi == 0.5
 
+    def test_emit_cdf_unwritable_exit_2(self, appendix_file, tmp_path):
+        cdf = tmp_path / "missing" / "x.csv"
+        out = run_cli("analyze", "--input", appendix_file, "--emit-cdf", str(cdf))
+        assert out.returncode == 2
+        assert out.stderr.startswith(f"error: cannot write {cdf}: ")
+
     def test_mc_mode_above_cap(self, tmp_path):
         # exact mode runs wherever exact_w_distribution may; n = 18 lies
         # above ENUM_CAP (|Pi_18| is 34.5M matchings), so it samples

@@ -14,18 +14,15 @@ import numpy as np
 
 from invclt import arrays, bounds, checks, coupling, rng as rngmod
 from invclt.arrays import CenteredArray
+from invclt.distances import StepCDF
 
 # the families that no test below injects a fault into yet
 NOT_YET_INJECTED = {
-    "lemma_3_3_normalization",
-    "stein_linearity",
-    "stein_second_moment",
     "case_exhaustiveness",
     "completion_uniformity",
     "p2_joint_law",
     "p3_structural_zeros",
     "zero_bias_moments",
-    "zero_bias_cdf",
     "zero_bias_draw_invariants",
 }
 
@@ -163,3 +160,59 @@ def test_truncation_inequalities_fail_on_too_many_large_entries(monkeypatch):
     records = run_family("truncation_inequalities")
     failed = [(r["check"], r["n"]) for r in records if not r["pass"]]
     assert failed == [("truncation_inequalities", 16)]
+
+
+def test_lemma_3_3_normalization_fails_on_a_scaled_constant(monkeypatch):
+    # c_n one part in a thousand too large at n = 10: the square-bias
+    # weights then sum to 1.001
+    cn = coupling.cn
+    monkeypatch.setattr(coupling, "cn", lambda n: cn(n) * 1.001 if n == 10 else cn(n))
+    records = run_family("lemma_3_3_normalization")
+    assert [(r["n"], r["pass"]) for r in records] == [(6, True), (8, True), (10, False), (12, True)]
+
+
+def test_stein_second_moment_fails_on_an_unstandardized_array(monkeypatch):
+    # D scaled by 1.01 at n = 8 has variance 1.0201, so E(W - W')^2 misses
+    # 8/n; the identity E(W - W' | pi) = (4/n) W is linear in D and holds
+    random_centered = checks.random_centered
+
+    def scaled(n, gen, heavy=False):
+        D = random_centered(n, gen, heavy=heavy)
+        return CenteredArray(n=n, entries=1.01 * D.entries, beta=D.beta) if n == 8 else D
+
+    monkeypatch.setattr(checks, "random_centered", scaled)
+    records = run_family("stein_second_moment")
+    assert [(r["n"], r["pass"]) for r in records] == [(6, True), (8, False), (10, True)]
+    assert all(r["pass"] for r in run_family("stein_linearity"))
+
+
+def test_stein_linearity_fails_on_an_uncentered_array(monkeypatch):
+    # 0.1 added off the diagonal at n = 8 shifts W by a constant but leaves
+    # W - W' alone (the constant cancels in its four terms), so
+    # E(W - W' | pi) = (4/n) W breaks while the second moment is untouched
+    random_centered = checks.random_centered
+
+    def shifted(n, gen, heavy=False):
+        D = random_centered(n, gen, heavy=heavy)
+        if n != 8:
+            return D
+        return CenteredArray(n=n, entries=D.entries + 0.1 * (1.0 - np.eye(n)), beta=D.beta)
+
+    monkeypatch.setattr(checks, "random_centered", shifted)
+    records = run_family("stein_linearity")
+    assert [(r["n"], r["pass"]) for r in records] == [(6, True), (8, False), (10, True)]
+    assert all(r["pass"] for r in run_family("stein_second_moment"))
+
+
+def test_zero_bias_cdf_fails_on_a_stretched_law_of_w(monkeypatch):
+    # the atoms of W moved 1% outward at n = 8: the CDF of W* read off the
+    # definition no longer matches the one built by the construction
+    exact_w_distribution = coupling.exact_w_distribution
+
+    def stretched(D):
+        F = exact_w_distribution(D)
+        return StepCDF(xs=1.01 * F.xs, cum=F.cum) if D.n == 8 else F
+
+    monkeypatch.setattr(coupling, "exact_w_distribution", stretched)
+    records = run_family("zero_bias_cdf")
+    assert [(r["n"], r["pass"]) for r in records] == [(6, True), (8, False)]

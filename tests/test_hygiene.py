@@ -10,7 +10,10 @@ Every top-level function of the package, private or public, every public
 class, constant and method of a public class must be named, as a bare name
 or as an attribute, by a statement of a program path (the package or the
 benchmark) other than its own definition.  The tests alone keep no name
-alive: what only they run belongs in ``tests/oracles.py``.
+alive: what only they run belongs in ``tests/oracles.py``.  Likewise every
+annotated field of a package class must be read as an attribute
+(``.name``) by a program path, so no result carries a field that only the
+tests look at.
 
 The package root exports only what is read off it (``invclt.<name>`` or
 ``from invclt import <name>``) in the tests, the benchmark or the README,
@@ -224,6 +227,56 @@ def test_scan_flags_an_unread_public_name():
     assert unread_public_names([package], modules) == [
         "Kept.unread", "LIMIT", "Lonely", "Lonely.make", "recursive", "test_only"
     ]
+
+
+def class_fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, field) of each annotated field of a top-level class."""
+    return [
+        (node.name, sub.target.id)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for sub in node.body
+        if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)
+    ]
+
+
+def unread_fields(package: list[ast.Module], modules: dict[Path, ast.Module]) -> list[str]:
+    """``Class.field`` of each annotated field of ``package`` that no program
+    path among ``modules`` reads as an attribute."""
+    read = {
+        node.attr
+        for path, tree in modules.items()
+        if is_program_path(path)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{cls}.{name}" for tree in package for cls, name in class_fields(tree) if name not in read
+    )
+
+
+def test_every_field_is_read_by_a_program_path():
+    modules = parse_all()
+    assert unread_fields([modules[path] for path in PACKAGE], modules) == []
+
+
+def test_scan_flags_an_unread_field():
+    package = ast.parse(
+        "class Result:\n"
+        "    size: int\n"
+        "    shown: float = 0.0\n"
+        "    written: bool = False\n"
+        "    tested: list\n"
+        "    LIMIT = 3\n"
+        "    def show(self):\n        return self.shown\n"
+        "def make(r):\n    r.written = True\n    return r.size\n"
+    )
+    modules = {
+        ROOT / "src" / "invclt" / "mod.py": package,
+        ROOT / "perfbench" / "bench.py": ast.parse("import mod\nmod.Result().show()\n"),
+        ROOT / "tests" / "test_mod.py": ast.parse("import mod\nmod.Result().tested\n"),
+    }
+    assert unread_fields([package], modules) == ["Result.tested", "Result.written"]
 
 
 def root_exports() -> list[str]:
