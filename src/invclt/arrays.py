@@ -23,7 +23,8 @@ expressions, so the values are the same bit for bit.  The peak allocation
 of each stage, in units of one ``n x n`` float64 array, is:
 
 * ``validate_and_symmetrize``: 1 with ``symmetrize`` (``np.add`` then
-  ``/=``), 2 without (the asymmetry buffer, then ``triu`` and its mirror);
+  ``/=``), 1 without (the asymmetry buffer, freed before ``triu``; the
+  triangle is mirrored in place);
 * ``center_hat``: 1, the result;
 * ``moments``: 2, the returned ``d`` and the ``|d|`` buffer that is cubed
   in place for ``beta`` (``_sigma2_formula``'s ``e*e`` is freed before);
@@ -72,7 +73,6 @@ class CenteredArray:
 
 @dataclass
 class MomentSummary:
-    n: int
     mu: float
     sigma2: float
     beta: float | None  # undefined (None) when sigma2 is treated as zero
@@ -125,8 +125,12 @@ def validate_and_symmetrize(raw, symmetrize: bool = False) -> SymmetricArray:
         diag = float(np.abs(np.diag(arr)).max())
         if diag > bound:
             raise InputError(f"max |e_ii| = {diag:.3e} exceeds {bound:.3e}")
+        # mirror the upper triangle in place; += 0.0 turns -0.0 into 0.0,
+        # as the sum of the triangle and its transpose does
         out = np.triu(arr, 1)
-        out = out + out.T
+        for i in range(1, n):
+            out[i, :i] = out[:i, i]
+        out += 0.0
     np.fill_diagonal(out, 0.0)
     return SymmetricArray(n=n, entries=out)
 
@@ -172,12 +176,12 @@ def moments(E: SymmetricArray) -> MomentSummary:
     sigma2 = _sigma2_formula(e, n)
     scale = _max_abs(e)
     if sigma2 <= DEGENERACY_CUTOFF * scale * scale:
-        return MomentSummary(n=n, mu=mu, sigma2=0.0, beta=None)
+        return MomentSummary(mu=mu, sigma2=0.0, beta=None)
     d = center_hat(E)
     d /= np.sqrt(sigma2)
     cubes = np.abs(d)
     beta = float(np.power(cubes, 3, out=cubes).sum())
-    return MomentSummary(n=n, mu=mu, sigma2=sigma2, beta=beta, d=d)
+    return MomentSummary(mu=mu, sigma2=sigma2, beta=beta, d=d)
 
 
 def standardize(E: SymmetricArray, summary: MomentSummary | None = None) -> CenteredArray:

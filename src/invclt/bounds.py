@@ -21,7 +21,7 @@ import numpy as np
 
 from . import involutions as invmod
 from .arrays import CenteredArray, SymmetricArray, moments
-from .distances import ecdf, kolmogorov_distance, normal_pdf
+from .distances import ecdf, kolmogorov_distance, normal_pdf, p_key
 from .errors import InputError
 
 K_L1 = 379.0
@@ -52,47 +52,26 @@ def gap_bound(n: int, beta: float) -> float:
     return beta * (112.0 / n + 672.0 / n**2 + 192.0 / n**3)
 
 
-@dataclass
-class BoundReport:
-    n: int
-    beta: float
-    kp: dict[float, float]
-    bound: dict[float, float]
-    l1_refined: float
-    gap_bound: float
-    valid: bool  # n >= 9 (L1 and L^p statements)
-    valid_strict: bool  # n > 9 (the sup-norm statement is quoted with n > 9)
+def theorem_bounds(D: CenteredArray, p_list=(1.0, 2.0, math.inf)) -> dict:
+    """The theorem's bounds for D as ``analyze`` prints them.
 
-    def to_json(self) -> dict:
-        def key(p: float) -> str:
-            return "inf" if math.isinf(p) else repr(p)
-
-        return {
-            "n": self.n,
-            "beta": self.beta,
-            "kp": {key(p): v for p, v in self.kp.items()},
-            "bound": {key(p): v for p, v in self.bound.items()},
-            "l1_refined": self.l1_refined,
-            "gap_bound": self.gap_bound,
-            "valid": self.valid,
-            "valid_strict": self.valid_strict,
-        }
-
-
-def theorem_bounds(D: CenteredArray, p_list=(1.0, 2.0, math.inf)) -> BoundReport:
+    ``kp`` and ``bound`` (``K_p beta / n``) are keyed by ``p_key(p)``.
+    ``valid`` is n >= 9 (the L1 and L^p statements) and ``valid_strict`` is
+    n > 9 (the sup-norm statement is quoted with n > 9).
+    """
     n = D.n
     beta = D.beta
-    kps = {float(p): kp(p) for p in p_list}
-    return BoundReport(
-        n=n,
-        beta=beta,
-        kp=kps,
-        bound={p: v * beta / n for p, v in kps.items()},
-        l1_refined=l1_refined_coefficient(n) * beta / n,
-        gap_bound=gap_bound(n, beta),
-        valid=n >= MIN_VALID_N,
-        valid_strict=n > MIN_VALID_N,
-    )
+    kps = {p_key(p): kp(p) for p in p_list}
+    return {
+        "n": n,
+        "beta": beta,
+        "kp": kps,
+        "bound": {key: v * beta / n for key, v in kps.items()},
+        "l1_refined": l1_refined_coefficient(n) * beta / n,
+        "gap_bound": gap_bound(n, beta),
+        "valid": n >= MIN_VALID_N,
+        "valid_strict": n > MIN_VALID_N,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -190,35 +169,6 @@ def lower_bound_array(n: int) -> SymmetricArray:
     return SymmetricArray(n=n, entries=entries)
 
 
-@dataclass
-class LowerBoundReport:
-    n: int
-    m: int
-    sigma: float
-    ks: float
-    floor: float
-    dkw_slack: float
-    beta_over_n: float
-    lattice_ok: bool
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "sigma": self.sigma,
-            "ks": self.ks,
-            "floor": self.floor,
-            "dkw_slack": self.dkw_slack,
-            "beta_over_n": self.beta_over_n,
-            "lattice_ok": self.lattice_ok,
-            "pass": self.passed,
-        }
-
-    def csv_row(self) -> tuple:
-        return (self.n, self.sigma, self.ks, self.floor, self.beta_over_n)
-
-
 def dkw_slack(m: int) -> float:
     """sup_t |F_m - F| <= sqrt(ln(2/delta) / (2m)) with probability 1-delta,
     at delta = DKW_DELTA."""
@@ -231,13 +181,13 @@ def lower_bound_experiment(
     *,
     master_seed: int,
     threads: int = 1,
-) -> tuple[LowerBoundReport, np.ndarray]:
+) -> tuple[dict, np.ndarray]:
     """Monte Carlo check that the n^{-1/2} rate floor is attained.
 
-    Returns the report and the sampled W values (for --emit-cdf).  The pass
-    criterion is ``ks >= floor - dkw_slack`` with the slack at confidence
-    ``1 - DKW_DELTA``; the floor is ``(1-eps)/2 * phi(1/sigma) / sigma`` at
-    eps = ``FLOOR_EPSILON``.
+    Returns the row that ``lowerbound`` prints and the sampled W values (for
+    --emit-cdf).  The pass criterion is ``ks >= floor - dkw_slack`` with the
+    slack at confidence ``1 - DKW_DELTA``; the floor is
+    ``(1-eps)/2 * phi(1/sigma) / sigma`` at eps = ``FLOOR_EPSILON``.
     """
     E = lower_bound_array(n)
     summary = moments(E)
@@ -253,15 +203,15 @@ def lower_bound_experiment(
     ks = kolmogorov_distance(ecdf(w))
     floor = 0.5 * (1.0 - FLOOR_EPSILON) * float(normal_pdf(1.0 / sigma)) / sigma
     slack = dkw_slack(m)
-    report = LowerBoundReport(
-        n=n,
-        m=m,
-        sigma=sigma,
-        ks=ks,
-        floor=floor,
-        dkw_slack=slack,
-        beta_over_n=summary.beta / n,
-        lattice_ok=lattice_ok,
-        passed=bool(ks >= floor - slack and lattice_ok),
-    )
-    return report, w
+    row = {
+        "n": n,
+        "m": m,
+        "sigma": sigma,
+        "ks": ks,
+        "floor": floor,
+        "dkw_slack": slack,
+        "beta_over_n": summary.beta / n,
+        "lattice_ok": lattice_ok,
+        "pass": bool(ks >= floor - slack and lattice_ok),
+    }
+    return row, w

@@ -149,7 +149,7 @@ def check_case_exhaustiveness(seed: int) -> list[dict]:
     out = []
     for n in (6, 8):
         rep = _sweep(seed, n)
-        err = rep.multi_match + rep.closure_failures
+        err = rep.multi_match + rep.case_r_mismatch + rep.closure_failures
         out.append(
             _record(
                 "case_exhaustiveness",
@@ -262,10 +262,10 @@ def check_bound_chain(seed: int) -> list[dict]:
         rep = boundsmod.theorem_bounds(D)
         violation = max(
             l1 - 2.0 * gap,
-            2.0 * gap - 2.0 * rep.gap_bound,
-            l1 - rep.bound[1.0],
-            distmod.lp_upper(linf, l1, 2.0) - rep.bound[2.0],
-            linf - rep.bound[math.inf],
+            2.0 * gap - 2.0 * rep["gap_bound"],
+            l1 - rep["bound"]["1.0"],
+            distmod.lp_upper(linf, l1, 2.0) - rep["bound"]["2.0"],
+            linf - rep["bound"]["inf"],
             0.0,
         )
         out.append(
@@ -277,7 +277,7 @@ def check_bound_chain(seed: int) -> list[dict]:
                 l1=l1,
                 linf=linf,
                 exact_gap=gap,
-                gap_bound=rep.gap_bound,
+                gap_bound=rep["gap_bound"],
             )
         )
     return out

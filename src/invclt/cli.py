@@ -104,7 +104,6 @@ def run_analyze(args) -> int:
         F = distmod.ecdf(w)
         report = distmod.distance_report(F, p_list, m_samples=args.draws)
     rep = boundsmod.theorem_bounds(D, p_list)
-    rep_json = rep.to_json()
     _emit(
         {
             "schema": SCHEMA_VERSION,
@@ -113,9 +112,9 @@ def run_analyze(args) -> int:
             "sigma2": summary.sigma2,
             "beta": summary.beta,
             "mode": "exact" if exact else "mc",
-            "distances": report.to_json(),
-            "bounds": rep_json.pop("bound"),
-            "bound_report": rep_json,
+            "distances": report,
+            "bounds": rep.pop("bound"),
+            "bound_report": rep,
         }
     )
     if args.emit_cdf:
@@ -148,9 +147,9 @@ def _simulate_row(n: int, args) -> tuple[dict, list]:
         "l1_mc": distmod.l1_distance(F),
         "gap_mc": gap_mean,
         "gap_se": gap_se,
-        "bound_linf": rep.bound[math.inf],
-        "bound_l1": rep.bound[1.0],
-        "gap_bound": rep.gap_bound,
+        "bound_linf": rep["bound"]["inf"],
+        "bound_l1": rep["bound"]["1.0"],
+        "gap_bound": rep["gap_bound"],
     }
     draws = []
     if args.dump_draws:
@@ -169,6 +168,15 @@ _SIM_COLS = (
     "bound_l1",
     "gap_bound",
 )
+_LOWERBOUND_COLS = ("n", "sigma", "ks", "floor", "beta_over_n")
+
+
+def _csv_text(cols: tuple[str, ...], rows: list[dict]) -> str:
+    """A header of ``cols``, then one line per row: ``n`` as an int and
+    every other value by ``repr``."""
+    lines = [",".join(cols)]
+    lines += [",".join(str(row[c]) if c == "n" else repr(row[c]) for c in cols) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def run_simulate(args) -> int:
@@ -184,9 +192,7 @@ def run_simulate(args) -> int:
         rows.append(row)
         if dr:
             draws[n] = dr
-    csv_lines = [",".join(_SIM_COLS)]
-    csv_lines += [",".join(repr(row[c]) if c != "n" else str(row[c]) for c in _SIM_COLS) for row in rows]
-    csv_text = "\n".join(csv_lines) + "\n"
+    csv_text = _csv_text(_SIM_COLS, rows)
     if args.out:
         _write_text(args.out, csv_text)
     else:
@@ -201,20 +207,18 @@ def run_simulate(args) -> int:
 
 def run_lowerbound(args) -> int:
     ns = _parse_n_list(args.n)
-    reports = []
-    csv_lines = ["n,sigma,ks,floor,beta_over_n"]
+    rows = []
     for n in ns:
-        rep, w = boundsmod.lower_bound_experiment(
+        row, w = boundsmod.lower_bound_experiment(
             n, args.draws, master_seed=args.seed, threads=args.threads
         )
-        reports.append(rep.to_json())
-        csv_lines.append(",".join(repr(x) if not isinstance(x, int) else str(x) for x in rep.csv_row()))
+        rows.append(row)
         if args.emit_cdf:
             path = args.emit_cdf if len(ns) == 1 else f"{args.emit_cdf}.n{n}"
             _write_cdf(path, distmod.ecdf(w))
-    _emit({"schema": SCHEMA_VERSION, "experiments": reports})
+    _emit({"schema": SCHEMA_VERSION, "experiments": rows})
     if args.out:
-        _write_text(args.out, "\n".join(csv_lines) + "\n")
+        _write_text(args.out, _csv_text(_LOWERBOUND_COLS, rows))
     return EXIT_OK
 
 

@@ -253,26 +253,37 @@ def sample_quadruples_rejection(
 
 
 def _cases(q, p):
-    """(R1, R2, case) arrays for quadruple columns ``q`` and their images ``p``.
+    """(R1, R2, case, matches) arrays for quadruple columns ``q`` and their
+    images ``p``.
 
     ``q`` and ``p`` are (4, m) arrays, as in ``_kernels.case_rows``.  The
-    case is the first row of the table that holds; a row that matches no
-    case, or whose (R1, R2) is not the one its case expects, raises
-    ``NoCaseMatched``.
+    case is the first row of the table that holds, 0 where none does, and
+    ``matches`` counts the rows that hold.
     """
     r1, r2 = _kernels.r_counts(q, p)
     rows = np.array(_kernels.case_rows(q, p))
-    matched = rows.any(axis=0)
-    if not matched.all():
-        bad = np.flatnonzero(~matched)[0]
+    matches = rows.sum(axis=0)
+    case = np.where(matches > 0, rows.argmax(axis=0) + 1, 0)
+    return r1, r2, case, matches
+
+
+def _case_r_mismatch(r1, r2, case) -> np.ndarray:
+    """Where a matched case saw an (R1, R2) other than its ``CASE_R``."""
+    want = np.array([(-1, -1)] + [CASE_R[c] for c in range(1, 11)])[case]
+    return (case > 0) & ((want[:, 0] != r1) | (want[:, 1] != r2))
+
+
+def _require_cases(r1, r2, case, matches) -> None:
+    """Raise ``NoCaseMatched`` at the first draw that matched no case, else
+    at the first whose (R1, R2) is not the one its case expects."""
+    unmatched = np.flatnonzero(matches == 0)
+    if unmatched.size:
+        bad = unmatched[0]
         raise NoCaseMatched(f"(R1,R2)=({r1[bad]},{r2[bad]}) matched no rewiring case")
-    case = rows.argmax(axis=0) + 1
-    want = np.array([CASE_R[c] for c in range(1, 11)])[case - 1]
-    wrong = np.flatnonzero((want != np.stack((r1, r2), axis=1)).any(axis=1))
+    wrong = np.flatnonzero(_case_r_mismatch(r1, r2, case))
     if wrong.size:
         bad = wrong[0]
         raise NoCaseMatched(f"case {case[bad]} saw (R1,R2)=({r1[bad]},{r2[bad]})")
-    return r1, r2, case
 
 
 def rewire(images: np.ndarray, quads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -348,7 +359,8 @@ def zero_bias_draws(D: CenteredArray, m: int, gen: np.random.Generator) -> dict[
     quads = sample_quadruples_rejection(D, m, gen)
     u = gen.random(m)
     rows = np.arange(m)[:, None]
-    r1, r2, case = _cases(quads.T, images[rows, quads].T)
+    r1, r2, case, matches = _cases(quads.T, images[rows, quads].T)
+    _require_cases(r1, r2, case, matches)
     dag, touched, ok = rewire(images, quads)
     if not ok.all():
         bad = np.flatnonzero(~ok)[0]
@@ -589,6 +601,7 @@ class SweepReport:
     case_counts: dict[int, int]
     impossible_r: int  # occurrences of (R1,R2) in {(2,1),(1,2)}
     multi_match: int  # (pi, quad) pairs matching != 1 table rows
+    case_r_mismatch: int  # (pi, quad) pairs whose case expects other (R1,R2)
     closure_failures: int
     uniformity_max_dev: int  # vs the exact per-completion count
     expected_completion_count: int
@@ -632,7 +645,8 @@ def _image_law_dev(points: np.ndarray, keys: np.ndarray, n: int) -> int:
 def exhaustive_sweep(D: CenteredArray) -> SweepReport:
     """One pass over every (involution, ordered quadruple) at small n.
 
-    Checks row disjointness/exhaustiveness and the impossibility of
+    Checks row disjointness/exhaustiveness (``_cases``), each first
+    matching case's (R1,R2) against ``CASE_R``, and the impossibility of
     (R1,R2) in {(2,1),(1,2)}, validates every rewired involution, and
     accumulates the integer counts behind the conditional-uniformity law,
     the (quad, pi(I), pi(J)) law and the (quad, pi(I), pi(J), pi(L)) law.
@@ -653,17 +667,16 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
     completion_codes = planted_completions(sq, n) @ code
 
     case_counts = np.zeros(11, dtype=np.int64)
-    impossible = multi_match = closure_failures = 0
+    impossible = multi_match = r_mismatch = closure_failures = 0
     rewired_codes = np.empty((n_inv, n_s), dtype=np.int64)
     keys = []  # (quad, pi(I), pi(J), pi(L)), one array per involution
     for r, parr in enumerate(invs):
         p = parr[q]
-        rows = np.array(_kernels.case_rows(q, p))
-        r1, r2 = _kernels.r_counts(q, p)
-        multi_match += int(np.count_nonzero(rows.sum(axis=0) != 1))
+        r1, r2, case, matches = _cases(q, p)
+        multi_match += int(np.count_nonzero(matches != 1))
+        r_mismatch += int(np.count_nonzero(_case_r_mismatch(r1, r2, case)))
         bad_r = (r1 == 2) & (r2 == 1) | (r1 == 1) & (r2 == 2)
         impossible += int(np.count_nonzero(bad_r))
-        case = rows.argmax(axis=0) + 1  # first matching row
         case_counts += np.bincount(case, minlength=11)
 
         img, _, ok = rewire(np.broadcast_to(parr, (n_q, n)), quads)
@@ -684,6 +697,7 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
         case_counts={c: int(case_counts[c]) for c in range(1, 11)},
         impossible_r=impossible,
         multi_match=multi_match,
+        case_r_mismatch=r_mismatch,
         closure_failures=closure_failures,
         uniformity_max_dev=uni_dev,
         expected_completion_count=expected,

@@ -267,28 +267,27 @@ def lp_upper(linf: float, l1: float, p) -> float:
     return (linf ** (p - 1.0) * l1) ** (1.0 / p)
 
 
-@dataclass
-class DistanceReport:
-    linf: float
-    l1: float
-    lp: dict[float, float]
-    m_samples: int | None = None  # None for the exact law
-
-    def to_json(self) -> dict:
-        return {
-            "linf": self.linf,
-            "l1": self.l1,
-            "lp_upper": {("inf" if math.isinf(p) else repr(p)): v for p, v in self.lp.items()},
-            "mode": "exact" if self.m_samples is None else "mc",
-            "m_samples": self.m_samples,
-        }
+def p_key(p) -> str:
+    """The JSON key of exponent ``p``: ``"inf"`` or ``repr(float(p))``."""
+    p = float(p)
+    return "inf" if math.isinf(p) else repr(p)
 
 
-def distance_report(F: StepCDF, p_list, m_samples: int | None = None) -> DistanceReport:
+def distance_report(F: StepCDF, p_list, m_samples: int | None = None) -> dict:
+    """The distances of F from the normal as ``analyze`` prints them.
+
+    ``lp_upper`` is keyed by ``p_key(p)``; ``m_samples`` is None for the
+    exact law, and the mode follows from it.
+    """
     linf = kolmogorov_distance(F)
     l1 = l1_distance(F)
-    lp = {float(p): lp_upper(linf, l1, p) for p in p_list}
-    return DistanceReport(linf=linf, l1=l1, lp=lp, m_samples=m_samples)
+    return {
+        "linf": linf,
+        "l1": l1,
+        "lp_upper": {p_key(p): lp_upper(linf, l1, p) for p in p_list},
+        "mode": "exact" if m_samples is None else "mc",
+        "m_samples": m_samples,
+    }
 
 
 def cdf_rows(F: StepCDF) -> list[tuple[float, float, float]]:

@@ -121,9 +121,11 @@ def alpha_compose(images: np.ndarray, i: int, j: int) -> np.ndarray:
 
 
 def classify(images: np.ndarray, quad) -> tuple[int, int, int]:
-    """(R1, R2, case) of one image row and quadruple, through ``coupling._cases``."""
+    """(R1, R2, case) of one image row and quadruple, through ``coupling._cases``;
+    raises ``NoCaseMatched`` as ``coupling.zero_bias_draws`` does."""
     q = np.asarray(quad, dtype=np.int64)
-    r1, r2, case = coupling._cases(q[:, None], images[q][:, None])
+    r1, r2, case, matches = coupling._cases(q[:, None], images[q][:, None])
+    coupling._require_cases(r1, r2, case, matches)
     return int(r1[0]), int(r2[0]), int(case[0])
 
 

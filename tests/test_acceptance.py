@@ -174,8 +174,10 @@ def test_criterion_8_lattice_rate_experiment():
     ok = True
     for n in (64, 100, 196):
         rep, _ = lower_bound_experiment(n, 200_000, master_seed=SEED, threads=2)
-        ok = ok and rep.lattice_ok and rep.ks >= rep.floor - rep.dkw_slack
-        details.append(f"n={n}: ks={rep.ks:.4f} >= floor-slack={rep.floor - rep.dkw_slack:.4f}")
+        ok = ok and rep["lattice_ok"] and rep["ks"] >= rep["floor"] - rep["dkw_slack"]
+        details.append(
+            f"n={n}: ks={rep['ks']:.4f} >= floor-slack={rep['floor'] - rep['dkw_slack']:.4f}"
+        )
     # quadrupling n halves beta/n (the n^{-1/2} rate); 196/4 is odd, so the
     # ratio is checked on the even pairs 64->256 and 100->400
     for n in (64, 100):

@@ -393,11 +393,20 @@ def test_allocation_budget():
     # the returned d plus the |d| buffer cubed for beta; the random array,
     # its symmetrized copy and d with one temporary; d_prime beside the |d|
     # buffer (its moments are taken only where the conditional claims apply,
-    # n >= 1000).
+    # n >= 1000); the triu buffer, mirrored in place, with triu's own mask.
     # numpy reports every data buffer to tracemalloc, so the peaks repeat
     # exactly from run to run
     gen = rngmod.derive_stream(5, 0xA11, BUDGET_N)
     E = validate_and_symmetrize(gen.standard_normal((BUDGET_N, BUDGET_N)), symmetrize=True)
+    # a symmetric input with +-0.0 entries off the diagonal: the mirrored
+    # triangle reads -0.0 as 0.0, as the triangle plus its transpose does
+    signed = E.entries.copy()
+    signed[0, 1] = signed[1, 0] = -0.0
+    signed[2, 5] = signed[5, 2] = 0.0
+    assert bits(validate_and_symmetrize(signed).entries) == bits(
+        validate_and_symmetrize_chained(signed)
+    )
+    assert peak_arrays(validate_and_symmetrize, signed) <= 1.15
     D = standardize(E)
     assert peak_arrays(moments, E) <= 2.05
     assert peak_arrays(random_centered, BUDGET_N, gen) <= 3.05

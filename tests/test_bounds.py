@@ -48,9 +48,9 @@ class TestKp:
 
 class TestTheoremBounds:
     def test_validity_flags(self):
-        assert not theorem_bounds(rand_centered(8, seed=60)).valid
+        assert not theorem_bounds(rand_centered(8, seed=60))["valid"]
         rep10 = theorem_bounds(rand_centered(10, seed=61))
-        assert rep10.valid and rep10.valid_strict
+        assert rep10["valid"] and rep10["valid_strict"]
 
     def test_refined_coefficient_at_9(self):
         coeff = l1_refined_coefficient(9)
@@ -61,13 +61,13 @@ class TestTheoremBounds:
         D = rand_centered(10, seed=62)
         doubled = replace(D, beta=2.0 * D.beta)
         r1, r2 = theorem_bounds(D), theorem_bounds(doubled)
-        for p in r1.bound:
-            assert r2.bound[p] == pytest.approx(2.0 * r1.bound[p], rel=1e-15)
-        assert r2.gap_bound == pytest.approx(2.0 * r1.gap_bound, rel=1e-15)
-        assert r2.l1_refined == pytest.approx(2.0 * r1.l1_refined, rel=1e-15)
+        for p in r1["bound"]:
+            assert r2["bound"][p] == pytest.approx(2.0 * r1["bound"][p], rel=1e-15)
+        assert r2["gap_bound"] == pytest.approx(2.0 * r1["gap_bound"], rel=1e-15)
+        assert r2["l1_refined"] == pytest.approx(2.0 * r1["l1_refined"], rel=1e-15)
 
     def test_json(self):
-        obj = theorem_bounds(rand_centered(10, seed=63)).to_json()
+        obj = theorem_bounds(rand_centered(10, seed=63))
         assert obj["kp"]["inf"] == 61_702_446.0 and "valid_strict" in obj
 
 
@@ -193,17 +193,17 @@ class TestLowerBoundArray:
 class TestLowerBoundExperiment:
     def test_small_run(self):
         rep, w = lower_bound_experiment(64, 20_000, master_seed=2025)
-        assert rep.lattice_ok
-        assert rep.sigma == pytest.approx(
+        assert rep["lattice_ok"]
+        assert rep["sigma"] == pytest.approx(
             math.sqrt(moments(lower_bound_array(64)).sigma2), rel=1e-12
         )
-        assert rep.floor == pytest.approx(
-            0.45 * math.exp(-0.5 / rep.sigma**2) / (math.sqrt(2 * math.pi) * rep.sigma),
+        assert rep["floor"] == pytest.approx(
+            0.45 * math.exp(-0.5 / rep["sigma"] ** 2) / (math.sqrt(2 * math.pi) * rep["sigma"]),
             rel=1e-12,
         )
         assert w.shape == (20_000,)
-        assert rep.passed
-        assert rep.ks >= rep.floor - rep.dkw_slack
+        assert rep["pass"]
+        assert rep["ks"] >= rep["floor"] - rep["dkw_slack"]
 
     def test_lattice_values_even_integers(self):
         _, w = lower_bound_experiment(32, 5_000, master_seed=7)

@@ -220,8 +220,8 @@ class TestAnalyze:
         D = arrays.standardize(A, arrays.moments(A))
         F = involutions.exact_w_distribution(D)
         ref = distances.distance_report(F, [1.0, 2.0, math.inf])
-        assert obj["distances"]["l1"] == ref.l1
-        assert obj["distances"]["linf"] == ref.linf
+        assert obj["distances"]["l1"] == ref["l1"]
+        assert obj["distances"]["linf"] == ref["linf"]
 
     def test_cap_option_is_a_usage_error(self, appendix_file, capsys):
         # the exact-mode threshold is ENUM_CAP; no option moves it
@@ -1073,6 +1073,15 @@ RECORDED_LOWERBOUND = [
     },
 ]
 
+# the `--out` CSV of the same call, recorded before `simulate` and
+# `lowerbound` shared one CSV writer: the float columns are the `repr` of
+# the recorded payload's values.
+RECORDED_LOWERBOUND_CSV = (
+    "n,sigma,ks,floor,beta_over_n\n"
+    "64,11.31518039237536,0.10575000000000001,0.01580392922166222,0.04279640051181076\n"
+    "100,14.142871944020088,0.08619565026294829,0.012661913646978447,0.034642820887521214\n"
+)
+
 
 class TestLowerbound:
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -1080,6 +1089,12 @@ class TestLowerbound:
         argv = ["lowerbound", "--n", "64,100", "--draws", "20000", "--seed", "7"]
         assert cli.main([*argv, "--threads", threads]) == 0
         assert json.loads(capsys.readouterr().out)["experiments"] == RECORDED_LOWERBOUND
+
+    def test_out_csv_matches_recorded(self, tmp_path):
+        csv = tmp_path / "rows.csv"
+        argv = ["lowerbound", "--n", "64,100", "--draws", "20000", "--seed", "7"]
+        assert run_cli(*argv, "--out", str(csv)).returncode == 0
+        assert csv.read_text() == RECORDED_LOWERBOUND_CSV
 
     def test_small_run(self, tmp_path):
         csv = tmp_path / "rows.csv"

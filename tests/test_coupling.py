@@ -374,7 +374,7 @@ class TestClassifyAndDagger:
         for row, (i, j, k, l) in zip(dag, quads):
             assert_involution(row)
             assert row[i] == k and row[j] == l
-        _, _, case = coupling._cases(quads.T, images[np.arange(200)[:, None], quads].T)
+        _, _, case, _ = coupling._cases(quads.T, images[np.arange(200)[:, None], quads].T)
         assert np.all((1 <= case) & (case <= 10))
 
     def test_case_terms_kernel_agrees_with_object_route(self, gen):

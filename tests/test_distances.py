@@ -253,11 +253,10 @@ class TestLpUpper:
 def test_distance_report_and_rows(appendix4_std):
     F = exact_w_distribution(appendix4_std)
     rep = distance_report(F, [1.0, 2.0, math.inf])
-    assert rep.lp[1.0] == rep.l1 and rep.lp[math.inf] == rep.linf
-    obj = rep.to_json()
-    assert obj["mode"] == "exact" and obj["m_samples"] is None and "inf" in obj["lp_upper"]
+    assert rep["lp_upper"]["1.0"] == rep["l1"] and rep["lp_upper"]["inf"] == rep["linf"]
+    assert rep["mode"] == "exact" and rep["m_samples"] is None and "inf" in rep["lp_upper"]
     # the mode follows from the sample count alone
-    mc = distance_report(F, [1.0], m_samples=7).to_json()
+    mc = distance_report(F, [1.0], m_samples=7)
     assert mc["mode"] == "mc" and mc["m_samples"] == 7
     rows = cdf_rows(F)
     assert len(rows) == 3

@@ -18,10 +18,6 @@ from invclt.distances import StepCDF
 
 # the families that no test below injects a fault into yet
 NOT_YET_INJECTED = {
-    "case_exhaustiveness",
-    "completion_uniformity",
-    "p2_joint_law",
-    "p3_structural_zeros",
     "zero_bias_moments",
     "zero_bias_draw_invariants",
 }
@@ -123,6 +119,45 @@ def test_impossible_cases_fail_on_a_non_involution(monkeypatch):
     monkeypatch.setattr(coupling, "involution_matrix", with_extra_row)
     records = run_family("impossible_cases_21_12")
     assert [(r["n"], r["pass"]) for r in records] == [(6, False), (8, True)]
+
+
+def test_case_exhaustiveness_fails_on_a_wrong_case_signature(monkeypatch):
+    # case 7 holds both cycles (I,K) and (J,L), so its (R1, R2) is (2, 0);
+    # a table that expects (0, 2) there disagrees at every case-7 pair of
+    # both sweeps, while each pair still matches exactly one row
+    monkeypatch.setitem(coupling.CASE_R, 7, (0, 2))
+    records = run_family("case_exhaustiveness")
+    assert [(r["n"], r["pass"]) for r in records] == [(6, False), (8, False)]
+    assert all(r["max_abs_error"] == r["case_counts"][7] > 0 for r in records)
+
+
+def biased_at_8(monkeypatch):
+    """The n = 8 sweeps run over a base law with one matching counted twice
+    (row 1 := row 0) and another never; n = 6 keeps the uniform law."""
+    involution_matrix = coupling.involution_matrix
+    biased = involution_matrix(8).copy()
+    biased[1] = biased[0]
+    monkeypatch.setattr(
+        coupling, "involution_matrix", lambda n: biased if n == 8 else involution_matrix(n)
+    )
+
+
+def test_completion_uniformity_fails_on_a_biased_base_law(monkeypatch):
+    biased_at_8(monkeypatch)
+    records = run_family("completion_uniformity")
+    assert [(r["n"], r["pass"]) for r in records] == [(6, True), (8, False)]
+
+
+def test_p2_joint_law_fails_on_a_biased_base_law(monkeypatch):
+    biased_at_8(monkeypatch)
+    records = run_family("p2_joint_law")
+    assert [(r["n"], r["pass"]) for r in records] == [(8, False)]
+
+
+def test_p3_structural_zeros_fail_on_a_biased_base_law(monkeypatch):
+    biased_at_8(monkeypatch)
+    records = run_family("p3_structural_zeros")
+    assert [(r["n"], r["pass"]) for r in records] == [(8, False)]
 
 
 def test_exchangeability_fails_on_a_biased_base_law(monkeypatch):
