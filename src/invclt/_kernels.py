@@ -68,9 +68,7 @@ when none is held does the order choose.  Both integrand kernels read
 ``M(x, y) = 2*(v_x + v_y - d[pi(x), pi(y)])``, which is ``2*d_xy`` when
 (x, y) is a cycle of pi, ``a = -2*(d_ij + d_kl) + M(x, y) + M(z, w)``.
 ``case_terms`` evaluates M per row; ``held_pairing_a`` sums it once per
-pairing of each 4-set, for every involution of a block.  The same rule
-builds the rewired involution itself (``coupling.rewire``): pi_dag pairs
-pi(x) with pi(y) and pi(z) with pi(w), then plants (I,K) and (J,L).
+pairing of each 4-set, for every involution of a block.
 """
 
 from __future__ import annotations

@@ -5,10 +5,10 @@ Construction summary (all indices 0-based internally):
 * Swap map: for distinct ``a, b``, ``swap(pi, a, b)`` returns the involution
   with the cycles ``(a, b)`` and ``(pi(a), pi(b))`` planted and every other
   cycle untouched: on an image row it writes ``b, a, pi(b), pi(a)`` at
-  ``a, b, pi(a), pi(b)``.  ``stein_sweep`` applies it to base-n digit codes
-  and ``zero_bias_draws`` to image rows; ``_planted_values`` plants the
-  result for pi_dag, the cycles (I,J) and (K,L), through
-  ``planted_completions``.
+  ``a, b, pi(a), pi(b)``.  ``swap`` applies it to rows of image matrices,
+  for the rewiring and the audit draws; ``stein_sweep`` applies it to
+  base-n digit codes, and ``_planted_values`` plants its result for
+  pi_ddag, the cycles (I,J) and (K,L), through ``planted_completions``.
 * Stein pair: ``pi' = swap(pi, I, J)`` for a uniform ordered pair ``(I, J)``,
   giving ``W - W' = 2(d_{I pi(I)} + d_{J pi(J)} - d_{IJ} - d_{pi(I) pi(J)})``
   and ``E(W - W' | pi) = (4/n) W``.
@@ -18,11 +18,9 @@ Construction summary (all indices 0-based internally):
 * Rewiring: given ``(I,J,K,L)`` from ``p`` and an independent uniform
   ``pi``, ``pi_dag`` holds the cycles ``(I,K)`` and ``(J,L)`` while the
   remainder stays uniform.  The paper splits this into ten cases
-  (``_kernels.case_rows``); one rule covers them all: take the pairing
-  ``{xy|zw}`` of the quadruple that ``pi`` already holds (the pairing rule
-  of ``_kernels``), pair ``pi(x)`` with ``pi(y)`` and ``pi(z)`` with
-  ``pi(w)``, then plant ``(I,K)`` and ``(J,L)``.  ``pi_ddag = swap(pi_dag,
-  I, J)`` then carries the cycles ``(I,J)`` and ``(K,L)``.
+  (``_kernels.case_rows``); two swaps cover them all:
+  ``pi_dag = swap(swap(pi, I, K), J, L)``.  ``pi_ddag = swap(pi_dag, I, J)``
+  then carries the cycles ``(I,J)`` and ``(K,L)``.
 * With ``U`` uniform on [0,1), ``W* = U W_dag + (1-U) W_ddag`` has the
   zero-bias law of ``W``: ``E[W f(W)] = Var(W) E[f'(W*)]``.
 """
@@ -248,8 +246,24 @@ def sample_quadruples_rejection(
 
 
 # ---------------------------------------------------------------------------
-# rewiring: pi_dag from the pairing rule
+# rewiring: pi_dag as two swaps
 # ---------------------------------------------------------------------------
+
+
+def swap(images: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The swap map on every row of an (m, n) image matrix.
+
+    Row ``r`` gets the cycles ``(a[r], b[r])`` and ``(pi(a[r]), pi(b[r]))``
+    planted, every other cycle untouched (``pi`` itself where ``(a, b)`` is
+    already a cycle): it writes ``b, a, pi(b), pi(a)`` at ``a, b, pi(a),
+    pi(b)``.
+    """
+    r = np.arange(images.shape[0])
+    pa, pb = images[r, a], images[r, b]
+    out = images.copy()
+    out[r, a], out[r, b] = b, a
+    out[r, pa], out[r, pb] = pb, pa
+    return out
 
 
 def _cases(q, p):
@@ -289,35 +303,23 @@ def _require_cases(r1, r2, case, matches) -> None:
 def rewire(images: np.ndarray, quads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """pi_dag for every row of an (m, n) image matrix and its (m, 4) quadruples.
 
-    The pairing rule of ``_kernels`` picks the pairing {xy|zw} of the
-    quadruple that pi already holds; pi_dag pairs pi(x) with pi(y) and pi(z)
-    with pi(w), then plants the cycles (I,K) and (J,L).  This realizes every
-    row of the ten-case table.  Returns ``(dagger, touched, ok)``:
-    ``touched`` marks the quadruple and its images, and ``ok`` is true
-    where pi_dag holds (I,K) and (J,L), is a fixed-point-free involution and
-    agrees with pi off the touched set.
+    pi_dag is ``swap(swap(pi, I, K), J, L)``: the first swap plants (I,K),
+    the second (J,L), and neither moves a point outside the quadruple and
+    its images.  This realizes every row of the ten-case table.  Returns
+    ``(dagger, touched, ok)``: ``touched`` marks the quadruple and its
+    images, and ``ok`` is true where pi_dag holds (I,K) and (J,L), is a
+    fixed-point-free involution and agrees with pi off the touched set.
     """
     m, n = images.shape
     rows = np.arange(m)[:, None]
-    p = images[rows, quads]  # pi(I), pi(J), pi(K), pi(L)
-    # positions (x, y, z, w) of the pairings {il|jk}, {ij|kl} and {ik|jl}
-    pairing = _kernels.pairing_rule(
-        lambda xy: (p[:, xy[0]] == quads[:, xy[1]])[:, None],
-        np.array([(0, 3, 1, 2), (0, 1, 2, 3), (0, 2, 1, 3)]),
-    )
-    x, y, z, w = np.take_along_axis(p, pairing, axis=1).T
-    out = images.copy()
-    r = rows[:, 0]
-    out[r, x], out[r, y] = y, x
-    out[r, z], out[r, w] = w, z
-    out[rows, quads] = quads[:, [2, 3, 0, 1]]
+    i, j, k, l = quads.T
+    out = swap(swap(images, i, k), j, l)
     touched = np.zeros((m, n), dtype=bool)
     touched[rows, quads] = True
-    touched[rows, p] = True
+    touched[rows, images[rows, quads]] = True
     idx = np.arange(n)
     ok = (
-        (out[r, quads[:, 0]] == quads[:, 2])
-        & (out[r, quads[:, 1]] == quads[:, 3])
+        np.all(np.take_along_axis(out, quads[:, :2], axis=1) == quads[:, 2:], axis=1)
         & np.all(out != idx, axis=1)
         & np.all(np.take_along_axis(out, out, axis=1) == idx, axis=1)
         & ~np.any((out != images) & ~touched, axis=1)
@@ -345,8 +347,8 @@ def zero_bias_draws(D: CenteredArray, m: int, gen: np.random.Generator) -> dict[
 
     Stream use: the pairing choices of the ``m`` involutions, the ``m``
     quadruples (``sample_quadruples_rejection``, exact at every ``n``), then
-    the ``m`` uniforms U.  pi_ddag is pi_dag with the cycles (I,J) and (K,L)
-    planted in place of (I,K) and (J,L).  T, T_dag and T_ddag sum
+    the ``m`` uniforms U.  pi_ddag is ``swap(pi_dag, I, J)``, which plants
+    (I,J) and (K,L) in place of (I,K) and (J,L).  T, T_dag and T_ddag sum
     ``d[x, pi(x)]`` over the touched set, and S over the rest.
     """
     n = D.n
@@ -365,8 +367,7 @@ def zero_bias_draws(D: CenteredArray, m: int, gen: np.random.Generator) -> dict[
     if not ok.all():
         bad = np.flatnonzero(~ok)[0]
         raise NoCaseMatched(f"case {case[bad]}: the rewired involution failed its closure check")
-    ddag = dag.copy()
-    ddag[rows, quads] = quads[:, [1, 0, 3, 2]]
+    ddag = swap(dag, quads[:, 0], quads[:, 1])
     if np.any(_kernels.quad_pairs(d, quads)[1] == 0.0):
         raise NoCaseMatched("square-bias support produced a zero difference")
 

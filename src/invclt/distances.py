@@ -12,9 +12,11 @@ read that array.  The Kolmogorov distance is evaluated exactly at the jump
 points (both one-sided gaps).  The L1 distance is integrated piece by piece
 in closed form: on each constant piece ``[a, b]`` at level ``c`` the
 crossing of Phi with the level is ``a`` where ``Phi(a) >= c``, ``b`` where
-``Phi(b) <= c``, and ``normal_quantile(c)`` on the few pieces between, and
-the antiderivative ``int Phi = t Phi(t) + phi(t)`` handles every segment
-including the unbounded tails, so no quadrature or truncation enters.
+``Phi(b) <= c``, and ``Phi^{-1}(c)`` on the few pieces between, taken from
+the standard library (``statistics.NormalDist().inv_cdf``, Wichura's
+AS241) one piece at a time.  The antiderivative
+``int Phi = t Phi(t) + phi(t)`` handles every segment including the
+unbounded tails, so no quadrature or truncation enters.
 Intermediate L^p values are reported through the interpolation bound
 ``||f||_p^p <= ||f||_inf^{p-1} ||f||_1``.  The Simpson quadrature that
 cross-checks ``l1_distance`` lives with the tests (``tests/oracles.py``).
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -35,6 +38,8 @@ ATOM_MERGE_TOL = 1e-12
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
+# Phi^{-1} for the few pieces that Phi crosses (Wichura's AS241, scalar)
+_NORMAL = NormalDist()
 
 # cephes ndtr.c: with z = |x|/sqrt(2), erf(z) = z T(z^2)/U(z^2) for z < 1,
 # erfc(z) = exp(-z^2) P(z)/Q(z) for 1 <= z < 8 and exp(-z^2) R(z)/S(z) above.
@@ -65,26 +70,6 @@ _ERF_U = (
     1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
     2.26290000613890934246e4, 4.92673942608635921086e4,
 )
-# Acklam's rational first guess for Phi^{-1}(q), q <= 1/2 (relative error
-# below 1.2e-9): the central form for q >= _QUANTILE_TAIL, the tail form in
-# sqrt(-2 log q) below it.
-_QUANTILE_A = (
-    -3.969683028665376e1, 2.209460984245205e2, -2.759285104469687e2,
-    1.383577518672690e2, -3.066479806614716e1, 2.506628277459239e0,
-)
-_QUANTILE_B = (
-    -5.447609879822406e1, 1.615858368580409e2, -1.556989798598866e2,
-    6.680131188771972e1, -1.328068155288572e1, 1.0,
-)
-_QUANTILE_C = (
-    -7.784894002430293e-3, -3.223964580411365e-1, -2.400758277161838e0,
-    -2.549732539343734e0, 4.374664141464968e0, 2.938163982698783e0,
-)
-_QUANTILE_D = (
-    7.784695709041462e-3, 3.224671290700398e-1, 2.445134137142996e0,
-    3.754408661907416e0, 1.0,
-)
-_QUANTILE_TAIL = 0.02425
 
 
 def _horner(x, coefs):
@@ -140,29 +125,6 @@ def normal_cdf(x) -> np.ndarray:
     np.subtract(1.0, z, out=z, where=so > 0.0)
     out[outer] = z
     return out.reshape(x.shape)
-
-
-def normal_quantile(p) -> np.ndarray:
-    """Phi^{-1}(p) for 0 < p < 1, elementwise.
-
-    Solves ``Phi(x) = q`` with ``q = min(p, 1 - p)`` (``1 - p`` is exact for
-    ``p >= 1/2``) and negates for ``p > 1/2``, so the upper tail keeps the
-    relative accuracy of the lower one.  Acklam's rational form gives the
-    first guess, and a Halley step on ``normal_cdf`` refines it.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    upper = p > 0.5
-    q = np.where(upper, 1.0 - p, p)
-    h = q - 0.5
-    r = h * h
-    central = h * _horner(r, _QUANTILE_A) / _horner(r, _QUANTILE_B)
-    u = np.sqrt(-2.0 * np.log(q))
-    tail = _horner(u, _QUANTILE_C) / _horner(u, _QUANTILE_D)
-    x = np.where(q < _QUANTILE_TAIL, tail, central)
-    # one Halley step: the guess's error cubed is far below Phi's rounding
-    e = (normal_cdf(x) - q) / normal_pdf(x)
-    x = x - e / (1.0 + 0.5 * x * e)
-    return np.where(upper, -x, x)
 
 
 @dataclass(eq=False)
@@ -228,13 +190,15 @@ def l1_distance(F: StepCDF) -> float:
     """int |F(t) - Phi(t)| dt, exact per piece including both tails.
 
     On a piece [a, b] with level c, Phi crosses c at a if Phi(a) >= c, at b
-    if Phi(b) <= c, and else at ``normal_quantile(c)``, clipped into [a, b];
-    that point splits the piece into a part below c and a part above it
-    (either part may be empty), each integrated through ``_int_phi``.  Only
-    the pieces that Phi crosses call the quantile; the others read the
-    antiderivative at their ends.  Every term is an integral of |F - Phi|,
-    so the terms are nonnegative and numpy's pairwise sum is within about
-    log2(pieces) * eps of the total, relative.
+    if Phi(b) <= c, and else at ``Phi^{-1}(c)``, clipped into [a, b]; that
+    point splits the piece into a part below c and a part above it (either
+    part may be empty), each integrated through ``_int_phi``.  Only the
+    pieces that Phi crosses, at most a few hundred of the 100k of an MC
+    sample, call the scalar ``inv_cdf``; the others read the antiderivative
+    at their ends.
+    Every term is an integral of |F - Phi|, so the terms are nonnegative and
+    numpy's pairwise sum is within about log2(pieces) * eps of the total,
+    relative.
     """
     xs, Phi = F.xs, F.Phi
     big = _int_phi(xs, Phi)
@@ -244,7 +208,7 @@ def l1_distance(F: StepCDF) -> float:
     t = np.where(at_a, a, b)
     big_t = np.where(at_a, big_a, big_b)
     cross = ~at_a & (c < Phi[1:])
-    tc = np.clip(normal_quantile(c[cross]), a[cross], b[cross])
+    tc = np.clip([_NORMAL.inv_cdf(q) for q in c[cross].tolist()], a[cross], b[cross])
     t[cross] = tc
     big_t[cross] = _int_phi(tc, normal_cdf(tc))
     middle = (c * (t - a) - (big_t - big_a)) + ((big_b - big_t) - c * (b - t))

@@ -40,6 +40,7 @@ form of a sampler whose program path never builds one.
 import json
 import math
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 from scipy.special import ndtr
@@ -55,7 +56,7 @@ from invclt.arrays import (
     _as_matrix,
 )
 from invclt.bounds import EPSILON_0, N_0
-from invclt.distances import StepCDF, _int_phi, normal_cdf, normal_pdf, normal_quantile
+from invclt.distances import StepCDF, _int_phi, normal_cdf, normal_pdf
 from invclt.errors import InputError
 from invclt.involutions import _check_even, draw_choices
 
@@ -253,12 +254,13 @@ def lp_norm_quadrature(F: StepCDF, p: float) -> float:
 
 def l1_distance_clip(F: StepCDF) -> float:
     """``distances.l1_distance`` with the crossing of every piece taken from
-    the quantile: ``t = clip(normal_quantile(c), a, b)`` on each piece
-    ``[a, b]`` at level ``c``, and Phi evaluated afresh at ``a``, ``b`` and
-    ``t``.  The same Phi and the same sums as the package."""
+    the quantile: ``t = clip(Phi^{-1}(c), a, b)`` on each piece ``[a, b]`` at
+    level ``c``, with ``statistics.NormalDist().inv_cdf`` as the package
+    uses it, and Phi evaluated afresh at ``a``, ``b`` and ``t``.  The same
+    Phi and the same sums as the package."""
     xs = F.xs
     a, b, c = xs[:-1], xs[1:], F.cum[:-1]
-    t = np.clip(normal_quantile(c), a, b)
+    t = np.clip(list(map(NormalDist().inv_cdf, c.tolist())), a, b)
     big_a, big_b, big_t = (_int_phi(x, normal_cdf(x)) for x in (a, b, t))
     middle = (c * (t - a) - (big_t - big_a)) + ((big_b - big_t) - c * (b - t))
     lower_tail = _int_phi(xs[0], normal_cdf(xs[0]))

@@ -254,12 +254,17 @@ class TestAnalyze:
 # `distances.normal_cdf`; against scipy's Phi only `l1` and `lp_upper` moved
 # (at most 3.8e-13 relative), and at n = 30 they moved again, by at most
 # 1.4e-16, when `l1_distance` summed its pieces in numpy in place of
-# `math.fsum`.  The top-level `beta` at n = 12 moved by 2.8e-16 relative when
-# `moments` took beta from the standardized entries, sum |e^/sigma|^3, so it
-# now equals `bound_report.beta`.  The payloads are compared leaf by leaf, so
-# a failure names the field that moved.  They may change only with a deliberate change of the
-# moments, the distances, the bounds, the sampling stream or the report
-# schema.
+# `math.fsum`.  Both moved again, by at most 1.4e-13 (n = 12) and 3.8e-13
+# (n = 30) relative, when `l1_distance` took the crossing of Phi with each
+# level from the standard library's `NormalDist().inv_cdf` in place of a
+# ported quantile: the crossings moved by rounding only, and the per-piece
+# antiderivative differences resolve L1 to about 1e-12 relative.  The
+# top-level `beta` at n = 12 moved by 2.8e-16 relative when `moments` took
+# beta from the standardized entries, sum |e^/sigma|^3, so it now equals
+# `bound_report.beta`.  The payloads are compared leaf by leaf, so a failure
+# names the field that moved.  They may change only with a deliberate change
+# of the moments, the distances, the bounds, the sampling stream or the
+# report schema.
 RECORDED_ANALYZE = {
     12: {
         "beta": 1.5794003476031344,
@@ -282,11 +287,11 @@ RECORDED_ANALYZE = {
             "inf": 8121072.055030302,
         },
         "distances": {
-            "l1": 0.011394277106315062,
+            "l1": 0.01139427710631345,
             "linf": 0.009878057648533334,
             "lp_upper": {
-                "1.0": 0.011394277106315062,
-                "2.0": 0.010609115237358097,
+                "1.0": 0.01139427710631345,
+                "2.0": 0.010609115237357348,
                 "inf": 0.009878057648533334,
             },
             "m_samples": None,
@@ -319,11 +324,11 @@ RECORDED_ANALYZE = {
             "inf": 6187341.373003152,
         },
         "distances": {
-            "l1": 0.0063775777135126055,
+            "l1": 0.006377577713510202,
             "linf": 0.00766639019507015,
             "lp_upper": {
-                "1.0": 0.0063775777135126055,
-                "2.0": 0.006992352912372983,
+                "1.0": 0.006377577713510202,
+                "2.0": 0.0069923529123716655,
                 "inf": 0.00766639019507015,
             },
             "m_samples": 20000,
@@ -593,7 +598,9 @@ RECORDED_DRAWS = [
 # pairing rule with it.  `l1_mc` was re-recorded when Phi moved from scipy to
 # `distances.normal_cdf` (each by at most 4.1e-14 relative); every other value
 # kept its bits.  It moved again (n = 10, 20, 48, by at most 1.7e-16) when
-# `l1_distance` summed its pieces in numpy in place of `math.fsum`.  The list
+# `l1_distance` summed its pieces in numpy in place of `math.fsum`, and again
+# (all four, by at most 8.1e-14) when its crossings came from the standard
+# library's `NormalDist().inv_cdf` in place of a ported quantile.  The list
 # may change only with a deliberate change of a sampling stream, of Phi or of
 # the report schema.
 RECORDED_SIMULATE = [
@@ -605,7 +612,7 @@ RECORDED_SIMULATE = [
         "gap_mc": 0.9268198594773309,
         "gap_se": 0.01541449038034542,
         "ks_mc": 0.027844790521896035,
-        "l1_mc": 0.042155465115729006,
+        "l1_mc": 0.04215546511572803,
         "n": 10,
     },
     {
@@ -616,7 +623,7 @@ RECORDED_SIMULATE = [
         "gap_mc": 0.6790079967264538,
         "gap_se": 0.011753308032437348,
         "ks_mc": 0.014365068291119332,
-        "l1_mc": 0.025567240700141106,
+        "l1_mc": 0.02556724070013904,
         "n": 20,
     },
     {
@@ -627,7 +634,7 @@ RECORDED_SIMULATE = [
         "gap_mc": 0.4682410278379032,
         "gap_se": 0.007837141383189722,
         "ks_mc": 0.019138068045668033,
-        "l1_mc": 0.027057135926595522,
+        "l1_mc": 0.02705713592659481,
         "n": 48,
     },
     {
@@ -638,7 +645,7 @@ RECORDED_SIMULATE = [
         "gap_mc": 0.3961417549929,
         "gap_se": 0.006699996584710616,
         "ks_mc": 0.012704743927796303,
-        "l1_mc": 0.023950334305457965,
+        "l1_mc": 0.023950334305458097,
         "n": 64,
     },
 ]
@@ -649,7 +656,9 @@ RECORDED_SIMULATE = [
 # a deterministic function of the seed, so a change of summation order in a
 # check shows here; the payload was the same with OpenBLAS at 1 and 2 threads.
 # The two `bound_chain` `l1` values were re-recorded when Phi moved from scipy
-# to `distances.normal_cdf` (by 6.1e-15 and 1.4e-14 relative).  The n = 8
+# to `distances.normal_cdf` (by 6.1e-15 and 1.4e-14 relative), and again
+# (by 1.2e-14 and 3.3e-15) when `l1_distance` took its crossings from
+# `statistics.NormalDist().inv_cdf`.  The n = 8
 # `zero_bias_cdf` error went 1.665e-15 -> 1.776e-15 when the atom
 # probabilities became the jumps of the exact law's step CDF.  It may change
 # only with a deliberate change of a check, of Phi or of the report schema.
@@ -881,7 +890,7 @@ RECORDED_VERIFY = {
             "check": "bound_chain",
             "exact_gap": 0.9460274146511111,
             "gap_bound": 24.23282263753452,
-            "l1": 0.05732201103616931,
+            "l1": 0.0573220110361686,
             "linf": 0.03247291618994452,
             "max_abs_error": 0.0,
             "n": 10,
@@ -891,7 +900,7 @@ RECORDED_VERIFY = {
             "check": "bound_chain",
             "exact_gap": 0.8887540080905459,
             "gap_bound": 23.509658794272084,
-            "l1": 0.01763830075371437,
+            "l1": 0.01763830075371443,
             "linf": 0.01162115236840755,
             "max_abs_error": 0.0,
             "n": 12,

@@ -24,8 +24,9 @@ from invclt.coupling import (
     zero_bias_draws,
     zero_bias_gap_samples,
 )
+from invclt.distances import kolmogorov_distance, l1_distance
 from invclt.errors import InputError, NoCaseMatched
-from invclt.involutions import double_factorial, involution_matrix
+from invclt.involutions import double_factorial, exact_w_distribution, involution_matrix
 
 from conftest import (
     alpha_compose,
@@ -51,8 +52,9 @@ def _no_table(D):
 
 
 # ``alpha_compose`` (the swap map on one image row, in conftest) is the
-# oracle for the swap that stein_sweep applies to digit codes and
-# zero_bias_draws to pi_dag; these tests check the oracle itself.
+# oracle for ``coupling.swap``, which rewire and zero_bias_draws apply to
+# image rows, and for the swap that stein_sweep applies to digit codes;
+# these tests check the oracle itself.
 class TestAlphaCompose:
     def test_documented_example(self):
         pi = from_cycles(4, [(1, 2), (3, 4)])
@@ -365,6 +367,29 @@ class TestClassifyAndDagger:
         with pytest.raises(NoCaseMatched):
             classify(pi, (0, 0, 1, 2))
 
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_dagger_is_two_swaps_and_the_pairing_rule(self, n):
+        # every (pi, ordered quadruple): rewire's pi_dag is the one-row swap
+        # map applied twice, and the ten-case table's rule: pair pi(x) with
+        # pi(y) and pi(z) with pi(w) for the pairing {xy|zw} that pi holds
+        # ({il|jk}, else {ij|kl}, else {ik|jl}), then plant (I,K) and (J,L)
+        quads = np.array(list(itertools.permutations(range(n), 4)), dtype=np.int64)
+        for pi in involution_matrix(n):
+            dag, _, ok = rewire(np.broadcast_to(pi, (len(quads), n)), quads)
+            assert ok.all()
+            for row, (i, j, k, l) in zip(dag.tolist(), quads.tolist()):
+                assert row == alpha_compose(alpha_compose(pi, i, k), j, l).tolist()
+                if pi[i] == l or pi[j] == k:
+                    (x, y), (z, w) = (i, l), (j, k)
+                elif pi[i] == j or pi[k] == l:
+                    (x, y), (z, w) = (i, j), (k, l)
+                else:
+                    (x, y), (z, w) = (i, k), (j, l)
+                ref = pi.copy()
+                ref[pi[x]], ref[pi[y]], ref[pi[z]], ref[pi[w]] = pi[y], pi[x], pi[w], pi[z]
+                ref[i], ref[k], ref[j], ref[l] = k, i, l, j
+                assert row == ref.tolist()
+
     def test_random_closure(self, gen):
         n = 12
         images = sample_involutions(n, 200, master_seed=12)
@@ -400,12 +425,17 @@ class TestClassifyAndDagger:
         assert np.array_equal(z["case_id"], case_k)
         assert np.array_equal(z["t_dagger"], tdag)
 
-    def test_closure_mask_catches_a_wrong_pairing(self, monkeypatch):
-        # always pairing {ik|jl} breaks the rows where pi holds (I,L) or
-        # (J,K): the mask must flag them in the sweep and in rewire
-        monkeypatch.setattr(
-            _kernels, "pairing_rule", lambda holds, opts: np.where(holds((0, 2)), opts[2], opts[2])
-        )
+    def test_closure_mask_catches_a_wrong_swap(self, monkeypatch):
+        # a swap that plants (a, b) but skips (pi(a), pi(b)) leaves pi(a) and
+        # pi(b) pointing at a and b: the mask must flag it in the sweep and
+        # in rewire
+        def half_swap(images, a, b):
+            r = np.arange(images.shape[0])
+            out = images.copy()
+            out[r, a], out[r, b] = b, a
+            return out
+
+        monkeypatch.setattr(coupling, "swap", half_swap)
         assert exhaustive_sweep(rand_centered(6, seed=37)).closure_failures > 0
         pi = from_cycles(6, [(1, 4), (2, 5), (3, 6)])
         quad = (0, 1, 2, 3)  # pi holds (I, L): case 3
@@ -675,6 +705,29 @@ class TestExactOracles:
         quads, probs = square_bias_table(D).support()
         g_loop = _exact_gap_loop(D.entries, involution_matrix(8), quads, probs)
         assert abs(g - g_loop) <= 1e-12
+
+
+class TestSymmetry:
+    """Relabelling the points (``D[sigma, sigma]``) leaves the law of W and
+    the coupling's law unchanged, and negating the array maps W to -W: the
+    square-bias weights are even in D, and a and delta flip sign together.
+    So KS, L1 and the exact gap agree to rounding; a kernel that depends on
+    the order of the points without saying so breaks this."""
+
+    @staticmethod
+    def summary(D):
+        F = exact_w_distribution(D)
+        return np.array([kolmogorov_distance(F), l1_distance(F), exact_gap(D)])
+
+    @pytest.mark.parametrize("heavy", [False, True])
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_relabelled_and_negated_arrays(self, n, heavy):
+        D = rand_centered(n, seed=70 + n, heavy=heavy)
+        sigma = rngmod.derive_stream(71, n, int(heavy)).permutation(n)
+        ref = self.summary(D)
+        for entries in (D.entries[np.ix_(sigma, sigma)], -D.entries):
+            got = self.summary(CenteredArray(n=n, entries=entries, beta=D.beta))
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
 class TestEstimateGap:

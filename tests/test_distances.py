@@ -15,7 +15,6 @@ from invclt.distances import (
     l1_distance,
     lp_upper,
     normal_cdf,
-    normal_quantile,
 )
 from invclt.errors import InputError
 from invclt.involutions import exact_w_distribution
@@ -37,7 +36,7 @@ def ncdf(t) -> float:
 
 
 class TestNormalCdf:
-    """The package's Phi (``normal_cdf``) and its inverse (``normal_quantile``)."""
+    """The package's Phi (``normal_cdf``)."""
 
     def test_zero(self):
         assert normal_cdf(0.0) == 0.5
@@ -67,15 +66,6 @@ class TestNormalCdf:
     def test_shapes(self):
         assert normal_cdf(np.zeros((2, 3))).shape == (2, 3)
         assert normal_cdf(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
-
-    def test_quantile_against_mpmath(self):
-        ps = [k / 1000 for k in range(1, 1000)] + [1e-9, 1e-6, 1.0 - 1e-6]
-        got = normal_quantile(np.array(ps))
-        with mpmath.workdps(40):
-            ref = [float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1)) for p in ps]
-        assert got[ps.index(0.5)] == 0.0
-        rel = [abs(g - r) / abs(r) for g, r in zip(got.tolist(), ref) if r != 0.0]
-        assert max(rel) <= 1e-13
 
 
 class TestEcdf:
@@ -189,7 +179,7 @@ class TestL1:
 class TestLevelCrossing:
     @pytest.mark.parametrize("c", [0.1, 1.0 / 3.0, 0.5, 0.9, 0.999])
     def test_one_crossing_piece_against_mpmath(self, c):
-        # one middle piece [-6, 6] at level c, crossed by Phi at normal_quantile(c)
+        # one middle piece [-6, 6] at level c, crossed by Phi at Phi^{-1}(c)
         F = StepCDF(xs=np.array([-6.0, 6.0]), cum=np.array([c, 1.0]))
         level = mpmath.mpf(c)
         cross = mpmath.sqrt(2) * mpmath.erfinv(2 * level - 1)

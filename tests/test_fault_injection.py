@@ -7,20 +7,18 @@ the records at the expected ``n`` fail, and that the family's other records
 are untouched.
 """
 
+import itertools
 import re
 from pathlib import Path
 
 import numpy as np
 
-from invclt import arrays, bounds, checks, coupling, rng as rngmod
+from invclt import _kernels, arrays, bounds, checks, coupling, rng as rngmod
 from invclt.arrays import CenteredArray
 from invclt.distances import StepCDF
 
 # the families that no test below injects a fault into yet
-NOT_YET_INJECTED = {
-    "zero_bias_moments",
-    "zero_bias_draw_invariants",
-}
+NOT_YET_INJECTED: set[str] = set()
 
 
 def run_family(name: str) -> list[dict]:
@@ -250,4 +248,37 @@ def test_zero_bias_cdf_fails_on_a_stretched_law_of_w(monkeypatch):
 
     monkeypatch.setattr(coupling, "exact_w_distribution", stretched)
     records = run_family("zero_bias_cdf")
+    assert [(r["n"], r["pass"]) for r in records] == [(6, True), (8, False)]
+
+
+def test_zero_bias_draw_invariants_fail_on_a_halved_delta(monkeypatch):
+    # delta = 2(d_ik + d_jl - d_ij - d_kl) read at half its size: the draws'
+    # W_dag - W_ddag no longer equals it at either n
+    quad_pairs = _kernels.quad_pairs
+
+    def halved(d, quads):
+        pairs, delta, base = quad_pairs(d, quads)
+        return pairs, 0.5 * delta, base
+
+    monkeypatch.setattr(_kernels, "quad_pairs", halved)
+    records = run_family("zero_bias_draw_invariants")
+    assert [(r["n"], r["pass"]) for r in records] == [(8, False), (10, False)]
+
+
+def test_zero_bias_moments_fail_on_a_biased_law_of_w(monkeypatch):
+    # the n = 8 law of W counts one matching twice (row 1 := row 0) and
+    # another never; the W* side, built from planted completions, keeps the
+    # uniform law, so E[W^{k+1}] = k E[(W*)^{k-1}] breaks at n = 8 only
+    enumerate_involutions = coupling.enumerate_involutions
+
+    def biased(n):
+        blocks = enumerate_involutions(n)
+        if n != 8:
+            return blocks
+        first = next(blocks).copy()
+        first[1] = first[0]
+        return itertools.chain([first], blocks)
+
+    monkeypatch.setattr(coupling, "enumerate_involutions", biased)
+    records = run_family("zero_bias_moments")
     assert [(r["n"], r["pass"]) for r in records] == [(6, True), (8, False)]

@@ -23,11 +23,15 @@ clause of ``cli.main``, so each failure reaches its own exit code.
 
 The relative imports of the package form an acyclic module graph, and
 ``distances`` imports only ``errors``: every finite law is a
-``distances.StepCDF``, and its producers import it, not the reverse.
+``distances.StepCDF``, and its producers import it, not the reverse.  Every
+other import of the package is of the standard library or of a package
+named in ``pyproject.toml``'s ``[project] dependencies``, so nothing that
+only the test extra installs (scipy, mpmath) is imported at run time.
 """
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -458,3 +462,46 @@ def test_scan_flags_an_import_cycle():
     assert import_cycle(graph) == ["a", "b", "c", "a"]
     del graph["c"]
     assert import_cycle(graph) == []
+
+
+def runtime_dependencies() -> set[str]:
+    """Import names of ``pyproject.toml``'s ``[project] dependencies``."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    return {
+        re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+        for req in project["dependencies"]
+    }
+
+
+def foreign_imports(tree: ast.Module, allowed: set[str]) -> list[str]:
+    """Absolute imports of ``tree`` outside the standard library and ``allowed``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            tops = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops = [node.module.split(".")[0]]
+        else:
+            continue
+        out += [
+            f"{top} (line {node.lineno})"
+            for top in tops
+            if top not in sys.stdlib_module_names and top not in allowed
+        ]
+    return out
+
+
+def test_package_imports_only_the_stdlib_and_its_dependencies():
+    allowed = runtime_dependencies()
+    assert "numpy" in allowed
+    foreign = {path.name: foreign_imports(ast.parse(path.read_text()), allowed) for path in PACKAGE}
+    assert {name: found for name, found in foreign.items() if found} == {}
+
+
+def test_scan_flags_an_import_outside_the_dependencies():
+    tree = ast.parse(
+        "import scipy.special\nfrom . import rng\nfrom statistics import NormalDist\n"
+        "import numpy as np\nfrom scipy import stats\n"
+    )
+    assert foreign_imports(tree, {"numpy"}) == ["scipy (line 1)", "scipy (line 5)"]
