@@ -30,18 +30,21 @@ Kernel semantics:
   (``zero_bias_gap_samples``) reads its four images this way.
 * ``y_batch(d, order)``: Y = sum_i d[i, pi(i)], which for symmetric ``d``
   is twice the sum of ``d`` over the ``n/2`` pairs, gathered by one flat
-  ``np.take``.  The Monte Carlo values (``sample_y_values``), the exact law
-  (``exact_w_distribution``) and the moments of ``exact_zero_bias_moments``
-  pass it ``match_pairs`` output (sampled, or the blocks of
-  ``enumerate_involutions``) directly; ``stein_sweep`` and
-  ``_planted_values``, which hold image matrices, convert with
-  ``pairing_order``.
+  ``np.take``.  The Monte Carlo values (``sample_y_values``) and the W of
+  every involution (``exact_w_values``, read by the exact law, the Stein
+  sweep and the zero-bias moments) pass it ``match_pairs`` output
+  (sampled, or the blocks of ``enumerate_involutions``) directly.  The
+  callers of ``pairing_order`` hold image matrices: the planted
+  completions of ``coupling._planted_values`` and the audit of the draws
+  (``checks.check_zero_bias_draw_invariants``).
 * ``case_terms(d, images, quads)``: the coupling integrand of each
   (involution, quadruple) row, from the ``(m, 4)`` images
   ``(pi(I), pi(J), pi(K), pi(L))`` alone, as ``(a, delta)`` with
   ``a = T - T_dag + delta`` and ``delta = 2*(d_ik + d_jl - d_ij - d_kl)``,
   which equals both ``W - W'`` for the swap pair and ``Tdag - Tddag``;
-  a draw's gap is ``|W - W*| = |a - u*delta|``.
+  a draw's gap is ``|W - W*| = |a - u*delta|``.  Every reader of
+  ``delta`` takes it from ``quad_pairs``, and ``stein_sweep`` reads
+  ``W - W'`` off it at the quadruples ``(i, j, pi(i), pi(j))``.
 * ``exact_gap(...)``: average of the closed-form segment integral
   ``int_0^1 |a - u*delta| du`` over every involution and every weighted
   quadruple; this is the exact mean coupling gap E|W - W*|.  It folds the

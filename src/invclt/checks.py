@@ -201,7 +201,7 @@ def check_zero_bias_moments(seed: int) -> list[dict]:
     for n in (6, 8):
         gen = rngmod.derive_stream(seed, rngmod.PURPOSE_CHECKS, 8, n)
         D = random_centered(n, gen)
-        rows = coupling.exact_zero_bias_moments(D, k_max=5)
+        rows = coupling.exact_zero_bias_moments(D)
         err = max(abs(lhs - rhs) for _, lhs, rhs in rows)
         out.append(_record("zero_bias_moments", n, err, err <= 1e-8))
     return out
@@ -255,17 +255,14 @@ def check_bound_chain(seed: int) -> list[dict]:
     for n in (10, 12):
         gen = rngmod.derive_stream(seed, rngmod.PURPOSE_CHECKS, 11, n)
         D = random_centered(n, gen)
-        F = invmod.exact_w_distribution(D)
-        l1 = distmod.l1_distance(F)
-        linf = distmod.kolmogorov_distance(F)
+        dist = distmod.distance_report(invmod.exact_w_distribution(D), (1.0, 2.0, math.inf))
+        l1, linf, upper = dist["l1"], dist["linf"], dist["lp_upper"]
         gap = coupling.exact_gap(D)
         rep = boundsmod.theorem_bounds(D)
         violation = max(
             l1 - 2.0 * gap,
             2.0 * gap - 2.0 * rep["gap_bound"],
-            l1 - rep["bound"]["1.0"],
-            distmod.lp_upper(linf, l1, 2.0) - rep["bound"]["2.0"],
-            linf - rep["bound"]["inf"],
+            *(upper[p] - rep["bound"][p] for p in upper),
             0.0,
         )
         out.append(

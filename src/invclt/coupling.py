@@ -5,10 +5,10 @@ Construction summary (all indices 0-based internally):
 * Swap map: for distinct ``a, b``, ``swap(pi, a, b)`` returns the involution
   with the cycles ``(a, b)`` and ``(pi(a), pi(b))`` planted and every other
   cycle untouched: on an image row it writes ``b, a, pi(b), pi(a)`` at
-  ``a, b, pi(a), pi(b)``.  ``swap`` applies it to rows of image matrices,
-  for the rewiring and the audit draws; ``stein_sweep`` applies it to
-  base-n digit codes, and ``_planted_values`` plants its result for
-  pi_ddag, the cycles (I,J) and (K,L), through ``planted_completions``.
+  ``a, b, pi(a), pi(b)``.  ``swap`` is its one implementation, on rows of
+  image matrices, and every construction and oracle applies it: the
+  rewiring and the audit draws, the Stein sweep (W' is W at the row of
+  ``swap(pi, i, j)``) and the planted pi_ddag of the exact W* law.
 * Stein pair: ``pi' = swap(pi, I, J)`` for a uniform ordered pair ``(I, J)``,
   giving ``W - W' = 2(d_{I pi(I)} + d_{J pi(J)} - d_{IJ} - d_{pi(I) pi(J)})``
   and ``E(W - W' | pi) = (4/n) W``.
@@ -39,13 +39,14 @@ from .errors import InputError, NoCaseMatched
 from .involutions import (
     double_factorial,
     draw_choices,
-    enumerate_involutions,
     exact_w_distribution,
+    exact_w_values,
     involution_matrix,
 )
 
 TABLE_CAP = 48  # materialized O(n^4) table above this uses rejection sampling
 SWEEP_CAP = 8  # exhaustive (pi x quadruple) sweeps
+MOMENT_K_MAX = 5  # exact_zero_bias_moments checks k = 1..MOMENT_K_MAX
 
 # expected (R1, R2) per rewiring case; (2,1) and (1,2) cannot occur
 CASE_R = {
@@ -511,35 +512,31 @@ def stein_sweep(D: CenteredArray) -> tuple[float, float, int, float]:
     * max |count(a, b) - count(b, a)| over the exact joint law of (W, W'),
       keyed by the atoms of W, so equal laws give exactly equal counts;
     * max |W - W(swap(pi, i, j)) - 2(d_{i pi(i)} + d_{j pi(j)} -
-      d_{ij} - d_{pi(i) pi(j)})|, infinite if a composed code is no
-      involution.
+      d_{ij} - d_{pi(i) pi(j)})|, infinite if a swapped row is no
+      enumerated involution.
 
-    W - W' is the four-term formula value in the first two.  W' is read off
-    the composed involution's base-n digit code, which differs from pi's at
-    the positions i, j, pi(i) and pi(j), so every array is (n-1)!! x n(n-1).
+    W - W' in the first two is ``_kernels.quad_pairs``' delta of the
+    quadruple (i, j, pi(i), pi(j)).  W' is W at the row of ``swap(pi, i, j)``,
+    found by its base-n digit code, so every array is (n-1)!! x n(n-1).
     """
     n = D.n
-    d = D.entries
-    invs = involution_matrix(n)
-    w = _kernels.y_batch(d, _kernels.pairing_order(invs))
+    invs = involution_matrix(n)  # its cap fires before the enumeration of W
+    w = exact_w_values(D)
     ii, jj = np.nonzero(~np.eye(n, dtype=bool))
-    pi_i, pi_j = invs[:, ii], invs[:, jj]
-    delta = 2.0 * (d[ii, pi_i] + d[jj, pi_j] - (d[ii, jj] + d[pi_i, pi_j]))
+    # pair-major, then transposed: delta's row means round as RECORDED_VERIFY has them
+    cols = np.broadcast_arrays(ii[:, None], jj[:, None], invs[:, ii].T, invs[:, jj].T)
+    quads = np.stack(cols, axis=-1)
+    delta = _kernels.quad_pairs(D.entries, quads.reshape(-1, 4))[1].reshape(ii.size, -1).T
     lin_err = float(np.abs(delta.mean(axis=1) - lambda_n(n) * w).max())
     m2 = math.fsum((delta * delta).ravel()) / delta.size
 
-    # the swap writes j, i, pi(j), pi(i) at i, j, pi(i), pi(j); pi(0) is the
-    # most significant digit, so the enumeration order sorts the codes
+    # pi(0) is the most significant digit, so the enumeration order sorts the codes
     place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     code = invs @ place
-    composed = (
-        code[:, None]
-        + (jj - pi_i) * (place[ii] - place[pi_j])
-        + (ii - pi_j) * (place[jj] - place[pi_i])
-    )
-    pos = np.searchsorted(code, composed)
+    swapped = np.stack([swap(invs, i, j) @ place for i, j in zip(ii, jj)], axis=1)
+    pos = np.searchsorted(code, swapped)
     target = np.minimum(pos, code.size - 1)  # row of swap(pi, i, j)
-    if np.array_equal(code[target], composed):
+    if np.array_equal(code[target], swapped):
         formula_err = float(np.abs(w[:, None] - w[target] - delta).max())
     else:
         formula_err = math.inf
@@ -579,19 +576,19 @@ def _planted_values(D: CenteredArray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """(share, W_dag, W_ddag) over every square-bias quadruple and completion.
 
     ``share`` is the quadruple's probability split evenly over its uniform
-    completions; W_ddag is W at ``swap(pi_dag, I, J)``, which trades
-    the cycles (I,K), (J,L) for (I,J), (K,L): the completions planted at
-    (I, K, J, L), row for row, since the points outside are the same.
+    completions; W_ddag is W at ``swap(pi_dag, I, J)``, which trades the
+    cycles (I,K), (J,L) for (I,J), (K,L).
     """
     n = D.n
     quads, probs = square_bias_table(D).support()
-    dag = planted_completions(quads, n)
-    ddag = planted_completions(quads[:, [0, 2, 1, 3]], n)
-    share = np.repeat(probs / dag.shape[1], dag.shape[1])
+    dag = planted_completions(quads, n).reshape(-1, n)
+    per_quad = dag.shape[0] // quads.shape[0]
+    ddag = swap(dag, np.repeat(quads[:, 0], per_quad), np.repeat(quads[:, 1], per_quad))
+    share = np.repeat(probs / per_quad, per_quad)
     return (
         share,
-        _kernels.y_batch(D.entries, _kernels.pairing_order(dag.reshape(-1, n))),
-        _kernels.y_batch(D.entries, _kernels.pairing_order(ddag.reshape(-1, n))),
+        _kernels.y_batch(D.entries, _kernels.pairing_order(dag)),
+        _kernels.y_batch(D.entries, _kernels.pairing_order(ddag)),
     )
 
 
@@ -750,21 +747,20 @@ def exact_wstar_cdf(D: CenteredArray):
     return grid, construction_cdf(grid), definition_cdf(grid)
 
 
-def exact_zero_bias_moments(D: CenteredArray, k_max: int) -> list[tuple[int, float, float]]:
-    """(k, E[W^{k+1}], k E[(W*)^{k-1}]) for k = 1..k_max, both sides exact.
+def exact_zero_bias_moments(D: CenteredArray) -> list[tuple[int, float, float]]:
+    """(k, E[W^{k+1}], k E[(W*)^{k-1}]) for k = 1..MOMENT_K_MAX, both sides exact.
 
     The left side enumerates the involutions.  The right side enumerates the
     square-bias quadruples and, for each, the uniform completions with the
     planted cycles; the interpolation integral is in closed form
     ``int_0^1 (u a + (1-u) b)^m du = (a^{m+1} - b^{m+1}) / ((m+1)(a - b))``.
     """
-    n = D.n
-    _check_sweep(n)
-    ws = np.concatenate([_kernels.y_batch(D.entries, block) for block in enumerate_involutions(n)])
-    lhs = {k: math.fsum(ws ** (k + 1)) / ws.size for k in range(1, k_max + 1)}
+    _check_sweep(D.n)
+    ws = exact_w_values(D)
+    lhs = {k: math.fsum(ws ** (k + 1)) / ws.size for k in range(1, MOMENT_K_MAX + 1)}
 
     share, a, b = _planted_values(D)
     star = {0: math.fsum(share)}
-    for m in range(1, k_max):
+    for m in range(1, MOMENT_K_MAX):
         star[m] = math.fsum(share * (a ** (m + 1) - b ** (m + 1)) / ((m + 1) * (a - b)))
-    return [(k, lhs[k], k * star[k - 1]) for k in range(1, k_max + 1)]
+    return [(k, lhs[k], k * star[k - 1]) for k in lhs]

@@ -20,8 +20,8 @@ their choice counts, split into its mixed-radix digits, gives them
 independent and exactly uniform.
 
 The exact law of W (``exact_w_distribution``) is the ``distances.ecdf`` of
-the (n-1)!! values of W, one per involution, so it is a ``StepCDF`` like
-every sampled law.
+the (n-1)!! values of W, one per involution (``exact_w_values``), so it is
+a ``StepCDF`` like every sampled law.
 """
 
 from __future__ import annotations
@@ -175,8 +175,11 @@ def sample_y_values(
 # ---------------------------------------------------------------------------
 
 
+def exact_w_values(D: CenteredArray) -> np.ndarray:
+    """W = Y_D at each of the (n-1)!! involutions, in canonical order, for n <= ENUM_CAP."""
+    return np.concatenate([_kernels.y_batch(D.entries, b) for b in enumerate_involutions(D.n)])
+
+
 def exact_w_distribution(D: CenteredArray) -> StepCDF:
-    """Exact law of W = Y_D over the uniform involution, for n <= ENUM_CAP:
-    ``ecdf`` of the (n-1)!! values, one per involution."""
-    values = [_kernels.y_batch(D.entries, block) for block in enumerate_involutions(D.n)]
-    return ecdf(np.concatenate(values))
+    """Exact law of W over the uniform involution: ``ecdf`` of ``exact_w_values``."""
+    return ecdf(exact_w_values(D))

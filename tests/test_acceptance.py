@@ -43,7 +43,7 @@ def test_criterion_1_zero_bias_identity():
     for n in (6, 8):
         for rep in range(3):
             D = rand_centered(n, seed=9100 + 10 * n + rep)
-            for k, lhs, rhs in exact_zero_bias_moments(D, k_max=5):
+            for k, lhs, rhs in exact_zero_bias_moments(D):
                 worst = max(worst, abs(lhs - rhs))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-8 and elapsed < 30.0

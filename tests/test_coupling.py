@@ -52,9 +52,9 @@ def _no_table(D):
 
 
 # ``alpha_compose`` (the swap map on one image row, in conftest) is the
-# oracle for ``coupling.swap``, which rewire and zero_bias_draws apply to
-# image rows, and for the swap that stein_sweep applies to digit codes;
-# these tests check the oracle itself.
+# oracle for ``coupling.swap``, which every construction and exact oracle
+# applies: rewire, zero_bias_draws, stein_sweep and the planted pi_ddag of
+# the exact W* law; these tests check the oracle itself.
 class TestAlphaCompose:
     def test_documented_example(self):
         pi = from_cycles(4, [(1, 2), (3, 4)])
@@ -80,8 +80,9 @@ class TestAlphaCompose:
 
 class TestSteinPair:
     def test_difference_formula_definitional(self):
-        # the sweep reads W' off the composed code; the object route rebuilds
-        # every composed involution and sums it directly
+        # the sweep reads W' at the row of coupling.swap(pi, i, j) and W - W'
+        # off _kernels.quad_pairs; the object route swaps each row with the
+        # conftest oracle, sums it directly and writes the formula out
         D = rand_centered(6, seed=21)
         d = D.entries
         for pi in involution_matrix(6):
@@ -109,8 +110,9 @@ class TestSteinPair:
 
     @pytest.mark.parametrize("n", range(2, 13, 2))
     def test_codes_ascend_in_enumeration_order(self, n):
-        # stein_sweep binary-searches the base-n codes, pi(0) most
-        # significant, in the rows' own order, with no sort
+        # stein_sweep finds each swapped row by a binary search of the
+        # base-n codes, pi(0) most significant, in the rows' own order, with
+        # no sort
         code = involution_matrix(n) @ (n ** np.arange(n - 1, -1, -1, dtype=np.int64))
         assert np.all(np.diff(code) > 0)
 
@@ -693,7 +695,8 @@ class TestExactOracles:
 
     def test_zero_bias_moments_identities(self):
         D = rand_centered(8, seed=40)
-        rows = exact_zero_bias_moments(D, k_max=4)
+        rows = exact_zero_bias_moments(D)
+        assert [row[0] for row in rows] == list(range(1, coupling.MOMENT_K_MAX + 1))
         k1 = rows[0]
         assert k1[0] == 1 and abs(k1[1] - 1.0) <= 1e-10 and abs(k1[2] - 1.0) <= 1e-10
         assert abs(rows[1][1] - rows[1][2]) < 1e-9  # E[W^3] = 2 E[W*]
@@ -711,8 +714,10 @@ class TestSymmetry:
     """Relabelling the points (``D[sigma, sigma]``) leaves the law of W and
     the coupling's law unchanged, and negating the array maps W to -W: the
     square-bias weights are even in D, and a and delta flip sign together.
-    So KS, L1 and the exact gap agree to rounding; a kernel that depends on
-    the order of the points without saying so breaks this."""
+    So KS, L1 and the exact gap agree to rounding, and the MC gap agrees bit
+    for bit under negation and within its standard errors under relabelling;
+    a kernel that depends on the order of the points without saying so
+    breaks this."""
 
     @staticmethod
     def summary(D):
@@ -728,6 +733,33 @@ class TestSymmetry:
         for entries in (D.entries[np.ix_(sigma, sigma)], -D.entries):
             got = self.summary(CenteredArray(n=n, entries=entries, beta=D.beta))
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    # the MC gap on both sides of TABLE_CAP: the table arm at n = 20, the
+    # rejection arm at n = 64
+    ARMS = pytest.mark.parametrize("n, table", [(20, True), (64, False)])
+
+    @ARMS
+    def test_negated_array_gives_the_same_gap_draws(self, n, table):
+        # negation flips a and delta exactly, and both quadruple samplers
+        # read only squares of D, so every draw repeats bit for bit
+        assert (n <= coupling.TABLE_CAP) == table
+        D = rand_centered(n, seed=72 + n)
+        negated = CenteredArray(n=n, entries=-D.entries, beta=D.beta)
+        gaps = zero_bias_gap_samples(D, 20_000, master_seed=73)
+        assert np.array_equal(zero_bias_gap_samples(negated, 20_000, master_seed=73), gaps)
+
+    @ARMS
+    def test_relabelled_array_gives_the_same_mean_gap(self, n, table):
+        # two independent estimates of one E|W - W*|: false-failure
+        # probability 6.3e-5 per n (two-sided normal tail beyond 4 combined
+        # standard errors), so at most 1.3e-4 over the two n, under the
+        # normal approximation of each 20,000-draw mean
+        D = rand_centered(n, seed=72 + n)
+        sigma = rngmod.derive_stream(74, n).permutation(n)
+        relabelled = CenteredArray(n=n, entries=D.entries[np.ix_(sigma, sigma)], beta=D.beta)
+        mean, se = estimate_gap(D, 20_000, master_seed=75)
+        mean_r, se_r = estimate_gap(relabelled, 20_000, master_seed=76)
+        assert abs(mean - mean_r) <= 4.0 * math.hypot(se, se_r)
 
 
 class TestEstimateGap:

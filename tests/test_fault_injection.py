@@ -12,10 +12,12 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from invclt import _kernels, arrays, bounds, checks, coupling, rng as rngmod
+from invclt import _kernels, arrays, bounds, checks, coupling, involutions, rng as rngmod
 from invclt.arrays import CenteredArray
 from invclt.distances import StepCDF
+from invclt.errors import NoCaseMatched
 
 # the families that no test below injects a fault into yet
 NOT_YET_INJECTED: set[str] = set()
@@ -251,9 +253,10 @@ def test_zero_bias_cdf_fails_on_a_stretched_law_of_w(monkeypatch):
     assert [(r["n"], r["pass"]) for r in records] == [(6, True), (8, False)]
 
 
-def test_zero_bias_draw_invariants_fail_on_a_halved_delta(monkeypatch):
-    # delta = 2(d_ik + d_jl - d_ij - d_kl) read at half its size: the draws'
-    # W_dag - W_ddag no longer equals it at either n
+def halve_delta(monkeypatch):
+    """delta = 2(d_ik + d_jl - d_ij - d_kl) read at half its size from the
+    one kernel that computes it; its sign, and so the square-bias support,
+    is unchanged."""
     quad_pairs = _kernels.quad_pairs
 
     def halved(d, quads):
@@ -261,15 +264,54 @@ def test_zero_bias_draw_invariants_fail_on_a_halved_delta(monkeypatch):
         return pairs, 0.5 * delta, base
 
     monkeypatch.setattr(_kernels, "quad_pairs", halved)
+
+
+def test_zero_bias_draw_invariants_fail_on_a_halved_delta(monkeypatch):
+    # the draws' W_dag - W_ddag no longer equals delta at either n
+    halve_delta(monkeypatch)
     records = run_family("zero_bias_draw_invariants")
     assert [(r["n"], r["pass"]) for r in records] == [(8, False), (10, False)]
+
+
+def test_stein_families_fail_on_a_halved_delta(monkeypatch):
+    # the Stein sweep reads W - W' off the same kernel: its mean is then
+    # (2/n) W and its second moment 2/n, so both identities break at every n
+    halve_delta(monkeypatch)
+    for family in (run_family("stein_linearity"), run_family("stein_second_moment")):
+        assert [(r["n"], r["pass"]) for r in family] == [(6, False), (8, False), (10, False)]
+
+
+def test_swap_oracles_fail_on_a_crossed_swap(monkeypatch):
+    # swap(pi, a, pi(b)) plants (a, pi(b)) and (b, pi(a)) in place of (a, b)
+    # and (pi(a), pi(b)); every row is still an involution (with two fixed
+    # points where pi(a) = b), so only the oracles that apply the swap map
+    # can tell
+    swap = coupling.swap
+
+    def crossed(images, a, b):
+        return swap(images, a, images[np.arange(images.shape[0]), b])
+
+    monkeypatch.setattr(coupling, "swap", crossed)
+    families = (
+        "stein_linearity",
+        "exchangeability",
+        "zero_bias_cdf",
+        "zero_bias_moments",
+        "case_exhaustiveness",
+        "completion_uniformity",
+    )
+    for name in families:
+        records = run_family(name)
+        assert records and not any(r["pass"] for r in records), name
+    with pytest.raises(NoCaseMatched):
+        run_family("zero_bias_draw_invariants")
 
 
 def test_zero_bias_moments_fail_on_a_biased_law_of_w(monkeypatch):
     # the n = 8 law of W counts one matching twice (row 1 := row 0) and
     # another never; the W* side, built from planted completions, keeps the
     # uniform law, so E[W^{k+1}] = k E[(W*)^{k-1}] breaks at n = 8 only
-    enumerate_involutions = coupling.enumerate_involutions
+    enumerate_involutions = involutions.enumerate_involutions
 
     def biased(n):
         blocks = enumerate_involutions(n)
@@ -279,6 +321,6 @@ def test_zero_bias_moments_fail_on_a_biased_law_of_w(monkeypatch):
         first[1] = first[0]
         return itertools.chain([first], blocks)
 
-    monkeypatch.setattr(coupling, "enumerate_involutions", biased)
+    monkeypatch.setattr(involutions, "enumerate_involutions", biased)
     records = run_family("zero_bias_moments")
     assert [(r["n"], r["pass"]) for r in records] == [(6, True), (8, False)]

@@ -1,7 +1,6 @@
 """Every exact oracle stops just above its size limit, and the options that
 once tuned the limits, chunking and tolerances are gone."""
 
-import functools
 import importlib
 import inspect
 import pkgutil
@@ -20,9 +19,7 @@ ORACLES = {
     "square_bias_table": (coupling.square_bias_table, coupling.TABLE_CAP, False),
     "exhaustive_sweep": (coupling.exhaustive_sweep, coupling.SWEEP_CAP, False),
     "exact_wstar_cdf": (coupling.exact_wstar_cdf, coupling.SWEEP_CAP, False),
-    "exact_zero_bias_moments": (
-        functools.partial(coupling.exact_zero_bias_moments, k_max=3), coupling.SWEEP_CAP, False
-    ),
+    "exact_zero_bias_moments": (coupling.exact_zero_bias_moments, coupling.SWEEP_CAP, False),
     "exact_gap": (coupling.exact_gap, involutions.MATRIX_CAP, False),
     "stein_sweep": (coupling.stein_sweep, involutions.MATRIX_CAP, False),
     "exact_collision_probability": (
@@ -54,7 +51,7 @@ REMOVED = {
     coupling.stein_sweep: {"cap"},
     coupling.exhaustive_sweep: {"cap"},
     coupling.exact_wstar_cdf: {"cap"},
-    coupling.exact_zero_bias_moments: {"cap"},
+    coupling.exact_zero_bias_moments: {"cap", "k_max"},
     involutions.enumerate_involutions: {"cap"},
     involutions.involution_matrix: {"cap"},
     involutions.exact_w_distribution: {"cap"},
