@@ -7,8 +7,8 @@ Construction summary (all indices 0-based internally):
   cycle untouched: on an image row it writes ``b, a, pi(b), pi(a)`` at
   ``a, b, pi(a), pi(b)``.  ``swap`` is its one implementation, on rows of
   image matrices, and every construction and oracle applies it: the
-  rewiring and the audit draws, the Stein sweep (W' is W at the row of
-  ``swap(pi, i, j)``) and the planted pi_ddag of the exact W* law.
+  rewiring and the audit draws, the Stein sweep (W' is W at the canonical
+  rank of ``swap(pi, i, j)``) and the planted pi_ddag of the exact W* law.
 * Stein pair: ``pi' = swap(pi, I, J)`` for a uniform ordered pair ``(I, J)``,
   giving ``W - W' = 2(d_{I pi(I)} + d_{J pi(J)} - d_{IJ} - d_{pi(I) pi(J)})``
   and ``E(W - W' | pi) = (4/n) W``.
@@ -42,6 +42,7 @@ from .involutions import (
     exact_w_distribution,
     exact_w_values,
     involution_matrix,
+    ranks,
 )
 
 TABLE_CAP = 48  # materialized O(n^4) table above this uses rejection sampling
@@ -512,15 +513,16 @@ def stein_sweep(D: CenteredArray) -> tuple[float, float, int, float]:
     * max |count(a, b) - count(b, a)| over the exact joint law of (W, W'),
       keyed by the atoms of W, so equal laws give exactly equal counts;
     * max |W - W(swap(pi, i, j)) - 2(d_{i pi(i)} + d_{j pi(j)} -
-      d_{ij} - d_{pi(i) pi(j)})|, infinite if a swapped row is no
-      enumerated involution.
+      d_{ij} - d_{pi(i) pi(j)})|.
 
     W - W' in the first two is ``_kernels.quad_pairs``' delta of the
-    quadruple (i, j, pi(i), pi(j)).  W' is W at the row of ``swap(pi, i, j)``,
-    found by its base-n digit code, so every array is (n-1)!! x n(n-1).
+    quadruple (i, j, pi(i), pi(j)).  W' is W at the canonical rank (``ranks``)
+    of ``swap(pi, i, j)``, so every array is (n-1)!! x n(n-1).  A swapped row
+    that is no involution makes the formula error infinite and the
+    exchangeability deviation the number of such rows.
     """
     n = D.n
-    invs = involution_matrix(n)  # its cap fires before the enumeration of W
+    invs = involution_matrix(n).astype(np.uint8)  # cap before W; uint8 keeps the swap stack small
     w = exact_w_values(D)
     ii, jj = np.nonzero(~np.eye(n, dtype=bool))
     # pair-major, then transposed: delta's row means round as RECORDED_VERIFY has them
@@ -530,16 +532,10 @@ def stein_sweep(D: CenteredArray) -> tuple[float, float, int, float]:
     lin_err = float(np.abs(delta.mean(axis=1) - lambda_n(n) * w).max())
     m2 = math.fsum((delta * delta).ravel()) / delta.size
 
-    # pi(0) is the most significant digit, so the enumeration order sorts the codes
-    place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    code = invs @ place
-    swapped = np.stack([swap(invs, i, j) @ place for i, j in zip(ii, jj)], axis=1)
-    pos = np.searchsorted(code, swapped)
-    target = np.minimum(pos, code.size - 1)  # row of swap(pi, i, j)
-    if np.array_equal(code[target], swapped):
-        formula_err = float(np.abs(w[:, None] - w[target] - delta).max())
-    else:
-        formula_err = math.inf
+    target = ranks(np.stack([swap(invs, i, j) for i, j in zip(ii, jj)], axis=1))
+    if np.any(target < 0):
+        return lin_err, m2, int(np.count_nonzero(target < 0)), math.inf
+    formula_err = float(np.abs(w[:, None] - w[target] - delta).max())
 
     # exchangeability: the (W, W') law keyed by atom indices a * m + b
     atoms, a = np.unique(w, return_inverse=True)
@@ -660,13 +656,10 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
     support = _kernels.quad_pairs(D.entries, quads)[1] != 0.0  # the square-bias support
     sq = quads[support]
     n_s = sq.shape[0]
-    # rewired involutions are compared through their base-n digit codes
-    code = n ** np.arange(n, dtype=np.int64)
-    completion_codes = planted_completions(sq, n) @ code
 
     case_counts = np.zeros(11, dtype=np.int64)
     impossible = multi_match = r_mismatch = closure_failures = 0
-    rewired_codes = np.empty((n_inv, n_s), dtype=np.int64)
+    rewired = np.empty((n_inv, n_s, n), dtype=np.uint8)  # each pi_dag at the support quads
     keys = []  # (quad, pi(I), pi(J), pi(L)), one array per involution
     for r, parr in enumerate(invs):
         p = parr[q]
@@ -680,14 +673,16 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
         img, _, ok = rewire(np.broadcast_to(parr, (n_q, n)), quads)
         closure_failures += int(np.count_nonzero(~ok))
 
-        rewired_codes[r] = img[support] @ code
+        rewired[r] = img[support]
         pi_i, pi_j, _, pi_l = p[:, support]
         keys.append(((np.arange(n_s) * n + pi_i) * n + pi_j) * n + pi_l)
 
     # conditional uniformity: every completion of every support quad must be
     # produced by exactly |Pi_n| / |Pi_{n-4}| base involutions
     expected = n_inv // double_factorial(n - 5)
-    got = np.count_nonzero(rewired_codes[:, :, None] == completion_codes[None], axis=0)
+    hits = np.zeros((n_s, n_inv + 1), dtype=np.int64)  # per (quad, rank + 1); 0: no involution
+    np.add.at(hits, (np.arange(n_s), ranks(rewired) + 1), 1)
+    got = np.take_along_axis(hits, ranks(planted_completions(sq, n)) + 1, axis=1)
     uni_dev = int(np.abs(got - expected).max(initial=0))
     keys = np.concatenate(keys)
 

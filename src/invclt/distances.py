@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from statistics import NormalDist
 
 import numpy as np
 
@@ -38,8 +37,6 @@ ATOM_MERGE_TOL = 1e-12
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
-# Phi^{-1} for the few pieces that Phi crosses (Wichura's AS241, scalar)
-_NORMAL = NormalDist()
 
 # cephes ndtr.c: with z = |x|/sqrt(2), erf(z) = z T(z^2)/U(z^2) for z < 1,
 # erfc(z) = exp(-z^2) P(z)/Q(z) for 1 <= z < 8 and exp(-z^2) R(z)/S(z) above.
@@ -196,10 +193,12 @@ def l1_distance(F: StepCDF) -> float:
     pieces that Phi crosses, at most a few hundred of the 100k of an MC
     sample, call the scalar ``inv_cdf``; the others read the antiderivative
     at their ends.
-    Every term is an integral of |F - Phi|, so the terms are nonnegative and
-    numpy's pairwise sum is within about log2(pieces) * eps of the total,
-    relative.
+    Every term integrates |F - Phi| >= 0, so numpy's pairwise sum is within
+    about log2(pieces) * eps of the total, relative.  The measured resolution
+    is coarser, about 1e-12 relative (one-ulp moves of 100k samples moved the
+    value by up to 9e-13), so no bound across versions can be tighter.
     """
+    from statistics import NormalDist  # not at module load: it costs each CLI start ~5 ms
     xs, Phi = F.xs, F.Phi
     big = _int_phi(xs, Phi)
     a, b, c = xs[:-1], xs[1:], F.cum[:-1]
@@ -208,7 +207,7 @@ def l1_distance(F: StepCDF) -> float:
     t = np.where(at_a, a, b)
     big_t = np.where(at_a, big_a, big_b)
     cross = ~at_a & (c < Phi[1:])
-    tc = np.clip([_NORMAL.inv_cdf(q) for q in c[cross].tolist()], a[cross], b[cross])
+    tc = np.clip(list(map(NormalDist().inv_cdf, c[cross].tolist())), a[cross], b[cross])
     t[cross] = tc
     big_t[cross] = _int_phi(tc, normal_cdf(tc))
     middle = (c * (t - a) - (big_t - big_a)) + ((big_b - big_t) - c * (b - t))

@@ -3,9 +3,9 @@
 A fixed-point-free involution of {0..n-1} (n even) is a perfect matching;
 there are (n-1)!! of them.  An involution is coded by its per-step choice
 sequence (step t pairs the smallest unpaired index with the (1+c_t)-th
-smallest of the rest), and its canonical rank is that sequence read as a
-mixed-radix number.  Enumeration decodes the ranks 0, 1, 2, ... in order, so
-the canonical order is lexicographic in the choice sequence.
+smallest of the rest), and its canonical rank (``ranks``) is that sequence
+read as a mixed-radix number.  Enumeration decodes the ranks 0, 1, 2, ...
+in order, so the canonical order is lexicographic in the choice sequence.
 
 A matching is held in one of two forms: a pairing order (``match_pairs``
 output, pair t at entries 2t and 2t+1), or a row of an (m, n) int64 image
@@ -85,6 +85,16 @@ def involution_matrix(n: int) -> np.ndarray:
     if n > MATRIX_CAP:
         raise InputError(f"n={n} exceeds involution matrix cap {MATRIX_CAP}")
     return np.concatenate([_kernels.images_of(block) for block in enumerate_involutions(n)])
+
+
+def ranks(images: np.ndarray) -> np.ndarray:
+    """Row of each image row (last axis) in ``involution_matrix(n)``, -1 if none."""
+    n = images.shape[-1]
+    # the key is the base-n code, pi(0) most significant, which canonical order sorts
+    ref = np.ravel_multi_index(involution_matrix(n).T, (n,) * n)
+    key = np.ravel_multi_index(np.moveaxis(images, -1, 0), (n,) * n)
+    pos = np.minimum(np.searchsorted(ref, key), ref.size - 1)
+    return np.where(ref[pos] == key, pos, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from invclt import cli, coupling, rng as rngmod
 from invclt.arrays import standardize, validate_and_symmetrize
 from invclt.bounds import lower_bound_array
-from invclt.involutions import choice_highs, involution_matrix
+from invclt.involutions import choice_highs
 
 
 def rand_raw(n: int, seed: int, heavy: bool = False) -> np.ndarray:
@@ -57,18 +57,6 @@ def assert_involution(images: np.ndarray) -> None:
     idx = np.arange(n)
     assert np.all(images != idx)
     assert np.array_equal(images[images], idx)
-
-
-def canonical_positions(images: np.ndarray) -> np.ndarray:
-    """Row index in ``involution_matrix(n)`` of each row of an image matrix.
-
-    Rows are compared through their base-n digit codes.
-    """
-    n = images.shape[1]
-    place = n ** np.arange(n, dtype=np.int64)
-    codes = involution_matrix(n) @ place
-    order = np.argsort(codes)
-    return order[np.searchsorted(codes, images @ place, sorter=order)]
 
 
 def rank_of(images: np.ndarray) -> int:

@@ -24,9 +24,9 @@ from invclt.coupling import (
     stein_sweep,
 )
 from invclt.distances import kolmogorov_distance, l1_distance, lp_upper
-from invclt.involutions import exact_w_distribution
+from invclt.involutions import exact_w_distribution, ranks
 
-from conftest import canonical_positions, rand_centered
+from conftest import rand_centered
 from oracles import sample_involutions
 
 SEED = 0xC0FFEE
@@ -195,8 +195,8 @@ def test_criterion_9_sampler_uniformity():
     # false-failure probability 1e-3 (the 0.999 chi-square quantile); the
     # thread comparison is deterministic
     m = 1_000_000
-    ranks = canonical_positions(sample_involutions(8, m, master_seed=SEED, threads=2))
-    counts = np.bincount(ranks, minlength=105)
+    draws = sample_involutions(8, m, master_seed=SEED, threads=2)
+    counts = np.bincount(ranks(draws), minlength=105)
     expected = m / 105.0
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     quantile = float(st.chi2.ppf(0.999, 104))

@@ -81,10 +81,12 @@ def test_readme_usage_matches_parser():
 
 def test_cli_imports_no_scipy(appendix_file):
     # Phi is numpy code (distances.normal_cdf); importing scipy.special would
-    # add about 0.3 s and 26 MB to every start of the CLI
+    # add about 0.3 s and 26 MB to every start of the CLI.  statistics (with
+    # fractions and decimal, about 5 ms) waits for the first l1_distance call
     code = (
         "import contextlib, io, json, sys\n"
         "from invclt import cli\n"
+        "assert 'statistics' not in sys.modules\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    rc = cli.main(['analyze', '--input', {appendix_file!r}])\n"
         "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"

@@ -108,14 +108,6 @@ class TestSteinPair:
         D = rand_centered(6, seed=25)
         assert stein_sweep(D)[2] == 0
 
-    @pytest.mark.parametrize("n", range(2, 13, 2))
-    def test_codes_ascend_in_enumeration_order(self, n):
-        # stein_sweep finds each swapped row by a binary search of the
-        # base-n codes, pi(0) most significant, in the rows' own order, with
-        # no sort
-        code = involution_matrix(n) @ (n ** np.arange(n - 1, -1, -1, dtype=np.int64))
-        assert np.all(np.diff(code) > 0)
-
 
 class TestSquareBiasTable:
     def test_c6(self):

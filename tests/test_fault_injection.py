@@ -307,6 +307,27 @@ def test_swap_oracles_fail_on_a_crossed_swap(monkeypatch):
         run_family("zero_bias_draw_invariants")
 
 
+@pytest.mark.parametrize("fault", ["shifted", "unranked"])
+def test_rank_oracles_fail_on_a_wrong_rank(monkeypatch, fault):
+    # the first rank each sweep reads is the next matching's (a valid row,
+    # the wrong one) or -1 (no involution, and never to be read as an index)
+    ranks, seen = coupling.ranks, set()
+
+    def wrong(images):
+        out, n = ranks(images), images.shape[-1]
+        if n not in seen:
+            seen.add(n)
+            total = coupling.double_factorial(n - 1)
+            out.flat[0] = (out.flat[0] + 1) % total if fault == "shifted" else -1
+        return out
+
+    monkeypatch.setattr(coupling, "ranks", wrong)
+    for name in ("stein_linearity", "exchangeability", "completion_uniformity"):
+        seen.clear()
+        records = run_family(name)
+        assert records and not any(r["pass"] for r in records), name
+
+
 def test_zero_bias_moments_fail_on_a_biased_law_of_w(monkeypatch):
     # the n = 8 law of W counts one matching twice (row 1 := row 0) and
     # another never; the W* side, built from planted completions, keeps the

@@ -15,12 +15,12 @@ from invclt.involutions import (
     enumerate_involutions,
     exact_w_distribution,
     involution_matrix,
+    ranks,
     sample_y_values,
 )
 
 from conftest import (
     assert_involution,
-    canonical_positions,
     from_cycles,
     rand_centered,
     rand_symmetric,
@@ -79,15 +79,29 @@ class TestEnumeration:
             assert rank_of(images) == pos
 
     def test_matrix_row_r_has_rank_r(self):
-        mat = involution_matrix(10)
-        assert mat.shape == (945, 10)
-        assert [rank_of(row) for row in mat] == list(range(945))
+        # rank_of walks each row in Python; ranks looks its code up, in uint8
+        # rows as in int64 ones and under any leading axes
+        for n in range(2, 13, 2):
+            mat = involution_matrix(n)
+            want = np.arange(double_factorial(n - 1))
+            assert mat.shape == (want.size, n)
+            assert [rank_of(row) for row in mat] == want.tolist()
+            assert np.array_equal(ranks(mat), want)
+            pair = np.stack((mat, mat[::-1]), axis=1).astype(np.uint8)
+            assert np.array_equal(ranks(pair), np.stack((want, want[::-1]), axis=1))
+
+    def test_ranks_of_non_involutions(self):
+        # a fixed point, a 3-cycle, a repeated entry
+        rows = np.array([[1, 0, 2, 3, 5, 4], [1, 2, 0, 4, 5, 3], [1, 1, 3, 2, 5, 4]])
+        assert ranks(rows).tolist() == [-1, -1, -1]
 
     def test_matrix_cap_fires_before_decoding(self, monkeypatch):
         decoded = []
         monkeypatch.setattr(_kernels, "match_pairs", lambda choices, n: decoded.append(n))
         with pytest.raises(InputError, match="n=14 exceeds involution matrix cap"):
             involution_matrix(14)
+        with pytest.raises(InputError, match="n=14 exceeds involution matrix cap"):
+            ranks(np.zeros((1, 14), dtype=np.int64))
         assert decoded == []
 
     def test_n16_is_decoded_in_blocks(self, monkeypatch):
@@ -184,16 +198,14 @@ class TestSampling:
         # 0.005 is 5.8 standard deviations of each frequency: the binomial tails
         # give a false-failure probability of 6.3e-9 per cell, 1.9e-8 over three
         m = 300_000
-        ranks = canonical_positions(sample_involutions(4, m, master_seed=123))
-        counts = np.bincount(ranks, minlength=3)
+        counts = np.bincount(ranks(sample_involutions(4, m, master_seed=123)), minlength=3)
         freqs = counts / m
         assert np.all(np.abs(freqs - 1.0 / 3.0) < 0.005)
 
     def test_n6_chi_square(self):
         # false-failure probability 1e-3 (the 0.999 chi-square quantile)
         m = 1_000_000
-        ranks = canonical_positions(sample_involutions(6, m, master_seed=321))
-        counts = np.bincount(ranks, minlength=15)
+        counts = np.bincount(ranks(sample_involutions(6, m, master_seed=321)), minlength=15)
         expected = m / 15.0
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < st.chi2.ppf(0.999, 14)
