@@ -5,10 +5,10 @@ Monte Carlo samples of W and the exact law, which passes the value of W at
 every involution once (``exact_w_distribution``), both go through it, so
 they share one atom rule (``ATOM_MERGE_TOL``).
 
-Phi is evaluated here in numpy (``normal_cdf``, the cephes ``ndtr``
-rational forms), once per step CDF: ``StepCDF.Phi`` holds it at every
-jump, and the Kolmogorov distance, the L1 distance and ``cdf_rows`` all
-read that array.  The Kolmogorov distance is evaluated exactly at the jump
+Phi is taken from the standard library (``normal_cdf``, through
+``math.erfc``), once per step CDF: ``StepCDF.Phi`` holds it at every jump,
+and the Kolmogorov distance, the L1 distance and ``cdf_rows`` all read
+that array.  The Kolmogorov distance is evaluated exactly at the jump
 points (both one-sided gaps).  The L1 distance is integrated piece by piece
 in closed form: on each constant piece ``[a, b]`` at level ``c`` the
 crossing of Phi with the level is ``a`` where ``Phi(a) >= c``, ``b`` where
@@ -38,89 +38,26 @@ ATOM_MERGE_TOL = 1e-12
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
 
-# cephes ndtr.c: with z = |x|/sqrt(2), erf(z) = z T(z^2)/U(z^2) for z < 1,
-# erfc(z) = exp(-z^2) P(z)/Q(z) for 1 <= z < 8 and exp(-z^2) R(z)/S(z) above.
-# Horner order, highest power first; the leading 1 of Q, S and U is written out.
-_ERFC_P = (
-    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
-)
-_ERFC_Q = (
-    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-    1.65666309194161350182e3, 5.57535340817727675546e2,
-)
-_ERFC_R = (
-    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
-)
-_ERFC_S = (
-    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
-)
-_ERF_T = (
-    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-    7.00332514112805075473e3, 5.55923013010394962768e4,
-)
-_ERF_U = (
-    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-    2.26290000613890934246e4, 4.92673942608635921086e4,
-)
-
-
-def _horner(x, coefs):
-    """sum_k coefs[k] x^(K-k) for an array x, in cephes ``polevl`` order."""
-    y = x * coefs[0]
-    y += coefs[1]
-    for c in coefs[2:]:
-        y *= x
-        y += c
-    return y
-
 
 def normal_pdf(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT2PI
 
 
 def normal_cdf(x) -> np.ndarray:
-    """Phi(x), the standard normal CDF, elementwise (cephes ``ndtr``).
+    """Phi(x) = erfc(-x/sqrt(2))/2, the standard normal CDF, elementwise.
 
-    With ``s = x/sqrt(2)``: ``(1 + erf(s))/2`` for ``|s| < 1``, else
-    ``erfc(|s|)/2``, or one minus it for ``s > 0``, so the lower tail keeps
-    its relative accuracy.  The absolute error is at most two ulps of the
-    value.  Each branch runs on its own entries, updated in place: the
-    temporaries cost more than the arithmetic.
+    In the lower tail the argument of ``math.erfc`` is large and positive,
+    and erfc returns its small value directly, to a few ulps, where
+    ``(1 + erf(x/sqrt(2)))/2`` would subtract two numbers near 1 and keep
+    no relative accuracy.  What is left is the rounding of ``-x/sqrt(2)``,
+    which ``exp(-x^2/2)`` turns into a relative error of about ``x^2`` eps.
+    The map reads the flat array lazily: a list of Python floats would
+    hold about five times the array's bytes at once.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = x.reshape(-1) * _SQRT1_2
-    inner = np.abs(out) < 1.0
-    si = out[inner]
-    zz = np.square(si)
-    y = _horner(zz, _ERF_T)
-    y *= si
-    y /= _horner(zz, _ERF_U)
-    y *= 0.5
-    y += 0.5
-    outer = ~inner
-    so = out[outer]
-    out[inner] = y
-    z = np.abs(so)
-    # exp(-z^2) is 0 from z = 27.3 on; the cap keeps R and S finite
-    np.minimum(z, 40.0, out=z)
-    num = _horner(z, _ERFC_P)
-    den = _horner(z, _ERFC_Q)
-    far = z >= 8.0
-    num[far] = _horner(z[far], _ERFC_R)
-    den[far] = _horner(z[far], _ERFC_S)
-    np.square(z, out=z)
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    z *= num
-    z /= den
-    z *= 0.5
-    np.subtract(1.0, z, out=z, where=so > 0.0)
-    out[outer] = z
+    s = x.reshape(-1) * -_SQRT1_2
+    out = np.fromiter(map(math.erfc, s), np.float64, s.size)
+    out *= 0.5
     return out.reshape(x.shape)
 
 
@@ -189,7 +126,9 @@ def l1_distance(F: StepCDF) -> float:
     On a piece [a, b] with level c, Phi crosses c at a if Phi(a) >= c, at b
     if Phi(b) <= c, and else at ``Phi^{-1}(c)``, clipped into [a, b]; that
     point splits the piece into a part below c and a part above it (either
-    part may be empty), each integrated through ``_int_phi``.  Only the
+    part may be empty), each integrated through ``_int_phi``.  Phi and
+    ``Phi^{-1}`` both come from the standard library: ``math.erfc`` through
+    ``normal_cdf``, and ``statistics.NormalDist().inv_cdf``.  Only the
     pieces that Phi crosses, at most a few hundred of the 100k of an MC
     sample, call the scalar ``inv_cdf``; the others read the antiderivative
     at their ends.

@@ -80,8 +80,8 @@ def test_readme_usage_matches_parser():
 
 
 def test_cli_imports_no_scipy(appendix_file):
-    # Phi is numpy code (distances.normal_cdf); importing scipy.special would
-    # add about 0.3 s and 26 MB to every start of the CLI.  statistics (with
+    # Phi comes from math.erfc (distances.normal_cdf); importing scipy.special
+    # would add about 0.3 s and 26 MB to every start of the CLI.  statistics (with
     # fractions and decimal, about 5 ms) waits for the first l1_distance call
     code = (
         "import contextlib, io, json, sys\n"
@@ -260,7 +260,12 @@ class TestAnalyze:
 # (n = 30) relative, when `l1_distance` took the crossing of Phi with each
 # level from the standard library's `NormalDist().inv_cdf` in place of a
 # ported quantile: the crossings moved by rounding only, and the per-piece
-# antiderivative differences resolve L1 to about 1e-12 relative.  The
+# antiderivative differences resolve L1 to about 1e-12 relative.  They moved
+# again, by at most 4.3e-15 (n = 12) and 2.5e-13 (n = 30) relative, when
+# `normal_cdf` took Phi from the standard library's `math.erfc` in place of
+# a ported cephes `ndtr`; at n = 30 `linf` (and `lp_upper["inf"]`) moved by
+# 7.2e-15 relative with it, since Phi at the jump that attains the Kolmogorov
+# distance moved by one ulp.  The
 # top-level `beta` at n = 12 moved by 2.8e-16 relative when `moments` took
 # beta from the standardized entries, sum |e^/sigma|^3, so it now equals
 # `bound_report.beta`.  The payloads are compared leaf by leaf, so a failure
@@ -289,11 +294,11 @@ RECORDED_ANALYZE = {
             "inf": 8121072.055030302,
         },
         "distances": {
-            "l1": 0.01139427710631345,
+            "l1": 0.0113942771063135,
             "linf": 0.009878057648533334,
             "lp_upper": {
-                "1.0": 0.01139427710631345,
-                "2.0": 0.010609115237357348,
+                "1.0": 0.0113942771063135,
+                "2.0": 0.01060911523735737,
                 "inf": 0.009878057648533334,
             },
             "m_samples": None,
@@ -326,12 +331,12 @@ RECORDED_ANALYZE = {
             "inf": 6187341.373003152,
         },
         "distances": {
-            "l1": 0.006377577713510202,
-            "linf": 0.00766639019507015,
+            "l1": 0.006377577713508599,
+            "linf": 0.007666390195070094,
             "lp_upper": {
-                "1.0": 0.006377577713510202,
-                "2.0": 0.0069923529123716655,
-                "inf": 0.00766639019507015,
+                "1.0": 0.006377577713508599,
+                "2.0": 0.006992352912370762,
+                "inf": 0.007666390195070094,
             },
             "m_samples": 20000,
             "mode": "mc",
@@ -602,9 +607,13 @@ RECORDED_DRAWS = [
 # kept its bits.  It moved again (n = 10, 20, 48, by at most 1.7e-16) when
 # `l1_distance` summed its pieces in numpy in place of `math.fsum`, and again
 # (all four, by at most 8.1e-14) when its crossings came from the standard
-# library's `NormalDist().inv_cdf` in place of a ported quantile.  The list
-# may change only with a deliberate change of a sampling stream, of Phi or of
-# the report schema.
+# library's `NormalDist().inv_cdf` in place of a ported quantile, and again
+# (all four, by at most 2.8e-14) when Phi came from the standard library's
+# `math.erfc` in place of a ported cephes `ndtr`.  With that change `ks_mc`
+# at n = 20 moved by 1.9e-15 relative: Phi at the jump that attains it moved
+# by one ulp, and the value is now 7e-18 from the gap with Phi taken from
+# mpmath (3.5e-17 before).  The list may change only with a deliberate change
+# of a sampling stream, of Phi or of the report schema.
 RECORDED_SIMULATE = [
     {
         "beta": 1.237784986823176,
@@ -614,7 +623,7 @@ RECORDED_SIMULATE = [
         "gap_mc": 0.9268198594773309,
         "gap_se": 0.01541449038034542,
         "ks_mc": 0.027844790521896035,
-        "l1_mc": 0.04215546511572803,
+        "l1_mc": 0.042155465115727674,
         "n": 10,
     },
     {
@@ -624,8 +633,8 @@ RECORDED_SIMULATE = [
         "gap_bound": 15.768356060231685,
         "gap_mc": 0.6790079967264538,
         "gap_se": 0.011753308032437348,
-        "ks_mc": 0.014365068291119332,
-        "l1_mc": 0.02556724070013904,
+        "ks_mc": 0.014365068291119304,
+        "l1_mc": 0.0255672407001385,
         "n": 20,
     },
     {
@@ -636,7 +645,7 @@ RECORDED_SIMULATE = [
         "gap_mc": 0.4682410278379032,
         "gap_se": 0.007837141383189722,
         "ks_mc": 0.019138068045668033,
-        "l1_mc": 0.02705713592659481,
+        "l1_mc": 0.027057135926595005,
         "n": 48,
     },
     {
@@ -647,7 +656,7 @@ RECORDED_SIMULATE = [
         "gap_mc": 0.3961417549929,
         "gap_se": 0.006699996584710616,
         "ks_mc": 0.012704743927796303,
-        "l1_mc": 0.023950334305458097,
+        "l1_mc": 0.023950334305458766,
         "n": 64,
     },
 ]
@@ -660,7 +669,8 @@ RECORDED_SIMULATE = [
 # The two `bound_chain` `l1` values were re-recorded when Phi moved from scipy
 # to `distances.normal_cdf` (by 6.1e-15 and 1.4e-14 relative), and again
 # (by 1.2e-14 and 3.3e-15) when `l1_distance` took its crossings from
-# `statistics.NormalDist().inv_cdf`.  The n = 8
+# `statistics.NormalDist().inv_cdf`, and again (by 1.1e-14 and 2.5e-14)
+# when Phi came from `math.erfc` in place of a ported cephes `ndtr`.  The n = 8
 # `zero_bias_cdf` error went 1.665e-15 -> 1.776e-15 when the atom
 # probabilities became the jumps of the exact law's step CDF.  It may change
 # only with a deliberate change of a check, of Phi or of the report schema.
@@ -892,7 +902,7 @@ RECORDED_VERIFY = {
             "check": "bound_chain",
             "exact_gap": 0.9460274146511111,
             "gap_bound": 24.23282263753452,
-            "l1": 0.0573220110361686,
+            "l1": 0.05732201103616799,
             "linf": 0.03247291618994452,
             "max_abs_error": 0.0,
             "n": 10,
@@ -902,7 +912,7 @@ RECORDED_VERIFY = {
             "check": "bound_chain",
             "exact_gap": 0.8887540080905459,
             "gap_bound": 23.509658794272084,
-            "l1": 0.01763830075371443,
+            "l1": 0.017638300753714864,
             "linf": 0.01162115236840755,
             "max_abs_error": 0.0,
             "n": 12,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -49,16 +50,16 @@ class TestNormalCdf:
         assert abs(normal_cdf(1.0) - ncdf(1.0)) <= 1.2e-16
 
     def test_against_mpmath_grid(self):
-        # both branches (|x| below and above sqrt(2)), both erfc forms (|x|
-        # below and above 8 sqrt(2)) and the lower tail down to 2.9e-316
+        # the centre, the upper tail to 1 - 1.1e-19 and the lower tail down
+        # to 2.9e-316, below the smallest normal double
         xs = np.linspace(-38.0, 9.0, 4701)
         ref = np.array([ncdf(x) for x in xs])
         assert np.abs(normal_cdf(xs) - ref).max() <= 2.3e-16
 
     def test_lower_tail_relative(self):
-        # exp(-x^2/2) turns the rounding of x^2/2 into a relative error that
-        # grows like x^2 eps (2.2e-13 at x = -36.8, as for scipy's ndtr);
-        # this checks the tail forms far below the grid's absolute bound
+        # exp(-x^2/2) turns the rounding of -x/sqrt(2) into a relative error
+        # that grows like x^2 eps (at most 3.4e-16 x^2 on this grid); this
+        # checks the tail far below the grid's absolute bound
         xs = np.linspace(-37.0, -1.0, 3601)
         ref = np.array([ncdf(x) for x in xs])
         assert np.all(np.abs(normal_cdf(xs) - ref) <= 1e-15 * xs**2 * ref)
@@ -66,6 +67,22 @@ class TestNormalCdf:
     def test_shapes(self):
         assert normal_cdf(np.zeros((2, 3))).shape == (2, 3)
         assert normal_cdf(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
+        # l1_distance evaluates Phi on the crossed pieces, which may be none
+        empty = normal_cdf(np.array([]))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+
+    def test_peak_memory(self):
+        # Phi runs on every jump of a 100k-atom step CDF: the scaled input
+        # and the output are the only arrays it may hold (a map over
+        # tolist() reads 6x, the cephes port read 4.5x)
+        x = rngmod.derive_stream(2024, 13).standard_normal(100_000)
+        tracemalloc.start()
+        try:
+            normal_cdf(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * x.nbytes
 
 
 class TestEcdf:
