@@ -31,10 +31,11 @@ Kernel semantics:
 * ``y_batch(d, order)``: Y = sum_i d[i, pi(i)], which for symmetric ``d``
   is twice the sum of ``d`` over the ``n/2`` pairs, gathered by one flat
   ``np.take``.  The Monte Carlo values (``sample_y_values``) and the W of
-  every involution (``exact_w_values``, read by the exact law, the Stein
-  sweep and the zero-bias moments) pass it ``match_pairs`` output
-  (sampled, or the blocks of ``enumerate_involutions``) directly.  The
-  callers of ``pairing_order`` hold image matrices: the planted
+  every involution (``exact_w_values``, read by the exact law and the
+  zero-bias moments) pass it ``match_pairs`` output (sampled, or the
+  blocks of ``enumerate_involutions``) directly.  The callers of
+  ``pairing_order`` hold image matrices: the Stein sweep
+  (``coupling.stein_sweep``, W of its involution matrix), the planted
   completions of ``coupling._planted_values`` and the audit of the draws
   (``checks.check_zero_bias_draw_invariants``).
 * ``case_terms(d, images, quads)``: the coupling integrand of each
@@ -281,12 +282,6 @@ def pairing_rule(holds, options):
     )
 
 
-def _pairing_sum(holds, m):
-    """``M(x, y) + M(z, w)`` over the pairing {xy|zw} that pi picks; ``m(xy)`` is M on a pair."""
-    ik, jl, ij, kl, il, jk = _PAIRS
-    return pairing_rule(holds, [m(il) + m(jk), m(ij) + m(kl), m(ik) + m(jl)])
-
-
 def case_terms(d: np.ndarray, images: np.ndarray, quads: np.ndarray):
     """``(a, delta)`` by the pairing rule, one entry per row of ``images``/``quads``.
 
@@ -305,7 +300,9 @@ def case_terms(d: np.ndarray, images: np.ndarray, quads: np.ndarray):
         x, y = xy
         return 2.0 * (v[x] + v[y] - flat[p[x] * n + p[y]])
 
-    a = _pairing_sum(lambda xy: pairs[xy] == own[xy[0]], m)
+    ik, jl, ij, kl, il, jk = _PAIRS
+    options = [m(il) + m(jk), m(ij) + m(kl), m(ik) + m(jl)]  # M(x, y) + M(z, w) per {xy|zw}
+    a = pairing_rule(lambda xy: pairs[xy] == own[xy[0]], options)
     a += base
     return a, delta
 

@@ -516,14 +516,17 @@ def stein_sweep(D: CenteredArray) -> tuple[float, float, int, float]:
       d_{ij} - d_{pi(i) pi(j)})|.
 
     W - W' in the first two is ``_kernels.quad_pairs``' delta of the
-    quadruple (i, j, pi(i), pi(j)).  W' is W at the canonical rank (``ranks``)
-    of ``swap(pi, i, j)``, so every array is (n-1)!! x n(n-1).  A swapped row
-    that is no involution makes the formula error infinite and the
-    exchangeability deviation the number of such rows.
+    quadruple (i, j, pi(i), pi(j)).  W is summed off the pairing orders of
+    the held involution matrix (``_kernels.pairing_order``), bit for bit
+    ``exact_w_values``; W' is W at the canonical rank (``ranks``) of
+    ``swap(pi, i, j)``, one ``swap`` call over the repeated rows, so every
+    array is (n-1)!! x n(n-1).  A swapped row that is no involution makes
+    the formula error infinite and the exchangeability deviation the number
+    of such rows.
     """
     n = D.n
     invs = involution_matrix(n).astype(np.uint8)  # cap before W; uint8 keeps the swap stack small
-    w = exact_w_values(D)
+    w = _kernels.y_batch(D.entries, _kernels.pairing_order(invs))
     ii, jj = np.nonzero(~np.eye(n, dtype=bool))
     # pair-major, then transposed: delta's row means round as RECORDED_VERIFY has them
     cols = np.broadcast_arrays(ii[:, None], jj[:, None], invs[:, ii].T, invs[:, jj].T)
@@ -532,7 +535,9 @@ def stein_sweep(D: CenteredArray) -> tuple[float, float, int, float]:
     lin_err = float(np.abs(delta.mean(axis=1) - lambda_n(n) * w).max())
     m2 = math.fsum((delta * delta).ravel()) / delta.size
 
-    target = ranks(np.stack([swap(invs, i, j) for i, j in zip(ii, jj)], axis=1))
+    # row r * n(n-1) + p of the stack is swap(pi_r, ii[p], jj[p])
+    stack = swap(np.repeat(invs, ii.size, axis=0), np.tile(ii, len(invs)), np.tile(jj, len(invs)))
+    target = ranks(stack.reshape(-1, ii.size, n))
     if np.any(target < 0):
         return lin_err, m2, int(np.count_nonzero(target < 0)), math.inf
     formula_err = float(np.abs(w[:, None] - w[target] - delta).max())
@@ -639,63 +644,55 @@ def _image_law_dev(points: np.ndarray, keys: np.ndarray, n: int) -> int:
 def exhaustive_sweep(D: CenteredArray) -> SweepReport:
     """One pass over every (involution, ordered quadruple) at small n.
 
-    Checks row disjointness/exhaustiveness (``_cases``), each first
-    matching case's (R1,R2) against ``CASE_R``, and the impossibility of
-    (R1,R2) in {(2,1),(1,2)}, validates every rewired involution, and
-    accumulates the integer counts behind the conditional-uniformity law,
-    the (quad, pi(I), pi(J)) law and the (quad, pi(I), pi(J), pi(L)) law.
-    Each involution is processed against all quadruples at once.
+    Every check reads whole arrays over one uint8 stack, row ``r * Q + s``
+    for involution ``r`` and quadruple ``s``: row disjointness/exhaustiveness
+    (``_cases``), each first matching case's (R1,R2) against ``CASE_R``, the
+    impossibility of (R1,R2) in {(2,1),(1,2)}, every rewired involution, and
+    the integer counts of the conditional-uniformity law (read at the rows
+    of the involution matrix that hold (I,K) and (J,L)), the
+    (quad, pi(I), pi(J)) law and the (quad, pi(I), pi(J), pi(L)) law.
     """
     n = D.n
     _check_sweep(n)
     check_centered(D)
-    invs = involution_matrix(n)
-    quads = np.array(list(itertools.permutations(range(n), 4)), dtype=np.int64)
+    invs = involution_matrix(n).astype(np.uint8)
+    quads = np.array(list(itertools.permutations(range(n), 4)), dtype=np.uint8)
     n_inv, n_q = invs.shape[0], quads.shape[0]
-    q = quads.T
     support = _kernels.quad_pairs(D.entries, quads)[1] != 0.0  # the square-bias support
     sq = quads[support]
     n_s = sq.shape[0]
+    stack = np.tile(quads, (n_inv, 1))
+    p = invs[:, quads]  # (n_inv, n_q, 4): pi at each quadruple
 
-    case_counts = np.zeros(11, dtype=np.int64)
-    impossible = multi_match = r_mismatch = closure_failures = 0
-    rewired = np.empty((n_inv, n_s, n), dtype=np.uint8)  # each pi_dag at the support quads
-    keys = []  # (quad, pi(I), pi(J), pi(L)), one array per involution
-    for r, parr in enumerate(invs):
-        p = parr[q]
-        r1, r2, case, matches = _cases(q, p)
-        multi_match += int(np.count_nonzero(matches != 1))
-        r_mismatch += int(np.count_nonzero(_case_r_mismatch(r1, r2, case)))
-        bad_r = (r1 == 2) & (r2 == 1) | (r1 == 1) & (r2 == 2)
-        impossible += int(np.count_nonzero(bad_r))
-        case_counts += np.bincount(case, minlength=11)
+    r1, r2, case, matches = _cases(stack.T, p.reshape(-1, 4).T)
+    case_counts = np.bincount(case, minlength=11)
+    impossible = int(np.count_nonzero((r1 == 2) & (r2 == 1) | (r1 == 1) & (r2 == 2)))
+    multi_match = int(np.count_nonzero(matches != 1))
+    r_mismatch = int(np.count_nonzero(_case_r_mismatch(r1, r2, case)))
+    del r1, r2, case, matches  # only their counts stay alive through the laws and rewire
+    pi_i, pi_j, _, pi_l = np.moveaxis(p[:, support], -1, 0)
+    keys = ((np.arange(n_s) * n + pi_i) * n + pi_j) * n + pi_l  # (quad, pi(I), pi(J), pi(L))
+    p2_dev = _image_law_dev(sq[:, :2], keys // n, n)
+    p3_dev = _image_law_dev(sq[:, [0, 1, 3]], keys, n)
 
-        img, _, ok = rewire(np.broadcast_to(parr, (n_q, n)), quads)
-        closure_failures += int(np.count_nonzero(~ok))
-
-        rewired[r] = img[support]
-        pi_i, pi_j, _, pi_l = p[:, support]
-        keys.append(((np.arange(n_s) * n + pi_i) * n + pi_j) * n + pi_l)
-
+    dag, _, ok = rewire(np.repeat(invs, n_q, axis=0), stack)
     # conditional uniformity: every completion of every support quad must be
     # produced by exactly |Pi_n| / |Pi_{n-4}| base involutions
     expected = n_inv // double_factorial(n - 5)
     hits = np.zeros((n_s, n_inv + 1), dtype=np.int64)  # per (quad, rank + 1); 0: no involution
-    np.add.at(hits, (np.arange(n_s), ranks(rewired) + 1), 1)
-    got = np.take_along_axis(hits, ranks(planted_completions(sq, n)) + 1, axis=1)
-    uni_dev = int(np.abs(got - expected).max(initial=0))
-    keys = np.concatenate(keys)
+    np.add.at(hits, (np.arange(n_s), ranks(dag).reshape(n_inv, n_q)[:, support] + 1), 1)
+    held = (invs[:, sq[:, 0]] == sq[:, 2]) & (invs[:, sq[:, 1]] == sq[:, 3])
 
     return SweepReport(
         case_counts={c: int(case_counts[c]) for c in range(1, 11)},
         impossible_r=impossible,
         multi_match=multi_match,
         case_r_mismatch=r_mismatch,
-        closure_failures=closure_failures,
-        uniformity_max_dev=uni_dev,
+        closure_failures=int(np.count_nonzero(~ok)),
+        uniformity_max_dev=int(np.abs(hits[:, 1:][held.T] - expected).max(initial=0)),
         expected_completion_count=expected,
-        p2_max_dev=_image_law_dev(sq[:, :2], keys // n, n),
-        p3_max_dev=_image_law_dev(sq[:, [0, 1, 3]], keys, n),
+        p2_max_dev=p2_dev,
+        p3_max_dev=p3_dev,
     )
 
 

@@ -1,12 +1,13 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats as st
 
-from invclt import _kernels, coupling, rng as rngmod
+from invclt import _kernels, coupling, involutions, rng as rngmod
 from invclt.arrays import CenteredArray
 from invclt.bounds import gap_bound
 from invclt.coupling import (
@@ -680,6 +681,36 @@ class TestExactOracles:
             held = every[(every[:, i] == k) & (every[:, j] == l)]
             assert np.unique(block, axis=0).shape[0] == double_factorial(n - 5)
             assert np.array_equal(np.unique(block, axis=0), np.unique(held, axis=0))
+
+    @pytest.mark.parametrize("sweep", [stein_sweep, exhaustive_sweep])
+    def test_sweeps_decode_the_matchings_at_most_twice(self, monkeypatch, sweep):
+        # once for the involution matrix the sweep holds and once for the
+        # code table of ranks; W and the planted completions are read off the
+        # held matrix
+        enumerate_involutions, calls = involutions.enumerate_involutions, []
+
+        def counted(n):
+            calls.append(n)
+            return enumerate_involutions(n)
+
+        monkeypatch.setattr(involutions, "enumerate_involutions", counted)
+        sweep(rand_centered(8, seed=53))
+        assert len(calls) <= 2
+
+    def test_sweep_allocation_budget(self):
+        # the n = 8 stack of 176,400 (involution, quadruple) rows: the peak is
+        # rewire's and ranks' temporaries on it, which run after the case
+        # arrays are reduced to counts (11.94 MiB on a first call, 11.82 MiB
+        # after).  numpy reports every data buffer to tracemalloc, so the
+        # peak repeats from run to run
+        D = rand_centered(8, seed=38)
+        tracemalloc.start()
+        try:
+            exhaustive_sweep(D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.0 * 2**20
 
     def test_sweep_caps(self):
         with pytest.raises(InputError, match="n=10 exceeds sweep cap"):
