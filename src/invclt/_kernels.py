@@ -5,7 +5,7 @@ check ``case_terms``, ``held_pairing_a`` and ``exact_gap`` against
 plain-Python loop references that live in ``tests/oracles.py``; those loops
 hold the only copy of the ten-row table of short cycle sums ``T`` (before)
 and ``T_dag`` (after the rewiring).  The rows themselves, as conditions,
-are ``case_rows``.
+are in ``coupling._cases``, which no hot path calls.
 
 Kernel semantics:
 
@@ -192,53 +192,6 @@ def y_batch(d: np.ndarray, order: np.ndarray) -> np.ndarray:
     vals = idx.view(np.float64)
     np.take(d.ravel(), idx, out=vals, mode="clip")
     return 2.0 * vals.sum(axis=0)
-
-
-# ---------------------------------------------------------------------------
-# ten-row rewiring table
-# ---------------------------------------------------------------------------
-
-
-def r_counts(q, p):
-    """(R1, R2) = (|{pi(I), pi(J)} & {K, L}|, |{pi(I), pi(K)} & {J, L}|).
-
-    ``q = (I, J, K, L)`` and ``p = (pi(I), pi(J), pi(K), pi(L))`` hold ints
-    or equal-length integer arrays.
-    """
-    _, j, k, l = q
-    pi_i, pi_j, pi_k = p[0], p[1], p[2]
-    r1 = (pi_i == k) * 1 + (pi_i == l) + (pi_j == k) + (pi_j == l)
-    r2 = (pi_i == j) * 1 + (pi_i == l) + (pi_k == j) + (pi_k == l)
-    return r1, r2
-
-
-def case_rows(q, p):
-    """The ten rows of the rewiring table as boolean conditions, in order.
-
-    Rows 1-9 say which of the cycles (I,K), (J,L), (I,L), (J,K), (I,J),
-    (K,L) the involution already holds (``x > y`` reads "x and not y").
-    Row 10 is stated on its own as R1 = R2 = 0 rather than as "none of the
-    above", so the rows can be checked for being disjoint and exhaustive.
-    Arguments as in ``r_counts``; plain ints work too.
-    """
-    _, j, k, l = q
-    pi_i, pi_j, pi_k = p[0], p[1], p[2]
-    a1, a2 = pi_i == k, pi_j == l
-    b1, b2 = pi_i == l, pi_j == k
-    c1, c2 = pi_i == j, pi_k == l
-    r1, r2 = r_counts(q, p)
-    return (
-        a1 > a2,
-        a1 < a2,
-        b1 > b2,
-        b1 < b2,
-        c1 > c2,
-        c1 < c2,
-        a1 & a2,
-        c1 & c2,
-        b1 & b2,
-        (r1 == 0) & (r2 == 0),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,8 @@ def _parse_p_list(text: str) -> list[float]:
     if not out:
         raise InputError("empty --p list")
     for p in out:
-        if p < 1:
-            raise InputError(f"p={p} < 1")
+        if not p >= 1:  # NaN too
+            raise InputError(f"p={p} is not >= 1")
     return out
 
 
@@ -68,6 +68,8 @@ def _parse_n_list(text: str) -> list[int]:
     for n in out:
         if n < 4:
             raise InputError(f"n={n} < 4")
+        if n % 2:
+            raise InputError(f"n={n} is odd; no fixed-point-free involution exists")
     return out
 
 
@@ -185,6 +187,8 @@ def run_simulate(args) -> int:
     if args.dump_draws and not args.json:
         raise InputError("--dump-draws needs --json: the draws go into the JSON report")
     ns = _parse_n_list(args.n)
+    if min(ns) < 6:
+        raise InputError(f"n={min(ns)} < 6: the zero-bias coupling needs n >= 6")
     rows = []
     draws: dict[int, list] = {}
     for n in ns:

@@ -18,7 +18,7 @@ Construction summary (all indices 0-based internally):
 * Rewiring: given ``(I,J,K,L)`` from ``p`` and an independent uniform
   ``pi``, ``pi_dag`` holds the cycles ``(I,K)`` and ``(J,L)`` while the
   remainder stays uniform.  The paper splits this into ten cases
-  (``_kernels.case_rows``); two swaps cover them all:
+  (``_cases`` classifies them); two swaps cover them all:
   ``pi_dag = swap(swap(pi, I, K), J, L)``.  ``pi_ddag = swap(pi_dag, I, J)``
   then carries the cycles ``(I,J)`` and ``(K,L)``.
 * With ``U`` uniform on [0,1), ``W* = U W_dag + (1-U) W_ddag`` has the
@@ -269,34 +269,46 @@ def swap(images: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _cases(q, p):
-    """(R1, R2, case, matches) arrays for quadruple columns ``q`` and their
-    images ``p``.
+    """The ten-case rewiring table on quadruple columns ``q = (I, J, K, L)``
+    and their images ``p = (pi(I), pi(J), pi(K), pi(L))``, (4, m) arrays.
 
-    ``q`` and ``p`` are (4, m) arrays, as in ``_kernels.case_rows``.  The
-    case is the first row of the table that holds, 0 where none does, and
-    ``matches`` counts the rows that hold.
+    Returns ``(R1, R2, case, matches, mismatch)``, uint8 but for the bool
+    ``mismatch``.  Rows 1-9 say which of the cycles (I,K), (J,L), (I,L),
+    (J,K), (I,J), (K,L) the involution already holds (``x > y`` reads "x
+    and not y").  Row 10 is stated on its own as R1 = R2 = 0 rather than
+    as "none of the above", so the rows can be checked for being disjoint
+    and exhaustive.  R1 = |{pi(I), pi(J)} & {K, L}| and
+    R2 = |{pi(I), pi(K)} & {J, L}| sum the comparisons the rows read, and
+    pi(K) = J, each made once.  ``case`` is the first row that holds, 0
+    where none does, ``matches`` counts the rows that hold, and
+    ``mismatch`` marks a matched case whose (R1, R2) is not its ``CASE_R``.
     """
-    r1, r2 = _kernels.r_counts(q, p)
-    rows = np.array(_kernels.case_rows(q, p))
-    matches = rows.sum(axis=0)
-    case = np.where(matches > 0, rows.argmax(axis=0) + 1, 0)
-    return r1, r2, case, matches
+    _, j, k, l = q
+    pi_i, pi_j, pi_k = p[0], p[1], p[2]
+    a1, a2 = pi_i == k, pi_j == l
+    b1, b2 = pi_i == l, pi_j == k
+    c1, c2 = pi_i == j, pi_k == l
+    r1 = a1.astype(np.uint8) + a2 + b1 + b2
+    r2 = c1.astype(np.uint8) + c2 + b1 + (pi_k == j)
+    rows = np.array(
+        (a1 > a2, a1 < a2, b1 > b2, b1 < b2, c1 > c2, c1 < c2)
+        + (a1 & a2, c1 & c2, b1 & b2, (r1 == 0) & (r2 == 0))
+    )
+    matches = rows.sum(axis=0, dtype=np.uint8)
+    case = np.where(matches > 0, rows.argmax(axis=0) + 1, 0).astype(np.uint8)
+    want = np.array([(0, 0)] + [CASE_R[c] for c in range(1, 11)], dtype=np.uint8)[case]
+    mismatch = (case > 0) & ((want[:, 0] != r1) | (want[:, 1] != r2))
+    return r1, r2, case, matches, mismatch
 
 
-def _case_r_mismatch(r1, r2, case) -> np.ndarray:
-    """Where a matched case saw an (R1, R2) other than its ``CASE_R``."""
-    want = np.array([(-1, -1)] + [CASE_R[c] for c in range(1, 11)])[case]
-    return (case > 0) & ((want[:, 0] != r1) | (want[:, 1] != r2))
-
-
-def _require_cases(r1, r2, case, matches) -> None:
+def _require_cases(r1, r2, case, matches, mismatch) -> None:
     """Raise ``NoCaseMatched`` at the first draw that matched no case, else
     at the first whose (R1, R2) is not the one its case expects."""
     unmatched = np.flatnonzero(matches == 0)
     if unmatched.size:
         bad = unmatched[0]
         raise NoCaseMatched(f"(R1,R2)=({r1[bad]},{r2[bad]}) matched no rewiring case")
-    wrong = np.flatnonzero(_case_r_mismatch(r1, r2, case))
+    wrong = np.flatnonzero(mismatch)
     if wrong.size:
         bad = wrong[0]
         raise NoCaseMatched(f"case {case[bad]} saw (R1,R2)=({r1[bad]},{r2[bad]})")
@@ -341,7 +353,7 @@ def zero_bias_draws(D: CenteredArray, m: int, gen: np.random.Generator) -> dict[
 
     * ``pi``, ``pi_dagger``, ``pi_ddagger``: (m, n) int image rows;
     * ``quad``: (m, 4) int square-bias quadruples (I, J, K, L);
-    * ``case_id``, ``r1``, ``r2``: (m,) int rewiring case and (R1, R2);
+    * ``case_id``, ``r1``, ``r2``: (m,) uint8 rewiring case and (R1, R2);
     * ``u``, ``w``, ``w_dagger``, ``w_ddagger``, ``w_star``, ``s``, ``t``,
       ``t_dagger``, ``t_ddagger``: (m,) float;
     * ``index_set``: (m, n) bool mask of the touched set, the quadruple
@@ -363,8 +375,8 @@ def zero_bias_draws(D: CenteredArray, m: int, gen: np.random.Generator) -> dict[
     quads = sample_quadruples_rejection(D, m, gen)
     u = gen.random(m)
     rows = np.arange(m)[:, None]
-    r1, r2, case, matches = _cases(quads.T, images[rows, quads].T)
-    _require_cases(r1, r2, case, matches)
+    r1, r2, case, matches, mismatch = _cases(quads.T, images[rows, quads].T)
+    _require_cases(r1, r2, case, matches, mismatch)
     dag, touched, ok = rewire(images, quads)
     if not ok.all():
         bad = np.flatnonzero(~ok)[0]
@@ -664,12 +676,12 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
     stack = np.tile(quads, (n_inv, 1))
     p = invs[:, quads]  # (n_inv, n_q, 4): pi at each quadruple
 
-    r1, r2, case, matches = _cases(stack.T, p.reshape(-1, 4).T)
+    r1, r2, case, matches, mismatch = _cases(stack.T, p.reshape(-1, 4).T)
     case_counts = np.bincount(case, minlength=11)
     impossible = int(np.count_nonzero((r1 == 2) & (r2 == 1) | (r1 == 1) & (r2 == 2)))
     multi_match = int(np.count_nonzero(matches != 1))
-    r_mismatch = int(np.count_nonzero(_case_r_mismatch(r1, r2, case)))
-    del r1, r2, case, matches  # only their counts stay alive through the laws and rewire
+    r_mismatch = int(np.count_nonzero(mismatch))
+    del r1, r2, case, matches, mismatch  # only their counts stay alive through the laws and rewire
     pi_i, pi_j, _, pi_l = np.moveaxis(p[:, support], -1, 0)
     keys = ((np.arange(n_s) * n + pi_i) * n + pi_j) * n + pi_l  # (quad, pi(I), pi(J), pi(L))
     p2_dev = _image_law_dev(sq[:, :2], keys // n, n)

@@ -112,8 +112,9 @@ def classify(images: np.ndarray, quad) -> tuple[int, int, int]:
     """(R1, R2, case) of one image row and quadruple, through ``coupling._cases``;
     raises ``NoCaseMatched`` as ``coupling.zero_bias_draws`` does."""
     q = np.asarray(quad, dtype=np.int64)
-    r1, r2, case, matches = coupling._cases(q[:, None], images[q][:, None])
-    coupling._require_cases(r1, r2, case, matches)
+    cases = coupling._cases(q[:, None], images[q][:, None])
+    coupling._require_cases(*cases)
+    r1, r2, case = cases[:3]
     return int(r1[0]), int(r2[0]), int(case[0])
 
 

@@ -6,8 +6,8 @@ form of a sampler whose program path never builds one.
 
 * ``_case_terms_loop`` walks the ten-row rewiring table (``_case_term_loop``)
   row by row.  It is the only copy of the short cycle sums ``T`` (before)
-  and ``T_dag`` (after the rewiring); the rows themselves, as conditions,
-  are ``_kernels.case_rows``.  It checks ``_kernels.case_terms`` and
+  and ``T_dag`` (after the rewiring); ``coupling._cases`` holds the rows
+  themselves, as conditions.  It checks ``_kernels.case_terms`` and
   ``_kernels.held_pairing_a``.
 * ``_exact_gap_loop`` sums the table's integrand through the two-branch
   segment integral ``_seg_abs_integral_loop``; it checks

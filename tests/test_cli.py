@@ -451,9 +451,23 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "argv",
-        [("simulate", "--n", "-4"), ("simulate", "--n", ","), ("lowerbound", "--n", ",")],
+        [
+            ("simulate", "--n", "-4"),
+            ("simulate", "--n", ","),
+            ("lowerbound", "--n", ","),
+            ("simulate", "--n", "10,20,48,7"),
+            ("simulate", "--n", "10,4"),
+            ("lowerbound", "--n", "64,100,99"),
+        ],
     )
-    def test_bad_n_list_exit_2(self, argv, capsys):
+    def test_bad_n_list_exit_2(self, argv, monkeypatch, capsys):
+        # the whole list is checked before the first row runs: an odd n, or
+        # n < 6 for simulate, anywhere in it
+        def no_row(*args, **kwargs):
+            raise AssertionError("a row ran before the --n list was checked")
+
+        monkeypatch.setattr(cli, "_simulate_row", no_row)
+        monkeypatch.setattr(cli.boundsmod, "lower_bound_experiment", no_row)
         assert cli.main([*argv, "--draws", "100"]) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error:")
@@ -482,8 +496,14 @@ class TestVerify:
         assert not path.exists()
 
     def test_bad_p_value_exit_2(self, appendix_file):
-        out = run_cli("analyze", "--input", appendix_file, "--p", "1,x")
-        assert out.returncode == 2
+        for p in ("1,x", "1,nan"):
+            assert run_cli("analyze", "--input", appendix_file, "--p", p).returncode == 2
+
+    def test_nan_p_rejected_while_parsing(self):
+        # nan < 1 is False, so a NaN p must fail the list check itself, not
+        # lp_upper after the whole law of W is built
+        with pytest.raises(InputError, match="p=nan"):
+            cli._parse_p_list("1,nan")
 
     def test_non_numeric_json_entries_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"

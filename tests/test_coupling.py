@@ -362,6 +362,31 @@ class TestClassifyAndDagger:
         with pytest.raises(NoCaseMatched):
             classify(pi, (0, 0, 1, 2))
 
+    @pytest.mark.parametrize("n, rows", [(6, None), (8, 20_000)])
+    def test_cases_agree_with_the_loop_table_and_the_set_counts(self, n, rows):
+        # every (pi, ordered quadruple) at n = 6, a seeded subset of the
+        # 176,400 at n = 8, in the sweep's uint8 layout: the case is the
+        # loop reference's, (R1, R2) are the set counts
+        # |{pi(I), pi(J)} & {K, L}| and |{pi(I), pi(K)} & {J, L}|, and
+        # exactly one row holds, with the (R1, R2) of its CASE_R
+        invs = involution_matrix(n).astype(np.uint8)
+        quads = np.array(list(itertools.permutations(range(n), 4)), dtype=np.uint8)
+        r, s = np.divmod(np.arange(len(invs) * len(quads)), len(quads))
+        if rows is not None:
+            pick = rngmod.derive_stream(37, n).choice(r.size, rows, replace=False)
+            r, s = r[pick], s[pick]
+        q = quads[s]
+        p = invs[r[:, None], q]
+        r1, r2, case, matches, mismatch = coupling._cases(q.T, p.T)
+        d = rand_centered(n, seed=37).entries
+        assert np.array_equal(case, _case_terms_loop(d, p, q)[0])
+        sets = [
+            (len({a, b} & {k, l}), len({a, c} & {j, l}))
+            for (_, j, k, l), (a, b, c, _) in zip(q.tolist(), p.tolist())
+        ]
+        assert np.array_equal(np.stack([r1, r2], axis=1), sets)
+        assert np.all(matches == 1) and not mismatch.any()
+
     @pytest.mark.parametrize("n", [6, 8])
     def test_dagger_is_two_swaps_and_the_pairing_rule(self, n):
         # every (pi, ordered quadruple): rewire's pi_dag is the one-row swap
@@ -394,7 +419,7 @@ class TestClassifyAndDagger:
         for row, (i, j, k, l) in zip(dag, quads):
             assert_involution(row)
             assert row[i] == k and row[j] == l
-        _, _, case, _ = coupling._cases(quads.T, images[np.arange(200)[:, None], quads].T)
+        case = coupling._cases(quads.T, images[np.arange(200)[:, None], quads].T)[2]
         assert np.all((1 <= case) & (case <= 10))
 
     def test_case_terms_kernel_agrees_with_object_route(self, gen):
@@ -711,6 +736,23 @@ class TestExactOracles:
         finally:
             tracemalloc.stop()
         assert peak <= 12.0 * 2**20
+
+    def test_cases_allocation_budget(self):
+        # _cases alone on the n = 8 sweep stack: uint8 counts and one
+        # (10, 176,400) bool table of the rows peak at 6.39 MiB, so one more
+        # int64 array of the stack's length (1.35 MiB) breaks the bound
+        n = 8
+        invs = involution_matrix(n).astype(np.uint8)
+        quads = np.array(list(itertools.permutations(range(n), 4)), dtype=np.uint8)
+        stack = np.tile(quads, (len(invs), 1))
+        p = invs[:, quads].reshape(-1, 4)
+        tracemalloc.start()
+        try:
+            coupling._cases(stack.T, p.T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * 2**20
 
     def test_sweep_caps(self):
         with pytest.raises(InputError, match="n=10 exceeds sweep cap"):
