@@ -29,11 +29,13 @@ Kernel semantics:
   off the pairing order, with no image matrix; the MC gap
   (``zero_bias_gap_samples``) reads its four images this way.
 * ``y_batch(d, order)``: Y = sum_i d[i, pi(i)], which for symmetric ``d``
-  is twice the sum of ``d`` over the ``n/2`` pairs, gathered by one flat
-  ``np.take``.  The Monte Carlo values (``sample_y_values``) and the W of
-  every involution (``exact_w_values``, read by the exact law and the
-  zero-bias moments) pass it ``match_pairs`` output (sampled, or the
-  blocks of ``enumerate_involutions``) directly.  The callers of
+  is twice the sum of ``d`` over the ``n/2`` pairs, gathered by a flat
+  ``np.take`` per block of draws, so its scratch is at most
+  ``_Y_BLOCK_INDICES`` int64 indices whatever the draw count; each draw
+  sums its pairs in order.  The Monte Carlo values (``sample_y_values``)
+  and the W of every involution (``exact_w_values``, read by the exact law
+  and the zero-bias moments) pass it ``match_pairs`` output (sampled, or
+  the blocks of ``enumerate_involutions``) directly.  The callers of
   ``pairing_order`` hold image matrices: the Stein sweep
   (``coupling.stein_sweep``, W of its involution matrix), the planted
   completions of ``coupling._planted_values`` and the audit of the draws
@@ -175,23 +177,50 @@ def pairing_order(images: np.ndarray) -> np.ndarray:
     return order
 
 
+# int64 pair indices per column block of y_batch: 3 MiB of scratch per call.
+# A smaller block saves more, but glibc returns a freed heap top to the OS
+# once it exceeds twice the largest block it has unmapped; at 1 MiB, each
+# 8,192-draw chunk of lowerbound at n = 196 (4 MB of choices, pairing order
+# and compare mask) was faulted in afresh: about 24,000 page faults per
+# call against 2,000 at 3 MiB, and on two threads the call ran about 6%
+# slower (its n = 196 row 10-17%).
+_Y_BLOCK_INDICES = 393216
+
+
 def y_batch(d: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Y = sum_i d[i, pi(i)] = 2 * sum_t d[a_t, b_t] over the pairs of each pairing order.
 
-    ``d`` is symmetric and float64.  One flat ``np.take`` gathers the
-    ``n/2`` pair entries of every draw, laid out pair by pair across draws,
+    ``d`` is symmetric and float64.  The draws (columns) are taken in
+    blocks of at most ``_Y_BLOCK_INDICES // (n/2)``, so the scratch is
+    bounded whatever the draw count.  Per block, one flat ``np.take``
+    gathers the ``n/2`` pair entries of each draw, laid out pair by pair,
     and writes each value over its own flat index: ``take`` reads an index
     before it writes that slot, and ``mode="clip"`` (the indices are in
-    range) keeps it from buffering the output, so no second ``(n/2, m)``
-    buffer is built.
+    range) keeps it from buffering the output, so no second buffer is
+    built.  Each column is summed over its pairs in order, ``v_0 + v_1 +
+    ...``, into its own slice of the result; a block of one column is summed
+    by ``cumsum``, since numpy's ``sum`` over a single column is pairwise.
     """
     n = d.shape[0]
+    h = n // 2
     cols = order.T
-    idx = np.multiply(cols[0::2], n, dtype=np.int64)
-    idx += cols[1::2]
-    vals = idx.view(np.float64)
-    np.take(d.ravel(), idx, out=vals, mode="clip")
-    return 2.0 * vals.sum(axis=0)
+    m = cols.shape[1]
+    block = max(1, min(m, _Y_BLOCK_INDICES // h))
+    scratch = np.empty(h * block, dtype=np.int64)
+    y = np.empty(m, dtype=np.float64)
+    for s in range(0, m, block):
+        b = min(block, m - s)
+        idx = scratch[: h * b].reshape(h, b)
+        np.multiply(cols[0::2, s : s + b], n, out=idx, dtype=np.int64)
+        idx += cols[1::2, s : s + b]
+        vals = idx.view(np.float64)
+        np.take(d.ravel(), idx, out=vals, mode="clip")
+        if b > 1:
+            np.sum(vals, axis=0, out=y[s : s + b])
+        else:
+            y[s] = np.cumsum(vals)[-1]
+    y *= 2.0
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -195,11 +195,17 @@ def lower_bound_experiment(
     ys = invmod.sample_y_values(
         E.entries, m, master_seed=master_seed, stream=n, threads=threads
     )
-    rounded = np.rint(ys)
-    lattice_ok = bool(
-        np.all(np.abs(ys - rounded) < 1e-9) and np.all(rounded.astype(np.int64) % 2 == 0)
-    )
-    w = (ys - summary.mu) / sigma
+    # each Y within 1e-9 of its nearest even integer 2*rint(Y/2), in one
+    # scratch buffer (np.fmod for the parity took 36 ns a value)
+    off = np.multiply(ys, 0.5)
+    np.rint(off, out=off)
+    off *= 2.0
+    np.subtract(ys, off, out=off)
+    np.abs(off, out=off)
+    lattice_ok = bool(np.all(off < 1e-9))
+    del off
+    w = np.subtract(ys, summary.mu, out=ys)  # (Y - mu) / sigma, in the buffer of Y
+    w /= sigma
     ks = kolmogorov_distance(ecdf(w))
     floor = 0.5 * (1.0 - FLOOR_EPSILON) * float(normal_pdf(1.0 / sigma)) / sigma
     slack = dkw_slack(m)

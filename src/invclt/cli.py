@@ -189,6 +189,8 @@ def run_simulate(args) -> int:
     ns = _parse_n_list(args.n)
     if min(ns) < 6:
         raise InputError(f"n={min(ns)} < 6: the zero-bias coupling needs n >= 6")
+    if args.draws < 2:
+        raise InputError("simulate needs --draws >= 2: the gap's standard error needs 2 draws")
     rows = []
     draws: dict[int, list] = {}
     for n in ns:

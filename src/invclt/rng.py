@@ -55,6 +55,15 @@ def chunk_plan(m: int) -> list[tuple[int, int]]:
     return [(idx, min(DEFAULT_CHUNK, m - s)) for idx, s in enumerate(starts)]
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports
+    one (a cpuset-limited container has fewer than the machine), else
+    ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_chunked(
     m: int,
     worker: Callable[[int, np.random.Generator], np.ndarray],
@@ -68,10 +77,11 @@ def run_chunked(
 
     Results come back ordered by chunk index, so the concatenation is
     identical for any ``threads`` value.  The pool holds at most one thread
-    per chunk and per CPU, whatever ``threads`` asks for.
+    per chunk and per usable CPU (``usable_cpus``), whatever ``threads``
+    asks for.
     """
     plan = chunk_plan(m)
-    threads = min(threads, len(plan), os.cpu_count() or 1)
+    threads = min(threads, len(plan), usable_cpus())
 
     def job(item: tuple[int, int]) -> np.ndarray:
         idx, count = item

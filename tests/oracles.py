@@ -25,6 +25,9 @@ form of a sampler whose program path never builds one.
   ``distances.l1_distance``.  ``l1_distance_clip`` is that closed form with
   the package's Phi but the quantile clipped into every piece, where
   ``l1_distance`` calls it only on the pieces that Phi crosses.
+* ``y_batch_loop`` sums each pairing order's pair entries one pair at a
+  time, ``acc = v_0; acc += v_1; ...``, the order in which
+  ``_kernels.y_batch`` must sum every column whatever its block layout.
 * ``sample_involutions`` draws image rows on the chunk streams of
   ``involutions.sample_y_values``, so the values that function sums are Y
   of these rows.
@@ -266,6 +269,16 @@ def l1_distance_clip(F: StepCDF) -> float:
     lower_tail = _int_phi(xs[0], normal_cdf(xs[0]))
     upper_tail = normal_pdf(xs[-1]) - xs[-1] * (1.0 - normal_cdf(xs[-1]))
     return math.fsum([float(lower_tail), *middle.tolist(), float(upper_tail)])
+
+
+def y_batch_loop(d: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Y of each pairing order, ``2 * (v_0 + v_1 + ...)`` added pair by pair
+    in order, ``v_t = d[a_t, b_t]`` the entry of pair ``t``."""
+    cols = np.asarray(order, dtype=np.int64).T
+    acc = d[cols[0], cols[1]]
+    for t in range(1, cols.shape[0] // 2):
+        acc += d[cols[2 * t], cols[2 * t + 1]]
+    return 2.0 * acc
 
 
 def sample_involutions(

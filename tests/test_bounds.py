@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from invclt import bounds
 from invclt.arrays import CenteredArray, moments, standardize
 from invclt.bounds import (
     K_L1,
@@ -211,6 +213,44 @@ class TestLowerBoundExperiment:
         ys = w * sigma  # mu = 0 for this family
         assert np.allclose(ys, np.rint(ys), atol=1e-9)
         assert np.all(np.rint(ys).astype(int) % 2 == 0)
+
+    @pytest.mark.parametrize(
+        "values, ok",
+        [
+            ([0.0, 2.0, -4.0, 6.0 + 1e-12], True),
+            ([0.0, 2.0, -3.0, 6.0], False),  # an odd value
+            ([0.0, 3.0, -4.0, 6.0], False),
+            ([0.0, 2.0, -4.0, 6.0 + 1e-6], False),  # off the lattice
+            ([0.0, 2.0, math.nan, 6.0], False),
+        ],
+    )
+    def test_lattice_check_and_standardized_values(self, monkeypatch, values, ok):
+        # the check and the standardization run in place on the sampled Y
+        ys = np.array(values * 5)
+        monkeypatch.setattr(bounds.invmod, "sample_y_values", lambda *a, **kw: ys.copy())
+        rep, w = lower_bound_experiment(8, len(ys), master_seed=1)
+        assert rep["lattice_ok"] is ok
+        summary = moments(lower_bound_array(8))
+        want = (ys - summary.mu) / math.sqrt(summary.sigma2)
+        assert np.array_equal(w, want, equal_nan=True)
+
+    def test_allocation_budget(self):
+        # n = 196, 200,000 draws on one thread: the peak is sample_y_values'
+        # (the chunk list and its concatenation, plus one chunk's pairing
+        # buffers and y_batch's 3 MiB block), 6.69 MiB.  The lattice check
+        # holds one scratch array beside Y and W is standardized in Y's
+        # buffer; with five temporaries of Y's size and the whole-chunk index
+        # of y_batch the peak was 9.81 MiB.  A small call first, so that what
+        # a first call sets up once does not count.  numpy reports every data
+        # buffer to tracemalloc, so the peak repeats from run to run
+        lower_bound_experiment(64, 1000, master_seed=DEFAULT_SEED)
+        tracemalloc.start()
+        try:
+            lower_bound_experiment(196, 200_000, master_seed=DEFAULT_SEED, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * 2**20
 
     def test_dkw_slack_value(self):
         assert dkw_slack(200_000) == pytest.approx(

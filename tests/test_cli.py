@@ -472,12 +472,18 @@ class TestVerify:
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error:")
 
-    def test_single_draw_simulate_exit_2(self, tmp_path, capsys):
-        # a standard error needs two draws; one draw used to write NaN
+    def test_single_draw_simulate_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a standard error needs two draws; one draw used to write NaN, and
+        # then to sample the first row before estimate_gap refused it
+        def no_row(*args, **kwargs):
+            raise AssertionError("a row ran before --draws was checked")
+
+        monkeypatch.setattr(cli, "_simulate_row", no_row)
         path = tmp_path / "r.json"
         assert cli.main(["simulate", "--n", "10", "--draws", "1", "--json", str(path)]) == 2
         assert not path.exists()
-        assert capsys.readouterr().out == ""
+        out = capsys.readouterr()
+        assert out.out == "" and "--draws >= 2" in out.err
 
     @pytest.mark.parametrize(
         "extra", [("--dump-draws", "-1"), ("--dump-draws", "3")], ids=["negative", "no-json"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ from invclt import _kernels, rng as rngmod
 from invclt.involutions import choice_highs, draw_choices, involution_matrix
 
 from conftest import assert_involution, rand_centered, rank_of, y_value
-from oracles import _case_terms_loop, _exact_gap_loop, _seg_abs_integral_loop, seg_abs_integral
+from oracles import (
+    _case_terms_loop,
+    _exact_gap_loop,
+    _seg_abs_integral_loop,
+    seg_abs_integral,
+    y_batch_loop,
+)
 
 
 def test_backend_reported():
@@ -128,6 +135,39 @@ class TestYBatch:
         want = y_value(D.entries, images)
         scale = np.abs(D.entries[np.arange(n), images]).sum(axis=1)
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    # draw counts against the column block of y_batch at each n: one draw,
+    # less than a block, a last block of one column and one of 17, and a
+    # whole enumerate_involutions block (the largest call the package makes)
+    @pytest.mark.parametrize("n", [6, 64, 196, 258])
+    @pytest.mark.parametrize("kind", ["one", "part", "tail_1", "tail_17", "enum_block"])
+    def test_sums_pairs_in_order_bit_for_bit(self, n, kind):
+        block = _kernels._Y_BLOCK_INDICES // (n // 2)
+        m = {"one": 1, "part": block // 3, "tail_1": 2 * block + 1,
+             "tail_17": block + 17, "enum_block": 65536}[kind]
+        if n == 258 and kind == "enum_block":
+            m = 3 * block + 5  # keeps the uint16 decode of the draws small
+        D = rand_centered(n, seed=n + 1)
+        order = _kernels.match_pairs(draw_choices(n, m, rngmod.derive_stream(16, n, m)), n)
+        want = y_batch_loop(D.entries, order)
+        for layout in (order, np.ascontiguousarray(order)):
+            got = _kernels.y_batch(D.entries, layout)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_scratch_is_one_column_block(self):
+        # n = 196, one 8,192-draw chunk: the (98, 8192) int64 index of a
+        # single gather took 6.25 MiB; the 3 MiB block buffer and the result
+        # peak at 3.13 MiB.  numpy reports every data buffer to tracemalloc
+        n = 196
+        D = rand_centered(n, seed=17)
+        order = _kernels.match_pairs(draw_choices(n, 8192, rngmod.derive_stream(17, n)), n)
+        tracemalloc.start()
+        try:
+            _kernels.y_batch(D.entries, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 2**20
 
 
 class TestCaseTerms:
