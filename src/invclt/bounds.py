@@ -102,15 +102,15 @@ def truncate(D: CenteredArray) -> TruncationResult:
     d = D.entries
     n = D.n
     beta = D.beta
-    # one |d| buffer serves the mask, then is cubed in place for the rows
-    abs_d = np.abs(d)
-    keep = abs_d <= 0.5
-    d_prime = np.where(keep, d, 0.0)
-    gi, gj = np.nonzero(~keep)
+    # one buffer holds |d| for the mask, then its cubes for the rows, then d_prime
+    buf = np.abs(d)
+    gi, gj = np.nonzero(buf > 0.5)
     gamma = np.stack([gi, gj], axis=1) if gi.size else np.empty((0, 2), dtype=np.int64)
 
-    row_cubes = np.power(abs_d, 3, out=abs_d).sum(axis=1)
-    del abs_d  # not held while moments allocates
+    row_cubes = np.power(buf, 3, out=buf).sum(axis=1)
+    np.copyto(buf, d)
+    buf[gi, gj] = 0.0
+    d_prime = buf  # d with Gamma zeroed
     row_sums_prime = d_prime.sum(axis=1)
     total_prime = float(d_prime.sum())
 

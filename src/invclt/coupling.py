@@ -508,7 +508,7 @@ def exact_gap(D: CenteredArray) -> float:
     the array is symmetric, so all four give the same integrand bit for
     bit, and the sweep runs over a quarter of the support.
     """
-    invs = involution_matrix(D.n)  # its cap fires before the O(n^4) table
+    invs = involution_matrix(D.n).astype(np.uint8)  # its cap fires before the O(n^4) table
     quads, probs = square_bias_table(D).support()
     return _kernels.exact_gap(D.entries, invs, quads, probs)
 

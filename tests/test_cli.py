@@ -5,12 +5,16 @@ import math
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from invclt import arrays, cli, distances, involutions
+from invclt import checks as checksmod
+from invclt import rng as rngmod
 from invclt.bounds import lower_bound_array
 from invclt.errors import InputError
 
@@ -421,6 +425,84 @@ class TestVerify:
         assert sorted(calls) == [6, 8]
         assert checksmod.run_checks(5) == first
         assert sorted(calls) == [6, 6, 8, 8]
+
+    @staticmethod
+    def _families(monkeypatch, cpus, bound_chain, **fns):
+        """A registry of ``bound_chain`` between two fast families, on
+        ``cpus`` usable CPUs; ``fns`` replaces the others by name."""
+        monkeypatch.setattr(rngmod, "usable_cpus", lambda: cpus)
+        table = {
+            "hat_marginals": checksmod.check_hat_marginals,
+            "bound_chain": bound_chain,
+            "truncation_inequalities": checksmod.check_sigma_consistency,
+            **fns,
+        }
+        monkeypatch.setattr(checksmod, "CHECKS", table)
+
+    @staticmethod
+    def _thread_recorder(seen):
+        def bound_chain(seed):
+            seen.append(threading.get_ident())
+            return [{"check": "bound_chain", "n": 0, "max_abs_error": 0.0, "pass": True}]
+
+        return bound_chain
+
+    def test_bound_chain_runs_on_a_second_thread(self, monkeypatch):
+        seen = []
+        self._families(monkeypatch, 2, self._thread_recorder(seen))
+        records = checksmod.run_checks(5)
+        assert seen and seen[0] != threading.get_ident()
+        assert [r["check"] for r in records] == (
+            ["hat_marginals"] * 3 + ["bound_chain"] + ["sigma_consistency"] * 3
+        )
+
+    @pytest.mark.parametrize("cpus, only", [(1, None), (2, "bound_chain")])
+    def test_bound_chain_on_the_callers_thread(self, cpus, only, monkeypatch):
+        # one usable CPU, or bound_chain alone: no second thread
+        seen = []
+        self._families(monkeypatch, cpus, self._thread_recorder(seen))
+        checksmod.run_checks(5, only=only)
+        assert seen == [threading.get_ident()]
+
+    @pytest.mark.parametrize("seed", [rngmod.DEFAULT_SEED, 1, 3001])
+    def test_records_equal_with_and_without_the_second_thread(self, seed, monkeypatch):
+        runs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(rngmod, "usable_cpus", lambda: cpus)
+            runs[cpus] = checksmod.run_checks(seed)
+        assert runs[1] == runs[2]
+
+    def test_an_earlier_family_error_comes_first(self, monkeypatch):
+        # the second thread's error is dropped, but only once it has ended
+        ended = []
+
+        def early(seed):
+            raise InputError("early")
+
+        def bound_chain(seed):
+            time.sleep(0.05)
+            ended.append(True)
+            raise RuntimeError("bound_chain")
+
+        self._families(monkeypatch, 2, bound_chain, hat_marginals=early)
+        with pytest.raises(InputError, match="early"):
+            checksmod.run_checks(5)
+        assert ended == [True]
+
+    def test_bound_chain_error_comes_before_a_later_one(self, monkeypatch):
+        later = []
+
+        def bound_chain(seed):
+            raise RuntimeError("bound_chain")
+
+        def truncation(seed):
+            later.append(seed)
+            raise InputError("later")
+
+        self._families(monkeypatch, 2, bound_chain, truncation_inequalities=truncation)
+        with pytest.raises(RuntimeError, match="bound_chain"):
+            checksmod.run_checks(5)
+        assert later == []
 
     def test_failed_check_exit_1(self, monkeypatch, capsys):
         from invclt import checks as checksmod
