@@ -6,8 +6,7 @@ reports ``{check, n, max_abs_error, pass}``.  Integer-count checks report
 the worst count deviation, so any nonzero value is a failure.
 
 ``run_checks`` runs the families in registry order on the calling thread,
-except ``bound_chain`` (its exact gap at n = 12 is about half of a run): when
-more families run beside it and the process may use more than one CPU, it
+except ``bound_chain`` (its exact gap at n = 12 is about half of a run): it
 starts on a second thread before the first family, and its records, or its
 exception, are taken at its own place in the registry.  So the records,
 their order and the first error raised are those of the sequential run.
@@ -348,15 +347,15 @@ def run_checks(seed: int, only: str | None = None) -> list[dict]:
     names = list(CHECKS) if only is None else [only]
     if only is not None and only not in CHECKS:
         raise InputError(f"unknown check {only!r}; known: {', '.join(CHECKS)}")
-    side = len(names) > 1 and _SIDE_FAMILY in names and rngmod.usable_cpus() > 1
     records: list[dict] = []
     _shared_sweeps = {}
     try:
         # leaving the block waits for the side family, also on an earlier error
         with ThreadPoolExecutor(max_workers=1) as pool:
-            ahead = pool.submit(CHECKS[_SIDE_FAMILY], seed) if side else None
+            if _SIDE_FAMILY in names:
+                ahead = pool.submit(CHECKS[_SIDE_FAMILY], seed)
             for name in names:
-                if side and name == _SIDE_FAMILY:
+                if name == _SIDE_FAMILY:
                     records.extend(ahead.result())
                 else:
                     records.extend(CHECKS[name](seed))

@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 verification failure, 2 input/IO error,
 3 degenerate input, 4 internal error (a broken invariant such as a
 rewiring case that matched no table row; a bug, not bad input).  All
 randomized output is fully determined by (seed, draws, n, flags); neither
-``--threads`` nor the number of usable CPUs (``verify`` runs ``bound_chain``
-on a second thread when it may use two) ever changes results.
+``--threads`` nor ``verify``'s second thread (it runs ``bound_chain``)
+ever changes results.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ import pytest
 
 from invclt import arrays, cli, distances, involutions
 from invclt import checks as checksmod
-from invclt import rng as rngmod
 from invclt.bounds import lower_bound_array
 from invclt.errors import InputError
 
@@ -427,10 +426,9 @@ class TestVerify:
         assert sorted(calls) == [6, 6, 8, 8]
 
     @staticmethod
-    def _families(monkeypatch, cpus, bound_chain, **fns):
-        """A registry of ``bound_chain`` between two fast families, on
-        ``cpus`` usable CPUs; ``fns`` replaces the others by name."""
-        monkeypatch.setattr(rngmod, "usable_cpus", lambda: cpus)
+    def _families(monkeypatch, bound_chain, **fns):
+        """A registry of ``bound_chain`` between two fast families;
+        ``fns`` replaces the others by name."""
         table = {
             "hat_marginals": checksmod.check_hat_marginals,
             "bound_chain": bound_chain,
@@ -447,30 +445,25 @@ class TestVerify:
 
         return bound_chain
 
-    def test_bound_chain_runs_on_a_second_thread(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "only, checks",
+        [
+            (None, ["hat_marginals"] * 3 + ["bound_chain"] + ["sigma_consistency"] * 3),
+            ("bound_chain", ["bound_chain"]),
+        ],
+    )
+    def test_bound_chain_runs_on_a_second_thread(self, only, checks, monkeypatch):
         seen = []
-        self._families(monkeypatch, 2, self._thread_recorder(seen))
-        records = checksmod.run_checks(5)
-        assert seen and seen[0] != threading.get_ident()
-        assert [r["check"] for r in records] == (
-            ["hat_marginals"] * 3 + ["bound_chain"] + ["sigma_consistency"] * 3
-        )
+        self._families(monkeypatch, self._thread_recorder(seen))
+        records = checksmod.run_checks(5, only=only)
+        assert len(seen) == 1 and seen[0] != threading.get_ident()
+        assert [r["check"] for r in records] == checks
 
-    @pytest.mark.parametrize("cpus, only", [(1, None), (2, "bound_chain")])
-    def test_bound_chain_on_the_callers_thread(self, cpus, only, monkeypatch):
-        # one usable CPU, or bound_chain alone: no second thread
-        seen = []
-        self._families(monkeypatch, cpus, self._thread_recorder(seen))
-        checksmod.run_checks(5, only=only)
-        assert seen == [threading.get_ident()]
-
-    @pytest.mark.parametrize("seed", [rngmod.DEFAULT_SEED, 1, 3001])
-    def test_records_equal_with_and_without_the_second_thread(self, seed, monkeypatch):
-        runs = {}
-        for cpus in (1, 2):
-            monkeypatch.setattr(rngmod, "usable_cpus", lambda: cpus)
-            runs[cpus] = checksmod.run_checks(seed)
-        assert runs[1] == runs[2]
+    @pytest.mark.parametrize("seed", [1, 3001])
+    def test_records_match_the_families_run_in_order(self, seed):
+        # the default seed is held to RECORDED_VERIFY above
+        in_order = [r for fn in checksmod.CHECKS.values() for r in fn(seed)]
+        assert checksmod.run_checks(seed) == in_order
 
     def test_an_earlier_family_error_comes_first(self, monkeypatch):
         # the second thread's error is dropped, but only once it has ended
@@ -484,7 +477,7 @@ class TestVerify:
             ended.append(True)
             raise RuntimeError("bound_chain")
 
-        self._families(monkeypatch, 2, bound_chain, hat_marginals=early)
+        self._families(monkeypatch, bound_chain, hat_marginals=early)
         with pytest.raises(InputError, match="early"):
             checksmod.run_checks(5)
         assert ended == [True]
@@ -499,7 +492,7 @@ class TestVerify:
             later.append(seed)
             raise InputError("later")
 
-        self._families(monkeypatch, 2, bound_chain, truncation_inequalities=truncation)
+        self._families(monkeypatch, bound_chain, truncation_inequalities=truncation)
         with pytest.raises(RuntimeError, match="bound_chain"):
             checksmod.run_checks(5)
         assert later == []
