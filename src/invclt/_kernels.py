@@ -20,11 +20,11 @@ Kernel semantics:
   one add at the end: O(n^2) byte operations per row.  The result is that
   pairing order itself, one ``(m, n)`` row per draw in the smallest unsigned
   dtype, pair ``t`` at entries ``2t, 2t+1``; no image matrix is built.
-* ``images_of(order)`` scatters pairing orders into the ``(m, n)`` int64
-  image matrix (``pi(x)`` at column ``x``), for the callers that need
-  whole rows: ``involution_matrix`` and the audit draws
-  (``zero_bias_draws``).  ``pairing_order(images)`` is its inverse: per
-  row, each ``i < pi(i)`` in ascending order, followed by ``pi(i)``.
+* ``images_of(order)`` scatters pairing orders into the ``(m, n)`` image
+  matrix (``pi(x)`` at column ``x``), for the callers that need whole
+  rows: ``involution_matrix`` (uint8) and the audit draws
+  (``zero_bias_draws``, int64).  ``pairing_order(images)`` is its inverse:
+  per row, each ``i < pi(i)`` in ascending order, followed by ``pi(i)``.
 * ``partners(order, points)`` reads ``pi`` at a few points per row straight
   off the pairing order, with no image matrix; the MC gap
   (``zero_bias_gap_samples``) reads its four images this way.
@@ -123,14 +123,14 @@ def match_pairs(choices: np.ndarray, n: int) -> np.ndarray:
     return seq.T
 
 
-def images_of(order: np.ndarray) -> np.ndarray:
-    """The ``(m, n)`` int64 image matrix of a batch of pairing orders.
+def images_of(order: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """The ``(m, n)`` image matrix of a batch of pairing orders, in ``dtype``.
 
     Row ``r`` maps each point ``x`` to its partner ``pi(x)``; the pairs are
     scattered both ways, row by row.
     """
     m, n = order.shape
-    images = np.empty((m, n), dtype=np.int64)
+    images = np.empty((m, n), dtype=dtype)
     flat = images.reshape(-1)
     rows = np.arange(m, dtype=np.int64)[:, None] * n
     idx = np.empty((m, n // 2), dtype=np.int64)

@@ -7,9 +7,11 @@ the worst count deviation, so any nonzero value is a failure.
 
 ``run_checks`` runs the families in registry order on the calling thread,
 except ``bound_chain`` (its exact gap at n = 12 is about half of a run): it
-starts on a second thread before the first family, and its records, or its
-exception, are taken at its own place in the registry.  So the records,
-their order and the first error raised are those of the sequential run.
+starts on a second thread before the first family and is joined after the
+last one, so every other family runs beside it.  Its records are placed at
+its own position in the registry, and of the families that raise, the
+registry-first one's error is raised.  So the records, their order and the
+first error raised are those of the sequential run.
 """
 
 from __future__ import annotations
@@ -347,18 +349,25 @@ def run_checks(seed: int, only: str | None = None) -> list[dict]:
     names = list(CHECKS) if only is None else [only]
     if only is not None and only not in CHECKS:
         raise InputError(f"unknown check {only!r}; known: {', '.join(CHECKS)}")
-    records: list[dict] = []
+    results: dict[str, list[dict]] = {}
     _shared_sweeps = {}
     try:
-        # leaving the block waits for the side family, also on an earlier error
+        # leaving the block waits for the side family, also on an error
         with ThreadPoolExecutor(max_workers=1) as pool:
-            if _SIDE_FAMILY in names:
-                ahead = pool.submit(CHECKS[_SIDE_FAMILY], seed)
+            side = pool.submit(CHECKS[_SIDE_FAMILY], seed) if _SIDE_FAMILY in names else None
             for name in names:
                 if name == _SIDE_FAMILY:
-                    records.extend(ahead.result())
-                else:
-                    records.extend(CHECKS[name](seed))
+                    continue
+                try:
+                    results[name] = CHECKS[name](seed)
+                except Exception:
+                    # the side family's error comes first if it is earlier in the registry
+                    if side is not None and names.index(_SIDE_FAMILY) < names.index(name):
+                        side.result()
+                    raise
+            # joined after the last family, so no family waits on it
+            if side is not None:
+                results[_SIDE_FAMILY] = side.result()
     finally:
         _shared_sweeps = None
-    return records
+    return [rec for name in names for rec in results[name]]

@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 verification failure, 2 input/IO error,
 3 degenerate input, 4 internal error (a broken invariant such as a
 rewiring case that matched no table row; a bug, not bad input).  All
 randomized output is fully determined by (seed, draws, n, flags); neither
-``--threads`` nor ``verify``'s second thread (it runs ``bound_chain``)
-ever changes results.
+``--threads`` nor ``verify``'s second thread ever changes results.  That
+thread runs ``bound_chain``, and ``verify`` joins it after the last family;
+its records and the first error raised follow registry order.
 """
 
 from __future__ import annotations

@@ -258,13 +258,16 @@ def swap(images: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Row ``r`` gets the cycles ``(a[r], b[r])`` and ``(pi(a[r]), pi(b[r]))``
     planted, every other cycle untouched (``pi`` itself where ``(a, b)`` is
     already a cycle): it writes ``b, a, pi(b), pi(a)`` at ``a, b, pi(a),
-    pi(b)``.
+    pi(b)``.  Entries are read and written by flat index ``r * n + x``,
+    one (m,) index array at a time.
     """
-    r = np.arange(images.shape[0])
-    pa, pb = images[r, a], images[r, b]
+    m, n = images.shape
+    base = np.arange(0, m * n, n)  # flat index of each row's column 0
     out = images.copy()
-    out[r, a], out[r, b] = b, a
-    out[r, pa], out[r, pb] = pb, pa
+    flat = out.reshape(-1)
+    pa, pb = flat[base + a], flat[base + b]
+    flat[base + a], flat[base + b] = b, a
+    flat[base + pa], flat[base + pb] = pb, pa
     return out
 
 
@@ -323,21 +326,23 @@ def rewire(images: np.ndarray, quads: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ``(dagger, touched, ok)``: ``touched`` marks the quadruple and its
     images, and ``ok`` is true where pi_dag holds (I,K) and (J,L), is a
     fixed-point-free involution and agrees with pi off the touched set.
+    Like ``swap``, it indexes by flat index, one column at a time, so its
+    scratch is a few (m,) arrays beside the (m, n) results.
     """
     m, n = images.shape
-    rows = np.arange(m)[:, None]
     i, j, k, l = quads.T
     out = swap(swap(images, i, k), j, l)
+    base = np.arange(0, m * n, n)  # flat index of each row's column 0
+    flat_images, flat_out = images.reshape(-1), out.reshape(-1)
     touched = np.zeros((m, n), dtype=bool)
-    touched[rows, quads] = True
-    touched[rows, images[rows, quads]] = True
-    idx = np.arange(n)
-    ok = (
-        np.all(np.take_along_axis(out, quads[:, :2], axis=1) == quads[:, 2:], axis=1)
-        & np.all(out != idx, axis=1)
-        & np.all(np.take_along_axis(out, out, axis=1) == idx, axis=1)
-        & ~np.any((out != images) & ~touched, axis=1)
-    )
+    flat_touched = touched.reshape(-1)
+    for q in quads.T:
+        flat_touched[base + q] = True
+        flat_touched[base + flat_images[base + q]] = True
+    ok = (flat_out[base + i] == k) & (flat_out[base + j] == l)
+    for x in range(n):
+        col = out[:, x]
+        ok &= (col != x) & (flat_out[base + col] == x) & ((col == images[:, x]) | touched[:, x])
     return out, touched, ok
 
 
@@ -508,7 +513,7 @@ def exact_gap(D: CenteredArray) -> float:
     the array is symmetric, so all four give the same integrand bit for
     bit, and the sweep runs over a quarter of the support.
     """
-    invs = involution_matrix(D.n).astype(np.uint8)  # its cap fires before the O(n^4) table
+    invs = involution_matrix(D.n)  # its cap fires before the O(n^4) table
     quads, probs = square_bias_table(D).support()
     return _kernels.exact_gap(D.entries, invs, quads, probs)
 
@@ -537,7 +542,7 @@ def stein_sweep(D: CenteredArray) -> tuple[float, float, int, float]:
     of such rows.
     """
     n = D.n
-    invs = involution_matrix(n).astype(np.uint8)  # cap before W; uint8 keeps the swap stack small
+    invs = involution_matrix(n)  # its cap fires before W
     w = _kernels.y_batch(D.entries, _kernels.pairing_order(invs))
     ii, jj = np.nonzero(~np.eye(n, dtype=bool))
     # pair-major, then transposed: delta's row means round as RECORDED_VERIFY has them
@@ -667,7 +672,7 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
     n = D.n
     _check_sweep(n)
     check_centered(D)
-    invs = involution_matrix(n).astype(np.uint8)
+    invs = involution_matrix(n)
     quads = np.array(list(itertools.permutations(range(n), 4)), dtype=np.uint8)
     n_inv, n_q = invs.shape[0], quads.shape[0]
     support = _kernels.quad_pairs(D.entries, quads)[1] != 0.0  # the square-bias support
@@ -728,8 +733,10 @@ def exact_wstar_cdf(D: CenteredArray):
     seg_hi = np.maximum(w_dag, w_ddag)
 
     def construction_cdf(x: np.ndarray) -> np.ndarray:
-        frac = (x[:, None] - seg_lo[None, :]) / (seg_hi - seg_lo)[None, :]
-        return np.clip(frac, 0.0, 1.0) @ share
+        # one grid x segment matrix, divided and clipped in place
+        frac = x[:, None] - seg_lo[None, :]
+        frac /= (seg_hi - seg_lo)[None, :]
+        return np.clip(frac, 0.0, 1.0, out=frac) @ share
 
     F = exact_w_distribution(D)
     vals = F.xs

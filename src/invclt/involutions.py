@@ -8,9 +8,9 @@ read as a mixed-radix number.  Enumeration decodes the ranks 0, 1, 2, ...
 in order, so the canonical order is lexicographic in the choice sequence.
 
 A matching is held in one of two forms: a pairing order (``match_pairs``
-output, pair t at entries 2t and 2t+1), or a row of an (m, n) int64 image
-matrix (pi(x) at column x); ``_kernels.images_of`` and
-``_kernels.pairing_order`` convert between them.
+output, pair t at entries 2t and 2t+1), or a row of an (m, n) image matrix
+(pi(x) at column x; uint8 in ``involution_matrix``); ``_kernels.images_of``
+and ``_kernels.pairing_order`` convert between them.
 
 Uniform sampling repeatedly matches the smallest unmatched index to a
 uniform choice among the remaining unmatched indices; uniformity follows
@@ -77,14 +77,16 @@ def enumerate_involutions(n: int) -> Iterator[np.ndarray]:
 
 
 def involution_matrix(n: int) -> np.ndarray:
-    """All involutions as an ((n-1)!!, n) image matrix, canonical order.
+    """All involutions as an ((n-1)!!, n) uint8 image matrix, canonical order.
 
     Every oracle that holds all involutions at once goes through here, so
-    ``MATRIX_CAP`` is their one limit; it is checked before any decoding.
+    ``MATRIX_CAP`` is their one limit; it is checked before any decoding,
+    and every point below it fits in uint8.
     """
     if n > MATRIX_CAP:
         raise InputError(f"n={n} exceeds involution matrix cap {MATRIX_CAP}")
-    return np.concatenate([_kernels.images_of(block) for block in enumerate_involutions(n)])
+    blocks = enumerate_involutions(n)
+    return np.concatenate([_kernels.images_of(block, np.uint8) for block in blocks])
 
 
 def ranks(images: np.ndarray) -> np.ndarray:

@@ -483,19 +483,35 @@ class TestVerify:
         assert ended == [True]
 
     def test_bound_chain_error_comes_before_a_later_one(self, monkeypatch):
-        later = []
-
+        # the later family runs beside bound_chain, but its error is dropped
         def bound_chain(seed):
             raise RuntimeError("bound_chain")
 
         def truncation(seed):
-            later.append(seed)
             raise InputError("later")
 
         self._families(monkeypatch, bound_chain, truncation_inequalities=truncation)
         with pytest.raises(RuntimeError, match="bound_chain"):
             checksmod.run_checks(5)
-        assert later == []
+
+    def test_bound_chain_is_joined_after_the_last_family(self, monkeypatch):
+        # bound_chain ends only once the last family has run; joined any
+        # earlier, the wait times out instead of hanging
+        last_ran = threading.Event()
+
+        def bound_chain(seed):
+            assert last_ran.wait(timeout=5.0), "the last family never ran beside bound_chain"
+            return [{"check": "bound_chain", "n": 0, "max_abs_error": 0.0, "pass": True}]
+
+        def truncation(seed):
+            last_ran.set()
+            return checksmod.check_sigma_consistency(seed)
+
+        self._families(monkeypatch, bound_chain, truncation_inequalities=truncation)
+        records = checksmod.run_checks(5)
+        assert [r["check"] for r in records] == (
+            ["hat_marginals"] * 3 + ["bound_chain"] + ["sigma_consistency"] * 3
+        )
 
     def test_failed_check_exit_1(self, monkeypatch, capsys):
         from invclt import checks as checksmod

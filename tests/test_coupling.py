@@ -369,7 +369,7 @@ class TestClassifyAndDagger:
         # loop reference's, (R1, R2) are the set counts
         # |{pi(I), pi(J)} & {K, L}| and |{pi(I), pi(K)} & {J, L}|, and
         # exactly one row holds, with the (R1, R2) of its CASE_R
-        invs = involution_matrix(n).astype(np.uint8)
+        invs = involution_matrix(n)
         quads = np.array(list(itertools.permutations(range(n), 4)), dtype=np.uint8)
         r, s = np.divmod(np.arange(len(invs) * len(quads)), len(quads))
         if rows is not None:
@@ -582,6 +582,20 @@ class TestZeroBiasLaw:
             assert np.abs(f_con - f_def).max() < 1e-10
             assert f_con[0] == 0.0 and abs(f_con[-1] - 1.0) < 1e-12
 
+    def test_construction_cdf_allocation_budget(self):
+        # at n = 8 the construction route holds one (209 grid points x 5040
+        # segments) float64 matrix, 8.04 MiB, divided and clipped in place:
+        # 9.33 MiB peak on a first call, so a second such matrix breaks it
+        D = rand_centered(8, seed=55)
+        tracemalloc.start()
+        try:
+            grid, _, _ = exact_wstar_cdf(D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.size == 209
+        assert peak <= 10.5 * 2**20
+
     def test_sampled_wstar_matches_exact_law(self, gen):
         # False-failure probability at most 1e-3 + 3 (34/35)^20000 < 1.01e-3:
         # the DKW bound at confidence 0.999 for the KS step, and a union bound
@@ -742,7 +756,7 @@ class TestExactOracles:
         # (10, 176,400) bool table of the rows peak at 6.39 MiB, so one more
         # int64 array of the stack's length (1.35 MiB) breaks the bound
         n = 8
-        invs = involution_matrix(n).astype(np.uint8)
+        invs = involution_matrix(n)
         quads = np.array(list(itertools.permutations(range(n), 4)), dtype=np.uint8)
         stack = np.tile(quads, (len(invs), 1))
         p = invs[:, quads].reshape(-1, 4)
