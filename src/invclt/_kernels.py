@@ -1,11 +1,11 @@
 """Hot numeric kernels, vectorized in numpy.
 
 The kernels below are the only implementation of each step.  The tests
-check ``case_terms``, ``held_pairing_a`` and ``exact_gap`` against
-plain-Python loop references that live in ``tests/oracles.py``; those loops
-hold the only copy of the ten-row table of short cycle sums ``T`` (before)
-and ``T_dag`` (after the rewiring).  The rows themselves, as conditions,
-are in ``coupling._cases``, which no hot path calls.
+check ``case_terms`` and ``exact_gap`` against plain-Python loop references
+that live in ``tests/oracles.py``; those loops hold the only copy of the
+ten-row table of short cycle sums ``T`` (before) and ``T_dag`` (after the
+rewiring).  The rows themselves, as conditions, are in ``coupling._cases``,
+which no hot path calls.
 
 Kernel semantics:
 
@@ -55,13 +55,14 @@ Kernel semantics:
   (i,j,k,l), (j,i,l,k), (k,l,i,j) and (l,k,j,i) name the same three
   candidate pairings {il|jk}, {ij|kl}, {ik|jl}, so they give bit-identical
   ``delta``, ``base`` and ``a`` under every involution, and one row with
-  the summed weight stands for all four.  ``held_pairing_a`` then tables
-  the three pairings of each 4-set once per block of involutions
-  (``pairing_table``) and reads each row's ``a`` off that table with one
-  gather, and the integral is ``|delta|*(phi(t) - t + 1/2)`` at
-  ``t = a/delta`` (``_phi``), so with ``p*|delta|`` and ``p*sign(delta)``
-  folded into the weights each involution's sum is two matrix-vector
-  products.
+  the summed weight stands for all four.  A term reads pi only at the
+  row's four points, and relabelling them 0, 1, 2, 3 maps Pi_n onto
+  itself, so each row sums its integrand once per distinct restriction
+  ``invs[:, :4]`` (``image_restrictions``: 2,019 of 10,395 at ``n = 12``),
+  weighted by its count (``restricted_a``).  The integral is
+  ``|delta|*(phi(t) - t + 1/2)`` at ``t = a/delta`` (``_phi``), so with
+  ``p*|delta|`` and ``p*sign(delta)`` folded into the weights each block
+  of rows sums in four matrix-vector products.
 
 One pairing rule (``pairing_rule``) picks, per (involution, quadruple), the
 pairing {xy|zw} of the quadruple that pi holds: {il|jk} if pi holds (I,L)
@@ -73,13 +74,18 @@ when none is held does the order choose.  Both integrand kernels read
 ``a`` off the rule: with ``v_x = d[x, pi(x)]`` and
 ``M(x, y) = 2*(v_x + v_y - d[pi(x), pi(y)])``, which is ``2*d_xy`` when
 (x, y) is a cycle of pi, ``a = -2*(d_ij + d_kl) + M(x, y) + M(z, w)``.
-``case_terms`` evaluates M per row; ``held_pairing_a`` sums it once per
-pairing of each 4-set, for every involution of a block.
+``case_terms`` evaluates M per row; ``restricted_a`` tables it once per
+pair of each row, on the row's relabelled points, and reads it at the
+restrictions.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import InputError
 
 
 def backend() -> str:
@@ -289,66 +295,6 @@ def case_terms(d: np.ndarray, images: np.ndarray, quads: np.ndarray):
     return a, delta
 
 
-def pairing_table(quads: np.ndarray, n: int):
-    """The three pairings of each 4-set of ``quads``, and each row's own {ik|jl}.
-
-    The ``k`` sets come out in the order of their sorted points
-    (a, b, c, d).  Pairing ``r`` of set ``s`` is table row ``r*k + s``, and
-    it pairs ``a`` with its ``r``-th larger point: {ab|cd}, {ac|bd},
-    {ad|bc}.  Returns the flat indices ``(first, second)`` of each pairing's
-    two pairs into an ``(n, n)`` array, as ``x*n + y``, and ``key``, the
-    table row of each row's {ik|jl} (the pairing that holds ``a``'s pair in
-    that row).
-    """
-    q = np.asarray(quads, dtype=np.int64)
-    pts = np.sort(q, axis=1)
-    _, rep, set_of_row = np.unique(
-        np.ravel_multi_index(pts.T, (n,) * 4), return_index=True, return_inverse=True
-    )
-    a, b, c, d = pts[rep].T
-    i, j, k, l = q.T
-    lo = pts[:, 0]
-    partner = np.where((i == lo) | (k == lo), i + k, j + l) - lo
-    rank = (partner > pts[:, 1]).astype(np.int64) + (partner > pts[:, 2])
-    key = rank * len(rep) + set_of_row
-    first = np.concatenate([a * n + b, a * n + c, a * n + d])
-    second = np.concatenate([c * n + d, b * n + d, b * n + c])
-    return (first, second), key
-
-
-def held_pairing_a(d: np.ndarray, invs: np.ndarray, table, key, base: np.ndarray) -> np.ndarray:
-    """``a`` for every (quadruple, involution), as a ``(Q, m)`` array.
-
-    ``table`` and ``key`` come from ``pairing_table``, ``base`` from
-    ``quad_pairs``.  The pairing rule picks the pairing that pi holds
-    whatever the row's order, and the row's own {ik|jl} only when pi holds
-    none (``pairing_rule``).  So M and the cycle mask are tabled once per
-    involution, point-pair major as ``(n*n, m)``; each pairing's
-    ``S = M(p1) + M(p2)`` and ``H = cyc(p1) | cyc(p2)`` are gathered once
-    per set, a held pairing's ``S`` replaces its set's three entries, and
-    each row reads the table at its ``key``.  M is
-    ``2*((v_x + v_y) - d[pi(x), pi(y)])``, as in ``case_terms``, so both
-    kernels give ``a`` bit for bit.
-    """
-    n = d.shape[0]
-    pis = np.ascontiguousarray(invs.T)  # (n, m): pi(x), point by point
-    v = d[np.arange(n)[:, None], pis]
-    M = 2.0 * (v[:, None, :] + v[None, :, :] - d[pis[:, None, :], pis[None, :, :]])
-    M = M.reshape(n * n, -1)
-    cyc = (pis[:, None, :] == np.arange(n)[:, None]).reshape(n * n, -1)  # pi(x) == y
-    first, second = table
-    S = np.take(M, first, axis=0)
-    S += np.take(M, second, axis=0)
-    H = np.take(cyc, first, axis=0)
-    H |= np.take(cyc, second, axis=0)
-    S, H = S.reshape(3, -1, S.shape[1]), H.reshape(3, -1, H.shape[1])
-    held = np.where(H[0], S[0], np.where(H[1], S[1], S[2]))
-    S = np.where(H[0] | H[1] | H[2], held, S)
-    a = np.take(S.reshape(-1, S.shape[2]), key, axis=0)
-    a += base[:, None]
-    return a
-
-
 # ---------------------------------------------------------------------------
 # exact E|W - W*| sweep
 # ---------------------------------------------------------------------------
@@ -391,41 +337,87 @@ def fold_orders(quads: np.ndarray, probs: np.ndarray, n: int):
     return folded[first], np.bincount(inverse, weights=probs, minlength=len(first))
 
 
-# (involution, quadruple) terms per block of exact_gap
-_GAP_BLOCK_TERMS = 65536
+def image_restrictions(invs: np.ndarray):
+    """The distinct rows of ``invs[:, :4]`` as ``(R, 4)`` int64, and how many rows share each."""
+    n = invs.shape[1]
+    key = np.ravel_multi_index(invs[:, :4].T, (n,) * 4)
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    return invs[first, :4].astype(np.int64), counts
+
+
+# folded rows per block of restricted_a: (R, b) blocks of 256 KiB at n = 12.
+# At 64 rows each block was faulted in afresh (11,000 page faults per call
+# against 300, a third slower), and verify's peak RSS rose by 3 MB.
+_GAP_ROWS = 16
+
+
+def restricted_a(d: np.ndarray, quads: np.ndarray, base: np.ndarray, images: np.ndarray):
+    """``a`` of every (restriction, row), as ``(R, b)`` blocks of rows.
+
+    Each row (I, J, K, L) of ``quads`` is relabelled: its points become
+    0, 1, 2, 3 and the others follow in ascending order.  ``images`` (from
+    ``image_restrictions``) hold pi(I), pi(J), pi(K), pi(L) in those labels,
+    so the held pairing {xy|zw} is the same for every row, and
+    ``a = (M_xy[c_x, c_y] + M_zw[c_z, c_w]) + base`` with per-row tables
+    ``M_xy[s, t] = 2*((d[x, s] + d[y, t]) - d[s, t])`` on the relabelled
+    ``d``, M's grouping in ``case_terms``: both give ``a`` bit for bit.
+    Yields ``(s, a)`` for the rows from ``s`` on.
+    """
+    n = d.shape[0]
+    ik, jl, ij, kl, il, jk = _PAIRS
+
+    def at(xy):  # flat index of M_xy[c_x, c_y] into the (6, n, n) tables
+        return _PAIRS.index(xy) * n * n + images[:, xy[0]] * n + images[:, xy[1]]
+
+    def holds(xy):
+        return images[:, xy[0]] == xy[1]
+
+    first = pairing_rule(holds, [at(il), at(ij), at(ik)])
+    second = pairing_rule(holds, [at(jk), at(kl), at(jl)])
+    label = np.tile(np.arange(n), (len(quads), 1))
+    np.put_along_axis(label, np.asarray(quads, dtype=np.int64), np.arange(-4, 0), axis=1)
+    points = np.argsort(label, axis=1).T  # (n, Q): the point of each label, row by row
+    x, y = np.array(_PAIRS).T
+    for s in range(0, len(quads), _GAP_ROWS):
+        p = points[:, s : s + _GAP_ROWS]
+        dq = d[p[:, None], p[None]]  # (n, n, b)
+        M = dq[x, :, None] + dq[y, None, :]
+        M -= dq
+        M *= 2.0
+        M = M.reshape(-1, p.shape[1])
+        a = np.take(M, first, axis=0)
+        a += np.take(M, second, axis=0)
+        a += base[s : s + _GAP_ROWS]
+        yield s, a
 
 
 def exact_gap(d, invs, quads, probs) -> float:
-    """Mean coupling gap by full enumeration (``d`` symmetric).
+    """Mean coupling gap over the involutions ``invs``, all of Pi_n (``d`` symmetric).
 
-    The quadruples are folded first (``fold_orders``): for symmetric ``d``
-    the orders (i,j,k,l), (j,i,l,k), (k,l,i,j) and (l,k,j,i) name the same
-    three candidate pairings, so they give bit-identical ``delta``, ``base``
-    and ``a`` under every involution, and one row per orbit carries the
-    summed weight, a quarter of the columns on a full support.  The
-    integrand comes off the per-pairing table (``held_pairing_a``) over
-    blocks of involutions; a block holds at most ``_GAP_BLOCK_TERMS``
-    (involution, quadruple) terms, or one involution if there are more
-    quadruples than that.  Each block is summed on its own contiguous
-    ``(Q, m)`` array through
-    ``int_0^1 |a - u*delta| du = |delta|*(phi(t) - t + 1/2)``, ``t = a/delta``:
-    per involution, ``phi(t) @ (p*|delta|) - a @ (p*sign(delta))`` plus
-    ``sum(p*|delta|)/2``.
+    The quadruples are folded first (``fold_orders``): the four orders of a
+    row give bit-identical ``delta``, ``base`` and ``a`` under every
+    involution, so one row per orbit carries their summed weight.  Each row
+    then sums its integrand once per distinct restriction of ``invs[:, :4]``
+    (``image_restrictions``, ``restricted_a``), weighted by its count, as
+    ``|delta|*(phi(t) - t + 1/2)`` at ``t = a/delta`` (``_phi``).
     """
-    quads, probs = fold_orders(quads, probs, d.shape[0])
+    n = d.shape[0]
+    size = math.prod(range(n - 1, 0, -2))  # |Pi_n| = (n-1)!!
+    if invs.shape[0] != size:
+        raise InputError(f"exact_gap needs all {size} involutions of {n} points")
+    quads, probs = fold_orders(quads, probs, n)
     _, delta, base = quad_pairs(d, quads)
-    table, key = pairing_table(quads, d.shape[0])
+    images, counts = image_restrictions(invs)
+    counts = counts.astype(np.float64)
     w_abs = probs * np.abs(delta)
     w_sign = probs * np.sign(delta)
-    half = 0.5 * w_abs.sum()
-    block = max(1, _GAP_BLOCK_TERMS // max(1, len(quads)))
-    per_pi = np.empty(invs.shape[0], dtype=np.float64)
-    for s in range(0, invs.shape[0], block):
-        a = held_pairing_a(d, invs[s : s + block], table, key, base)
-        signed = w_sign @ a
-        a /= delta[:, None]  # t = a/delta, then phi(t), in a's own buffer
-        per_pi[s : s + block] = w_abs @ _phi(a) - signed + half
-    return float(per_pi.sum() / invs.shape[0])
+    total = 0.0
+    for s, a in restricted_a(d, quads, base, images):
+        rows = slice(s, s + a.shape[1])
+        signed = counts @ a
+        a /= delta[rows]  # t = a/delta, then phi(t), in a's own buffer
+        total += (counts @ _phi(a)) @ w_abs[rows] - signed @ w_sign[rows]
+    return float(total / invs.shape[0] + 0.5 * w_abs.sum())
 
 
 # the perfbench binding test reads this second name of the kernel

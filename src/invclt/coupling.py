@@ -511,7 +511,8 @@ def exact_gap(D: CenteredArray) -> float:
     The kernel sums the weights of the four orders (i,j,k,l), (j,i,l,k),
     (k,l,i,j), (l,k,j,i) of each quadruple first and evaluates one of them:
     the array is symmetric, so all four give the same integrand bit for
-    bit, and the sweep runs over a quarter of the support.
+    bit, and the sweep runs over a quarter of the support.  Each quadruple
+    then sums over the distinct images of its four points, with their counts.
     """
     invs = involution_matrix(D.n)  # its cap fires before the O(n^4) table
     quads, probs = square_bias_table(D).support()
@@ -645,7 +646,8 @@ def _image_law_dev(points: np.ndarray, keys: np.ndarray, n: int) -> int:
     ys = np.empty((r, got.size), dtype=np.min_scalar_type(n - 1))
     for a in reversed(range(r)):
         rest, ys[a] = np.divmod(rest, n)
-    xs = points.astype(ys.dtype)[rest].T
+    # contiguous rows: the transposed gather left hit strided, and its sums slow
+    xs = np.ascontiguousarray(points.astype(ys.dtype)[rest].T)
     hit = ys[:, None] == xs[None, :]  # hit[a, b]: y_a = x_b
     consistent = (
         ~hit[np.arange(r), np.arange(r)].any(axis=0)
@@ -692,7 +694,8 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
     p2_dev = _image_law_dev(sq[:, :2], keys // n, n)
     p3_dev = _image_law_dev(sq[:, [0, 1, 3]], keys, n)
 
-    dag, _, ok = rewire(np.repeat(invs, n_q, axis=0), stack)
+    dag, touched, ok = rewire(np.repeat(invs, n_q, axis=0), stack)
+    del touched  # no line reads it: free its (m, n) bools before ranks(dag)
     # conditional uniformity: every completion of every support quad must be
     # produced by exactly |Pi_n| / |Pi_{n-4}| base involutions
     expected = n_inv // double_factorial(n - 5)

@@ -7,12 +7,14 @@ form of a sampler whose program path never builds one.
 * ``_case_terms_loop`` walks the ten-row rewiring table (``_case_term_loop``)
   row by row.  It is the only copy of the short cycle sums ``T`` (before)
   and ``T_dag`` (after the rewiring); ``coupling._cases`` holds the rows
-  themselves, as conditions.  It checks ``_kernels.case_terms`` and
-  ``_kernels.held_pairing_a``.
+  themselves, as conditions.  It checks ``_kernels.case_terms``, and
+  through it ``_kernels.restricted_a``.
 * ``_exact_gap_loop`` sums the table's integrand through the two-branch
-  segment integral ``_seg_abs_integral_loop``; it checks
-  ``_kernels.exact_gap``.  ``seg_abs_integral`` is the clip form that
-  ``exact_gap`` folds into its weights, written out on its own.
+  segment integral ``_seg_abs_integral_loop``, over every involution it is
+  given; it checks ``_kernels.exact_gap``, which sums over the distinct
+  images of each quadruple's points instead.  ``seg_abs_integral`` is the
+  clip form that ``exact_gap`` folds into its weights, written out on its
+  own.
 * ``table_sample_per_key``, ``_decode_distinct_sort`` and
   ``_square_bias_proposals_per_key`` are the square-bias samplers key by
   key: one unsorted ``searchsorted`` over the keys in input order, and the

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from invclt import _kernels, rng as rngmod
+from invclt.errors import InputError
 from invclt.involutions import choice_highs, draw_choices, involution_matrix
 
 from conftest import assert_involution, rand_centered, rank_of, y_value
@@ -225,27 +226,60 @@ class TestSegIntegral:
 
 class TestExactGap:
     def test_kernel_matches_loop_reference(self):
+        # every involution, as the kernel requires; the loop reference is
+        # plain Python, so n = 8 keeps a fifth of the support, which folds to
+        # several blocks of rows and a shorter last one
         from invclt.coupling import square_bias_table
 
-        D8, D10 = rand_centered(8, seed=72), rand_centered(10, seed=73)
+        D6, D8 = rand_centered(6, seed=71), rand_centered(8, seed=72)
+        q6, p6 = square_bias_table(D6).support()
         q8, p8 = square_bias_table(D8).support()
-        q10, p10 = square_bias_table(D10).support()
-        inv8, inv10 = involution_matrix(8), involution_matrix(10)
-        # the loop reference is plain Python: cut the n = 10 input down, to
-        # two whole blocks of involutions and a remainder (blocks are sized
-        # on the folded quadruples)
-        q10, p10 = q10[::3], p10[::3]
-        block = _kernels._GAP_BLOCK_TERMS // len(_kernels.fold_orders(q10, p10, 10)[0])
-        inv10 = inv10[: 2 * block + 7]
-        assert len(inv10) % block != 0
-        for D, invs, quads, probs in (
-            (D8, inv8[::5], q8, p8),
-            (D10, inv10, q10, p10),
-            (D10, inv10[3:4], q10, p10),
-        ):
+        q8, p8 = q8[::5], p8[::5]
+        folded = len(_kernels.fold_orders(q8, p8, 8)[0])
+        assert folded > 2 * _kernels._GAP_ROWS and folded % _kernels._GAP_ROWS != 0
+        for D, quads, probs in ((D6, q6, p6), (D8, q8, p8)):
+            invs = involution_matrix(D.n)
             a = _exact_gap_loop(D.entries, invs, quads, probs)
             b = _kernels.exact_gap(D.entries, invs, quads, probs)
             assert abs(a - b) < 1e-12
+
+    def test_kernel_needs_every_involution(self):
+        # the sum runs over the restrictions of Pi_n, so a subset of the
+        # involutions would give a wrong mean: the kernel refuses it
+        from invclt.coupling import square_bias_table
+
+        D = rand_centered(8, seed=72)
+        quads, probs = square_bias_table(D).support()
+        invs = involution_matrix(8)
+        for subset in (invs[::5], invs[1:], np.concatenate([invs, invs[:1]])):
+            with pytest.raises(InputError, match="all 105 involutions"):
+                _kernels.exact_gap(D.entries, subset, quads, probs)
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_image_restrictions_follow_the_four_image_rule(self, n):
+        # pi on the points 0..3: 3 perfect matchings of them, 6(n-4)(n-5)
+        # restrictions with one internal pair and (n-4)(n-5)(n-6)(n-7) with
+        # none, each shared by (n-5)!!, (n-7)!! and (n-9)!! involutions
+        invs = involution_matrix(n)
+        images, counts = _kernels.image_restrictions(invs)
+        want, want_counts = np.unique(invs[:, :4], axis=0, return_counts=True)
+        assert np.array_equal(images, want) and np.array_equal(counts, want_counts)
+        internal = (images < 4).sum(axis=1)  # points whose partner is among 0..3
+
+        def double_factorial(k):
+            return math.prod(range(k, 0, -2))
+
+        rule = {
+            4: (3, double_factorial(n - 5)),
+            2: (6 * (n - 4) * (n - 5), double_factorial(n - 7)),
+            0: ((n - 4) * (n - 5) * (n - 6) * (n - 7), double_factorial(n - 9)),
+        }
+        assert set(internal) == set(rule)
+        for inner, (size, each) in rule.items():
+            assert (internal == inner).sum() == size
+            assert set(counts[internal == inner]) == {each}
+        assert len(images) == {8: 99, 10: 543, 12: 2019}[n]
+        assert counts.sum() == len(invs)
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_pairing_closed_form_matches_table(self, n):
@@ -264,13 +298,17 @@ class TestExactGap:
         a, delta = _kernels.case_terms(D.entries, at_quads, all_quads)
         np.testing.assert_allclose(a, want, rtol=0.0, atol=1e-13)
         assert np.array_equal(delta, delta_t)
+        # restricted_a, each restriction repeated by its count, gives every
+        # row the values case_terms gives it over Pi_n, bit for bit
         _, delta_q, base = _kernels.quad_pairs(D.entries, quads)
-        table, key = _kernels.pairing_table(quads, n)
-        a_pi = _kernels.held_pairing_a(D.entries, invs, table, key, base).T.ravel()
-        np.testing.assert_allclose(a_pi, want, rtol=0.0, atol=1e-13)
-        # the per-pairing table gives case_terms' values bit for bit
-        assert np.array_equal(a_pi, a)
         assert np.array_equal(np.tile(delta_q, len(invs)), delta_t)
+        restrictions, counts = _kernels.image_restrictions(invs)
+        blocks = _kernels.restricted_a(D.entries, quads, base, restrictions)
+        a_r = np.hstack([block for _, block in blocks])
+        assert a_r.shape == (len(restrictions), len(quads))
+        a_pi = a.reshape(len(invs), len(quads))
+        a_r = np.repeat(a_r, counts, axis=0)
+        assert np.array_equal(np.sort(a_r, axis=0), np.sort(a_pi, axis=0))
 
     def test_pi_holds_at_most_one_pairing(self):
         # the premise of the per-pairing table, over every involution and
@@ -312,8 +350,9 @@ class TestFoldOrders:
 
         def terms(rows):
             _, delta, base = _kernels.quad_pairs(D.entries, rows)
-            table, key = _kernels.pairing_table(rows, n)
-            return delta, base, _kernels.held_pairing_a(D.entries, invs, table, key, base)
+            stack = np.tile(rows, (len(invs), 1))
+            a, _ = _kernels.case_terms(D.entries, invs[:, rows].reshape(-1, 4), stack)
+            return delta, base, a
 
         delta, base, a = terms(quads)
         assert len(_kernels._ORDERS) == 4
@@ -354,43 +393,43 @@ class TestFoldOrders:
         assert abs(a - b) < 1e-12
 
     def test_matches_unfolded_sum_at_n10(self):
+        # case_terms on every (involution, support quadruple), a block of
+        # involutions at a time, through the segment integral
         from invclt.coupling import square_bias_table
 
         D = rand_centered(10, seed=97)
         quads, probs = square_bias_table(D).support()
         invs = involution_matrix(10)
-        _, delta, base = _kernels.quad_pairs(D.entries, quads)
-        table, key = _kernels.pairing_table(quads, 10)
-        per_pi = [
-            seg_abs_integral(
-                _kernels.held_pairing_a(D.entries, invs[s : s + 105], table, key, base).T,
-                delta,
-            )
-            @ probs
-            for s in range(0, len(invs), 105)
-        ]
+        stack = np.tile(quads, (63, 1))
+        per_pi = []
+        for s in range(0, len(invs), 63):
+            images = invs[s : s + 63, quads].reshape(-1, 4)
+            a, delta = _kernels.case_terms(D.entries, images, stack)
+            per_pi.append(seg_abs_integral(a, delta).reshape(63, -1) @ probs)
         want = float(np.concatenate(per_pi).sum() / len(invs))
         got = _kernels.exact_gap(D.entries, invs, quads, probs)
         assert abs(got - want) <= 1e-13 * want
 
     def test_full_support_evaluates_a_quarter_of_the_columns(self, monkeypatch):
         # dropping the fold would quadruple the work without changing the
-        # value; the table holds the three pairings of each of the C(8, 4) sets
+        # value; each folded row is evaluated at the 99 distinct restrictions
+        # of Pi_8 to four points, not at its 105 involutions
         from invclt.coupling import exact_gap, square_bias_table
 
         D = rand_centered(8, seed=98)
-        columns, pairings = [], []
-        held_pairing_a = _kernels.held_pairing_a
+        shapes = []
+        restricted_a = _kernels.restricted_a
 
-        def counted(d, invs, table, key, base):
-            columns.append(len(base))
-            pairings.append(len(table[0]))
-            return held_pairing_a(d, invs, table, key, base)
+        def counted(d, quads, base, images):
+            for s, a in restricted_a(d, quads, base, images):
+                shapes.append(a.shape)
+                yield s, a
 
-        monkeypatch.setattr(_kernels, "held_pairing_a", counted)
+        monkeypatch.setattr(_kernels, "restricted_a", counted)
         exact_gap(D)
-        assert columns and set(columns) == {len(square_bias_table(D).support()[0]) // 4}
-        assert set(pairings) == {3 * math.comb(8, 4)}
+        rows = len(square_bias_table(D).support()[0]) // 4
+        assert {r for r, _ in shapes} == {99}
+        assert sum(c for _, c in shapes) == rows == 420
 
     def test_sets_short_of_rows_match_loop(self):
         # one folded row dropped from each 4-set: the table is keyed off the
