@@ -361,7 +361,7 @@ def restricted_a(d: np.ndarray, quads: np.ndarray, base: np.ndarray, images: np.
     ``a = (M_xy[c_x, c_y] + M_zw[c_z, c_w]) + base`` with per-row tables
     ``M_xy[s, t] = 2*((d[x, s] + d[y, t]) - d[s, t])`` on the relabelled
     ``d``, M's grouping in ``case_terms``: both give ``a`` bit for bit.
-    Yields ``(s, a)`` for the rows from ``s`` on.
+    Yields ``(rows, a)``: each block's slice of ``quads``, and its ``a``.
     """
     n = d.shape[0]
     ik, jl, ij, kl, il, jk = _PAIRS
@@ -387,8 +387,19 @@ def restricted_a(d: np.ndarray, quads: np.ndarray, base: np.ndarray, images: np.
         M = M.reshape(-1, p.shape[1])
         a = np.take(M, first, axis=0)
         a += np.take(M, second, axis=0)
-        a += base[s : s + _GAP_ROWS]
-        yield s, a
+        rows = slice(s, s + p.shape[1])
+        a += base[rows]
+        yield rows, a
+
+
+def _distinct_involutions(invs: np.ndarray) -> bool:
+    """Whether the rows of ``invs`` are distinct fixed-point-free involutions."""
+    pts = np.arange(invs.shape[1])
+    if ((invs < 0) | (invs >= pts.size) | (invs == pts)).any():
+        return False
+    # such a row is fixed by its first n - 1 images: one base-n key each
+    key = np.sort(invs[:, :-1].astype(np.int64) @ pts.size ** pts[-2::-1])
+    return bool((np.take_along_axis(invs, invs, 1) == pts).all() and (np.diff(key) > 0).all())
 
 
 def exact_gap(d, invs, quads, probs) -> float:
@@ -399,12 +410,14 @@ def exact_gap(d, invs, quads, probs) -> float:
     involution, so one row per orbit carries their summed weight.  Each row
     then sums its integrand once per distinct restriction of ``invs[:, :4]``
     (``image_restrictions``, ``restricted_a``), weighted by its count, as
-    ``|delta|*(phi(t) - t + 1/2)`` at ``t = a/delta`` (``_phi``).
+    ``|delta|*(phi(t) - t + 1/2)`` at ``t = a/delta`` (``_phi``): the mean
+    over Pi_n only if ``invs`` holds each of its (n-1)!! rows once, so any
+    other ``invs`` raises ``InputError``.
     """
     n = d.shape[0]
     size = math.prod(range(n - 1, 0, -2))  # |Pi_n| = (n-1)!!
-    if invs.shape[0] != size:
-        raise InputError(f"exact_gap needs all {size} involutions of {n} points")
+    if invs.shape != (size, n) or not _distinct_involutions(invs):
+        raise InputError(f"exact_gap needs all {size} involutions of {n} points, each once")
     quads, probs = fold_orders(quads, probs, n)
     _, delta, base = quad_pairs(d, quads)
     images, counts = image_restrictions(invs)
@@ -412,8 +425,7 @@ def exact_gap(d, invs, quads, probs) -> float:
     w_abs = probs * np.abs(delta)
     w_sign = probs * np.sign(delta)
     total = 0.0
-    for s, a in restricted_a(d, quads, base, images):
-        rows = slice(s, s + a.shape[1])
+    for rows, a in restricted_a(d, quads, base, images):
         signed = counts @ a
         a /= delta[rows]  # t = a/delta, then phi(t), in a's own buffer
         total += (counts @ _phi(a)) @ w_abs[rows] - signed @ w_sign[rows]

@@ -293,14 +293,13 @@ def _cases(q, p):
     c1, c2 = pi_i == j, pi_k == l
     r1 = a1.astype(np.uint8) + a2 + b1 + b2
     r2 = c1.astype(np.uint8) + c2 + b1 + (pi_k == j)
-    rows = np.array(
-        (a1 > a2, a1 < a2, b1 > b2, b1 < b2, c1 > c2, c1 < c2)
-        + (a1 & a2, c1 & c2, b1 & b2, (r1 == 0) & (r2 == 0))
-    )
-    matches = rows.sum(axis=0, dtype=np.uint8)
-    case = np.where(matches > 0, rows.argmax(axis=0) + 1, 0).astype(np.uint8)
-    want = np.array([(0, 0)] + [CASE_R[c] for c in range(1, 11)], dtype=np.uint8)[case]
-    mismatch = (case > 0) & ((want[:, 0] != r1) | (want[:, 1] != r2))
+    rows = (a1 > a2, a1 < a2, b1 > b2, b1 < b2, c1 > c2, c1 < c2, a1 & a2, c1 & c2, b1 & b2)
+    matches, case = np.zeros((2, r1.size), dtype=np.uint8)
+    for c, row in reversed(list(enumerate(rows + ((r1 == 0) & (r2 == 0),), 1))):
+        matches += row
+        case[row] = c  # the first row that holds is written last
+    want = np.array([(0, 0)] + [CASE_R[c] for c in range(1, 11)], dtype=np.uint8).T
+    mismatch = (case > 0) & ((want[0][case] != r1) | (want[1][case] != r2))
     return r1, r2, case, matches, mismatch
 
 
@@ -644,8 +643,10 @@ def _image_law_dev(points: np.ndarray, keys: np.ndarray, n: int) -> int:
     rest, got = np.unique(keys, return_counts=True)
     r = points.shape[1]
     ys = np.empty((r, got.size), dtype=np.min_scalar_type(n - 1))
-    for a in reversed(range(r)):
-        rest, ys[a] = np.divmod(rest, n)
+    for a in reversed(range(r)):  # // by a scalar and a subtract: faster than divmod
+        quot = rest // n
+        np.subtract(rest, quot * n, out=ys[a], casting="unsafe")
+        rest = quot
     # contiguous rows: the transposed gather left hit strided, and its sums slow
     xs = np.ascontiguousarray(points.astype(ys.dtype)[rest].T)
     hit = ys[:, None] == xs[None, :]  # hit[a, b]: y_a = x_b
@@ -663,8 +664,9 @@ def _image_law_dev(points: np.ndarray, keys: np.ndarray, n: int) -> int:
 def exhaustive_sweep(D: CenteredArray) -> SweepReport:
     """One pass over every (involution, ordered quadruple) at small n.
 
-    Every check reads whole arrays over one uint8 stack, row ``r * Q + s``
-    for involution ``r`` and quadruple ``s``: row disjointness/exhaustiveness
+    Every check reads whole arrays over one uint8 stack of (4, n_inv * Q)
+    columns, column ``r * Q + s`` for involution ``r`` and quadruple ``s``,
+    each of its rows contiguous: row disjointness/exhaustiveness
     (``_cases``), each first matching case's (R1,R2) against ``CASE_R``, the
     impossibility of (R1,R2) in {(2,1),(1,2)}, every rewired involution, and
     the integer counts of the conditional-uniformity law (read at the rows
@@ -680,27 +682,30 @@ def exhaustive_sweep(D: CenteredArray) -> SweepReport:
     support = _kernels.quad_pairs(D.entries, quads)[1] != 0.0  # the square-bias support
     sq = quads[support]
     n_s = sq.shape[0]
-    stack = np.tile(quads, (n_inv, 1))
-    p = invs[:, quads]  # (n_inv, n_q, 4): pi at each quadruple
+    # (4, n_inv * n_q) columns, contiguous rows: the quadruples and pi at them
+    stack = np.tile(quads.T, n_inv)
+    p = np.take(invs, quads.T, axis=1).transpose(1, 0, 2).reshape(4, -1)
 
-    r1, r2, case, matches, mismatch = _cases(stack.T, p.reshape(-1, 4).T)
+    r1, r2, case, matches, mismatch = _cases(stack, p)
     case_counts = np.bincount(case, minlength=11)
     impossible = int(np.count_nonzero((r1 == 2) & (r2 == 1) | (r1 == 1) & (r2 == 2)))
     multi_match = int(np.count_nonzero(matches != 1))
     r_mismatch = int(np.count_nonzero(mismatch))
     del r1, r2, case, matches, mismatch  # only their counts stay alive through the laws and rewire
-    pi_i, pi_j, _, pi_l = np.moveaxis(p[:, support], -1, 0)
-    keys = ((np.arange(n_s) * n + pi_i) * n + pi_j) * n + pi_l  # (quad, pi(I), pi(J), pi(L))
+    pi_i, pi_j, _, pi_l = p.reshape(4, n_inv, n_q)[:, :, support]
+    # (quad, pi(I), pi(J), pi(L)) in uint32, which sorts faster than int64
+    keys = ((np.arange(n_s, dtype=np.uint32) * n + pi_i) * n + pi_j) * n + pi_l
     p2_dev = _image_law_dev(sq[:, :2], keys // n, n)
     p3_dev = _image_law_dev(sq[:, [0, 1, 3]], keys, n)
 
-    dag, touched, ok = rewire(np.repeat(invs, n_q, axis=0), stack)
+    dag, touched, ok = rewire(np.repeat(invs, n_q, axis=0), stack.T)
     del touched  # no line reads it: free its (m, n) bools before ranks(dag)
     # conditional uniformity: every completion of every support quad must be
     # produced by exactly |Pi_n| / |Pi_{n-4}| base involutions
     expected = n_inv // double_factorial(n - 5)
-    hits = np.zeros((n_s, n_inv + 1), dtype=np.int64)  # per (quad, rank + 1); 0: no involution
-    np.add.at(hits, (np.arange(n_s), ranks(dag).reshape(n_inv, n_q)[:, support] + 1), 1)
+    # hits per (quad, rank + 1); 0: no involution
+    at = (n_inv + 1) * np.arange(n_s) + ranks(dag).reshape(n_inv, n_q)[:, support] + 1
+    hits = np.bincount(at.ravel(), minlength=n_s * (n_inv + 1)).reshape(n_s, n_inv + 1)
     held = (invs[:, sq[:, 0]] == sq[:, 2]) & (invs[:, sq[:, 1]] == sq[:, 3])
 
     return SweepReport(

@@ -737,12 +737,13 @@ class TestExactOracles:
         assert len(calls) <= 2
 
     def test_sweep_allocation_budget(self):
-        # the n = 8 stack of 176,400 (involution, quadruple) rows: the peak is
-        # the (quad, pi(I), pi(J), pi(L)) law's temporaries, which run after
-        # the case arrays are reduced to counts (11.20 MiB on a first call,
-        # 11.08 MiB after); rewire's touched mask is freed before ranks, which
-        # peaks below that.  numpy reports every data buffer to tracemalloc,
-        # so the peak repeats from run to run
+        # the n = 8 stack of 176,400 (involution, quadruple) columns: the
+        # peak is the (quad, pi(I), pi(J), pi(L)) law's temporaries, which run
+        # after the case arrays are reduced to counts, and rewire's, which
+        # reach the same height (10.06 MiB on a first call, 9.95 MiB after);
+        # rewire's touched mask is freed before ranks, which peaks below that.
+        # numpy reports every data buffer to tracemalloc, so the peak repeats
+        # from run to run
         D = rand_centered(8, seed=38)
         tracemalloc.start()
         try:
@@ -750,12 +751,12 @@ class TestExactOracles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 11.25 * 2**20
+        assert peak <= 10.12 * 2**20
 
     def test_cases_allocation_budget(self):
-        # _cases alone on the n = 8 sweep stack: uint8 counts and one
-        # (10, 176,400) bool table of the rows peak at 6.39 MiB, so one more
-        # int64 array of the stack's length (1.35 MiB) breaks the bound
+        # _cases alone on the n = 8 sweep stack: its uint8 counts and the ten
+        # rows as separate (176,400,) bool arrays peak at 3.87 MiB, so one
+        # more int64 array of the stack's length (1.35 MiB) breaks the bound
         n = 8
         invs = involution_matrix(n)
         quads = np.array(list(itertools.permutations(range(n), 4)), dtype=np.uint8)
@@ -767,7 +768,7 @@ class TestExactOracles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7.5 * 2**20
+        assert peak <= 5.2 * 2**20
 
     def test_sweep_caps(self):
         with pytest.raises(InputError, match="n=10 exceeds sweep cap"):

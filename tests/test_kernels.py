@@ -244,16 +244,24 @@ class TestExactGap:
             assert abs(a - b) < 1e-12
 
     def test_kernel_needs_every_involution(self):
-        # the sum runs over the restrictions of Pi_n, so a subset of the
-        # involutions would give a wrong mean: the kernel refuses it
+        # the sum runs over the restrictions of Pi_n, so any other rows would
+        # give a wrong mean: a subset, a row twice in place of another (the
+        # right size), or a row that is not a fixed-point-free involution
         from invclt.coupling import square_bias_table
 
         D = rand_centered(8, seed=72)
         quads, probs = square_bias_table(D).support()
         invs = involution_matrix(8)
-        for subset in (invs[::5], invs[1:], np.concatenate([invs, invs[:1]])):
+        twice = invs.copy()
+        twice[1] = twice[0]
+        fixed = invs.copy()
+        fixed[3, [0, 1]] = fixed[3, [1, 0]]  # pi(0), pi(1) swapped: no longer an involution
+        for bad in (invs[::5], invs[1:], np.concatenate([invs, invs[:1]]), twice, fixed):
             with pytest.raises(InputError, match="all 105 involutions"):
-                _kernels.exact_gap(D.entries, subset, quads, probs)
+                _kernels.exact_gap(D.entries, bad, quads, probs)
+        # the rows may come in any order
+        ok = _kernels.exact_gap(D.entries, invs[::-1], quads, probs)
+        assert abs(ok - _kernels.exact_gap(D.entries, invs, quads, probs)) < 1e-12
 
     @pytest.mark.parametrize("n", [8, 10, 12])
     def test_image_restrictions_follow_the_four_image_rule(self, n):
@@ -283,8 +291,9 @@ class TestExactGap:
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_pairing_closed_form_matches_table(self, n):
-        # both pairing-rule kernels against the ten-row loop, on every
-        # (involution, support quadruple); the support rows come in all orders
+        # case_terms against the ten-row table of the loop reference, on
+        # every (involution, support quadruple), then restricted_a against
+        # case_terms; the support rows come in all orders
         from invclt.coupling import square_bias_table
 
         D = rand_centered(n, seed=74 + n)
@@ -311,8 +320,9 @@ class TestExactGap:
         assert np.array_equal(np.sort(a_r, axis=0), np.sort(a_pi, axis=0))
 
     def test_pi_holds_at_most_one_pairing(self):
-        # the premise of the per-pairing table, over every involution and
-        # every ordered quadruple of distinct points at n = 8: two pairs of
+        # the premise of pairing_rule, which restricted_a applies once per
+        # restriction, checked over every involution and every ordered
+        # quadruple of distinct points at n = 8: two pairs of
         # different pairings share a point, so pi holds a pair of at most
         # one of {il|jk}, {ij|kl}, {ik|jl}, and the rule picks that pairing
         # whatever the order, or the row's own {ik|jl} when none is held
@@ -421,9 +431,9 @@ class TestFoldOrders:
         restricted_a = _kernels.restricted_a
 
         def counted(d, quads, base, images):
-            for s, a in restricted_a(d, quads, base, images):
+            for rows, a in restricted_a(d, quads, base, images):
                 shapes.append(a.shape)
-                yield s, a
+                yield rows, a
 
         monkeypatch.setattr(_kernels, "restricted_a", counted)
         exact_gap(D)
@@ -432,8 +442,9 @@ class TestFoldOrders:
         assert sum(c for _, c in shapes) == rows == 420
 
     def test_sets_short_of_rows_match_loop(self):
-        # one folded row dropped from each 4-set: the table is keyed off the
-        # rows it is given, not on six rows per set
+        # one folded row dropped from each 4-set: restricted_a relabels and
+        # sums each row on its own, so a list with five rows per set, not
+        # closed under relabelling the 4-set, still matches the loop
         from invclt.coupling import square_bias_table
 
         D = rand_centered(8, seed=99)
