@@ -1,9 +1,11 @@
 """Named exact-oracle checks behind ``invclt verify``.
 
-Every check generates its own arrays from the master seed, computes an
+Every check derives its arrays from the master seed, computes an
 independent quantity (enumeration, combinatorial count or closed form) and
 reports ``{check, n, max_abs_error, pass}``.  Integer-count checks report
-the worst count deviation, so any nonzero value is a failure.
+the worst count deviation, so any nonzero value is a failure.  The three
+Stein families read one array and ``stein_sweep`` per n, the five exhaustive
+families another array and ``exhaustive_sweep``; the rest draw their own.
 
 ``run_checks`` runs the families in registry order on the calling thread,
 except ``bound_chain`` (its exact gap at n = 12 is about half of a run): it
@@ -118,12 +120,26 @@ def check_lemma_3_3(seed: int) -> list[dict]:
     return out
 
 
+# The sweeps of one run_checks call, keyed by (sweep, seed, n), each of an
+# array from its sweep's one stream.  None outside run_checks, so a family
+# run alone computes its own.  Only the calling thread reads it (never
+# bound_chain's side thread), so it needs no lock.
+_shared_sweeps: dict[tuple[Callable, int, int], tuple | coupling.SweepReport] | None = None
+
+
+def _sweep(sweep: Callable, seed: int, n: int) -> tuple | coupling.SweepReport:
+    cache = {} if _shared_sweeps is None else _shared_sweeps
+    if (sweep, seed, n) not in cache:
+        stream = {coupling.stein_sweep: 5, coupling.exhaustive_sweep: 7}[sweep]
+        gen = rngmod.derive_stream(seed, rngmod.PURPOSE_CHECKS, stream, n)
+        cache[sweep, seed, n] = sweep(random_centered(n, gen))
+    return cache[sweep, seed, n]
+
+
 def check_stein_linearity(seed: int) -> list[dict]:
     out = []
     for n in (6, 8, 10):
-        gen = rngmod.derive_stream(seed, rngmod.PURPOSE_CHECKS, 5, n)
-        D = random_centered(n, gen)
-        lin_err, _, _, formula_err = coupling.stein_sweep(D)
+        lin_err, _, _, formula_err = _sweep(coupling.stein_sweep, seed, n)
         ok = lin_err <= 1e-12 and formula_err <= 1e-12
         out.append(_record("stein_linearity", n, lin_err, ok, formula_error=formula_err))
     return out
@@ -132,32 +148,16 @@ def check_stein_linearity(seed: int) -> list[dict]:
 def check_stein_second_moment(seed: int) -> list[dict]:
     out = []
     for n in (6, 8, 10):
-        gen = rngmod.derive_stream(seed, rngmod.PURPOSE_CHECKS, 6, n)
-        D = random_centered(n, gen)
-        _, m2, _, _ = coupling.stein_sweep(D)
+        _, m2, _, _ = _sweep(coupling.stein_sweep, seed, n)
         err = abs(m2 - 8.0 / n)
         out.append(_record("stein_second_moment", n, err, err <= 1e-12))
     return out
 
 
-# The exhaustive sweeps of one run_checks call, keyed by (seed, n): five
-# families read the same n = 6 and n = 8 sweeps.  None outside run_checks,
-# so a family called on its own computes its sweeps.
-_shared_sweeps: dict[tuple[int, int], coupling.SweepReport] | None = None
-
-
-def _sweep(seed: int, n: int) -> coupling.SweepReport:
-    cache = {} if _shared_sweeps is None else _shared_sweeps
-    if (seed, n) not in cache:
-        gen = rngmod.derive_stream(seed, rngmod.PURPOSE_CHECKS, 7, n)
-        cache[seed, n] = coupling.exhaustive_sweep(random_centered(n, gen))
-    return cache[seed, n]
-
-
 def check_case_exhaustiveness(seed: int) -> list[dict]:
     out = []
     for n in (6, 8):
-        rep = _sweep(seed, n)
+        rep = _sweep(coupling.exhaustive_sweep, seed, n)
         err = rep.multi_match + rep.case_r_mismatch + rep.closure_failures
         out.append(
             _record(
@@ -174,7 +174,7 @@ def check_case_exhaustiveness(seed: int) -> list[dict]:
 def check_impossible_cases(seed: int) -> list[dict]:
     out = []
     for n in (6, 8):
-        rep = _sweep(seed, n)
+        rep = _sweep(coupling.exhaustive_sweep, seed, n)
         out.append(_record("impossible_cases_21_12", n, rep.impossible_r, rep.impossible_r == 0))
     return out
 
@@ -182,7 +182,7 @@ def check_impossible_cases(seed: int) -> list[dict]:
 def check_pi_dagger_uniformity(seed: int) -> list[dict]:
     out = []
     for n in (6, 8):
-        rep = _sweep(seed, n)
+        rep = _sweep(coupling.exhaustive_sweep, seed, n)
         out.append(
             _record(
                 "completion_uniformity",
@@ -196,12 +196,12 @@ def check_pi_dagger_uniformity(seed: int) -> list[dict]:
 
 
 def check_p2_joint_law(seed: int) -> list[dict]:
-    rep = _sweep(seed, 8)
+    rep = _sweep(coupling.exhaustive_sweep, seed, 8)
     return [_record("p2_joint_law", 8, rep.p2_max_dev, rep.p2_max_dev == 0)]
 
 
 def check_p3_structural(seed: int) -> list[dict]:
-    rep = _sweep(seed, 8)
+    rep = _sweep(coupling.exhaustive_sweep, seed, 8)
     return [_record("p3_structural_zeros", 8, rep.p3_max_dev, rep.p3_max_dev == 0)]
 
 
@@ -230,9 +230,7 @@ def check_zero_bias_cdf(seed: int) -> list[dict]:
 def check_exchangeability(seed: int) -> list[dict]:
     out = []
     for n in (6, 8):
-        gen = rngmod.derive_stream(seed, rngmod.PURPOSE_CHECKS, 9, n)
-        D = random_centered(n, gen)
-        _, _, dev, _ = coupling.stein_sweep(D)
+        _, _, dev, _ = _sweep(coupling.stein_sweep, seed, n)
         out.append(_record("exchangeability", n, dev, dev == 0))
     return out
 

@@ -399,31 +399,46 @@ class TestVerify:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_sweeps_shared_within_one_run(self, monkeypatch):
-        # the five sweep families share one n = 6 and one n = 8 sweep per
-        # run_checks call, and a second call computes them again
-        from invclt import checks as checksmod, coupling
+    @pytest.mark.parametrize(
+        "sweep, families, ns",
+        [
+            (
+                "exhaustive_sweep",
+                (
+                    "case_exhaustiveness",
+                    "impossible_cases_21_12",
+                    "completion_uniformity",
+                    "p2_joint_law",
+                    "p3_structural_zeros",
+                ),
+                [6, 8],
+            ),
+            (
+                "stein_sweep",
+                ("stein_linearity", "stein_second_moment", "exchangeability"),
+                [6, 8, 10],
+            ),
+        ],
+        ids=["exhaustive_sweep", "stein_sweep"],
+    )
+    def test_sweeps_shared_within_one_run(self, sweep, families, ns, monkeypatch):
+        # the families of one sweep share one sweep per n per run_checks
+        # call, and a second call computes them again
+        from invclt import coupling
 
         calls = []
-        sweep = coupling.exhaustive_sweep
+        compute = getattr(coupling, sweep)
 
         def counted(D):
             calls.append(D.n)
-            return sweep(D)
+            return compute(D)
 
-        monkeypatch.setattr(coupling, "exhaustive_sweep", counted)
-        families = (
-            "case_exhaustiveness",
-            "impossible_cases_21_12",
-            "completion_uniformity",
-            "p2_joint_law",
-            "p3_structural_zeros",
-        )
+        monkeypatch.setattr(coupling, sweep, counted)
         monkeypatch.setattr(checksmod, "CHECKS", {k: checksmod.CHECKS[k] for k in families})
         first = checksmod.run_checks(5)
-        assert sorted(calls) == [6, 8]
+        assert sorted(calls) == ns
         assert checksmod.run_checks(5) == first
-        assert sorted(calls) == [6, 6, 8, 8]
+        assert sorted(calls) == sorted(ns * 2)
 
     @staticmethod
     def _families(monkeypatch, bound_chain, **fns):
@@ -792,9 +807,14 @@ RECORDED_SIMULATE = [
 # probabilities became the jumps of the exact law's step CDF.  Both
 # `bound_chain` `exact_gap` values kept their bits when exact_gap summed each
 # quadruple over the distinct images of its four points, weighted by their
-# counts (at seeds 1 and 3001 they moved by at most 1.3e-16 relative).  It
-# may change only with a deliberate change of a check, of Phi or of the
-# report schema.
+# counts (at seeds 1 and 3001 they moved by at most 1.3e-16 relative).  When
+# the three Stein families came to share one array (stream 5, linearity's)
+# and one `stein_sweep` per n, only `stein_second_moment`'s `max_abs_error`
+# moved: n = 6 0.0 -> 6.66e-16 and n = 10 0.0 -> 2.22e-16 (at seed 1, n = 8
+# 3.33e-16 -> 0.0 and n = 10 0.0 -> 5.55e-16; at seed 3001, n = 6 4.44e-16
+# -> 6.66e-16 and n = 8 2.22e-16 -> 0.0); every other leaf, at all three
+# seeds, kept its bits.  It may change only with a deliberate change of a
+# check, of Phi or of the report schema.
 RECORDED_VERIFY = {
     "checks": [
         {
@@ -885,14 +905,24 @@ RECORDED_VERIFY = {
             "n": 10,
             "pass": True,
         },
-        {"check": "stein_second_moment", "max_abs_error": 0.0, "n": 6, "pass": True},
+        {
+            "check": "stein_second_moment",
+            "max_abs_error": 6.661338147750939e-16,
+            "n": 6,
+            "pass": True,
+        },
         {
             "check": "stein_second_moment",
             "max_abs_error": 2.220446049250313e-16,
             "n": 8,
             "pass": True,
         },
-        {"check": "stein_second_moment", "max_abs_error": 0.0, "n": 10, "pass": True},
+        {
+            "check": "stein_second_moment",
+            "max_abs_error": 2.220446049250313e-16,
+            "n": 10,
+            "pass": True,
+        },
         {
             "case_counts": {
                 "1": 720,

@@ -27,6 +27,23 @@ def run_family(name: str) -> list[dict]:
     return checks.CHECKS[name](rngmod.DEFAULT_SEED)
 
 
+STEIN_FAMILIES = ("stein_linearity", "stein_second_moment", "exchangeability")
+
+
+def passes(records: list[dict]) -> list[tuple[int, bool]]:
+    return [(r["n"], r["pass"]) for r in records]
+
+
+def stein_families_alone_and_shared(monkeypatch) -> tuple[dict, dict]:
+    """``{family: passes}`` of the three Stein families, each run on its
+    own and all three in one ``run_checks`` call on their shared sweeps."""
+    alone = {name: passes(run_family(name)) for name in STEIN_FAMILIES}
+    monkeypatch.setattr(checks, "CHECKS", {k: checks.CHECKS[k] for k in STEIN_FAMILIES})
+    records = checks.run_checks(rngmod.DEFAULT_SEED)
+    shared = {name: passes([r for r in records if r["check"] == name]) for name in STEIN_FAMILIES}
+    return alone, shared
+
+
 def test_not_yet_injected_is_exactly_the_untested_families():
     # a family that loses its test, or gains one while still listed, fails here
     injected = set(re.findall(r'run_family\("(\w+)"\)', Path(__file__).read_text()))
@@ -216,9 +233,11 @@ def test_stein_second_moment_fails_on_an_unstandardized_array(monkeypatch):
         return CenteredArray(n=n, entries=1.01 * D.entries, beta=D.beta) if n == 8 else D
 
     monkeypatch.setattr(checks, "random_centered", scaled)
-    records = run_family("stein_second_moment")
-    assert [(r["n"], r["pass"]) for r in records] == [(6, True), (8, False), (10, True)]
-    assert all(r["pass"] for r in run_family("stein_linearity"))
+    alone, shared = stein_families_alone_and_shared(monkeypatch)
+    assert alone["stein_second_moment"] == [(6, True), (8, False), (10, True)]
+    assert all(ok for _, ok in alone["stein_linearity"] + alone["exchangeability"])
+    # the fault in the one array the three families share fails only its identity
+    assert shared == alone
 
 
 def test_stein_linearity_fails_on_an_uncentered_array(monkeypatch):
@@ -234,9 +253,10 @@ def test_stein_linearity_fails_on_an_uncentered_array(monkeypatch):
         return CenteredArray(n=n, entries=D.entries + 0.1 * (1.0 - np.eye(n)), beta=D.beta)
 
     monkeypatch.setattr(checks, "random_centered", shifted)
-    records = run_family("stein_linearity")
-    assert [(r["n"], r["pass"]) for r in records] == [(6, True), (8, False), (10, True)]
-    assert all(r["pass"] for r in run_family("stein_second_moment"))
+    alone, shared = stein_families_alone_and_shared(monkeypatch)
+    assert alone["stein_linearity"] == [(6, True), (8, False), (10, True)]
+    assert all(ok for _, ok in alone["stein_second_moment"] + alone["exchangeability"])
+    assert shared == alone
 
 
 def test_zero_bias_cdf_fails_on_a_stretched_law_of_w(monkeypatch):
